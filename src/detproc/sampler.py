@@ -1,25 +1,32 @@
 """Monte Carlo ground truth: Plancherel-random diagrams via row insertion.
 
-A uniform permutation of {1..n} is drawn by an explicit Fisher-Yates
-shuffle, its insertion shape computed by Robinson-Schensted row bumping
-(so lambda_1 is the longest increasing subsequence length), and the
+A uniform permutation of {1..n} comes from numpy's `Generator.permutation`,
+its insertion shape is computed by Robinson-Schensted row bumping (so
+lambda_1 is the longest increasing subsequence length), and the
 poissonized measure arises by first drawing the size from Poisson(theta)
-by CDF inversion.
+with numpy's Poisson sampler.
 
-Randomness comes from numpy's Philox counter-based generator.  A stream is
-keyed by the 128-bit pair (seed, stream_index); substreams with distinct
-indices are statistically independent and fully deterministic, so parallel
-accumulation over substreams reproduces, count for count, the serial run
-over the concatenated streams.
+`empirical_correlations` draws all sizes of a substream in one call, takes
+the doubled Frobenius points straight from the RSK row lengths (no diagram
+objects are built), and marks them in one boolean occupancy matrix of
+samples x requested points; every estimate is a reduction of that matrix.
+
+Randomness comes from numpy's Philox counter-based generator, keyed by a
+`SeedSequence` of the seed and the generator's substream path.
+`gen.substream(i)` extends gen's path by i, so substreams are independent
+of each other, of their parent, and of the substreams of any other
+generator, and every stream is fully deterministic.  A run split over k
+substreams counts exactly what k single-substream runs on
+`gen.substream(0..k-1)` count together.  `STREAM_VERSION` names this
+mapping from (seed, path) to samples.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from math import exp, sqrt
 from bisect import bisect_left
+from dataclasses import dataclass
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from .errors import DomainError
 from .partitions import YoungDiagram, fr_config, frobenius
 
 __all__ = [
+    "STREAM_VERSION",
     "SeededGenerator",
     "EmpiricalCorrelation",
     "rsk_shape",
@@ -37,51 +45,89 @@ __all__ = [
     "write_samples_csv",
 ]
 
+# Bumped whenever a seed yields different samples.  1: Philox keyed
+# (seed, stream) with flat substreams, a Python Fisher-Yates shuffle and
+# Poisson by CDF inversion.  2: SeedSequence path keys with nested
+# substreams, Generator.permutation, Generator.poisson, and the sizes of
+# an empirical_correlations substream drawn in one call before its words.
+STREAM_VERSION = 2
+
 
 class SeededGenerator:
-    """Philox-backed stream with splittable substreams.
+    """Philox-backed stream with nested, splittable substreams.
 
-    The bit stream is a pure function of (seed, stream): identical inputs
-    give identical samples on every platform.  `substream(i)` returns the
-    independent stream keyed (seed, i); the parent itself is stream 0.
+    The bit stream is a pure function of (seed, path): identical inputs
+    give identical samples on every platform.  `SeededGenerator(seed)` is
+    the root stream; `substream(i)` returns the independent stream at
+    path + (i,), so `SeededGenerator(seed, i)` is the root's substream i.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, *path: int):
         self.seed = int(seed)
-        self.stream = int(stream)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream],
-                                          dtype=np.uint64))
-        )
+        self.path = tuple(int(i) for i in path)
+        if self.seed < 0 or any(i < 0 for i in self.path):
+            raise DomainError(f"seed and stream indices must be >= 0, got "
+                              f"{(self.seed,) + self.path}")
+        self._gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(self.seed, spawn_key=self.path)))
 
     def substream(self, index: int) -> "SeededGenerator":
-        return SeededGenerator(self.seed, index)
+        return SeededGenerator(self.seed, *self.path, index)
 
     def random(self) -> float:
         return float(self._gen.random())
 
     def permutation(self, n: int) -> list:
-        """Fisher-Yates shuffle of (1..n), spelled out for reproducibility."""
-        word = list(range(1, n + 1))
-        for i in range(n - 1, 0, -1):
-            j = int(self._gen.integers(0, i + 1))
-            word[i], word[j] = word[j], word[i]
-        return word
+        """Uniform random permutation of (1..n)."""
+        return (self._gen.permutation(n) + 1).tolist()
 
     def poisson(self, theta: float) -> int:
-        """Poisson(theta) by CDF inversion; exact for the desk scale theta <= 100."""
-        if not theta > 0.0:
-            raise DomainError(f"poisson needs theta > 0, got {theta}")
-        u = self.random()
-        p = exp(-theta)
-        cdf = p
-        k = 0
-        cap = int(theta + 40.0 * sqrt(theta) + 200.0)
-        while u > cdf and k < cap:
-            k += 1
-            p *= theta / k
-            cdf += p
-        return k
+        """One Poisson(theta) draw, for any finite theta > 0."""
+        return int(self._gen.poisson(_checked_theta(theta)))
+
+
+def _checked_theta(theta: float) -> float:
+    theta = float(theta)
+    if not (theta > 0.0 and isfinite(theta)):
+        raise DomainError(f"poisson needs a finite theta > 0, got {theta}")
+    return theta
+
+
+def _rsk_rows(word) -> list:
+    """Row lengths of the RSK insertion tableau of a word of distinct values.
+
+    No validation: callers pass permutations.
+    """
+    rows: list[list] = []
+    for value in word:
+        for row in rows:
+            pos = bisect_left(row, value)
+            if pos == len(row):
+                row.append(value)
+                break
+            row[pos], value = value, row[pos]
+        else:
+            rows.append([value])
+    return [len(row) for row in rows]
+
+
+def _frobenius_points(rows) -> list:
+    """Fr(lambda) as doubled integers, from the row lengths of lambda.
+
+    The arm points are 2 lambda_i - 2i - 1 and the leg points
+    2i - 2 lambda'_i + 1 (i = 0..d-1, lambda' the conjugate), where
+    lambda'_i counts the rows longer than i.
+    """
+    d = 0
+    while d < len(rows) and rows[d] > d:
+        d += 1
+    points = [2 * (rows[i] - i) - 1 for i in range(d)]
+    longer = len(rows)
+    for i in range(d):
+        while rows[longer - 1] <= i:
+            longer -= 1
+        points.append(2 * (i - longer) + 1)
+    return points
 
 
 def rsk_shape(word) -> YoungDiagram:
@@ -89,27 +135,14 @@ def rsk_shape(word) -> YoungDiagram:
     word = list(word)
     if sorted(word) != list(range(1, len(word) + 1)):
         raise DomainError(f"not a permutation of 1..{len(word)}: {word}")
-    rows: list[list[int]] = []
-    for value in word:
-        for row in rows:
-            pos = bisect_left(row, value)
-            if pos == len(row):
-                row.append(value)
-                value = None
-                break
-            row[pos], value = value, row[pos]
-        if value is not None:
-            rows.append([value])
-    return YoungDiagram([len(r) for r in rows])
+    return YoungDiagram(_rsk_rows(word))
 
 
 def sample_plancherel_n(n: int, gen: SeededGenerator) -> YoungDiagram:
     """One diagram from Plancherel(n) = RSK push-forward of a uniform permutation."""
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    if n == 0:
-        return YoungDiagram()
-    return rsk_shape(gen.permutation(n))
+    return YoungDiagram(_rsk_rows(gen.permutation(n)))
 
 
 def sample_poissonized(theta: float, gen: SeededGenerator) -> YoungDiagram:
@@ -125,60 +158,63 @@ class EmpiricalCorrelation:
     n_samples: int
 
 
-def _count_chunk(theta: float, subsets, n: int, gen: SeededGenerator) -> list:
-    counts = [0] * len(subsets)
-    for _ in range(n):
-        config = fr_config(sample_poissonized(theta, gen))
-        for i, subset in enumerate(subsets):
-            if subset <= config:
-                counts[i] += 1
-    return counts
+def _mark_samples(occupied: np.ndarray, theta: float, column: dict,
+                  gen: SeededGenerator) -> None:
+    """Draw one poissonized sample per row of `occupied` from gen; set
+    occupied[i, column[p]] for every point p of sample i that has a column."""
+    for i, size in enumerate(gen._gen.poisson(theta, len(occupied)).tolist()):
+        for p in _frobenius_points(_rsk_rows(gen.permutation(size))):
+            j = column.get(p)
+            if j is not None:
+                occupied[i, j] = True
 
 
 def empirical_correlations(theta: float, point_sets, n_samples: int,
-                           gen: SeededGenerator, n_substreams: int = 1,
-                           parallel: bool = False) -> list:
+                           gen: SeededGenerator, n_substreams: int = 1) -> list:
     """Containment frequencies for several point sets in one sample pass.
 
-    Samples are split across `n_substreams` independent substreams of
-    `gen`; totals are independent of `parallel` because each substream's
-    counts are deterministic integers.
+    With one substream the samples are drawn from `gen` itself; with k > 1
+    they are split as evenly as possible over `gen.substream(0..k-1)`, so
+    the counts equal the sum of the single-substream runs on those
+    substreams at the same sizes.
     """
-    subsets = []
+    point_sets = [tuple(int(p) for p in pts) for pts in point_sets]
     for pts in point_sets:
-        pts = tuple(int(p) for p in pts)
         if len(set(pts)) != len(pts):
             raise DomainError(f"duplicate points in {pts}")
         if any(p % 2 == 0 for p in pts):
             raise DomainError(f"points must be doubled half-integers, got {pts}")
-        subsets.append(frozenset(pts))
     if n_substreams < 1:
         raise DomainError("need at least one substream")
-    sizes = [n_samples // n_substreams + (1 if i < n_samples % n_substreams else 0)
-             for i in range(n_substreams)]
-    jobs = [(theta, subsets, sizes[i], gen.substream(i))
-            for i in range(n_substreams)]
-    if parallel and n_substreams > 1:
-        with ThreadPoolExecutor(max_workers=min(n_substreams, 8)) as pool:
-            chunked = list(pool.map(lambda args: _count_chunk(*args), jobs))
-    else:
-        chunked = [_count_chunk(*args) for args in jobs]
-    totals = [sum(c[i] for c in chunked) for i in range(len(subsets))]
+    if n_samples < 1:
+        raise DomainError(f"need at least one sample, got {n_samples}")
+    theta = _checked_theta(theta)
+    column: dict = {}
+    for pts in point_sets:
+        for p in pts:
+            column.setdefault(p, len(column))
+    occupied = np.zeros((n_samples, len(column)), dtype=bool)
+    streams = ([gen] if n_substreams == 1
+               else [gen.substream(i) for i in range(n_substreams)])
+    lo = 0
+    for i, stream in enumerate(streams):
+        hi = lo + n_samples // n_substreams + (i < n_samples % n_substreams)
+        _mark_samples(occupied[lo:hi], theta, column, stream)
+        lo = hi
     out = []
-    for pts, total in zip(point_sets, totals):
-        p_hat = total / n_samples
+    for pts in point_sets:
+        hits = int(occupied[:, [column[p] for p in pts]].all(axis=1).sum())
+        p_hat = hits / n_samples
         out.append(EmpiricalCorrelation(
-            tuple(int(p) for p in pts), p_hat,
-            sqrt(p_hat * (1.0 - p_hat) / n_samples), n_samples))
+            pts, p_hat, sqrt(p_hat * (1.0 - p_hat) / n_samples), n_samples))
     return out
 
 
 def empirical_correlation(theta: float, points, n_samples: int,
-                          gen: SeededGenerator, n_substreams: int = 1,
-                          parallel: bool = False) -> EmpiricalCorrelation:
+                          gen: SeededGenerator,
+                          n_substreams: int = 1) -> EmpiricalCorrelation:
     """Frequency of configurations containing all the given points."""
-    return empirical_correlations(theta, [points], n_samples, gen,
-                                  n_substreams, parallel)[0]
+    return empirical_correlations(theta, [points], n_samples, gen, n_substreams)[0]
 
 
 def write_samples_csv(path, theta: float, n_samples: int,

@@ -4,6 +4,7 @@ import csv
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detproc import kernels, oracle, sampler
 from detproc.errors import DomainError
@@ -17,16 +18,17 @@ def test_rsk_shapes():
     assert sampler.rsk_shape([3, 2, 1]) == YoungDiagram([1, 1, 1])
 
 
-def test_rsk_first_row_is_lis():
-    # longest increasing subsequence by quadratic dynamic programming
-    def lis(word):
-        best = [1] * len(word)
-        for i in range(len(word)):
-            for j in range(i):
-                if word[j] < word[i]:
-                    best[i] = max(best[i], best[j] + 1)
-        return max(best)
+def lis(word):
+    """Longest increasing subsequence length by quadratic dynamic programming."""
+    best = [1] * len(word)
+    for i in range(len(word)):
+        for j in range(i):
+            if word[j] < word[i]:
+                best[i] = max(best[i], best[j] + 1)
+    return max(best, default=0)
 
+
+def test_rsk_first_row_is_lis():
     gen = sampler.SeededGenerator(2024)
     for _ in range(40):
         word = gen.permutation(30)
@@ -91,6 +93,30 @@ def test_poisson_inversion_large_theta():
     assert abs(mean - theta) < 4 * math.sqrt(theta / n)
 
 
+def test_poisson_size_law_beyond_underflow():
+    # exp(-theta) underflows beyond theta ~ 745, which a CDF started at
+    # exp(-theta) turns into a constant draw; one substream per theta
+    gen = sampler.SeededGenerator(61)
+    n = 2000
+    for i, theta in enumerate((760.0, 1000.0, 1e4)):
+        stream = gen.substream(i)
+        draws = [stream.poisson(theta) for _ in range(n)]
+        mean = sum(draws) / n
+        var = sum((k - mean) ** 2 for k in draws) / (n - 1)
+        assert abs(mean - theta) < 4 * math.sqrt(theta / n)
+        # Var(sample variance) ~ (mu_4 - sigma^4) / n = (theta + 2 theta^2) / n
+        assert abs(var - theta) < 4 * math.sqrt((theta + 2 * theta ** 2) / n)
+
+
+def test_poisson_rejects_bad_theta():
+    gen = sampler.SeededGenerator(0)
+    for theta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gen.poisson(theta)
+        with pytest.raises(DomainError):
+            sampler.empirical_correlation(theta, (1,), 10, gen)
+
+
 def test_determinism():
     a = sampler.SeededGenerator(99)
     b = sampler.SeededGenerator(99)
@@ -104,14 +130,60 @@ def test_determinism():
     assert ea == eb
 
 
-def test_parallel_equals_serial_substreams():
-    serial = sampler.empirical_correlations(
-        2.0, [(1,), (1, -1)], 6000, sampler.SeededGenerator(8),
-        n_substreams=4, parallel=False)
-    parallel = sampler.empirical_correlations(
-        2.0, [(1,), (1, -1)], 6000, sampler.SeededGenerator(8),
-        n_substreams=4, parallel=True)
-    assert serial == parallel
+def test_substream_counts_sum_to_split_run():
+    sets = [(1,), (1, -1)]
+    n, k = 6001, 4
+    split = sampler.empirical_correlations(2.0, sets, n, sampler.SeededGenerator(8),
+                                           n_substreams=k)
+    gen = sampler.SeededGenerator(8)
+    sizes = [n // k + (i < n % k) for i in range(k)]
+    parts = [sampler.empirical_correlations(2.0, sets, size, gen.substream(i))
+             for i, size in enumerate(sizes)]
+    for j, est in enumerate(split):
+        assert round(est.estimate * n) == sum(
+            round(part[j].estimate * size) for part, size in zip(parts, sizes))
+
+
+def test_substreams_are_nested():
+    sets = [(1,), (-1,), (1, -1)]
+    gen = sampler.SeededGenerator(5)
+    first = sampler.empirical_correlations(4.0, sets, 2000, gen.substream(1))
+    second = sampler.empirical_correlations(4.0, sets, 2000, gen.substream(2))
+    assert [r.estimate for r in first] != [r.estimate for r in second]
+    # the same child index under different parents is a different stream
+    words = {tuple(parent.substream(0).permutation(20))
+             for parent in (gen, gen.substream(1), gen.substream(2),
+                            sampler.SeededGenerator(6))}
+    assert len(words) == 4
+    assert (sampler.SeededGenerator(5, 1, 0).permutation(20)
+            == gen.substream(1).substream(0).permutation(20))
+
+
+def test_stream_version_pins_the_draws():
+    # a change to these draws (numpy's Generator algorithms included) must
+    # come with a new STREAM_VERSION
+    assert sampler.STREAM_VERSION == 2
+    gen = sampler.SeededGenerator(2001)
+    assert gen.permutation(6) == [1, 4, 5, 2, 3, 6]
+    assert gen.poisson(30.0) == 25
+    assert sampler.sample_poissonized(10.0, gen).rows == (3, 2)
+
+
+def test_occupancy_counts_match_diagram_route():
+    # empirical_correlations draws a substream's sizes in one call, then one
+    # word per sample; replaying that order through YoungDiagram and
+    # fr_config must give the same counts
+    theta, n = 9.0, 3000
+    sets = [(1,), (-1,), (1, -1), (3, -3), (), (11,)]
+    results = sampler.empirical_correlations(theta, sets, n, sampler.SeededGenerator(40))
+    gen = sampler.SeededGenerator(40)
+    configs = [fr_config(sampler.sample_plancherel_n(size, gen))
+               for size in gen._gen.poisson(theta, n).tolist()]
+    for pts, res in zip(sets, results):
+        hits = sum(set(pts) <= config for config in configs)
+        assert res.points == pts
+        assert res.estimate == hits / n
+        assert res.stderr == math.sqrt(res.estimate * (1 - res.estimate) / n)
 
 
 def test_empirical_correlation_validation():
@@ -120,6 +192,12 @@ def test_empirical_correlation_validation():
         sampler.empirical_correlation(1.0, (1, 1), 10, gen)
     with pytest.raises(DomainError):
         sampler.empirical_correlation(1.0, (2,), 10, gen)
+    with pytest.raises(DomainError):
+        sampler.empirical_correlation(1.0, (1,), 0, gen)
+    with pytest.raises(DomainError):
+        sampler.empirical_correlation(1.0, (1,), 10, gen, n_substreams=0)
+    with pytest.raises(DomainError):
+        sampler.SeededGenerator(-1)
 
 
 def test_conjugation_symmetry():
@@ -175,3 +253,29 @@ def test_samples_csv(tmp_path):
         pts = [int(t) for t in row[3].split()] if row[3] else []
         assert len(pts) == 2 * int(row[2])
         assert all(p % 2 != 0 for p in pts)
+
+
+permutations = st.integers(0, 60).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutations)
+def test_rsk_rows_properties(word):
+    rows = sampler._rsk_rows(word)
+    assert sum(rows) == len(word)
+    assert all(r > 0 for r in rows)
+    assert all(a >= b for a, b in zip(rows, rows[1:]))
+    assert (rows[0] if rows else 0) == lis(word)
+    # Schensted: reversing the word transposes the shape
+    assert sampler._rsk_rows(word[::-1]) == list(YoungDiagram(rows).conjugate().rows)
+    assert sampler.rsk_shape(word) == YoungDiagram(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutations)
+def test_frobenius_points_from_rows(word):
+    rows = sampler._rsk_rows(word)
+    points = sampler._frobenius_points(rows)
+    assert len(points) == len(set(points))
+    assert set(points) == fr_config(YoungDiagram(rows))
