@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import drhp, kernels, oracle, sampler, special
+from . import drhp, kernels, oracle, sampler
 from .errors import DomainError, ParameterError
 from .partitions import YoungDiagram, fr_config, plancherel_weight
 
@@ -198,74 +198,6 @@ def cmd_correlation(args) -> int:
     return 0
 
 
-def _suite_special_functions() -> list:
-    """Module invariants of the scalar special functions, as residual rows."""
-    rows = []
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for u in np.linspace(15.0, 25.0, 9):
-        for nu in (-5.0, -2.5, -0.5, 0.0, 1.0, 3.5, 5.0):
-            worst = max(worst, abs(special._jv_series(nu, float(u))
-                                   - special._jv_hankel(nu, float(u))[0]))
-    rows.append(drhp.ResidualCheck("bessel-series-vs-asymptotic",
-                                   "u in [15,25], |nu|<=5", worst, 1e-9))
-    worst = max(abs(special.bessel_j(-n, 2.0)
-                    - (-1.0) ** n * special.bessel_j(n, 2.0))
-                for n in range(1, 21))
-    rows.append(drhp.ResidualCheck("bessel-negation-symmetry",
-                                   "n=1..20, u=2", worst, 1e-14))
-    worst = 0.0
-    h = 1e-5
-    for _ in range(20):
-        nu = float(rng.uniform(-5, 5))
-        u = float(rng.uniform(0.5, 10))
-        fd = (special.bessel_j(nu + h, u) - special.bessel_j(nu - h, u)) / (2 * h)
-        worst = max(worst, abs(special.bessel_j_dorder(nu, u) - fd))
-    rows.append(drhp.ResidualCheck("bessel-dorder-vs-finite-difference",
-                                   "20-point random grid", worst, 1e-6))
-    worst = 0.0
-    for i in range(10):
-        kappa = float(rng.uniform(-1.5, 1.5))
-        mu = float(rng.uniform(0.1, 3.0))
-        x = float(rng.uniform(0.1, 30.0))
-        wp = special.whittaker_w(kappa, mu, x)
-        wm = special.whittaker_w(kappa, -mu, x)
-        worst = max(worst, abs(wp - wm) / max(abs(wp), 1e-280))
-    rows.append(drhp.ResidualCheck("whittaker-even-in-mu",
-                                   "10-point random grid", worst, 1e-9))
-    worst = 0.0
-    for _ in range(50):
-        z = complex(rng.uniform(0.1, 20), rng.uniform(-20, 20))
-        lhs = special.log_gamma(z + 1.0) - special.log_gamma(z) - np.log(complex(z))
-        worst = max(worst, abs(lhs))
-    rows.append(drhp.ResidualCheck("log-gamma-recurrence",
-                                   "50 random z, Re z > 0", worst, 1e-12))
-    return rows
-
-
-def _suite_cd() -> list:
-    grid = np.linspace(-2.5, 2.5, 30)
-    weights = np.exp(-grid ** 2)
-    kern = kernels.christoffel_darboux_k(grid, weights, 5)
-    rows = []
-    worst = 0.0
-    for x in grid:
-        for y in grid:
-            if x != y:
-                worst = max(worst, abs(kern.sum_form(float(x), float(y))
-                                       - kern.cd_form(float(x), float(y))))
-    rows.append(drhp.ResidualCheck("cd-two-forms-agree", "30-point grid, N=5",
-                                   worst, 1e-10))
-    mat = kern.matrix()
-    rows.append(drhp.ResidualCheck("cd-projection", "K.K = K",
-                                   float(np.max(np.abs(mat @ mat - mat))), 1e-10))
-    rows.append(drhp.ResidualCheck("cd-trace", "trace = N",
-                                   abs(kern.trace() - 5.0), 1e-10))
-    rows.append(drhp.ResidualCheck("cd-symmetry", "K = K^t",
-                                   float(np.max(np.abs(mat - mat.T))), 1e-12))
-    return rows
-
-
 def cmd_verify(args) -> int:
     if args.suite == "drhp":
         rows = drhp.suite_drhp(args.theta)
@@ -276,9 +208,9 @@ def cmd_verify(args) -> int:
     elif args.suite == "contour":
         rows = drhp.suite_contour()
     elif args.suite == "special-functions":
-        rows = _suite_special_functions()
+        rows = drhp.suite_special_functions()
     elif args.suite == "cd":
-        rows = _suite_cd()
+        rows = drhp.suite_cd()
     else:
         raise ParameterError(f"unknown suite {args.suite}")
     drhp.report_to_csv(rows, args.output)

@@ -15,7 +15,9 @@ that characterizes them is checked numerically:
 * the Whittaker matrix Psi has det 1, the printed inverse transpose, and
   piecewise-constant multiplicative jumps across R+- ;
 * the two-point and closed-contour toy models reproduce all their printed
-  formulas.
+  formulas;
+* the scalar special functions and the Christoffel-Darboux kernel keep
+  their module invariants (`suite_special_functions`, `suite_cd`).
 
 Residues are computed by trapezoidal averages over small circles (exact
 for simple poles up to spectrally small quadrature error), derivatives by
@@ -23,6 +25,13 @@ Cauchy-integral averages, so no symbolic differentiation enters.  m itself
 is evaluated through hypergeometric-ratio series (the Gamma factors are
 cancelled analytically), a code path disjoint from the Bessel-series
 kernel assembly it is checked against.
+
+m and n are array-valued: every contour builds all of its nodes and
+evaluates m once, and all the 0F1 series of one call run together in
+`_hyp0f1`, each element stopping at its own convergence test.  The
+array arithmetic rounds exactly as the per-point Python complex
+recurrence does, so every residual is the same number as a
+node-by-node evaluation gives.
 """
 
 from __future__ import annotations
@@ -31,15 +40,18 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi, sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import special
 from .errors import PoleError
 from .kernels import (
     AssembledKernel,
     TwoPointModel,
+    christoffel_darboux_k,
     psi_inv_t_printed,
     psi_matrix,
 )
@@ -72,6 +84,8 @@ __all__ = [
     "suite_psi",
     "suite_two_point",
     "suite_contour",
+    "suite_special_functions",
+    "suite_cd",
 ]
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -106,7 +120,11 @@ def all_pass(rows: Iterable[ResidualCheck]) -> bool:
 
 @dataclass(frozen=True)
 class MatrixFunction2x2:
-    """zeta -> 2x2 complex matrix, with its singular set tagged."""
+    """zeta -> 2x2 complex matrix, with its singular set tagged.
+
+    The array-valued ones (m, n) also take an array of zeta and return
+    zeta.shape + (2, 2).
+    """
 
     evaluator: Callable[[complex], np.ndarray]
     singular_set: str
@@ -162,17 +180,85 @@ def bessel_p_hat(theta: float) -> MatrixFunction2x2:
     return MatrixFunction2x2(ev, "none (entire)", "p_hat")
 
 
-def _hyp0f1(c: complex, w: float) -> complex:
-    """0F1(c; w) = sum w^k / (k! (c)_k); poles at c in {0,-1,-2,...}."""
-    if c.imag == 0.0 and c.real <= 0.0 and c.real == round(c.real):
-        raise PoleError(f"0F1 pole at c={c}")
-    s = t = 1.0 + 0j
+# Complex products and quotients on arrays, rounded exactly as Python's
+# complex type rounds them: numpy's SIMD complex multiply may fuse a*b - c*d
+# and its division multiplies by a reciprocal, either of which moves the
+# last bit of a certified residual.
+
+def _quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) in real arithmetic, CPython's _Py_c_quot."""
+    big_re = np.abs(br) >= np.abs(bi)
+    p = np.where(big_re, br, bi)
+    q = np.where(big_re, bi, br)
+    u = np.where(big_re, ar, ai)
+    v = np.where(big_re, ai, ar)
+    ratio = q / p
+    denom = p + q * ratio
+    x = u * ratio
+    return (u + v * ratio) / denom, np.where(big_re, v - x, x - v) / denom
+
+
+def _ratio_times(a: float, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """a / b * phi for real a, with Python's complex rounding."""
+    qr, qi = _quot(a, 0.0, b.real, b.imag)
+    out = np.empty(phi.shape, dtype=complex)
+    out.real = qr * phi.real - qi * phi.imag
+    out.imag = qr * phi.imag + qi * phi.real
+    return out
+
+
+# elements per pass of the 0F1 series: bounds its ~25 working arrays to
+# 32 KiB each, so a 4096-node contour does not raise the peak memory
+_SERIES_BLOCK = 4096
+
+
+def _hyp0f1(c, w: float) -> np.ndarray:
+    """0F1(c; w) = sum w^k / (k! (c)_k) for an array of c; poles at c in {0,-1,-2,...}.
+
+    Every element runs the term recurrence t <- t w / ((k+1)(c+k)) and
+    stops at its own test |t| < 1e-18 max(|s|, 1e-300) (at most 400 terms);
+    finished elements drop out of the working arrays.  The arithmetic is
+    the real/imaginary form of Python complex arithmetic (w and the
+    integers enter as w + 0j, k + 0j), so each value is bit-identical to
+    the scalar recurrence.
+    """
+    c = np.asarray(c, dtype=complex)
+    # c + k adds 0.0 to Im c, which turns -0.0 into 0.0
+    cr, ci = c.real.ravel(), c.imag.ravel() + 0.0
+    pole = (ci == 0.0) & (cr <= 0.0) & (cr == np.round(cr))
+    if pole.any():
+        raise PoleError(f"0F1 pole at c={c.ravel()[np.argmax(pole)]}")
+    out = np.empty(cr.size, dtype=complex)
+    for lo in range(0, cr.size, _SERIES_BLOCK):
+        block = slice(lo, lo + _SERIES_BLOCK)
+        out[block] = _series(cr[block], ci[block], w)
+    return out.reshape(c.shape)
+
+
+def _series(cr: np.ndarray, ci: np.ndarray, w: float) -> np.ndarray:
+    """One pass of `_hyp0f1` over the real and imaginary parts of c."""
+    out = np.empty(cr.size, dtype=complex)
+    live = np.arange(cr.size)
+    tr, ti = np.ones(cr.size), np.zeros(cr.size)
+    sr, si = tr.copy(), ti.copy()
     for k in range(400):
-        t = t * w / ((k + 1) * (c + k))
-        s += t
-        if abs(t) < 1e-18 * max(abs(s), 1e-300):
-            return s
-    return s
+        if not live.size:
+            break
+        ar = tr * w - ti * 0.0
+        ai = tr * 0.0 + ti * w
+        tr, ti = _quot(ar, ai, (k + 1) * (cr + k), (k + 1) * ci)
+        sr = sr + tr
+        si = si + ti
+        done = np.hypot(tr, ti) < 1e-18 * np.maximum(np.hypot(sr, si), 1e-300)
+        if done.any():
+            out.real[live[done]] = sr[done]
+            out.imag[live[done]] = si[done]
+            keep = ~done
+            live, cr, ci, tr, ti, sr, si = (
+                a[keep] for a in (live, cr, ci, tr, ti, sr, si))
+    out.real[live] = sr
+    out.imag[live] = si
+    return out
 
 
 def bessel_m(theta: float) -> MatrixFunction2x2:
@@ -185,35 +271,39 @@ def bessel_m(theta: float) -> MatrixFunction2x2:
 
     which stays stable at any |zeta| and exhibits the simple poles on the
     half-integer lattice directly (column 1 on Z'_-, column 2 on Z'_+).
+    zeta may be an array: the result then has shape zeta.shape + (2, 2),
+    and all four series of all points run as one `_hyp0f1` call.
     """
     eta = sqrt(theta)
     w = -theta
 
-    def ev(zeta: complex) -> np.ndarray:
-        zeta = complex(zeta)
-        return np.array(
-            [
-                [_hyp0f1(zeta + 0.5, w),
-                 eta / (0.5 - zeta) * _hyp0f1(1.5 - zeta, w)],
-                [-eta / (zeta + 0.5) * _hyp0f1(zeta + 1.5, w),
-                 _hyp0f1(0.5 - zeta, w)],
-            ],
-            dtype=complex,
-        )
+    def ev(zeta) -> np.ndarray:
+        z = np.asarray(zeta, dtype=complex)
+        phi = _hyp0f1(np.stack([z + 0.5, 1.5 - z, z + 1.5, 0.5 - z]), w)
+        out = np.empty(z.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = phi[0]
+        out[..., 0, 1] = _ratio_times(eta, 0.5 - z, phi[1])
+        out[..., 1, 0] = _ratio_times(-eta, z + 0.5, phi[2])
+        out[..., 1, 1] = phi[3]
+        return out
 
     return MatrixFunction2x2(ev, "Z+1/2 (simple poles)", "m")
 
 
 def bessel_n(theta: float) -> MatrixFunction2x2:
-    """n(zeta) = m(zeta) diag(eta^zeta, eta^-zeta)."""
-    eta = sqrt(theta)
+    """n(zeta) = m(zeta) diag(eta^zeta, eta^-zeta); zeta may be an array."""
+    log_eta = math.log(sqrt(theta))
     m = bessel_m(theta)
 
-    def ev(zeta: complex) -> np.ndarray:
-        zeta = complex(zeta)
-        d = np.array([[cmath.exp(zeta * math.log(eta)), 0.0],
-                      [0.0, cmath.exp(-zeta * math.log(eta))]], dtype=complex)
-        return m(zeta) @ d
+    def ev(zeta) -> np.ndarray:
+        z = np.asarray(zeta, dtype=complex)
+        out = m(z)
+        flat = out.reshape(-1, 2, 2)
+        for i, zi in enumerate(z.ravel().tolist()):
+            d = np.array([[cmath.exp(zi * log_eta), 0.0],
+                          [0.0, cmath.exp(-zi * log_eta)]], dtype=complex)
+            flat[i] = flat[i] @ d
+        return out
 
     return MatrixFunction2x2(ev, "Z+1/2 (simple poles)", "n")
 
@@ -234,35 +324,45 @@ def bessel_m1_exact(theta: float) -> np.ndarray:
 
 
 # contour helpers ------------------------------------------------------
+#
+# fn takes the array of all trapezoid nodes of a circle and returns one
+# value per node along axis 0; node sums run in node order (a cumulative
+# sum), so each result rounds as the node-by-node accumulation does.
+
+def _circle(center: complex, radius: float, nodes: int):
+    """Unit phases e^(i th_j) and points center + radius e^(i th_j)."""
+    phases = [cmath.exp(1j * (2.0 * pi * j / nodes)) for j in range(nodes)]
+    return np.array(phases), np.array([center + radius * e for e in phases])
+
+
+def _node_sum(values: np.ndarray) -> np.ndarray:
+    return np.cumsum(values, axis=0)[-1]
+
+
+def _weighted(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # numpy's complex product: it rounds alike per node and batched
+    return values * weights.reshape(weights.shape + (1,) * (values.ndim - 1))
+
+
+def _pointwise(fn):
+    """Lift a scalar zeta -> array function to the array of contour nodes."""
+    return lambda zs: np.array([fn(z) for z in zs.tolist()])
+
 
 def _circle_residue(fn, center: complex, radius: float, nodes: int) -> np.ndarray:
     """(1/2pi i) contour integral of fn around center (trapezoid)."""
-    acc = np.zeros((2, 2), dtype=complex)
-    for j in range(nodes):
-        th = 2.0 * pi * j / nodes
-        e = cmath.exp(1j * th)
-        acc += fn(center + radius * e) * e
-    return acc * (radius / nodes)
+    phases, zs = _circle(center, radius, nodes)
+    return _node_sum(_weighted(fn(zs), phases)) * (radius / nodes)
 
 
 def _circle_average(fn, center: complex, radius: float, nodes: int):
-    acc = None
-    for j in range(nodes):
-        th = 2.0 * pi * j / nodes
-        v = fn(center + radius * cmath.exp(1j * th))
-        acc = v if acc is None else acc + v
-    return acc / nodes
+    return _node_sum(fn(_circle(center, radius, nodes)[1])) / nodes
 
 
 def _circle_derivative(fn, center: complex, radius: float, nodes: int):
     """Cauchy derivative (1/2pi i) contour integral of fn/(z-c)^2."""
-    acc = None
-    for j in range(nodes):
-        th = 2.0 * pi * j / nodes
-        e = cmath.exp(1j * th)
-        v = fn(center + radius * e) * np.exp(-1j * th)
-        acc = v if acc is None else acc + v
-    return acc / (nodes * radius)
+    phases, zs = _circle(center, radius, nodes)
+    return _node_sum(_weighted(fn(zs), phases.conj())) / (nodes * radius)
 
 
 # ----------------------------------------------------------------------
@@ -319,12 +419,16 @@ def check_p_recurrence(theta: float, zetas: Sequence[complex],
 def check_m_residues(theta: float, xs: Sequence[float], radius: float = 1e-3,
                      nodes: int = 32, tol: float = 1e-9) -> list[ResidualCheck]:
     """Res_{zeta=x} m = lim_{zeta->x} m(zeta) w(x) at every lattice point given."""
-    m = bessel_m(theta)
+    circles = [_circle(complex(x), radius, nodes) for x in xs]
+    if not circles:
+        return []
+    values = bessel_m(theta)(np.concatenate([zs for _, zs in circles]))
     rows = []
-    for x in xs:
-        res = _circle_residue(m, complex(x), radius, nodes)
-        lim = _circle_average(lambda z: m(z) @ bessel_w_weight(theta, x),
-                              complex(x), radius, nodes)
+    for x, (phases, _), mx in zip(xs, circles, values.reshape(-1, nodes, 2, 2)):
+        res = _node_sum(_weighted(mx, phases)) * (radius / nodes)
+        # w(x) has one real nonzero entry, so the stacked product rounds
+        # exactly like one 2x2 product per node
+        lim = _node_sum(mx @ bessel_w_weight(theta, x)) / nodes
         rows.append(ResidualCheck(
             "m-residue", f"x={x}", float(np.max(np.abs(res - lim))), tol))
     return rows
@@ -339,14 +443,14 @@ def check_m_normalization(theta: float, ts: Sequence[float] = (10.0, 20.0, 40.0)
     defect after removing the exact 1/zeta term (bounded by tol_remainder
     at the largest t, and decreasing).
     """
-    m = bessel_m(theta)
     m1 = bessel_m1_exact(theta)
     eye = np.eye(2)
     rows = []
     raw = []
     rem = []
-    for t in ts:
-        d = m(1j * t) - eye
+    values = bessel_m(theta)(np.array([1j * t for t in ts]))
+    for t, mt in zip(ts, values):
+        d = mt - eye
         raw.append(float(np.max(np.abs(d))))
         rem.append(float(np.max(np.abs(d - m1 / (1j * t)))))
     for i in range(1, len(ts)):
@@ -371,7 +475,8 @@ def fit_m1(theta: float, radius: float = 40.0, nodes: int = 4096) -> np.ndarray:
     """
     m = bessel_m(theta)
     eye = np.eye(2)
-    return _circle_average(lambda z: z * (m(z) - eye), 0j, radius, nodes)
+    return _circle_average(lambda zs: zs[:, None, None] * (m(zs) - eye),
+                           0j, radius, nodes)
 
 
 def check_m1_symmetry(theta: float, radius: float = 40.0,
@@ -398,15 +503,14 @@ def ode_check_eta(theta: float,
     second-order scalar ODE for p11."""
     eta = sqrt(theta)
     rows = []
-
-    def n_at(e: float, zeta: complex) -> np.ndarray:
-        return bessel_n(e * e)(zeta)
+    # n at every zeta in one call per eta
+    zs = np.array(zetas, dtype=complex)
+    n_up, n_down, n_mid = (bessel_n(e * e)(zs) for e in (eta + h, eta - h, eta))
 
     worst_minus = 0.0
     worst_plus = 0.0
-    for zeta in zetas:
-        dn = (n_at(eta + h, zeta) - n_at(eta - h, zeta)) / (2.0 * h)
-        n0 = n_at(eta, zeta)
+    for zeta, up, down, n0 in zip(zetas, n_up, n_down, n_mid):
+        dn = (up - down) / (2.0 * h)
         for beta, tag in ((-eta, "minus"), (eta, "plus")):
             rhs = np.array([[zeta, -2.0 * beta], [2.0 * beta, -zeta]],
                            dtype=complex) @ n0
@@ -447,7 +551,8 @@ def bessel_kernel_from_m(theta: float, deriv_radius: float = 0.25,
     hypergeometric-ratio m (never the Bessel matrix p), and the diagonal
     applies G . lim m'(zeta) f(x) with the derivative taken as a Cauchy
     circle integral.  Serves as an independent route to the kernel built
-    in `kernels.discrete_bessel_k`.
+    in `kernels.discrete_bessel_k`.  Both are computed once per lattice
+    point and kept for the life of the kernel.
     """
     m = bessel_m(theta)
     eta = sqrt(theta)
@@ -457,20 +562,22 @@ def bessel_kernel_from_m(theta: float, deriv_radius: float = 0.25,
     def fweight(x: float) -> float:
         return math.exp(0.5 * abs(x) * lt - math.lgamma(abs(x) + 0.5))
 
+    @lru_cache(maxsize=None)
     def cols(x: float) -> tuple:
         # only the analytic column of m is evaluated on the lattice
         # (the other column has its simple pole exactly at x)
         c = fweight(x)
         if x > 0:
-            m11 = _hyp0f1(complex(x + 0.5), w).real
-            m21 = (-eta / (x + 0.5)) * _hyp0f1(complex(x + 1.5), w).real
+            m11, phi = _hyp0f1(np.array([x + 0.5, x + 1.5]), w).real.tolist()
+            m21 = (-eta / (x + 0.5)) * phi
             # f = (f1, 0), g = (0, g2): m f = f1 (m11, m21),
             # m^-t g = g2 (-m21, m11)
             return (c * m11, c * m21), (-c * m21, c * m11)
-        m12 = (eta / (0.5 - x)) * _hyp0f1(complex(1.5 - x), w).real
-        m22 = _hyp0f1(complex(0.5 - x), w).real
+        phi, m22 = _hyp0f1(np.array([1.5 - x, 0.5 - x]), w).real.tolist()
+        m12 = (eta / (0.5 - x)) * phi
         return (c * m12, c * m22), (c * m22, -c * m12)
 
+    @lru_cache(maxsize=None)
     def dcol(x: float) -> tuple:
         # derivative of the analytic column of m at x (Cauchy integral)
         col = 0 if x > 0 else 1
@@ -580,18 +687,19 @@ def verify_two_point(mu: float, nu: float, a: complex = 0.0, b: complex = 1.0,
 
     radius = 1e-3 * abs(b - a)
     for point in (a, b):
-        res = _circle_residue(model.m, complex(point), radius, 32)
-        lim = _circle_average(lambda zz: model.m(zz) @ model.w(point),
+        res = _circle_residue(_pointwise(model.m), complex(point), radius, 32)
+        lim = _circle_average(_pointwise(lambda zz: model.m(zz) @ model.w(point)),
                               complex(point), radius, 32)
         rows.append(ResidualCheck(
             "two-point-residue", f"point={point}",
             float(np.max(np.abs(res - lim))), 1e-10))
 
     for point in (a, b):
-        f_lim = _circle_average(lambda zz: model.m(zz) @ model.f(point),
+        f_lim = _circle_average(_pointwise(lambda zz: model.m(zz) @ model.f(point)),
                                 complex(point), radius, 32)
-        g_lim = _circle_average(lambda zz: model.m_inv_t(zz) @ model.g(point),
-                                complex(point), radius, 32)
+        g_lim = _circle_average(
+            _pointwise(lambda zz: model.m_inv_t(zz) @ model.g(point)),
+            complex(point), radius, 32)
         rows.append(ResidualCheck(
             "two-point-resolvent-f", f"point={point}",
             float(np.max(np.abs(f_lim - model.resolvent_f(point)))), tol))
@@ -599,7 +707,8 @@ def verify_two_point(mu: float, nu: float, a: complex = 0.0, b: complex = 1.0,
             "two-point-resolvent-g", f"point={point}",
             float(np.max(np.abs(g_lim - model.resolvent_g(point)))), tol))
         mp_lim = _circle_derivative(
-            lambda zz: model.m(zz) @ model.f(point), complex(point), radius, 32)
+            _pointwise(lambda zz: model.m(zz) @ model.f(point)),
+            complex(point), radius, 32)
         rows.append(ResidualCheck(
             "two-point-m-prime-limit", f"point={point}",
             float(np.max(np.abs(mp_lim - model.m_prime_f_limit(point)))), 1e-10))
@@ -707,3 +816,72 @@ def suite_two_point(mu: float = 0.3, nu: float = 0.5, a: complex = 0.0,
 
 def suite_contour() -> list[ResidualCheck]:
     return verify_closed_contour_identity()
+
+
+def suite_special_functions() -> list[ResidualCheck]:
+    """Module invariants of the scalar special functions, as residual rows."""
+    rows = []
+    rng = np.random.default_rng(42)
+    worst = 0.0
+    for u in np.linspace(15.0, 25.0, 9):
+        for nu in (-5.0, -2.5, -0.5, 0.0, 1.0, 3.5, 5.0):
+            worst = max(worst, abs(special._jv_series(nu, float(u))
+                                   - special._jv_hankel(nu, float(u))[0]))
+    rows.append(ResidualCheck("bessel-series-vs-asymptotic",
+                              "u in [15,25], |nu|<=5", worst, 1e-9))
+    worst = max(abs(special.bessel_j(-n, 2.0)
+                    - (-1.0) ** n * special.bessel_j(n, 2.0))
+                for n in range(1, 21))
+    rows.append(ResidualCheck("bessel-negation-symmetry",
+                              "n=1..20, u=2", worst, 1e-14))
+    worst = 0.0
+    h = 1e-5
+    for _ in range(20):
+        nu = float(rng.uniform(-5, 5))
+        u = float(rng.uniform(0.5, 10))
+        fd = (special.bessel_j(nu + h, u) - special.bessel_j(nu - h, u)) / (2 * h)
+        worst = max(worst, abs(special.bessel_j_dorder(nu, u) - fd))
+    rows.append(ResidualCheck("bessel-dorder-vs-finite-difference",
+                              "20-point random grid", worst, 1e-6))
+    worst = 0.0
+    for i in range(10):
+        kappa = float(rng.uniform(-1.5, 1.5))
+        mu = float(rng.uniform(0.1, 3.0))
+        x = float(rng.uniform(0.1, 30.0))
+        wp = special.whittaker_w(kappa, mu, x)
+        wm = special.whittaker_w(kappa, -mu, x)
+        worst = max(worst, abs(wp - wm) / max(abs(wp), 1e-280))
+    rows.append(ResidualCheck("whittaker-even-in-mu",
+                              "10-point random grid", worst, 1e-9))
+    worst = 0.0
+    for _ in range(50):
+        z = complex(rng.uniform(0.1, 20), rng.uniform(-20, 20))
+        lhs = special.log_gamma(z + 1.0) - special.log_gamma(z) - np.log(complex(z))
+        worst = max(worst, abs(lhs))
+    rows.append(ResidualCheck("log-gamma-recurrence",
+                              "50 random z, Re z > 0", worst, 1e-12))
+    return rows
+
+
+def suite_cd() -> list[ResidualCheck]:
+    """The two printed forms of a Christoffel-Darboux kernel, and K a projection."""
+    grid = np.linspace(-2.5, 2.5, 30)
+    weights = np.exp(-grid ** 2)
+    kern = christoffel_darboux_k(grid, weights, 5)
+    rows = []
+    worst = 0.0
+    for x in grid:
+        for y in grid:
+            if x != y:
+                worst = max(worst, abs(kern.sum_form(float(x), float(y))
+                                       - kern.cd_form(float(x), float(y))))
+    rows.append(ResidualCheck("cd-two-forms-agree", "30-point grid, N=5",
+                              worst, 1e-10))
+    mat = kern.matrix()
+    rows.append(ResidualCheck("cd-projection", "K.K = K",
+                              float(np.max(np.abs(mat @ mat - mat))), 1e-10))
+    rows.append(ResidualCheck("cd-trace", "trace = N",
+                              abs(kern.trace() - 5.0), 1e-10))
+    rows.append(ResidualCheck("cd-symmetry", "K = K^t",
+                              float(np.max(np.abs(mat - mat.T))), 1e-12))
+    return rows

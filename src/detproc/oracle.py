@@ -15,6 +15,7 @@ evaluated by LU with partial pivoting.  Windows come in two kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,10 +56,24 @@ class Window:
         return self.points.size
 
     def index_of(self, point: float) -> int:
-        hits = np.nonzero(self.points == float(point))[0]
-        if hits.size == 0:
+        """Position of a window point: O(1) on a unit-step lattice window,
+        a dictionary lookup otherwise."""
+        x = float(point)
+        if self.kind == LATTICE and self.size:
+            i = x - float(self.points[0])
+            if i.is_integer() and 0 <= i < self.size and self.points[int(i)] == x:
+                return int(i)
+        i = self._index.get(x)
+        if i is None:
             raise WindowError(f"point {point} is not in the window")
-        return int(hits[0])
+        return i
+
+    @cached_property
+    def _index(self) -> dict:
+        index = {}
+        for i, x in enumerate(self.points.tolist()):
+            index.setdefault(x, i)
+        return index
 
 
 def lattice_window(m: int) -> Window:

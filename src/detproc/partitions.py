@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import DomainError
 
@@ -64,10 +63,7 @@ class YoungDiagram:
         return sum(self.rows)
 
     def conjugate(self) -> "YoungDiagram":
-        if not self.rows:
-            return YoungDiagram()
-        cols = [sum(1 for r in self.rows if r >= j + 1) for j in range(self.rows[0])]
-        return YoungDiagram(cols)
+        return YoungDiagram(_conjugate_rows(self.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, YoungDiagram) and self.rows == other.rows
@@ -100,10 +96,21 @@ class FrobeniusCoords:
         return len(self.p)
 
 
+def _conjugate_rows(rows: tuple) -> list:
+    """Column lengths of a valid row tuple: cols[j] = #{i : rows[i] > j}."""
+    cols = []
+    i = len(rows)
+    for j in range(rows[0] if rows else 0):
+        while rows[i - 1] <= j:
+            i -= 1
+        cols.append(i)
+    return cols
+
+
 def frobenius(diagram: YoungDiagram) -> FrobeniusCoords:
     """Frobenius coordinates p_i = lambda_i - i, q_i = lambda'_i - i (i <= d)."""
     rows = diagram.rows
-    cols = diagram.conjugate().rows
+    cols = _conjugate_rows(rows)
     d = sum(1 for i, r in enumerate(rows) if r >= i + 1)
     p = tuple(rows[i] - (i + 1) for i in range(d))
     q = tuple(cols[i] - (i + 1) for i in range(d))
@@ -134,14 +141,6 @@ def fr_config(diagram: YoungDiagram) -> frozenset:
     return frozenset(pts)
 
 
-def _hooks(diagram: YoungDiagram):
-    rows = diagram.rows
-    cols = diagram.conjugate().rows
-    for i, r in enumerate(rows):
-        for j in range(r):
-            yield (r - j) + (cols[j] - i) - 1
-
-
 def dim_hook(diagram: YoungDiagram) -> int:
     """Number of standard Young tableaux of this shape (hook formula, exact)."""
     n = diagram.size
@@ -149,9 +148,12 @@ def dim_hook(diagram: YoungDiagram) -> int:
         raise DomainError(f"dim_hook limited to |lambda| <= 170, got {n}")
     if n == 0:
         return 1
-    hook_prod = reduce(lambda a, b: a * b, _hooks(diagram), 1)
-    num = math.factorial(n)
-    dim, rem = divmod(num, hook_prod)
+    rows = diagram.rows
+    cols = _conjugate_rows(rows)
+    # hook of box (i, j): arm r - j - 1, leg cols[j] - i - 1, plus the box
+    hook_prod = math.prod(r + cols[j] - i - j - 1
+                          for i, r in enumerate(rows) for j in range(r))
+    dim, rem = divmod(math.factorial(n), hook_prod)
     assert rem == 0
     return dim
 

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from detproc import drhp, kernels, oracle, sampler
-from detproc.cli import _suite_cd, _suite_special_functions
 from detproc.errors import SingularOperatorError
 from detproc.partitions import enumerate_partitions, fr_config, plancherel_weight
 
@@ -246,7 +245,7 @@ def test_criterion_12_degeneration_studies():
 
 
 def test_criterion_13_christoffel_darboux():
-    rows = _suite_cd()
+    rows = drhp.suite_cd()
     keyed = {r.check_id: r for r in rows}
     forms = keyed["cd-two-forms-agree"].residual
     proj = keyed["cd-projection"].residual
@@ -260,7 +259,7 @@ def test_criterion_13_christoffel_darboux():
 
 def test_criterion_14_special_function_suite():
     t0 = time.perf_counter()
-    rows = _suite_special_functions()
+    rows = drhp.suite_special_functions()
     elapsed = time.perf_counter() - t0
     ok = drhp.all_pass(rows) and elapsed < 5.0
     detail = "; ".join(f"{r.check_id}={r.residual:.2e}(tol {r.tolerance:.0e})"

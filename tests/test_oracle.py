@@ -140,6 +140,22 @@ def test_max_abs_diff_contract():
         oracle.max_abs_diff(lambda x, y: 0.0, k, [41])  # margin violated
 
 
+def test_index_of_finds_every_point_and_rejects_others():
+    lattice = oracle.lattice_window(6)
+    quad = oracle.quadrature_window(r=10.0, eps=1e-2, nodes_per_panel=4)
+    uneven = oracle.Window(kernels.LATTICE, np.array([0.5, 2.5, -1.5]))
+    for window in (lattice, quad, uneven):
+        for i, x in enumerate(window.points):
+            assert window.index_of(x) == i
+    assert lattice.index_of(np.float64(-5.5)) == 0
+    for window, outside in ((lattice, (6.5, -6.5, 0.0, 0.25, math.nan, math.inf)),
+                            (quad, (0.0, 10.5, quad.points[3] + 1e-12)),
+                            (uneven, (1.5, -0.5))):
+        for x in outside:
+            with pytest.raises(WindowError):
+                window.index_of(x)
+
+
 def test_quadrature_window_shape():
     win = oracle.quadrature_window(40.0, 1e-4, 16)
     assert win.weights is not None

@@ -87,6 +87,15 @@ def test_dim_hook_vs_enumeration():
         assert pt.dim_hook(lam) == _count_syt(rows)
 
 
+def test_conjugate_is_the_column_lengths():
+    for n in range(13):
+        for lam in pt.enumerate_partitions(n):
+            cols = tuple(sum(1 for r in lam.rows if r > j)
+                         for j in range(lam.rows[0] if lam.rows else 0))
+            assert lam.conjugate().rows == cols
+            assert lam.conjugate().conjugate() == lam
+
+
 def test_plancherel_normalization():
     for n in range(7):
         total = sum(pt.dim_hook(lam) ** 2 for lam in pt.enumerate_partitions(n))
