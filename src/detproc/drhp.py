@@ -208,7 +208,10 @@ def _ratio_times(a: float, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 # elements per pass of the 0F1 series: bounds its ~25 working arrays to
-# 32 KiB each, so a 4096-node contour does not raise the peak memory
+# 32 KiB each.  fit_m1's 16384 series in one pass raised the certify
+# benchmark's peak RSS by ~2 MiB (43.7 -> 45.6 MiB, median of 3 runs);
+# passes of 1024 or 2048 saved nothing more and ran fit_m1 1.4-1.7x slower
+# (2-core Xeon, Python 3.11, numpy 2.4)
 _SERIES_BLOCK = 4096
 
 
@@ -272,7 +275,12 @@ def bessel_m(theta: float) -> MatrixFunction2x2:
     which stays stable at any |zeta| and exhibits the simple poles on the
     half-integer lattice directly (column 1 on Z'_-, column 2 on Z'_+).
     zeta may be an array: the result then has shape zeta.shape + (2, 2),
-    and all four series of all points run as one `_hyp0f1` call.
+    and all four series of all points run as one `_hyp0f1` call.  Each
+    series term costs a few dozen numpy calls whatever the array size, so
+    one point alone takes ~0.6 ms at theta = 1 and ~1.7 ms at theta = 100
+    (Xeon, Python 3.11, numpy 2.4),
+    some 20x the cost of a scalar Python recurrence: pass every point of a
+    computation in one call.
     """
     eta = sqrt(theta)
     w = -theta
@@ -349,14 +357,22 @@ def _pointwise(fn):
     return lambda zs: np.array([fn(z) for z in zs.tolist()])
 
 
+def _residue(values: np.ndarray, phases: np.ndarray, radius: float) -> np.ndarray:
+    """(1/2pi i) contour integral (trapezoid) from the values at the nodes."""
+    return _node_sum(_weighted(values, phases)) * (radius / phases.size)
+
+
+def _average(values: np.ndarray) -> np.ndarray:
+    return _node_sum(values) / values.shape[0]
+
+
 def _circle_residue(fn, center: complex, radius: float, nodes: int) -> np.ndarray:
-    """(1/2pi i) contour integral of fn around center (trapezoid)."""
     phases, zs = _circle(center, radius, nodes)
-    return _node_sum(_weighted(fn(zs), phases)) * (radius / nodes)
+    return _residue(fn(zs), phases, radius)
 
 
 def _circle_average(fn, center: complex, radius: float, nodes: int):
-    return _node_sum(fn(_circle(center, radius, nodes)[1])) / nodes
+    return _average(fn(_circle(center, radius, nodes)[1]))
 
 
 def _circle_derivative(fn, center: complex, radius: float, nodes: int):
@@ -425,10 +441,10 @@ def check_m_residues(theta: float, xs: Sequence[float], radius: float = 1e-3,
     values = bessel_m(theta)(np.concatenate([zs for _, zs in circles]))
     rows = []
     for x, (phases, _), mx in zip(xs, circles, values.reshape(-1, nodes, 2, 2)):
-        res = _node_sum(_weighted(mx, phases)) * (radius / nodes)
+        res = _residue(mx, phases, radius)
         # w(x) has one real nonzero entry, so the stacked product rounds
         # exactly like one 2x2 product per node
-        lim = _node_sum(mx @ bessel_w_weight(theta, x)) / nodes
+        lim = _average(mx @ bessel_w_weight(theta, x))
         rows.append(ResidualCheck(
             "m-residue", f"x={x}", float(np.max(np.abs(res - lim))), tol))
     return rows

@@ -56,14 +56,8 @@ class Window:
         return self.points.size
 
     def index_of(self, point: float) -> int:
-        """Position of a window point: O(1) on a unit-step lattice window,
-        a dictionary lookup otherwise."""
-        x = float(point)
-        if self.kind == LATTICE and self.size:
-            i = x - float(self.points[0])
-            if i.is_integer() and 0 <= i < self.size and self.points[int(i)] == x:
-                return int(i)
-        i = self._index.get(x)
+        """Position of a window point (the first, if it repeats)."""
+        i = self._index.get(float(point))
         if i is None:
             raise WindowError(f"point {point} is not in the window")
         return i

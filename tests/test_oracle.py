@@ -148,6 +148,8 @@ def test_index_of_finds_every_point_and_rejects_others():
         for i, x in enumerate(window.points):
             assert window.index_of(x) == i
     assert lattice.index_of(np.float64(-5.5)) == 0
+    repeated = oracle.Window("finite", np.array([1.0, 2.0, 1.0]))
+    assert repeated.index_of(1.0) == 0
     for window, outside in ((lattice, (6.5, -6.5, 0.0, 0.25, math.nan, math.inf)),
                             (quad, (0.0, 10.5, quad.points[3] + 1e-12)),
                             (uneven, (1.5, -0.5))):
