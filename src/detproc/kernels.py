@@ -12,6 +12,13 @@ the same quotient form.  Diagonal values follow the kernel's rule: zero for
 the L-kernels (their numerator vanishes at equal arguments), the L'Hospital
 derivative formula K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) for the discrete
 Bessel family, and a Richardson continuity limit for the Whittaker kernel.
+
+`matrix` evaluates the (f, g) data once per point and assembles the window
+as outer products; it accepts data the caller already holds, so that the
+Nystrom resolvent shares one evaluation between the matrix and its
+array-valued rows and columns.  The Whittaker kernel gets both W orders of
+a point from one array-valued `whittaker_w` call and keeps them for the
+kernel's lifetime.
 """
 
 from __future__ import annotations
@@ -113,13 +120,21 @@ class IntegrableKernel:
             for f in (self.f1, self.f2, self.g1, self.g2)
         )
 
-    def matrix(self, points) -> np.ndarray:
-        """Dense kernel matrix on a point set, diagonal by the kernel's rule."""
+    def matrix(self, points, fg: Optional[tuple] = None) -> np.ndarray:
+        """Dense kernel matrix on a point set, diagonal by the kernel's rule.
+
+        `fg` is `fg_arrays(points)`, when the caller has them already.
+        """
         pts = np.asarray(points, dtype=float)
-        f1, f2, g1, g2 = self.fg_arrays(pts)
-        dx = pts[:, None] - pts[None, :]
+        f1, f2, g1, g2 = self.fg_arrays(pts) if fg is None else fg
+        # in place, with one scratch matrix: at window sizes, faulting in a
+        # fresh n x n array costs more than an arithmetic pass over it
+        out = np.outer(f1, g1)
+        scratch = np.outer(f2, g2)
+        out += scratch
+        dx = np.subtract.outer(pts, pts, out=scratch)
         np.fill_diagonal(dx, 1.0)
-        out = (np.outer(f1, g1) + np.outer(f2, g2)) / dx
+        out /= dx
         np.fill_diagonal(out, 0.0)
         return out
 
@@ -166,9 +181,9 @@ class AssembledKernel:
             for f in (self.F1, self.F2, self.G1, self.G2)
         )
 
-    def matrix(self, points) -> np.ndarray:
+    def matrix(self, points, fg: Optional[tuple] = None) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        F1, F2, G1, G2 = self.fg_arrays(pts)
+        F1, F2, G1, G2 = self.fg_arrays(pts) if fg is None else fg
         dx = pts[:, None] - pts[None, :]
         np.fill_diagonal(dx, 1.0)
         out = (np.outer(F1, G1) + np.outer(F2, G2)) / dx
@@ -387,29 +402,37 @@ def whittaker_kernel_k(z: complex) -> AssembledKernel:
 
     Resolvent data at real points only needs W at positive argument, so the
     evaluator stays in real arithmetic; the diagonal is a Richardson
-    continuity limit (no order derivatives of W are required).
+    continuity limit (no order derivatives of W are required).  A point's
+    two W values (orders a + 1/2 and a - 1/2 at x > 0, -a - 1/2 and
+    -a + 1/2 at -x > 0, with a = Re z) come from one `whittaker_w` call on
+    the two orders, which share their recurrence, and are kept for the
+    kernel's lifetime: F and G at one point, and the Richardson diagonal's
+    repeated first argument, never recompute W.
     """
     z = _require_whittaker_z(z)
     a, m, r = z.real, z.imag, abs(z)
     c_plus = sqrt(r) * exp(-log_gamma(z + 1.0).real)
     c_minus = sqrt(r) * exp(-log_gamma(-z + 1.0).real)
+    # the lower order of each pair is written as the upper one minus 1, so
+    # that both lie on one contiguous ladder
+    kp, km = a + 0.5, -a + 0.5
+    psi: dict = {}
 
-    def psi11(x: float) -> float:
-        return whittaker_w(a + 0.5, m, x) / sqrt(x)
+    def psi_pair(x: float) -> tuple:
+        # (psi11, psi21)(x) for x > 0, (psi12, psi22)(x) for x < 0
+        if x not in psi:
+            if x > 0:
+                w_hi, w_lo = whittaker_w((kp, kp - 1.0), m, x).tolist()
+                psi[x] = (w_hi / sqrt(x), -r * w_lo / sqrt(x))
+            else:
+                w_lo, w_hi = whittaker_w((km - 1.0, km), m, -x).tolist()
+                psi[x] = (r * w_lo / sqrt(-x), w_hi / sqrt(-x))
+        return psi[x]
 
-    def psi21(x: float) -> float:
-        return -r * whittaker_w(a - 0.5, m, x) / sqrt(x)
-
-    def psi12(x: float) -> float:
-        return r * whittaker_w(-a - 0.5, m, -x) / sqrt(-x)
-
-    def psi22(x: float) -> float:
-        return whittaker_w(-a + 0.5, m, -x) / sqrt(-x)
-
-    F1 = lambda x: c_plus * psi11(x) if x > 0 else c_minus * psi12(x)
-    F2 = lambda x: c_plus * psi21(x) if x > 0 else c_minus * psi22(x)
-    G1 = lambda x: -c_plus * psi21(x) if x > 0 else c_minus * psi22(x)
-    G2 = lambda x: c_plus * psi11(x) if x > 0 else -c_minus * psi12(x)
+    F1 = lambda x: (c_plus if x > 0 else c_minus) * psi_pair(x)[0]
+    F2 = lambda x: (c_plus if x > 0 else c_minus) * psi_pair(x)[1]
+    G1 = lambda x: (-c_plus if x > 0 else c_minus) * psi_pair(x)[1]
+    G2 = lambda x: (c_plus if x > 0 else -c_minus) * psi_pair(x)[0]
     return AssembledKernel(REAL_LINE, F1, F2, G1, G2,
                            diagonal_rule="continuity-limit",
                            name=f"whittaker-k(z={z})")

@@ -10,6 +10,12 @@ evaluated by LU with partial pivoting.  Windows come in two kinds:
 * quadrature -- Gauss-Legendre nodes on [-R,-eps] u [eps,R] with panels
   graded geometrically toward 0; entries are pre/post-scaled by sqrt(weight)
   so that matrix algebra represents operator algebra (Nystrom).
+
+On a quadrature window `NystromResolvent` evaluates K off the nodes.  It
+works on arrays: the kernel's integrable data on the nodes is computed
+once, each row L(x, t_i) and column L(t_i, y) is one numpy expression over
+it, and each new column y costs one dense solve, checked by its backward
+error.
 """
 
 from __future__ import annotations
@@ -132,21 +138,26 @@ class WindowedOperator:
         return float(v)
 
 
-def materialize(kernel, window: Window) -> WindowedOperator:
-    """Evaluate a kernel on a window; sqrt-weight scaling for quadrature."""
+def materialize(kernel, window: Window, fg: Optional[tuple] = None) -> WindowedOperator:
+    """Evaluate a kernel on a window; sqrt-weight scaling for quadrature.
+
+    `fg` is the kernel's `fg_arrays(window.points)`, when the caller has
+    them already.
+    """
     domain = getattr(kernel, "domain", None)
     if window.kind == LATTICE and domain != LATTICE:
         raise WindowError(f"kernel domain {domain!r} does not fit a lattice window")
     if window.kind == "quadrature" and domain != REAL_LINE:
         raise WindowError(f"kernel domain {domain!r} does not fit a quadrature window")
     if isinstance(kernel, (IntegrableKernel, AssembledKernel)):
-        mat = kernel.matrix(window.points)
+        mat = kernel.matrix(window.points, fg)
     else:
         pts = window.points
         mat = np.array([[kernel(float(x), float(y)) for y in pts] for x in pts])
     if window.weights is not None:
         s = np.sqrt(window.weights)
-        mat = s[:, None] * mat * s[None, :]
+        mat *= s[:, None]
+        mat *= s
     return WindowedOperator(window, mat)
 
 
@@ -248,12 +259,21 @@ def max_abs_diff(kernel, op: WindowedOperator, sub_points) -> float:
     return worst
 
 
+def _quotient(num: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """num / dx, with the integrable kernels' value 0 where dx == 0."""
+    return np.divide(num, dx, out=np.zeros_like(num), where=dx != 0.0)
+
+
 class NystromResolvent:
     """Resolvent K = L(1+L)^(-1) of a continuous kernel, with off-node values.
 
-    The dense scaled system (1 + L~) is factored once; `k_at` extends the
-    node solution to arbitrary points through the Nystrom identity
-    K(x,y) = L(x,y) - sum_i w_i L(x,t_i) K(t_i,y).
+    `k_at` extends the node solution to arbitrary points through the
+    Nystrom identity K(x,y) = L(x,y) - sum_i w_i L(x,t_i) K(t_i,y).  The
+    node values K(t_i, y) of each new y cost one dense solve of the scaled
+    system (1 + L~) plus its backward-error residual check; they are kept
+    per y.  The integrable data f1, f2, g1, g2 on the nodes is evaluated
+    once, at build time, and every column L(t_i, y) and row L(x, t_i) is
+    one array expression over it.
     """
 
     def __init__(self, kernel: IntegrableKernel, window: Window):
@@ -261,25 +281,46 @@ class NystromResolvent:
             raise WindowError("NystromResolvent needs a quadrature window")
         self.kernel = kernel
         self.window = window
-        self.l_op = materialize(kernel, window)
-        self._a = np.eye(window.size) + self.l_op.entries
+        self._fg = kernel.fg_arrays(window.points)
+        self.l_op = materialize(kernel, window, fg=self._fg)
+        self._a = self.l_op.entries.copy()
+        self._a[np.diag_indices(window.size)] += 1.0
+        self._a_norm = float(np.max(np.sum(np.abs(self._a), axis=1)))
         self._sqrtw = np.sqrt(window.weights)
         self._columns: dict = {}
-        self.k_op = k_from_l(self.l_op)
 
-    def _column(self, y: float) -> np.ndarray:
+    def column(self, y: float) -> np.ndarray:
+        """L(t_i, y) at every node t_i."""
+        f1, f2, _, _ = self._fg
+        num = f1 * self.kernel.g1(y) + f2 * self.kernel.g2(y)
+        return _quotient(num, self.window.points - y)
+
+    def row(self, x: float) -> np.ndarray:
+        """L(x, t_i) at every node t_i."""
+        _, _, g1, g2 = self._fg
+        num = self.kernel.f1(x) * g1 + self.kernel.f2(x) * g2
+        return _quotient(num, x - self.window.points)
+
+    def _k_column(self, y: float) -> np.ndarray:
         # scaled node values sqrt(w_i) K(t_i, y), solved once per y
         if y not in self._columns:
-            ly = np.array([self.kernel(float(t), y) for t in self.window.points])
-            self._columns[y] = _solve(self._a, self._sqrtw * ly,
-                                      "1+L is singular")
+            b = self._sqrtw * self.column(y)
+            v = _solve(self._a, b, "1+L is singular")
+            resid = np.max(np.abs(self._a @ v - b))
+            bound = _RESIDUAL_TOL * (self._a_norm * np.max(np.abs(v)) + np.max(np.abs(b)))
+            if not resid <= bound:
+                raise SingularOperatorError(
+                    f"(1+L)v = L(., {y}) residual {resid:.3e} exceeds "
+                    f"{_RESIDUAL_TOL:.0e}*(|1+L||v| + |L|); "
+                    f"condition estimate {np.linalg.cond(self._a):.3e}"
+                )
+            self._columns[y] = v
         return self._columns[y]
 
     def k_at(self, x: float, y: float) -> float:
-        v = self._column(float(y))
-        lx = np.array([self.kernel(float(x), float(t))
-                       for t in self.window.points])
-        return float(self.kernel(x, y) - np.sum(self._sqrtw * lx * v))
+        x, y = float(x), float(y)
+        v = self._k_column(y)
+        return float(self.kernel(x, y) - np.sum(self._sqrtw * self.row(x) * v))
 
     def fredholm_det(self) -> float:
         return fredholm_det(self.l_op)

@@ -1,4 +1,4 @@
-"""Scalar special functions used by the kernel formulas.
+"""Special functions used by the kernel formulas.
 
 Everything here is double precision and pure: the gamma family (complex
 log-gamma, Pochhammer symbols, digamma), Bessel J of real order together
@@ -21,9 +21,12 @@ Whittaker W strategy: the integral representation
                       * int_0^inf e^{-t} t^(mu-kappa-1/2) (1+t/z)^(mu+kappa-1/2) dt
 
 (valid for Re(mu-kappa+1/2) > 0 and |arg z| < pi) evaluated on
-geometrically graded panels; kappa >= 1/2 is first reduced by the
-three-term contiguous recurrence in kappa.  Near the cut arg z ~ +-pi the
-integrand develops an unresolvable spike, so there the Kummer connection
+geometrically graded panels, all panels' nodes in one array expression;
+kappa >= 1/2 is reached by the three-term contiguous recurrence in kappa,
+run upward from two base values below 1/2.  W takes a sequence of orders
+too, and orders on one recurrence ladder share its base values.  Near the
+cut arg z ~ +-pi the integrand develops an unresolvable spike, so there the
+Kummer connection
 
     W = Gamma(-2mu)/Gamma(1/2-mu-kappa) M_{kappa,mu}
       + Gamma(2mu)/Gamma(1/2+mu-kappa) M_{kappa,-mu}
@@ -458,11 +461,16 @@ def _w_integral(kappa: float, mu_im: float, zeta: complex, nodes: int) -> comple
     edges = [h]
     while edges[-1] < 80.0:
         edges.append(min(2.0 * edges[-1], 80.0))
+    edges = np.array(edges)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     xg, wg = _gl_nodes(nodes)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * wg
-        total += np.sum(w * np.exp(a * np.log(t) - t + b * np.log(1.0 + t / zeta)))
+    # every panel's nodes at once, one row per panel; adding the panel sums
+    # one by one rounds exactly as a loop over the panels does
+    t = half * xg + mid
+    panels = np.sum(half * wg * np.exp(a * np.log(t) - t + b * np.log(1.0 + t / zeta)),
+                    axis=1)
+    total = sum(panels, total)
     pref = cmath.exp(-0.5 * zeta + kappa * cmath.log(zeta) - log_gamma(mu - kappa + 0.5))
     return pref * total
 
@@ -494,21 +502,13 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> complex:
 _ARG_SPLIT = 0.75 * pi
 
 
-def whittaker_w_complex(kappa: float, mu_im: float, zeta: complex, *,
-                        nodes: int = 32, _check: bool = True) -> complex:
-    """W_{kappa, i mu_im}(zeta) on the cut plane |arg zeta| < pi."""
-    zeta = complex(zeta)
-    if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
-        raise DomainError(f"W is evaluated on the plane cut along (-inf,0], got {zeta}")
-    if kappa >= 0.5 - 1e-13:
-        # contiguous recurrence in kappa down to the integral-safe range
-        wa = whittaker_w_complex(kappa - 1.0, mu_im, zeta, nodes=nodes, _check=_check)
-        wb = whittaker_w_complex(kappa - 2.0, mu_im, zeta, nodes=nodes, _check=_check)
-        return (zeta - 2.0 * kappa + 2.0) * wa - ((1.5 - kappa) ** 2 + mu_im ** 2) * wb
+def _w_base(kappa: float, mu_im: float, zeta: complex, nodes: int,
+            check: bool) -> complex:
+    """W for kappa < 1/2: the integral, or the Kummer connection near the cut."""
     if abs(cmath.phase(zeta)) > _ARG_SPLIT:
         return _w_kummer(kappa, mu_im, zeta)
     val = _w_integral(kappa, mu_im, zeta, nodes)
-    if _check:
+    if check:
         ref = _w_integral(kappa, mu_im, zeta, max(20, nodes - 8))
         if abs(val - ref) > 1e-8 * max(abs(val), 1e-280):
             raise ConvergenceError(
@@ -517,18 +517,58 @@ def whittaker_w_complex(kappa: float, mu_im: float, zeta: complex, *,
     return val
 
 
-def whittaker_w(kappa: float, mu_im: float, x: float) -> float:
+def whittaker_w_complex(kappa, mu_im: float, zeta: complex, *,
+                        nodes: int = 32, _check: bool = True):
+    """W_{kappa, i mu_im}(zeta) on the cut plane |arg zeta| < pi.
+
+    kappa >= 1/2 runs the contiguous recurrence in kappa upward from the
+    two base values below 1/2.  `kappa` may also be a sequence of orders:
+    the result is then an array, and orders of one call whose ladders
+    reach the same base values (such as kappa and kappa - 1) share them.
+    """
+    zeta = complex(zeta)
+    if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
+        raise DomainError(f"W is evaluated on the plane cut along (-inf,0], got {zeta}")
+    bases: dict = {}
+
+    def base(k: float) -> complex:
+        if k not in bases:
+            bases[k] = _w_base(k, mu_im, zeta, nodes, _check)
+        return bases[k]
+
+    def one(k: float) -> complex:
+        levels = []
+        while k >= 0.5 - 1e-13:
+            levels.append(k)
+            k -= 1.0
+        if not levels:
+            return base(k)
+        lo, hi = base(levels[-1] - 2.0), base(levels[-1] - 1.0)
+        for level in reversed(levels):
+            lo, hi = hi, ((zeta - 2.0 * level + 2.0) * hi
+                          - ((1.5 - level) ** 2 + mu_im ** 2) * lo)
+        return hi
+
+    if np.ndim(kappa):
+        return np.array([one(float(k)) for k in kappa])
+    return one(float(kappa))
+
+
+def whittaker_w(kappa, mu_im: float, x: float):
     """W_{kappa, i mu_im}(x) for x > 0; real for these indices.
 
-    Relative error <= 1e-8 for x in [0.05, 60], |kappa| <= 2, |mu_im| <= 3.
-    Raises ConvergenceError if the internal quadrature misses its tolerance
-    or leaves a relative imaginary residue above 1e-10.
+    `kappa` may be a sequence of orders, giving an array (see
+    `whittaker_w_complex`).  Relative error <= 1e-8 for x in [0.05, 60],
+    |kappa| <= 2, |mu_im| <= 3.  Raises ConvergenceError if the internal
+    quadrature misses its tolerance or leaves a relative imaginary residue
+    above 1e-10.
     """
     if not x > 0.0:
         raise DomainError(f"whittaker_w needs x > 0, got x={x}")
-    val = whittaker_w_complex(float(kappa), float(mu_im), complex(x))
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-280):
+    val = whittaker_w_complex(kappa, float(mu_im), complex(x))
+    residue = np.abs(np.imag(val))
+    if np.any(residue > 1e-10 * np.maximum(np.abs(np.real(val)), 1e-280)):
         raise ConvergenceError(
-            f"W({kappa}, {mu_im}i, {x}) kept an imaginary residue {val.imag:.3e}"
+            f"W({kappa}, {mu_im}i, {x}) kept an imaginary residue {np.max(residue):.3e}"
         )
-    return val.real
+    return np.real(val) if np.ndim(val) else val.real

@@ -1,5 +1,6 @@
 """Kernel catalog: closed forms, symmetries, and degeneration limits."""
 
+import collections
 import itertools
 import math
 
@@ -227,6 +228,25 @@ def test_whittaker_kernel_block_symmetry():
     for x, y in ((0.5, 1.5), (-0.7, -2.0), (0.5, -1.0), (-0.3, 2.0)):
         sign = 1.0 if x * y > 0 else -1.0
         assert kk(x, y) == pytest.approx(sign * kk(y, x), rel=1e-10)
+
+
+def test_whittaker_kernel_computes_each_w_once(monkeypatch):
+    calls = collections.Counter()
+    w = kernels.whittaker_w
+
+    def counted(kappa, mu_im, x):
+        calls.update((float(k), x) for k in kappa)
+        return w(kappa, mu_im, x)
+
+    monkeypatch.setattr(kernels, "whittaker_w", counted)
+    for z in (0.25 + 0.6j, -0.3 + 1.2j):
+        calls.clear()
+        kk = kernels.whittaker_kernel_k(z)
+        off, diag = kk(0.5, -1.5), kk(-1.5, -1.5)
+        # 0.5, -1.5 and the six Richardson points, two orders each
+        assert len(calls) == 16 and set(calls.values()) == {1}
+        fresh = kernels.whittaker_kernel_k(z)
+        assert (fresh(-1.5, -1.5), fresh(0.5, -1.5)) == (diag, off)
 
 
 def test_psi_det_one():

@@ -178,3 +178,46 @@ def test_nystrom_self_convergence():
         for y in pts:
             if x != y:
                 assert abs(coarse.k_at(x, y) - fine.k_at(x, y)) < 1e-4
+
+
+def _small_nystrom():
+    return oracle.NystromResolvent(kernels.scaled_whittaker_l(0.25 + 0.6j),
+                                   oracle.quadrature_window(10.0, 1e-2, 4))
+
+
+def test_nystrom_rows_and_columns_are_the_scalar_kernel():
+    ny = _small_nystrom()
+    lk, pts = ny.kernel, ny.window.points
+    for p in (0.5, -1.0, 2.0, pts[3], pts[-7]):
+        assert ny.row(p).tolist() == [lk(p, float(t)) for t in pts]
+        assert ny.column(p).tolist() == [lk(float(t), p) for t in pts]
+    assert ny.row(pts[3])[3] == 0.0 and ny.column(pts[-7])[-7] == 0.0
+
+
+def test_nystrom_k_at_nodes_is_the_full_resolvent():
+    ny = oracle.NystromResolvent(kernels.scaled_whittaker_l(0.25 + 0.6j),
+                                 oracle.quadrature_window())
+    full = oracle.k_from_l(ny.l_op)
+    pts = ny.window.points
+    # entries next to 0 reach ~3e3, so the bound is relative where |K| > 1
+    for i in (0, 5, 200, 303, 304, 450, 607):
+        for j in (5, 303, 304, 450):
+            ref = full.value_at(pts[i], pts[j])
+            assert abs(ny.k_at(pts[i], pts[j]) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_nystrom_column_solve_failures_raise(monkeypatch):
+    ny = _small_nystrom()
+    ny._a = np.zeros_like(ny._a)
+    with pytest.raises(SingularOperatorError):
+        ny.k_at(0.5, 1.0)
+    lk = kernels.scaled_whittaker_l(0.25 + 0.6j)
+    broken = kernels.IntegrableKernel(
+        lk.domain, lk.f1, lk.f2, lambda y: math.nan if y == 1.0 else lk.g1(y), lk.g2)
+    ny = oracle.NystromResolvent(broken, oracle.quadrature_window(10.0, 1e-2, 4))
+    with pytest.raises(SingularOperatorError, match="non-finite"):
+        ny.k_at(0.5, 1.0)
+    ny = _small_nystrom()
+    monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(SingularOperatorError, match="condition estimate"):
+        ny.k_at(0.5, 1.0)

@@ -283,3 +283,91 @@ def test_whittaker_convergence_failure_is_reported():
     # panel scheme; the adaptive check must refuse rather than return junk
     with pytest.raises(ConvergenceError):
         special.whittaker_w(0.0, 50.0, 2.0)
+
+
+# The seed's forms of two Whittaker internals, kept as references for the
+# array evaluation: the panel loop of the t-integral and the two-call
+# recursion in kappa.
+
+def _w_integral_panel_loop(kappa, mu_im, zeta, nodes):
+    mu = 1j * mu_im
+    a = mu - kappa - 0.5
+    b = mu + kappa - 0.5
+    h = abs(zeta) * 2.0 ** -20
+    g = (
+        1.0 + 0j,
+        -1.0 + b / zeta,
+        0.5 - b / zeta + b * (b - 1.0) / (2.0 * zeta ** 2),
+        -1.0 / 6.0 + b / (2.0 * zeta) - b * (b - 1.0) / (2.0 * zeta ** 2)
+        + b * (b - 1.0) * (b - 2.0) / (6.0 * zeta ** 3),
+    )
+    total = 0j
+    lh = math.log(h)
+    for j, gj in enumerate(g):
+        total += gj * cmath.exp((a + j + 1) * lh) / (a + j + 1)
+    edges = [h]
+    while edges[-1] < 80.0:
+        edges.append(min(2.0 * edges[-1], 80.0))
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
+        w = 0.5 * (hi - lo) * wg
+        total += np.sum(w * np.exp(a * np.log(t) - t + b * np.log(1.0 + t / zeta)))
+    pref = cmath.exp(-0.5 * zeta + kappa * cmath.log(zeta)
+                     - special.log_gamma(mu - kappa + 0.5))
+    return pref * total
+
+
+def _whittaker_w_recursive(kappa, mu_im, zeta):
+    if kappa >= 0.5 - 1e-13:
+        wa = _whittaker_w_recursive(kappa - 1.0, mu_im, zeta)
+        wb = _whittaker_w_recursive(kappa - 2.0, mu_im, zeta)
+        return (zeta - 2.0 * kappa + 2.0) * wa - ((1.5 - kappa) ** 2 + mu_im ** 2) * wb
+    return special.whittaker_w_complex(kappa, mu_im, zeta)
+
+
+def test_w_integral_array_form_matches_the_panel_loop():
+    # the psi suites' arguments (det points, their reflections, and the
+    # jump points 1 +- i eps), plus real and complex points off the axis
+    psi_zetas = [2.0 + 0.5j, 2.0 + 0.1j, 2.0 - 0.1j, -1.5 + 0.8j]
+    psi_zetas += [-zeta for zeta in psi_zetas]
+    psi_zetas += [complex(1.0, s * eps) for s in (1, -1)
+                  for eps in (1e-2, 5e-3, 1e-3, 5e-4, 1e-4, 5e-5)]
+    zetas = psi_zetas + [0.05, 0.5, 2.0, 7.0, 40.0, 1 + 1j, 3 - 0.5j, 0.3j, -1 + 2j]
+    zetas = [complex(zeta) for zeta in zetas
+             if abs(cmath.phase(complex(zeta))) <= special._ARG_SPLIT]
+    worst = 0.0
+    for kappa in (-1.25, -0.75, -0.2, 0.25, 0.45):
+        for mu in (0.0, 0.3, 0.6, 1.2, 3.0):
+            for zeta in zetas:
+                for nodes in (24, 32):
+                    ref = _w_integral_panel_loop(kappa, mu, zeta, nodes)
+                    mine = special._w_integral(kappa, mu, zeta, nodes)
+                    worst = max(worst, abs(mine - ref) / abs(ref))
+    assert worst <= 1e-14
+
+
+def test_whittaker_kappa_ladder_is_bitwise_the_recursion():
+    for kappa in (0.75, 1.5, 2.0, 3.25):
+        for zeta in (5.0 + 0j, 0.7 + 0.2j, -1.0 + 1e-3j, 2.0 - 0.1j):
+            mine = special.whittaker_w_complex(kappa, 0.8, zeta)
+            ref = _whittaker_w_recursive(kappa, 0.8, zeta)
+            assert mine == ref
+
+
+def test_whittaker_orders_in_one_call(monkeypatch):
+    orders = (0.75, -0.25, 1.75, -0.6)
+    values = special.whittaker_w(orders, 0.6, 2.0)
+    assert values.shape == (4,)
+    assert values.tolist() == [special.whittaker_w(k, 0.6, 2.0) for k in orders]
+    bases = []
+    base = special._w_base
+
+    def counted(kappa, *args):
+        bases.append(kappa)
+        return base(kappa, *args)
+
+    monkeypatch.setattr(special, "_w_base", counted)
+    # W_{3/4} and W_{-1/4} share the ladder's base values -1/4 and -5/4
+    special.whittaker_w((0.75, -0.25), 0.6, 2.0)
+    assert sorted(bases) == [-1.25, -0.25]
