@@ -18,7 +18,9 @@ as outer products; it accepts data the caller already holds, so that the
 Nystrom resolvent shares one evaluation between the matrix and its
 array-valued rows and columns.  The Whittaker kernel gets both W orders of
 a point from one array-valued `whittaker_w` call and keeps them for the
-kernel's lifetime.
+kernel's lifetime; the discrete Bessel kernels keep J_n and dJ/dnu per
+order, so each is computed once per kernel, however often F, G, dF and the
+diagonal ask for it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, lgamma, log, pi, sqrt
 from typing import Callable, Optional
 
@@ -282,6 +285,32 @@ def scaled_whittaker_l(z: complex) -> IntegrableKernel:
 # correlation kernels
 # ----------------------------------------------------------------------
 
+def _discrete_bessel(theta: float, sign: float, name: str) -> AssembledKernel:
+    """K (sign = +1) or K^ (sign = -1); they differ only in entry signs."""
+    if not theta > 0.0:
+        raise ParameterError(f"theta must be positive, got {theta}")
+    eta = sqrt(theta)
+    u = 2.0 * eta
+    s = sqrt(eta)
+
+    @lru_cache(maxsize=None)
+    def j(nu: float) -> float:
+        return s * bessel_j(nu, u)
+
+    @lru_cache(maxsize=None)
+    def dj(nu: float) -> float:
+        return s * bessel_j_dorder(nu, u)
+
+    F1 = lambda x: sign * j(x - 0.5) if x > 0 else j(-x + 0.5)
+    F2 = lambda x: -j(x + 0.5) if x > 0 else sign * j(-x - 0.5)
+    G1 = lambda x: sign * j(x + 0.5) if x > 0 else j(-x - 0.5)
+    G2 = lambda x: j(x - 0.5) if x > 0 else -sign * j(-x + 0.5)
+    dF1 = lambda x: sign * dj(x - 0.5) if x > 0 else -dj(-x + 0.5)
+    dF2 = lambda x: -dj(x + 0.5) if x > 0 else -sign * dj(-x - 0.5)
+    return AssembledKernel(LATTICE, F1, F2, G1, G2, dF1, dF2,
+                           name=f"{name}(theta={theta})")
+
+
 def discrete_bessel_k(theta: float) -> AssembledKernel:
     """Correlation kernel of the poissonized Plancherel process on Z'.
 
@@ -291,28 +320,12 @@ def discrete_bessel_k(theta: float) -> AssembledKernel:
         K(x,y) = sqrt(theta) (J_(x-1/2) J_(y+1/2) - J_(x+1/2) J_(y-1/2))(2 sqrt(theta)) / (x-y)
 
     and the diagonal is K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) with the order
-    derivative of J.
+    derivative of J.  Each J_n(2 sqrt(theta)) and dJ/dnu is computed once
+    per kernel: an M-window costs M + 1 calls of each.  The diagonal needs
+    dJ/dnu at u = 2 sqrt(theta) <= 20, so theta <= 100; beyond that it
+    raises DomainError.
     """
-    if not theta > 0.0:
-        raise ParameterError(f"theta must be positive, got {theta}")
-    eta = sqrt(theta)
-    u = 2.0 * eta
-    s = sqrt(eta)
-
-    def j(nu: float) -> float:
-        return s * bessel_j(nu, u)
-
-    def dj(nu: float) -> float:
-        return s * bessel_j_dorder(nu, u)
-
-    F1 = lambda x: j(x - 0.5) if x > 0 else j(-x + 0.5)
-    F2 = lambda x: -j(x + 0.5) if x > 0 else j(-x - 0.5)
-    G1 = lambda x: j(x + 0.5) if x > 0 else j(-x - 0.5)
-    G2 = lambda x: j(x - 0.5) if x > 0 else -j(-x + 0.5)
-    dF1 = lambda x: dj(x - 0.5) if x > 0 else -dj(-x + 0.5)
-    dF2 = lambda x: -dj(x + 0.5) if x > 0 else -dj(-x - 0.5)
-    return AssembledKernel(LATTICE, F1, F2, G1, G2, dF1, dF2,
-                           name=f"discrete-bessel-k(theta={theta})")
+    return _discrete_bessel(theta, 1.0, "discrete-bessel-k")
 
 
 def discrete_bessel_khat(theta: float) -> AssembledKernel:
@@ -323,26 +336,7 @@ def discrete_bessel_khat(theta: float) -> AssembledKernel:
     global minus, which is what matches the operator L(L-1)^(-1) (the bare
     substitution produces its negative).
     """
-    if not theta > 0.0:
-        raise ParameterError(f"theta must be positive, got {theta}")
-    eta = sqrt(theta)
-    u = 2.0 * eta
-    s = sqrt(eta)
-
-    def j(nu: float) -> float:
-        return s * bessel_j(nu, u)
-
-    def dj(nu: float) -> float:
-        return s * bessel_j_dorder(nu, u)
-
-    F1 = lambda x: -j(x - 0.5) if x > 0 else j(-x + 0.5)
-    F2 = lambda x: -j(x + 0.5) if x > 0 else -j(-x - 0.5)
-    G1 = lambda x: -j(x + 0.5) if x > 0 else j(-x - 0.5)
-    G2 = lambda x: j(x - 0.5) if x > 0 else j(-x + 0.5)
-    dF1 = lambda x: -dj(x - 0.5) if x > 0 else -dj(-x + 0.5)
-    dF2 = lambda x: -dj(x + 0.5) if x > 0 else dj(-x - 0.5)
-    return AssembledKernel(LATTICE, F1, F2, G1, G2, dF1, dF2,
-                           name=f"discrete-bessel-khat(theta={theta})")
+    return _discrete_bessel(theta, -1.0, "discrete-bessel-khat")
 
 
 def _reflected_branch_factor(a: float, zeta: complex) -> complex:

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from detproc import kernels, special
+from detproc import kernels, oracle, special
 from detproc.errors import (
     DegenerateGridError,
+    DomainError,
     ParameterError,
     SingularOperatorError,
 )
@@ -192,6 +193,105 @@ def test_khat_diagonal_matches_k_diagonal():
     kh = kernels.discrete_bessel_khat(1.0)
     for x in (0.5, 2.5, -1.5):
         assert kh(x, x) == pytest.approx(kb(x, x), abs=1e-13)
+
+
+def _uncached_bessel_kernels(theta):
+    """K and K^ as written before the Bessel values were memoised.
+
+    Every F, G, dF and diagonal lookup calls bessel_j / bessel_j_dorder
+    afresh; kept as the reference the memoised kernels must match bit for
+    bit.
+    """
+    eta = math.sqrt(theta)
+    u = 2.0 * eta
+    s = math.sqrt(eta)
+
+    def j(nu):
+        return s * special.bessel_j(nu, u)
+
+    def dj(nu):
+        return s * special.bessel_j_dorder(nu, u)
+
+    k = kernels.AssembledKernel(
+        kernels.LATTICE,
+        lambda x: j(x - 0.5) if x > 0 else j(-x + 0.5),
+        lambda x: -j(x + 0.5) if x > 0 else j(-x - 0.5),
+        lambda x: j(x + 0.5) if x > 0 else j(-x - 0.5),
+        lambda x: j(x - 0.5) if x > 0 else -j(-x + 0.5),
+        lambda x: dj(x - 0.5) if x > 0 else -dj(-x + 0.5),
+        lambda x: -dj(x + 0.5) if x > 0 else -dj(-x - 0.5),
+    )
+    khat = kernels.AssembledKernel(
+        kernels.LATTICE,
+        lambda x: -j(x - 0.5) if x > 0 else j(-x + 0.5),
+        lambda x: -j(x + 0.5) if x > 0 else -j(-x - 0.5),
+        lambda x: -j(x + 0.5) if x > 0 else j(-x - 0.5),
+        lambda x: j(x - 0.5) if x > 0 else j(-x + 0.5),
+        lambda x: -dj(x - 0.5) if x > 0 else -dj(-x + 0.5),
+        lambda x: -dj(x + 0.5) if x > 0 else dj(-x - 0.5),
+    )
+    return k, khat
+
+
+# the benchmark's (theta, window radius) pairs
+_BESSEL_WINDOWS = ((1.0, 15), (4.0, 20), (30.0, 30), (100.0, 40))
+
+
+@pytest.mark.parametrize("theta, m", _BESSEL_WINDOWS)
+def test_discrete_bessel_memo_is_bitwise_the_uncached_kernel(theta, m):
+    pts = oracle.lattice_window(m).points
+    ref_k, ref_khat = _uncached_bessel_kernels(theta)
+    k = kernels.discrete_bessel_k(theta).matrix(pts)
+    khat = kernels.discrete_bessel_khat(theta).matrix(pts)
+    assert k.tobytes() == ref_k.matrix(pts).tobytes()
+    assert khat.tobytes() == ref_khat.matrix(pts).tobytes()
+
+
+@pytest.mark.parametrize("build", [kernels.discrete_bessel_k,
+                                   kernels.discrete_bessel_khat])
+def test_discrete_bessel_computes_each_bessel_value_once(monkeypatch, build):
+    calls = collections.Counter()
+    j, dj = kernels.bessel_j, kernels.bessel_j_dorder
+
+    def counted_j(nu, u):
+        calls["j", nu] += 1
+        return j(nu, u)
+
+    def counted_dj(nu, u):
+        calls["dj", nu] += 1
+        return dj(nu, u)
+
+    monkeypatch.setattr(kernels, "bessel_j", counted_j)
+    monkeypatch.setattr(kernels, "bessel_j_dorder", counted_dj)
+    for theta, m in ((4.0, 20), (30.0, 30)):
+        pts = oracle.lattice_window(m).points
+        calls.clear()
+        kern = build(theta)
+        first = kern.matrix(pts)
+        per_fn = collections.Counter(fn for fn, _ in calls)
+        assert per_fn["j"] <= m + 1 and per_fn["dj"] <= m + 1
+        assert set(calls.values()) == {1}
+        calls.clear()
+        assert kern.matrix(pts).tobytes() == first.tobytes()
+        assert not calls
+        # the memo belongs to the kernel: a fresh one pays again
+        assert build(theta).matrix(pts).tobytes() == first.tobytes()
+        assert collections.Counter(fn for fn, _ in calls) == per_fn
+
+
+def test_discrete_bessel_diagonal_beyond_dorder_range_raises():
+    # theta = 100 puts dJ/dnu at u = 20, the edge of its series range
+    assert 0.0 <= kernels.discrete_bessel_k(100.0)(0.5, 0.5) <= 1.0
+    kb = kernels.discrete_bessel_k(400.0)
+    with pytest.raises(DomainError):
+        kb(0.5, 0.5)
+    with pytest.raises(DomainError):
+        kernels.discrete_bessel_khat(400.0)(-2.5, -2.5)
+    # off-diagonal entries need J only
+    j = special.bessel_j
+    expected = 20.0 * (j(0.0, 40.0) * j(2.0, 40.0) - j(1.0, 40.0) ** 2) / (0.5 - 1.5)
+    assert kb(0.5, 1.5) == pytest.approx(expected, abs=1e-14)
+    assert math.isfinite(kb(-0.5, 3.5))
 
 
 # ---------------------------------------------------------------- whittaker kernel

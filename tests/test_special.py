@@ -212,6 +212,11 @@ def test_bessel_dorder_vs_mpmath_at_integer_orders():
 def test_bessel_dorder_domain():
     with pytest.raises(DomainError):
         special.bessel_j_dorder(1.0, 0.0)
+    # the differentiated series cancels beyond u = 20 (error 3e-6 at u = 25)
+    ref = float(mpmath.diff(lambda n: mpmath.besselj(n, 20.0), 3.0))
+    assert abs(special.bessel_j_dorder(3.0, 20.0) - ref) < 1e-8
+    with pytest.raises(DomainError):
+        special.bessel_j_dorder(3.0, 20.5)
 
 
 # ---------------------------------------------------------------- whittaker W
