@@ -78,10 +78,9 @@ def cmd_kernel(args) -> int:
         kern = _lattice_kernel(args)
         pts = oracle.lattice_window(args.window).points
         header = ["x_doubled", "y_doubled", "value"]
-        for x in pts:
-            for y in pts:
-                rows.append([int(round(2 * x)), int(round(2 * y)),
-                             _fmt(kern(float(x), float(y)))])
+        for x, row in zip(pts, kern.matrix(pts).tolist()):
+            for y, v in zip(pts, row):
+                rows.append([int(round(2 * x)), int(round(2 * y)), _fmt(v)])
     else:
         kern = (kernels.scaled_whittaker_l(_parse_z(args))
                 if args.family == "whittaker-l"

@@ -51,6 +51,7 @@ from .errors import PoleError
 from .kernels import (
     AssembledKernel,
     TwoPointModel,
+    _per_point,
     christoffel_darboux_k,
     psi_inv_t_printed,
     psi_matrix,
@@ -586,12 +587,12 @@ def bessel_kernel_from_m(theta: float, deriv_radius: float = 0.25,
         if x > 0:
             m11, phi = _hyp0f1(np.array([x + 0.5, x + 1.5]), w).real.tolist()
             m21 = (-eta / (x + 0.5)) * phi
-            # f = (f1, 0), g = (0, g2): m f = f1 (m11, m21),
-            # m^-t g = g2 (-m21, m11)
-            return (c * m11, c * m21), (-c * m21, c * m11)
+            # f = (f1, 0), g = (0, g2): F = m f = f1 (m11, m21),
+            # G = m^-t g = g2 (-m21, m11)
+            return c * m11, c * m21, -c * m21, c * m11
         phi, m22 = _hyp0f1(np.array([1.5 - x, 0.5 - x]), w).real.tolist()
         m12 = (eta / (0.5 - x)) * phi
-        return (c * m12, c * m22), (c * m22, -c * m12)
+        return c * m12, c * m22, c * m22, -c * m12
 
     @lru_cache(maxsize=None)
     def dcol(x: float) -> tuple:
@@ -601,14 +602,10 @@ def bessel_kernel_from_m(theta: float, deriv_radius: float = 0.25,
         c = fweight(x)
         return (c * dm[0, col].real, c * dm[1, col].real)
 
-    F1 = lambda x: cols(x)[0][0]
-    F2 = lambda x: cols(x)[0][1]
-    G1 = lambda x: cols(x)[1][0]
-    G2 = lambda x: cols(x)[1][1]
-    dF1 = lambda x: dcol(x)[0]
-    dF2 = lambda x: dcol(x)[1]
     return AssembledKernel(
-        "lattice", F1, F2, G1, G2, dF1, dF2,
+        "lattice",
+        lambda points: _per_point(cols, points, 4),
+        lambda points: _per_point(dcol, points, 2),
         name=f"bessel-k-from-m(theta={theta})",
     )
 

@@ -1,32 +1,33 @@
 """The concrete correlation and L-kernels, in integrable (f,g) form.
 
 Discrete kernels live on the half-integer lattice Z' = Z + 1/2, continuous
-ones on R \\ {0}.  Every L-kernel is exposed through its integrable data
-(f1, f2, g1, g2) with
+ones on R \\ {0}.  Every kernel is one array function
+`fg(points) -> (f1, f2, g1, g2)` of its integrable data: an L-kernel is
 
     L(x,y) = (f1(x) g1(y) + f2(x) g2(y)) / (x - y),
     f1 g1 + f2 g2 = 0  on the diagonal,
 
-and every correlation kernel through resolvent data (F1, F2, G1, G2) with
-the same quotient form.  Diagonal values follow the kernel's rule: zero for
-the L-kernels (their numerator vanishes at equal arguments), the L'Hospital
-derivative formula K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) for the discrete
-Bessel family, and a Richardson continuity limit for the Whittaker kernel.
+and a correlation kernel has the same quotient form in its resolvent data
+(F1, F2, G1, G2).  Diagonal rules act on arrays: zero for the L-kernels
+(their numerator vanishes at equal arguments), the L'Hospital formula
+K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) for a correlation kernel that also
+supplies `dfg(points) -> (F1', F2')` (the discrete Bessel family), and a
+Richardson continuity limit for one that does not (the Whittaker kernel).
 
-`matrix` evaluates the (f, g) data once per point and assembles the window
-as outer products; it accepts data the caller already holds, so that the
-Nystrom resolvent shares one evaluation between the matrix and its
-array-valued rows and columns.  The Whittaker kernel gets both W orders of
-a point from one array-valued `whittaker_w` call and keeps them for the
-kernel's lifetime; the discrete Bessel kernels keep J_n and dJ/dnu per
-order, so each is computed once per kernel, however often F, G, dF and the
-diagonal ask for it.
+`matrix` makes one `fg` call for the whole point set and assembles the
+window as outer products; it accepts data the caller already holds, so
+that the Nystrom resolvent shares one evaluation between the matrix and
+its rows and columns.  Scalar `kernel(x, y)` wraps one `fg` call on its
+two points: it gives the matrix's entries bit for bit but pays numpy's
+per-call overhead, so pass all points to `matrix` at once.  The Whittaker
+kernel keeps both W orders of a point (one `whittaker_w` call) and the
+discrete Bessel kernels keep J_n and dJ/dnu per order, for the kernel's
+lifetime.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, lgamma, log, pi, sqrt
@@ -44,7 +45,6 @@ from .special import (
 )
 
 __all__ = [
-    "KernelParams",
     "IntegrableKernel",
     "AssembledKernel",
     "plancherel_l",
@@ -73,131 +73,128 @@ def _is_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real == round(z.real)
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Validated parameter bundle: theta > 0, z not an integer, xi in (0,1)."""
+def _per_point(fn: Callable[[float], tuple], points, width: int) -> np.ndarray:
+    """Rows of fn(x) over the points: fn returns `width` floats per point."""
+    values = [fn(x) for x in np.asarray(points, dtype=float).tolist()]
+    return np.array(values, dtype=float).reshape(-1, width).T
 
-    theta: Optional[float] = None
-    z: Optional[complex] = None
-    xi: Optional[float] = None
 
-    def __post_init__(self):
-        if self.theta is not None and not self.theta > 0.0:
-            raise ParameterError(f"theta must be positive, got {self.theta}")
-        if self.z is not None and _is_integer(complex(self.z)):
-            raise ParameterError(f"z must avoid the integers, got {self.z}")
-        if self.xi is not None and not 0.0 < self.xi < 1.0:
-            raise ParameterError(f"xi must lie in (0,1), got {self.xi}")
+def _quotient_matrix(pts: np.ndarray, f1, f2, g1, g2) -> np.ndarray:
+    """(f1(x)g1(y) + f2(x)g2(y)) / (x - y) on all pairs of points.
 
-    @property
-    def eta(self) -> float:
-        if self.theta is None:
-            raise ParameterError("eta requires theta")
-        return math.sqrt(self.theta)
+    The diagonal holds the bare numerator, for the kernel's diagonal rule
+    to overwrite.
+    """
+    # in place, with one scratch matrix: at window sizes, faulting in a
+    # fresh n x n array costs more than an arithmetic pass over it
+    out = np.outer(f1, g1)
+    scratch = np.outer(f2, g2)
+    out += scratch
+    dx = np.subtract.outer(pts, pts, out=scratch)
+    np.fill_diagonal(dx, 1.0)
+    out /= dx
+    return out
 
 
 @dataclass(frozen=True)
 class IntegrableKernel:
-    """Kernel (f1(x)g1(y)+f2(x)g2(y))/(x-y) with vanishing diagonal numerator."""
+    """L-kernel (f1(x)g1(y)+f2(x)g2(y))/(x-y) with vanishing diagonal numerator.
+
+    `fg(points)` returns the arrays f1, f2, g1, g2 at the points.
+    """
 
     domain: str
-    f1: Callable[[float], float]
-    f2: Callable[[float], float]
-    g1: Callable[[float], float]
-    g2: Callable[[float], float]
+    fg: Callable[[np.ndarray], tuple]
     name: str = ""
-    diagonal_rule: str = "zero"
-
-    def numerator(self, x: float, y: float) -> float:
-        return self.f1(x) * self.g1(y) + self.f2(x) * self.g2(y)
 
     def __call__(self, x: float, y: float) -> float:
         if x == y:
             return 0.0
-        return self.numerator(x, y) / (x - y)
-
-    def fg_arrays(self, points) -> tuple:
-        pts = np.asarray(points, dtype=float)
-        return tuple(
-            np.array([f(float(x)) for x in pts])
-            for f in (self.f1, self.f2, self.g1, self.g2)
-        )
+        f1, f2, g1, g2 = self.fg((x, y))
+        return float((f1[0] * g1[1] + f2[0] * g2[1]) / (x - y))
 
     def matrix(self, points, fg: Optional[tuple] = None) -> np.ndarray:
-        """Dense kernel matrix on a point set, diagonal by the kernel's rule.
+        """Dense kernel matrix on a point set, zero on the diagonal.
 
-        `fg` is `fg_arrays(points)`, when the caller has them already.
+        `fg` is `self.fg(points)`, when the caller has it already.
         """
         pts = np.asarray(points, dtype=float)
-        f1, f2, g1, g2 = self.fg_arrays(pts) if fg is None else fg
-        # in place, with one scratch matrix: at window sizes, faulting in a
-        # fresh n x n array costs more than an arithmetic pass over it
-        out = np.outer(f1, g1)
-        scratch = np.outer(f2, g2)
-        out += scratch
-        dx = np.subtract.outer(pts, pts, out=scratch)
-        np.fill_diagonal(dx, 1.0)
-        out /= dx
+        out = _quotient_matrix(pts, *(self.fg(pts) if fg is None else fg))
         np.fill_diagonal(out, 0.0)
         return out
 
 
 @dataclass(frozen=True)
 class AssembledKernel:
-    """Correlation kernel (F1(x)G1(y)+F2(x)G2(y))/(x-y) with a diagonal rule."""
+    """Correlation kernel (F1(x)G1(y)+F2(x)G2(y))/(x-y) with a diagonal rule.
+
+    `fg(points)` returns the arrays F1, F2, G1, G2 at the points.  With
+    `dfg(points) -> (F1', F2')` the diagonal is the L'Hospital limit
+    F1'G1 + F2'G2; without it, the Richardson continuity limit.
+    """
 
     domain: str
-    F1: Callable[[float], float]
-    F2: Callable[[float], float]
-    G1: Callable[[float], float]
-    G2: Callable[[float], float]
-    dF1: Optional[Callable[[float], float]] = None
-    dF2: Optional[Callable[[float], float]] = None
-    diagonal_rule: str = "lhospital"
+    fg: Callable[[np.ndarray], tuple]
+    dfg: Optional[Callable[[np.ndarray], tuple]] = None
     name: str = ""
 
-    def off_diagonal(self, x: float, y: float) -> float:
-        return (self.F1(x) * self.G1(y) + self.F2(x) * self.G2(y)) / (x - y)
+    def off_diagonal(self, x, y) -> np.ndarray:
+        """K(x_i, y_i) at paired points x_i != y_i, from one fg call."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        f1, f2, g1, g2 = self.fg(np.concatenate((x, y)))
+        n = x.size
+        return (f1[:n] * g1[n:] + f2[:n] * g2[n:]) / (x - y)
 
-    def diagonal(self, x: float) -> float:
-        if self.diagonal_rule == "lhospital":
-            return self.dF1(x) * self.G1(x) + self.dF2(x) * self.G2(x)
+    def diagonal(self, points) -> np.ndarray:
+        """K(x, x) at every point, by the kernel's diagonal rule."""
+        pts = np.asarray(points, dtype=float)
+        if self.dfg is not None:
+            _, _, g1, g2 = self.fg(pts)
+            df1, df2 = self.dfg(pts)
+            return df1 * g1 + df2 * g2
         # continuity limit: symmetric averages at three step sizes,
-        # Richardson-extrapolated in h^2
-        s = [
-            0.5 * (self.off_diagonal(x, x + h) + self.off_diagonal(x, x - h))
-            for h in _RICHARDSON_STEPS
-        ]
+        # Richardson-extrapolated in h^2; all six shifts in one call
+        n, steps = pts.size, len(_RICHARDSON_STEPS)
+        x = np.tile(pts, 2 * steps)
+        h = np.repeat(np.outer(_RICHARDSON_STEPS, (1.0, -1.0)).ravel(), n)
+        k = self.off_diagonal(x, x + h).reshape(steps, 2, n)
+        s = 0.5 * (k[:, 0] + k[:, 1])
         r1 = (4.0 * s[1] - s[0]) / 3.0
         r2 = (4.0 * s[2] - s[1]) / 3.0
         return (16.0 * r2 - r1) / 15.0
 
     def __call__(self, x: float, y: float) -> float:
         if x == y:
-            return self.diagonal(x)
-        return self.off_diagonal(x, y)
-
-    def fg_arrays(self, points) -> tuple:
-        pts = np.asarray(points, dtype=float)
-        return tuple(
-            np.array([f(float(x)) for x in pts])
-            for f in (self.F1, self.F2, self.G1, self.G2)
-        )
+            return float(self.diagonal((x,))[0])
+        return float(self.off_diagonal((x,), (y,))[0])
 
     def matrix(self, points, fg: Optional[tuple] = None) -> np.ndarray:
+        """Dense kernel matrix on a point set, diagonal by the kernel's rule.
+
+        `fg` is `self.fg(points)`, when the caller has it already.
+        """
         pts = np.asarray(points, dtype=float)
-        F1, F2, G1, G2 = self.fg_arrays(pts) if fg is None else fg
-        dx = pts[:, None] - pts[None, :]
-        np.fill_diagonal(dx, 1.0)
-        out = (np.outer(F1, G1) + np.outer(F2, G2)) / dx
-        for i, x in enumerate(pts):
-            out[i, i] = self.diagonal(float(x))
+        out = _quotient_matrix(pts, *(self.fg(pts) if fg is None else fg))
+        np.fill_diagonal(out, self.diagonal(pts))
         return out
 
 
 # ----------------------------------------------------------------------
 # L-kernels
 # ----------------------------------------------------------------------
+
+def _l_kernel(domain: str, plus, minus, name: str) -> IntegrableKernel:
+    """L-kernel with f1 = g2 = plus and f2 = g1 = minus.
+
+    Each scalar is called once per point, and each array serves twice.
+    """
+    def fg(points):
+        p, m = _per_point(lambda x: (plus(x), minus(x)), points, 2)
+        return p, m, m, p
+
+    return IntegrableKernel(domain, fg, name=name)
+
 
 def plancherel_l(theta: float) -> IntegrableKernel:
     """L-kernel of the poissonized Plancherel measure on Z'.
@@ -215,8 +212,7 @@ def plancherel_l(theta: float) -> IntegrableKernel:
     def minus(x: float) -> float:
         return exp(-0.5 * x * lt - lgamma(-x + 0.5)) if x < 0 else 0.0
 
-    return IntegrableKernel(LATTICE, plus, minus, minus, plus,
-                            name=f"plancherel-l(theta={theta})")
+    return _l_kernel(LATTICE, plus, minus, f"plancherel-l(theta={theta})")
 
 
 def zw_l(z: complex, xi: float) -> IntegrableKernel:
@@ -251,8 +247,7 @@ def zw_l(z: complex, xi: float) -> IntegrableKernel:
             log_gamma(-z + 0.5 - x).real - lg_mzp1 - 0.5 * x * lxi - lgamma(-x + 0.5)
         )
 
-    return IntegrableKernel(LATTICE, plus, minus, minus, plus,
-                            name=f"zw-l(z={z}, xi={xi})")
+    return _l_kernel(LATTICE, plus, minus, f"zw-l(z={z}, xi={xi})")
 
 
 def _require_whittaker_z(z: complex) -> complex:
@@ -277,8 +272,7 @@ def scaled_whittaker_l(z: complex) -> IntegrableKernel:
     def minus(x: float) -> float:
         return c_minus * (-x) ** (-a) * exp(0.5 * x) if x < 0 else 0.0
 
-    return IntegrableKernel(REAL_LINE, plus, minus, minus, plus,
-                            name=f"scaled-whittaker-l(z={z})")
+    return _l_kernel(REAL_LINE, plus, minus, f"scaled-whittaker-l(z={z})")
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +280,13 @@ def scaled_whittaker_l(z: complex) -> IntegrableKernel:
 # ----------------------------------------------------------------------
 
 def _discrete_bessel(theta: float, sign: float, name: str) -> AssembledKernel:
-    """K (sign = +1) or K^ (sign = -1); they differ only in entry signs."""
+    """K (sign = +1) or K^ (sign = -1); they differ only in entry signs.
+
+    With a = J_(|x|-1/2) and b = J_(|x|+1/2) (times theta^(1/4)) and their
+    order derivatives a', b' at each point: for x > 0, F = (sign a, -b),
+    G = (sign b, a) and F' = (sign a', -b'); for x < 0, F = (b, sign a),
+    G = (a, -sign b) and F' = (-b', -sign a').
+    """
     if not theta > 0.0:
         raise ParameterError(f"theta must be positive, got {theta}")
     eta = sqrt(theta)
@@ -301,14 +301,22 @@ def _discrete_bessel(theta: float, sign: float, name: str) -> AssembledKernel:
     def dj(nu: float) -> float:
         return s * bessel_j_dorder(nu, u)
 
-    F1 = lambda x: sign * j(x - 0.5) if x > 0 else j(-x + 0.5)
-    F2 = lambda x: -j(x + 0.5) if x > 0 else sign * j(-x - 0.5)
-    G1 = lambda x: sign * j(x + 0.5) if x > 0 else j(-x - 0.5)
-    G2 = lambda x: j(x - 0.5) if x > 0 else -sign * j(-x + 0.5)
-    dF1 = lambda x: sign * dj(x - 0.5) if x > 0 else -dj(-x + 0.5)
-    dF2 = lambda x: -dj(x + 0.5) if x > 0 else -sign * dj(-x - 0.5)
-    return AssembledKernel(LATTICE, F1, F2, G1, G2, dF1, dF2,
-                           name=f"{name}(theta={theta})")
+    def ladder(fn, points) -> tuple:
+        # fn at the orders |x| - 1/2 and |x| + 1/2, and the mask x > 0
+        x = np.asarray(points, dtype=float)
+        a, b = _per_point(lambda t: (fn(abs(t) - 0.5), fn(abs(t) + 0.5)), x, 2)
+        return a, b, x > 0
+
+    def fg(points) -> tuple:
+        a, b, pos = ladder(j, points)
+        return (np.where(pos, sign * a, b), np.where(pos, -b, sign * a),
+                np.where(pos, sign * b, a), np.where(pos, a, -sign * b))
+
+    def dfg(points) -> tuple:
+        da, db, pos = ladder(dj, points)
+        return np.where(pos, sign * da, -db), np.where(pos, -db, -sign * da)
+
+    return AssembledKernel(LATTICE, fg, dfg, name=f"{name}(theta={theta})")
 
 
 def discrete_bessel_k(theta: float) -> AssembledKernel:
@@ -350,6 +358,22 @@ def _reflected_branch_factor(a: float, zeta: complex) -> complex:
     return cmath.exp(-1j * pi * a) if zeta.imag > 0 else cmath.exp(1j * pi * a)
 
 
+def _psi_entries(z: complex, zeta: complex) -> tuple:
+    """(Psi11, Psi12, Psi21, Psi22) at zeta, from one W call per argument.
+
+    The orders are the printed ones, a +- 1/2 at zeta and -a -+ 1/2 at
+    -zeta, so each entry is the number a call per entry gives.
+    """
+    z = _require_whittaker_z(z)
+    a, m, r = z.real, z.imag, abs(z)
+    zeta = complex(zeta)
+    rp = cmath.exp(-0.5 * cmath.log(zeta))
+    rm = cmath.exp(-0.5 * cmath.log(-zeta)) * _reflected_branch_factor(a, zeta)
+    w11, w21 = whittaker_w_complex((a + 0.5, a - 0.5), m, zeta).tolist()
+    w12, w22 = whittaker_w_complex((-a - 0.5, -a + 0.5), m, -zeta).tolist()
+    return rp * w11, r * rm * w12, -r * rp * w21, rm * w22
+
+
 def psi_matrix(z: complex, zeta: complex) -> np.ndarray:
     """The 2x2 Whittaker matrix Psi(zeta), zeta off the real axis.
 
@@ -357,38 +381,18 @@ def psi_matrix(z: complex, zeta: complex) -> np.ndarray:
     W arguments use principal branches, with the reflected column's branch
     phase applied.  det Psi = 1 identically.
     """
-    z = _require_whittaker_z(z)
-    a, m, r = z.real, z.imag, abs(z)
-    zeta = complex(zeta)
-    rp = cmath.exp(-0.5 * cmath.log(zeta))
-    rm = cmath.exp(-0.5 * cmath.log(-zeta)) * _reflected_branch_factor(a, zeta)
-    return np.array(
-        [
-            [rp * whittaker_w_complex(a + 0.5, m, zeta),
-             r * rm * whittaker_w_complex(-a - 0.5, m, -zeta)],
-            [-r * rp * whittaker_w_complex(a - 0.5, m, zeta),
-             rm * whittaker_w_complex(-a + 0.5, m, -zeta)],
-        ],
-        dtype=complex,
-    )
+    p11, p12, p21, p22 = _psi_entries(z, zeta)
+    return np.array([[p11, p12], [p21, p22]], dtype=complex)
 
 
 def psi_inv_t_printed(z: complex, zeta: complex) -> np.ndarray:
-    """The closed-form inverse transpose of Psi (not computed numerically)."""
-    z = _require_whittaker_z(z)
-    a, m, r = z.real, z.imag, abs(z)
-    zeta = complex(zeta)
-    rp = cmath.exp(-0.5 * cmath.log(zeta))
-    rm = cmath.exp(-0.5 * cmath.log(-zeta)) * _reflected_branch_factor(a, zeta)
-    return np.array(
-        [
-            [rm * whittaker_w_complex(-a + 0.5, m, -zeta),
-             r * rp * whittaker_w_complex(a - 0.5, m, zeta)],
-            [-r * rm * whittaker_w_complex(-a - 0.5, m, -zeta),
-             rp * whittaker_w_complex(a + 0.5, m, zeta)],
-        ],
-        dtype=complex,
-    )
+    """The closed-form inverse transpose of Psi (not computed numerically).
+
+    With det Psi = 1 it is the adjugate [[Psi22, -Psi21], [-Psi12, Psi11]],
+    the printed form entry for entry (negation is exact).
+    """
+    p11, p12, p21, p22 = _psi_entries(z, zeta)
+    return np.array([[p22, -p21], [-p12, p11]], dtype=complex)
 
 
 def whittaker_kernel_k(z: complex) -> AssembledKernel:
@@ -410,26 +414,25 @@ def whittaker_kernel_k(z: complex) -> AssembledKernel:
     # the lower order of each pair is written as the upper one minus 1, so
     # that both lie on one contiguous ladder
     kp, km = a + 0.5, -a + 0.5
-    psi: dict = {}
 
+    @lru_cache(maxsize=None)
     def psi_pair(x: float) -> tuple:
         # (psi11, psi21)(x) for x > 0, (psi12, psi22)(x) for x < 0
-        if x not in psi:
-            if x > 0:
-                w_hi, w_lo = whittaker_w((kp, kp - 1.0), m, x).tolist()
-                psi[x] = (w_hi / sqrt(x), -r * w_lo / sqrt(x))
-            else:
-                w_lo, w_hi = whittaker_w((km - 1.0, km), m, -x).tolist()
-                psi[x] = (r * w_lo / sqrt(-x), w_hi / sqrt(-x))
-        return psi[x]
+        if x > 0:
+            w_hi, w_lo = whittaker_w((kp, kp - 1.0), m, x).tolist()
+            return w_hi / sqrt(x), -r * w_lo / sqrt(x)
+        w_lo, w_hi = whittaker_w((km - 1.0, km), m, -x).tolist()
+        return r * w_lo / sqrt(-x), w_hi / sqrt(-x)
 
-    F1 = lambda x: (c_plus if x > 0 else c_minus) * psi_pair(x)[0]
-    F2 = lambda x: (c_plus if x > 0 else c_minus) * psi_pair(x)[1]
-    G1 = lambda x: (-c_plus if x > 0 else c_minus) * psi_pair(x)[1]
-    G2 = lambda x: (c_plus if x > 0 else -c_minus) * psi_pair(x)[0]
-    return AssembledKernel(REAL_LINE, F1, F2, G1, G2,
-                           diagonal_rule="continuity-limit",
-                           name=f"whittaker-k(z={z})")
+    def fg(points) -> tuple:
+        x = np.asarray(points, dtype=float)
+        p1, p2 = _per_point(psi_pair, x, 2)
+        pos = x > 0
+        c = np.where(pos, c_plus, c_minus)
+        return (c * p1, c * p2, np.where(pos, -c_plus, c_minus) * p2,
+                np.where(pos, c_plus, -c_minus) * p1)
+
+    return AssembledKernel(REAL_LINE, fg, name=f"whittaker-k(z={z})")
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,10 @@ evaluated by LU with partial pivoting.  Windows come in two kinds:
   graded geometrically toward 0; entries are pre/post-scaled by sqrt(weight)
   so that matrix algebra represents operator algebra (Nystrom).
 
-On a quadrature window `NystromResolvent` evaluates K off the nodes.  It
-works on arrays: the kernel's integrable data on the nodes is computed
+Kernels are materialized through their array-valued `matrix` (one `fg`
+call for the whole window); K and K^ come from one sign-parameterised
+solve.  On a quadrature window `NystromResolvent` evaluates K off the
+nodes.  It works on arrays: the kernel's `fg` on the nodes is computed
 once, each row L(x, t_i) and column L(t_i, y) is one numpy expression over
 it, and each new column y costs one dense solve, checked by its backward
 error.
@@ -22,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import SingularOperatorError, WindowError
-from .kernels import LATTICE, REAL_LINE, AssembledKernel, IntegrableKernel
+from .kernels import LATTICE, REAL_LINE, IntegrableKernel
 
 __all__ = [
     "Window",
@@ -40,12 +42,13 @@ __all__ = [
     "fredholm_det",
     "prob_of_configuration",
     "correlation_from_k",
-    "max_abs_diff",
     "LATTICE_MARGIN",
     "NystromResolvent",
 ]
 
 _RESIDUAL_TOL = 1e-12
+# lattice steps between a compared block and the window edge, where the
+# truncation error of the window is below the comparison tolerance
 LATTICE_MARGIN = 5
 
 
@@ -116,15 +119,6 @@ class WindowedOperator:
     window: Window
     entries: np.ndarray
 
-    @classmethod
-    def from_matrix(cls, points: Sequence[float], entries: np.ndarray,
-                    kind: str = "finite") -> "WindowedOperator":
-        pts = np.asarray(points, dtype=float)
-        entries = np.asarray(entries, dtype=float)
-        if entries.shape != (pts.size, pts.size):
-            raise WindowError("entry matrix must be square over the points")
-        return cls(Window(kind, pts), entries)
-
     @property
     def size(self) -> int:
         return self.window.size
@@ -141,19 +135,15 @@ class WindowedOperator:
 def materialize(kernel, window: Window, fg: Optional[tuple] = None) -> WindowedOperator:
     """Evaluate a kernel on a window; sqrt-weight scaling for quadrature.
 
-    `fg` is the kernel's `fg_arrays(window.points)`, when the caller has
-    them already.
+    `fg` is the kernel's `fg(window.points)`, when the caller has it
+    already.
     """
-    domain = getattr(kernel, "domain", None)
+    domain = kernel.domain
     if window.kind == LATTICE and domain != LATTICE:
         raise WindowError(f"kernel domain {domain!r} does not fit a lattice window")
     if window.kind == "quadrature" and domain != REAL_LINE:
         raise WindowError(f"kernel domain {domain!r} does not fit a quadrature window")
-    if isinstance(kernel, (IntegrableKernel, AssembledKernel)):
-        mat = kernel.matrix(window.points, fg)
-    else:
-        pts = window.points
-        mat = np.array([[kernel(float(x), float(y)) for y in pts] for x in pts])
+    mat = kernel.matrix(window.points, fg)
     if window.weights is not None:
         s = np.sqrt(window.weights)
         mat *= s[:, None]
@@ -171,33 +161,30 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def k_from_l(l_op: WindowedOperator) -> WindowedOperator:
-    """K = L(1+L)^(-1), solving (1+L)K = L by LU with partial pivoting."""
+def _resolvent(l_op: WindowedOperator, sign: float) -> WindowedOperator:
+    """Solve (L + sign 1)K = L by LU with partial pivoting; check the residual."""
     ln = l_op.entries
-    a = np.eye(ln.shape[0]) + ln
-    k = _solve(a, ln, "1+L is singular")
+    a = ln + sign * np.eye(ln.shape[0])
+    op = "L+1" if sign > 0 else "L-1"
+    k = _solve(a, ln, f"{op} is singular")
     scale = max(np.max(np.abs(ln)), 1e-300)
     resid = np.max(np.abs(a @ k - ln))
     if resid > _RESIDUAL_TOL * scale:
         raise SingularOperatorError(
-            f"(1+L)K = L residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e}*|L|; "
+            f"({op})K = L residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e}*|L|; "
             f"condition estimate {np.linalg.cond(a):.3e}"
         )
     return WindowedOperator(l_op.window, k)
 
 
+def k_from_l(l_op: WindowedOperator) -> WindowedOperator:
+    """K = L(1+L)^(-1)."""
+    return _resolvent(l_op, 1.0)
+
+
 def khat_from_l(l_op: WindowedOperator) -> WindowedOperator:
-    """K^ = L(L-1)^(-1), solving (L-1)K^ = L."""
-    ln = l_op.entries
-    a = ln - np.eye(ln.shape[0])
-    khat = _solve(a, ln, "L-1 is singular")
-    scale = max(np.max(np.abs(ln)), 1e-300)
-    resid = np.max(np.abs(a @ khat - ln))
-    if resid > _RESIDUAL_TOL * scale:
-        raise SingularOperatorError(
-            f"(L-1)K = L residual {resid:.3e}; condition {np.linalg.cond(a):.3e}"
-        )
-    return WindowedOperator(l_op.window, khat)
+    """K^ = L(L-1)^(-1)."""
+    return _resolvent(l_op, -1.0)
 
 
 def fredholm_det(l_op: WindowedOperator) -> float:
@@ -237,28 +224,6 @@ def correlation_from_k(k_op: WindowedOperator, points) -> float:
     return float(np.linalg.det(_minor(k_op, pts)))
 
 
-def max_abs_diff(kernel, op: WindowedOperator, sub_points) -> float:
-    """max |kernel(x,y) - op(x,y)| over a sub-window strictly inside op's.
-
-    The margin requirement (>= 5 lattice steps, or 5 absolute units for
-    quadrature windows) keeps the window-truncation error of `op` below the
-    comparison tolerance.
-    """
-    pts = [_as_point(p) for p in sub_points]
-    lo, hi = float(np.min(op.window.points)), float(np.max(op.window.points))
-    margin = LATTICE_MARGIN
-    for p in pts:
-        if p - lo < margin or hi - p < margin:
-            raise WindowError(
-                f"sub-window point {p} is within {margin} of the window edge"
-            )
-    worst = 0.0
-    for x in pts:
-        for y in pts:
-            worst = max(worst, abs(kernel(x, y) - op.value_at(x, y)))
-    return worst
-
-
 def _quotient(num: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """num / dx, with the integrable kernels' value 0 where dx == 0."""
     return np.divide(num, dx, out=np.zeros_like(num), where=dx != 0.0)
@@ -272,8 +237,8 @@ class NystromResolvent:
     node values K(t_i, y) of each new y cost one dense solve of the scaled
     system (1 + L~) plus its backward-error residual check; they are kept
     per y.  The integrable data f1, f2, g1, g2 on the nodes is evaluated
-    once, at build time, and every column L(t_i, y) and row L(x, t_i) is
-    one array expression over it.
+    once, at build time, by one `fg` call, and every column L(t_i, y) and
+    row L(x, t_i) is one array expression over it.
     """
 
     def __init__(self, kernel: IntegrableKernel, window: Window):
@@ -281,7 +246,7 @@ class NystromResolvent:
             raise WindowError("NystromResolvent needs a quadrature window")
         self.kernel = kernel
         self.window = window
-        self._fg = kernel.fg_arrays(window.points)
+        self._fg = kernel.fg(window.points)
         self.l_op = materialize(kernel, window, fg=self._fg)
         self._a = self.l_op.entries.copy()
         self._a[np.diag_indices(window.size)] += 1.0
@@ -292,13 +257,15 @@ class NystromResolvent:
     def column(self, y: float) -> np.ndarray:
         """L(t_i, y) at every node t_i."""
         f1, f2, _, _ = self._fg
-        num = f1 * self.kernel.g1(y) + f2 * self.kernel.g2(y)
+        _, _, g1, g2 = self.kernel.fg((y,))
+        num = f1 * g1 + f2 * g2
         return _quotient(num, self.window.points - y)
 
     def row(self, x: float) -> np.ndarray:
         """L(x, t_i) at every node t_i."""
         _, _, g1, g2 = self._fg
-        num = self.kernel.f1(x) * g1 + self.kernel.f2(x) * g2
+        f1, f2, _, _ = self.kernel.fg((x,))
+        num = f1 * g1 + f2 * g2
         return _quotient(num, x - self.window.points)
 
     def _k_column(self, y: float) -> np.ndarray:

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detproc import kernels, oracle, special
+from detproc import drhp, kernels, oracle, special
 from detproc.errors import (
     DegenerateGridError,
     DomainError,
@@ -45,13 +47,12 @@ def test_integrable_numerator_vanishes_on_diagonal():
     for kern in (kernels.plancherel_l(1.0),
                  kernels.zw_l(0.3 + 0.8j, 0.5),
                  kernels.scaled_whittaker_l(0.25 + 0.6j)):
-        pts = ([k + 0.5 for k in range(-20, 20)]
+        pts = (np.arange(-20, 20) + 0.5
                if kern.domain == kernels.LATTICE
-               else list(np.linspace(-5, 5, 41)))
-        for x in pts:
-            if x == 0.0:
-                continue
-            assert abs(kern.numerator(x, x)) < 1e-12
+               else np.linspace(-5, 5, 41))
+        pts = pts[pts != 0.0]
+        f1, f2, g1, g2 = kern.fg(pts)
+        assert np.max(np.abs(f1 * g1 + f2 * g2)) < 1e-12
 
 
 # ---------------------------------------------------------------- zw L
@@ -165,8 +166,8 @@ def test_discrete_bessel_positive_block_value():
 
 def test_discrete_bessel_fg_identity_on_diagonal():
     kb = kernels.discrete_bessel_k(2.0)
-    x = 2.5
-    assert abs(kb.F1(x) * kb.G1(x) + kb.F2(x) * kb.G2(x)) < 1e-15
+    F1, F2, G1, G2 = kb.fg([2.5])
+    assert abs(F1 * G1 + F2 * G2)[0] < 1e-15
 
 
 def test_discrete_bessel_diagonal_in_unit_interval():
@@ -196,7 +197,8 @@ def test_khat_diagonal_matches_k_diagonal():
 
 
 def _uncached_bessel_kernels(theta):
-    """K and K^ as written before the Bessel values were memoised.
+    """K and K^ as scalar closures, written before the Bessel values were
+    memoised, as (F1, F2, G1, G2, dF1, dF2).
 
     Every F, G, dF and diagonal lookup calls bessel_j / bessel_j_dorder
     afresh; kept as the reference the memoised kernels must match bit for
@@ -212,8 +214,7 @@ def _uncached_bessel_kernels(theta):
     def dj(nu):
         return s * special.bessel_j_dorder(nu, u)
 
-    k = kernels.AssembledKernel(
-        kernels.LATTICE,
+    k = (
         lambda x: j(x - 0.5) if x > 0 else j(-x + 0.5),
         lambda x: -j(x + 0.5) if x > 0 else j(-x - 0.5),
         lambda x: j(x + 0.5) if x > 0 else j(-x - 0.5),
@@ -221,8 +222,7 @@ def _uncached_bessel_kernels(theta):
         lambda x: dj(x - 0.5) if x > 0 else -dj(-x + 0.5),
         lambda x: -dj(x + 0.5) if x > 0 else -dj(-x - 0.5),
     )
-    khat = kernels.AssembledKernel(
-        kernels.LATTICE,
+    khat = (
         lambda x: -j(x - 0.5) if x > 0 else j(-x + 0.5),
         lambda x: -j(x + 0.5) if x > 0 else -j(-x - 0.5),
         lambda x: -j(x + 0.5) if x > 0 else j(-x - 0.5),
@@ -231,6 +231,16 @@ def _uncached_bessel_kernels(theta):
         lambda x: -dj(x + 0.5) if x > 0 else dj(-x - 0.5),
     )
     return k, khat
+
+
+def _entry_by_entry(closures, pts):
+    # each closure once per point, then entry by entry in Python floats:
+    # (F1 G1 + F2 G2)/(x - y) off the diagonal, F1' G1 + F2' G2 on it
+    xs = pts.tolist()
+    F1, F2, G1, G2, dF1, dF2 = ([f(x) for x in xs] for f in closures)
+    return np.array([[dF1[i] * G1[i] + dF2[i] * G2[i] if i == j
+                      else (F1[i] * G1[j] + F2[i] * G2[j]) / (xs[i] - xs[j])
+                      for j in range(len(xs))] for i in range(len(xs))])
 
 
 # the benchmark's (theta, window radius) pairs
@@ -243,8 +253,8 @@ def test_discrete_bessel_memo_is_bitwise_the_uncached_kernel(theta, m):
     ref_k, ref_khat = _uncached_bessel_kernels(theta)
     k = kernels.discrete_bessel_k(theta).matrix(pts)
     khat = kernels.discrete_bessel_khat(theta).matrix(pts)
-    assert k.tobytes() == ref_k.matrix(pts).tobytes()
-    assert khat.tobytes() == ref_khat.matrix(pts).tobytes()
+    assert k.tobytes() == _entry_by_entry(ref_k, pts).tobytes()
+    assert khat.tobytes() == _entry_by_entry(ref_khat, pts).tobytes()
 
 
 @pytest.mark.parametrize("build", [kernels.discrete_bessel_k,
@@ -305,16 +315,16 @@ def test_whittaker_kernel_parameter_validation():
 
 def test_whittaker_kernel_fg_identity():
     kk = kernels.whittaker_kernel_k(0.25 + 0.6j)
-    x = 1.3
-    assert abs(kk.F1(x) * kk.G1(x) + kk.F2(x) * kk.G2(x)) < 1e-8
+    F1, F2, G1, G2 = kk.fg([1.3])
+    assert abs(F1 * G1 + F2 * G2)[0] < 1e-8
 
 
 def test_whittaker_kernel_diagonal_by_richardson():
     kk = kernels.whittaker_kernel_k(0.25 + 0.6j)
     # continuity limit: compare against a much smaller step
-    for x in (0.7, -1.2):
-        direct = 0.5 * (kk.off_diagonal(x, x + 1e-5) + kk.off_diagonal(x, x - 1e-5))
-        assert kk(x, x) == pytest.approx(direct, abs=1e-7)
+    x = np.array([0.7, -1.2])
+    direct = 0.5 * (kk.off_diagonal(x, x + 1e-5) + kk.off_diagonal(x, x - 1e-5))
+    assert kk.diagonal(x) == pytest.approx(direct, abs=1e-7)
 
 
 def test_whittaker_kernel_density_nonnegative():
@@ -353,6 +363,41 @@ def test_psi_det_one():
     for zeta in (2.0 + 0.1j, 2.0 - 0.1j):
         psi = kernels.psi_matrix(0.25 + 0.6j, zeta)
         assert abs(np.linalg.det(psi) - 1.0) < 1e-8
+
+
+# ---------------------------------------------------------------- matrix vs scalar
+
+_LATTICE_POINTS = st.lists(st.integers(-12, 11), min_size=1, max_size=5,
+                           unique=True).map(lambda ks: np.array(ks) + 0.5)
+_REAL_POINTS = st.lists(
+    st.tuples(st.sampled_from((1.0, -1.0)), st.floats(0.2, 5.0)).map(
+        lambda sx: sx[0] * sx[1]),
+    min_size=1, max_size=4, unique=True).map(np.array)
+_FAMILIES = {
+    "plancherel-l": (lambda: kernels.plancherel_l(2.0), _LATTICE_POINTS),
+    "zw-l": (lambda: kernels.zw_l(0.3 + 0.8j, 0.5), _LATTICE_POINTS),
+    "scaled-whittaker-l": (lambda: kernels.scaled_whittaker_l(0.25 + 0.6j),
+                           _REAL_POINTS),
+    "discrete-bessel-k": (lambda: kernels.discrete_bessel_k(4.0), _LATTICE_POINTS),
+    "discrete-bessel-khat": (lambda: kernels.discrete_bessel_khat(30.0),
+                             _LATTICE_POINTS),
+    "whittaker-k": (lambda: kernels.whittaker_kernel_k(-0.3 + 1.2j), _REAL_POINTS),
+    "bessel-k-from-m": (lambda: drhp.bessel_kernel_from_m(1.0), _LATTICE_POINTS),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_matrix_entries_are_bitwise_the_scalar_kernel(family, data):
+    # one array evaluation for the window and one fg call per scalar entry
+    # must agree to the last bit, the diagonal rule included
+    build, points = _FAMILIES[family]
+    pts = data.draw(points)
+    mat = build().matrix(pts)
+    kern = build()
+    scalar = np.array([[kern(x, y) for y in pts.tolist()] for x in pts.tolist()])
+    assert mat.tobytes() == scalar.tobytes()
 
 
 # ---------------------------------------------------------------- christoffel-darboux
@@ -416,13 +461,3 @@ def test_two_point_singularity():
     with pytest.raises(ParameterError):
         kernels.TwoPointModel(0.1, 0.2, 1.0, 1.0)
 
-
-def test_kernel_params_validation():
-    kernels.KernelParams(theta=1.0, z=0.3 + 0.8j, xi=0.5)
-    assert kernels.KernelParams(theta=4.0).eta == 2.0
-    with pytest.raises(ParameterError):
-        kernels.KernelParams(theta=-1.0)
-    with pytest.raises(ParameterError):
-        kernels.KernelParams(z=3.0 + 0j)
-    with pytest.raises(ParameterError):
-        kernels.KernelParams(xi=1.5)
