@@ -402,8 +402,12 @@ def bessel_j_complex_order(nu: complex, u: float) -> complex:
     """J_nu(u) for complex order by the ascending series.
 
     Used by the Riemann-Hilbert checks, which evaluate the Bessel matrix
-    at complex spectral points; u stays small there so the series is
-    accurate with no cancellation concerns.
+    at complex spectral points and u = 2 sqrt(theta).  The series
+    alternates and cancels as u grows: against 40-digit mpmath, on the
+    orders `drhp.check_p_condition` uses, the relative error is 1.6e-15 at
+    u = 2, 1.3e-10 at u = 11 (theta = 30) and 3.9e-7 at u = 20
+    (theta = 100), which is why `p-condition` misses its 1e-12 tolerance
+    at theta = 30 and 100.
     """
     u = float(u)
     if not u > 0.0:
