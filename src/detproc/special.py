@@ -2,8 +2,9 @@
 
 Everything here is double precision and pure: the gamma family (complex
 log-gamma, Pochhammer symbols, digamma), Bessel J of real order together
-with its derivative in the order, and the Whittaker function W with real
-first index and purely imaginary second index.
+with its derivative in the order, Bessel J of complex order through 0F1,
+and the Whittaker function W with real first index and purely imaginary
+second index.
 
 Bessel J strategy: the power series
 
@@ -14,6 +15,13 @@ at a pole vanish, so negative orders need no reflection through Y_nu.  For
 u > 20 the Hankel large-argument expansion is used while its smallest term
 is below 1e-13, with a fallback to backward (Miller) recurrence normalized
 by the Gegenbauer sum sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(u) = (u/2)^nu.
+
+Complex orders (the Riemann-Hilbert checks) use a second, independent
+route: J_nu(u) = (u/2)^nu / Gamma(nu+1) 0F1(nu+1; -u^2/4), with 0F1 from
+`_hyp0f1`, which sums the series only where it does not cancel and runs
+the contiguous relation in c down from there (stable, since 0F1 is its
+minimal solution).  It takes arrays of orders and reflects negative
+integer orders, J_(-n) = (-1)^n J_n; the relative error is ~1e-14.
 
 Whittaker W strategy: the integral representation
 
@@ -183,13 +191,6 @@ def _drgamma(s: float) -> float:
     if lg > 700.0:
         raise BesselOverflowError(f"d(1/Gamma)/ds at s={s} exceeds double range")
     return exp(lg) * (pi * _cospi(s) - digamma(1.0 - s) * _sinpi(s)) / pi
-
-
-def _rgamma_c(s: complex) -> complex:
-    """1/Gamma(s) for complex s, zero at the poles."""
-    if _is_nonpositive_integer(s):
-        return 0j
-    return cmath.exp(-log_gamma(s))
 
 
 # ----------------------------------------------------------------------
@@ -398,33 +399,82 @@ def bessel_j_dorder(nu: float, u: float) -> float:
     return fsum(terms)
 
 
-def bessel_j_complex_order(nu: complex, u: float) -> complex:
-    """J_nu(u) for complex order by the ascending series.
+# ----------------------------------------------------------------------
+# Bessel J, complex order
+# ----------------------------------------------------------------------
+
+def _hyp0f1(c, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """(0F1(c; w), 0F1(c+1; w)) for an array of c and real w <= 0.
+
+    0F1 has poles at c in {0, -1, -2, ...}.  The series
+    sum w^k / (k! (c)_k) alternates and cancels once |w| is large, but in
+    c the function is the minimal solution of its contiguous relation
+    F(b-1) = F(b) + w F(b+1) / (b (b-1)), which is therefore stable run
+    downward (Gautschi, SIAM Rev. 9, 1967).  The series is summed only at
+    b = c + n and b + 1, with n the least integer >= 0 that makes
+    Re b >= |w| + 20 for every element; there each term is below the one
+    before it by the ratio |w| / ((k+1)(|w|+20+k)), which fixes the term
+    count from w alone.  The relation then steps down n times, forming
+    each c + k from c itself (accumulated shifts cost ~100x in accuracy
+    next to the poles).  Against 40-digit mpmath, on residue circles of
+    radius 1e-3 and on the |zeta| = 40 circle, the relative error is at
+    most 4e-13 for |w| <= 400.
+    """
+    c = np.asarray(c, dtype=complex)
+    pole = (c.imag == 0.0) & (c.real <= 0.0) & (c.real == np.round(c.real))
+    if pole.any():
+        raise PoleError(f"0F1 pole at c={c.ravel()[np.argmax(pole)]}")
+    if not c.size:
+        return c.copy(), c.copy()
+    a = -w
+    n = max(0, math.ceil(a + 20.0 - c.real.min()))
+    shift = np.array([n, n + 1]).reshape((2,) + (1,) * c.ndim)
+    term = np.ones((2,) + c.shape, dtype=complex)
+    total = term.copy()
+    k, bound = 0, 1.0
+    while bound > 1e-17:
+        term *= w / (k + 1)
+        term /= c + (shift + k)
+        total += term
+        k += 1
+        bound *= a / (k * (a + 19.0 + k))
+    f0, f1 = total
+    b = c + n
+    for k in range(n, 0, -1):
+        b1 = c + (k - 1)
+        f0, f1 = f0 + w * f1 / (b * b1), f0
+        b = b1
+    return f0, f1
+
+
+def bessel_j_complex_order(nu, u: float):
+    """J_nu(u) = (u/2)^nu / Gamma(nu+1) 0F1(nu+1; -u^2/4) for complex orders.
 
     Used by the Riemann-Hilbert checks, which evaluate the Bessel matrix
-    at complex spectral points and u = 2 sqrt(theta).  The series
-    alternates and cancels as u grows: against 40-digit mpmath, on the
-    orders `drhp.check_p_condition` uses, the relative error is 1.6e-15 at
-    u = 2, 1.3e-10 at u = 11 (theta = 30) and 3.9e-7 at u = 20
-    (theta = 100), which is why `p-condition` misses its 1e-12 tolerance
-    at theta = 30 and 100.
+    at complex spectral points and u = 2 sqrt(theta).  `nu` may be an
+    array of orders; the result has its shape, and all orders share one
+    `_hyp0f1` ladder.  Negative integer orders -n are reflected,
+    J_(-n) = (-1)^n J_n (DLMF 10.4.1), since 0F1(nu+1) has its poles
+    there.  1/Gamma(nu+1) is exp(-log_gamma), one scalar call per order.
+    Against 40-digit mpmath at u in {2, 11, 20, 40}, the error is at most
+    2e-14 max(1, |J|) on complex orders with |Re nu|, |Im nu| <= 12,
+    half-integer orders and integer orders -12..12, and at most 7e-14
+    relative on real orders up to |nu| = 40.  Digits are lost only within
+    ~1e-6 of a negative integer -n with n > u, where the ladder runs down
+    next to the pole (4e-11 relative at nu = -11 + 1e-6, u = 2).
     """
     u = float(u)
     if not u > 0.0:
         raise DomainError(f"bessel_j_complex_order needs u > 0, got u={u}")
-    nu = complex(nu)
-    lhalf = log(0.5 * u)
-    s = 0j
-    biggest = 0.0
-    for k in range(250):
-        t = cmath.exp((nu + 2 * k) * lhalf - lgamma(k + 1)) * _rgamma_c(nu + k + 1)
-        if k % 2:
-            t = -t
-        s += t
-        biggest = max(biggest, abs(t))
-        if k > max(0.0, -nu.real) + 4 and abs(t) < 1e-18 * max(biggest, 1e-300):
-            break
-    return s
+    nu = np.asarray(nu, dtype=complex)
+    reflect = (nu.imag == 0.0) & (nu.real < 0.0) & (nu.real == np.round(nu.real))
+    order = np.where(reflect, -nu, nu)
+    sign = np.where(reflect & (order.real % 2.0 == 1.0), -1.0, 1.0)
+    c = order + 1.0
+    f0, _ = _hyp0f1(c, -0.25 * u * u)
+    lg = np.array([log_gamma(s) for s in c.ravel().tolist()]).reshape(c.shape)
+    out = sign * np.exp(order * log(0.5 * u) - lg) * f0
+    return out[()]
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detproc import drhp, kernels
+from detproc import drhp, kernels, special
 from detproc.drhp import ResidualCheck
 from detproc.errors import PoleError
 
@@ -54,7 +54,7 @@ _NEAR_POLE = st.builds(lambda k, phi: -k + 1e-3 * cmath.exp(1j * phi),
 def test_hyp0f1_matches_mpmath(cs, w):
     # largest relative error seen on these strategies: 3.2e-13, next to
     # the poles at w = -400 (1040 samples against 40-digit mpmath)
-    lo, hi = drhp._hyp0f1(np.array(cs), w)
+    lo, hi = special._hyp0f1(np.array(cs), w)
     for c, f0, f1 in zip(cs, lo, hi):
         for got, arg in ((f0, c), (f1, c + 1.0)):
             want = _hyp0f1_mpmath(arg, w)
@@ -63,7 +63,7 @@ def test_hyp0f1_matches_mpmath(cs, w):
 
 def test_hyp0f1_shapes_and_poles():
     cs = np.array([[0.5 + 1j, 2.0], [-1.5, 3.0 - 2j]])
-    lo, hi = drhp._hyp0f1(cs, -1.0)
+    lo, hi = special._hyp0f1(cs, -1.0)
     assert lo.shape == hi.shape == (2, 2)
     for c, f0, f1 in zip(cs.ravel().tolist(), lo.ravel(), hi.ravel()):
         want = _hyp0f1_reference(c, -1.0)
@@ -71,9 +71,9 @@ def test_hyp0f1_shapes_and_poles():
         assert abs(want - _hyp0f1_mpmath(c, -1.0)) <= 2e-15 * abs(want)
         assert f0 == pytest.approx(want, rel=1e-13)
         assert f1 == pytest.approx(_hyp0f1_reference(c + 1.0, -1.0), rel=1e-13)
-    assert [f.shape for f in drhp._hyp0f1(np.array([]), -1.0)] == [(0,), (0,)]
+    assert [f.shape for f in special._hyp0f1(np.array([]), -1.0)] == [(0,), (0,)]
     with pytest.raises(PoleError):
-        drhp._hyp0f1(np.array([1.5, -2.0]), -1.0)
+        special._hyp0f1(np.array([1.5, -2.0]), -1.0)
 
 
 def test_m_array_matches_points():
@@ -91,14 +91,70 @@ def test_m_array_matches_points():
             assert np.max(np.abs(single - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("nodes", [32, 48, 4096])
+def test_circle_nodes_are_bitwise_the_scalar_phases(nodes):
+    # the residue, derivative and fit contours were built from cmath.exp
+    # phases; the array form must give the same nodes to the last bit
+    center, radius = -2.5 + 0.3j, 0.25
+    phases = [cmath.exp(1j * (2.0 * math.pi * j / nodes)) for j in range(nodes)]
+    got_phases, got_points = drhp._circle(center, radius, nodes)
+    assert got_phases.tobytes() == np.array(phases).tobytes()
+    assert got_points.tobytes() == np.array([center + radius * e for e in phases]).tobytes()
+
+
 # ---------------------------------------------------------------- bessel side
 
 def test_p_condition_and_phat_variant():
     _assert_all_pass(drhp.check_p_condition(1.0, [3.5, 7.5, -4.5]))
 
 
+@pytest.mark.parametrize("theta", [30.0, 100.0])
+def test_p_condition_and_p11_ode_hold_at_large_theta(theta):
+    # both failed with the cancelling complex-order series (p-condition by
+    # up to 1.6e-7, the p11 ODE by 0.45 at theta = 100)
+    _assert_all_pass(drhp.check_p_condition(theta, [3.5, 7.5, -4.5]))
+    rows = [r for r in drhp.ode_check_eta(theta) if r.check_id == "ode-p11-second-order"]
+    assert len(rows) == 1
+    _assert_all_pass(rows)
+
+
 def test_p_recurrence():
     _assert_all_pass(drhp.check_p_recurrence(1.0, [1.3, 0.3 + 0.4j, -2.5]))
+
+
+@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
+def test_p_matches_mpmath(theta):
+    # p and m share the 0F1 ladder, so this is p's independent reference;
+    # 9.5e-15 max(1, max|p|) is the largest error measured here
+    zetas = [3.5, 7.5, -4.5, -0.5, 10.5, 1.3, 0.3 + 0.4j, -2.5, 1.2 - 0.7j,
+             2.5j, -3.7 + 1.1j]
+    got = drhp.bessel_p(theta)(np.array(zetas))
+    assert got.shape == (len(zetas), 2, 2)
+    with mpmath.workdps(40):
+        u = 2 * mpmath.sqrt(theta)
+        s = mpmath.sqrt(mpmath.sqrt(theta))
+        for zeta, pz in zip(zetas, got):
+            z = mpmath.mpc(complex(zeta).real, complex(zeta).imag)
+            want = np.array([[s * mpmath.besselj(z - 0.5, u), s * mpmath.besselj(0.5 - z, u)],
+                             [-s * mpmath.besselj(z + 0.5, u), s * mpmath.besselj(-z - 0.5, u)]],
+                            dtype=complex)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(pz - want)) <= 1e-13 * scale, zeta
+
+
+def test_suite_drhp_makes_few_complex_order_bessel_calls(monkeypatch):
+    # p is array-valued: one call for the p condition, one for the shift
+    # recurrence and one per eta of the p11 stencil (81 scalar calls before)
+    calls = []
+    original = drhp.bessel_j_complex_order
+
+    def counted(nu, u):
+        calls.append(u)
+        return original(nu, u)
+
+    monkeypatch.setattr(drhp, "bessel_j_complex_order", counted)
+    drhp.suite_drhp(30.0)
+    assert len(calls) <= 7
 
 
 def test_m_has_unit_determinant():
@@ -165,12 +221,12 @@ def test_ode_in_eta_and_beta_sign_selection():
 
 
 def test_verifier_kernel_agrees_with_bessel_kernel():
-    theta = 1.0
-    km = drhp.bessel_kernel_from_m(theta)
-    kb = kernels.discrete_bessel_k(theta)
+    # 3.1e-16 at theta = 1 and 1.9e-12 at theta = 30 measured
     pts = [k + 0.5 for k in range(-11, 11)]
-    worst = max(abs(km(x, y) - kb(x, y)) for x in pts for y in pts)
-    assert worst < 1e-9
+    for theta in (1.0, 30.0):
+        km = drhp.bessel_kernel_from_m(theta).matrix(pts)
+        kb = kernels.discrete_bessel_k(theta).matrix(pts)
+        assert np.max(np.abs(km - kb)) < 1e-9, theta
 
 
 # ---------------------------------------------------------------- whittaker side

@@ -182,6 +182,33 @@ def test_bessel_complex_order_vs_mpmath():
         assert abs(mine - ref) < 1e-12 * max(1.0, abs(ref))
 
 
+_COMPLEX_ORDERS = [-0.2 + 0.4j, 0.8 + 0.4j, -0.5 + 2.5j, 0.7 - 0.7j, -3.7 + 1.1j,
+                   -9.3 - 2.5j, -11.3 + 11.1j, 6.2 + 8.4j, 11.5 - 0.3j]
+_HALF_ORDERS = [k + 0.5 for k in range(-12, 12)]
+_NEGATIVE_INTEGER_ORDERS = list(range(-12, 0))
+
+
+@pytest.mark.parametrize("u", [2.0, 11.0, 20.0, 40.0])
+@pytest.mark.parametrize("orders", [_COMPLEX_ORDERS, _HALF_ORDERS,
+                                    _NEGATIVE_INTEGER_ORDERS],
+                         ids=["complex", "half-integer", "negative-integer"])
+def test_bessel_complex_order_array_matches_mpmath(orders, u):
+    # largest error measured on these orders: 1.6e-14 max(1, |J|)
+    got = special.bessel_j_complex_order(np.array(orders, dtype=complex), u)
+    assert got.shape == (len(orders),)
+    with mpmath.workdps(40):
+        for nu, mine in zip(orders, got):
+            ref = complex(mpmath.besselj(mpmath.mpc(complex(nu).real, complex(nu).imag), u))
+            assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref)), nu
+
+
+def test_bessel_complex_order_reflects_negative_integers_exactly():
+    # J_(-n) = (-1)^n J_n from the same J_n, in one call on both orders
+    n = np.arange(1, 13)
+    got = special.bessel_j_complex_order(np.concatenate([n, -n]), 20.0)
+    assert np.array_equal(got[12:], (-1.0) ** n * got[:12])
+
+
 # ---------------------------------------------------------------- dJ/dnu
 
 def test_bessel_dorder_finite_difference_spot():
