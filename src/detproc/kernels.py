@@ -113,13 +113,10 @@ class IntegrableKernel:
         f1, f2, g1, g2 = self.fg((x, y))
         return float((f1[0] * g1[1] + f2[0] * g2[1]) / (x - y))
 
-    def matrix(self, points, fg: Optional[tuple] = None) -> np.ndarray:
-        """Dense kernel matrix on a point set, zero on the diagonal.
-
-        `fg` is `self.fg(points)`, when the caller has it already.
-        """
+    def matrix(self, points) -> np.ndarray:
+        """Dense kernel matrix on a point set, zero on the diagonal."""
         pts = np.asarray(points, dtype=float)
-        out = _quotient_matrix(pts, *(self.fg(pts) if fg is None else fg))
+        out = _quotient_matrix(pts, *self.fg(pts))
         np.fill_diagonal(out, 0.0)
         return out
 
@@ -169,13 +166,10 @@ class AssembledKernel:
             return float(self.diagonal((x,))[0])
         return float(self.off_diagonal((x,), (y,))[0])
 
-    def matrix(self, points, fg: Optional[tuple] = None) -> np.ndarray:
-        """Dense kernel matrix on a point set, diagonal by the kernel's rule.
-
-        `fg` is `self.fg(points)`, when the caller has it already.
-        """
+    def matrix(self, points) -> np.ndarray:
+        """Dense kernel matrix on a point set, diagonal by the kernel's rule."""
         pts = np.asarray(points, dtype=float)
-        out = _quotient_matrix(pts, *(self.fg(pts) if fg is None else fg))
+        out = _quotient_matrix(pts, *self.fg(pts))
         np.fill_diagonal(out, self.diagonal(pts))
         return out
 
