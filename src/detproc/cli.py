@@ -126,8 +126,6 @@ def cmd_oracle_compare(args) -> int:
         pts = [float(t) for t in args.points.split(",")]
         worst = 0.0
         for x, y in itertools.product(pts, pts):
-            if x == y:
-                continue
             a = kern(x, y)
             b = ny.k_at(x, y)
             d = abs(a - b)

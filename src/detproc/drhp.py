@@ -26,8 +26,9 @@ is evaluated through 0F1 ratios (the Gamma factors are cancelled
 analytically), a code path disjoint from the real-order Bessel kernel
 assembly it is checked against.  p goes through the same 0F1, as
 `special.bessel_j_complex_order`, so m = p diag(...) checks the Gamma
-bookkeeping rather than the 0F1; p's values are pinned against mpmath in
-the tests.
+bookkeeping rather than the 0F1; p's values at lattice points are checked
+against the real-order `special.bessel_j` (series, Decimal tail, Hankel or
+Miller, no 0F1), and pinned against mpmath in the tests.
 
 p, m and n are array-valued: every check builds all of its points (every
 contour all of its nodes) and evaluates p or m once, through one
@@ -253,6 +254,26 @@ def _circle_derivative(fn, center: complex, radius: float, nodes: int):
 # Bessel-side checks
 # ----------------------------------------------------------------------
 
+def _p_from_real_order(theta: float, xs: Sequence[float]) -> list[np.ndarray]:
+    """p at lattice points from the real-order `special.bessel_j`.
+
+    The orders x -+ 1/2 are integers, so J_(-n) = (-1)^n J_n and one call
+    per distinct |order| serves every entry.  `bessel_j` sums its series
+    (with a Decimal tail above u = 10) or runs Hankel or Miller: a route
+    disjoint from the 0F1 ladder under `bessel_p`.
+    """
+    eta = sqrt(theta)
+    orders = [(round(x - 0.5), round(x + 0.5)) for x in xs]
+    j = {n: special.bessel_j(n, 2.0 * eta)
+         for n in sorted({abs(n) for pair in orders for n in pair})}
+
+    def jn(n: int) -> float:
+        return j[abs(n)] if n >= 0 or n % 2 == 0 else -j[abs(n)]
+
+    return [sqrt(eta) * np.array([[jn(lo), jn(-lo)], [-jn(hi), jn(-hi)]])
+            for lo, hi in orders]
+
+
 def check_p_condition(theta: float, xs: Sequence[float],
                       tol: float = 1e-12) -> list[ResidualCheck]:
     """p(x) = (-1)^(x-1/2) p(x) [[0,1],[1,0]] on the half-integer lattice.
@@ -260,13 +281,15 @@ def check_p_condition(theta: float, xs: Sequence[float],
     Also certifies that the companion matrix p_hat fails this condition but
     satisfies the variant with (-1)^(x+1/2).  At a lattice point the
     orders of p are integers, and `bessel_j_complex_order` computes J_(-n)
-    as (-1)^n J_n from the same J_n, so both conditions hold exactly: the
-    rows certify p's sign layout, not its values (those are pinned against
-    mpmath in the tests).
+    as (-1)^n J_n from the same J_n, so both conditions hold exactly: those
+    rows certify p's sign layout.  p's values are certified by the
+    `p-values` row at each x, against p assembled from the real-order
+    `special.bessel_j` (`_p_from_real_order`) within tol * max(1, |p|).
     """
     flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
     rows = []
-    for x, px in zip(xs, bessel_p(theta)(np.asarray(xs, dtype=float))):
+    for x, px, ref in zip(xs, bessel_p(theta)(np.asarray(xs, dtype=float)),
+                          _p_from_real_order(theta, xs)):
         sign = (-1.0) ** round(x - 0.5)
         rows.append(ResidualCheck(
             "p-condition", f"x={x}", float(np.max(np.abs(px - sign * px @ SWAP))), tol))
@@ -281,6 +304,9 @@ def check_p_condition(theta: float, xs: Sequence[float],
         rows.append(ResidualCheck(
             "p-hat-flipped-condition", f"x={x}",
             float(np.max(np.abs(phx + sign * phx @ SWAP))), tol))
+        rows.append(ResidualCheck(
+            "p-values", f"x={x}", float(np.max(np.abs(px - ref))),
+            tol * max(1.0, float(np.max(np.abs(ref))))))
     return rows
 
 
@@ -292,7 +318,8 @@ def check_p_recurrence(theta: float, zetas: Sequence[complex],
     relation are that call's J at one order (formed once as z + 1 - 1/2,
     once as z + 1/2), so the residual is 0 by construction up to the
     rounding of the order (2.2e-16 at zeta = 1.3, theta = 100): the rows
-    certify the index and sign layout of p, not its values.
+    certify the index and sign layout of p; its values are certified by
+    the `p-values` rows of `check_p_condition`.
     """
     zs = np.asarray(zetas, dtype=complex)
     here, up, down = bessel_p(theta)(np.stack([zs, zs + 1.0, zs - 1.0]))

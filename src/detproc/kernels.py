@@ -9,15 +9,15 @@ ones on R \\ {0}.  Every kernel is one array function
 
 and a correlation kernel has the same quotient form in its resolvent data
 (F1, F2, G1, G2).  Diagonal rules act on arrays: zero for the L-kernels
-(their numerator vanishes at equal arguments), the L'Hospital formula
-K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) for a correlation kernel that also
-supplies `dfg(points) -> (F1', F2')` (the discrete Bessel family), and a
-Richardson continuity limit for one that does not (the Whittaker kernel).
+(their numerator vanishes at equal arguments) and the L'Hospital formula
+K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) for a correlation kernel, which always
+supplies `dfg(points) -> (F1', F2')`: the discrete Bessel kernels from
+dJ/dnu, the Whittaker kernel from the contiguous relations of W, in
+closed form from the W pair its F and G already use (and
+`drhp.bessel_kernel_from_m` by a Cauchy integral of m).
 
 `matrix` makes one `fg` call for the whole point set and assembles the
-window as outer products; it accepts data the caller already holds, so
-that the Nystrom resolvent shares one evaluation between the matrix and
-its rows and columns.  Scalar `kernel(x, y)` wraps one `fg` call on its
+window as outer products.  Scalar `kernel(x, y)` wraps one `fg` call on its
 two points: it gives the matrix's entries bit for bit but pays numpy's
 per-call overhead, so pass all points to `matrix` at once.  The Whittaker
 kernel keeps both W orders of a point (one `whittaker_w` call) and the
@@ -31,7 +31,7 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, lgamma, log, pi, sqrt
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -65,9 +65,6 @@ __all__ = [
 
 LATTICE = "lattice"
 REAL_LINE = "real-line"
-
-_RICHARDSON_STEPS = (1e-2, 5e-3, 2.5e-3)
-
 
 def _is_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real == round(z.real)
@@ -123,16 +120,16 @@ class IntegrableKernel:
 
 @dataclass(frozen=True)
 class AssembledKernel:
-    """Correlation kernel (F1(x)G1(y)+F2(x)G2(y))/(x-y) with a diagonal rule.
+    """Correlation kernel (F1(x)G1(y)+F2(x)G2(y))/(x-y) with its diagonal.
 
-    `fg(points)` returns the arrays F1, F2, G1, G2 at the points.  With
-    `dfg(points) -> (F1', F2')` the diagonal is the L'Hospital limit
-    F1'G1 + F2'G2; without it, the Richardson continuity limit.
+    `fg(points)` returns the arrays F1, F2, G1, G2 at the points and
+    `dfg(points)` the derivatives F1', F2'; the diagonal is the L'Hospital
+    limit F1'G1 + F2'G2.
     """
 
     domain: str
     fg: Callable[[np.ndarray], tuple]
-    dfg: Optional[Callable[[np.ndarray], tuple]] = None
+    dfg: Callable[[np.ndarray], tuple]
     name: str = ""
 
     def off_diagonal(self, x, y) -> np.ndarray:
@@ -144,22 +141,11 @@ class AssembledKernel:
         return (f1[:n] * g1[n:] + f2[:n] * g2[n:]) / (x - y)
 
     def diagonal(self, points) -> np.ndarray:
-        """K(x, x) at every point, by the kernel's diagonal rule."""
+        """K(x, x) = F1'(x)G1(x) + F2'(x)G2(x) at every point."""
         pts = np.asarray(points, dtype=float)
-        if self.dfg is not None:
-            _, _, g1, g2 = self.fg(pts)
-            df1, df2 = self.dfg(pts)
-            return df1 * g1 + df2 * g2
-        # continuity limit: symmetric averages at three step sizes,
-        # Richardson-extrapolated in h^2; all six shifts in one call
-        n, steps = pts.size, len(_RICHARDSON_STEPS)
-        x = np.tile(pts, 2 * steps)
-        h = np.repeat(np.outer(_RICHARDSON_STEPS, (1.0, -1.0)).ravel(), n)
-        k = self.off_diagonal(x, x + h).reshape(steps, 2, n)
-        s = 0.5 * (k[:, 0] + k[:, 1])
-        r1 = (4.0 * s[1] - s[0]) / 3.0
-        r2 = (4.0 * s[2] - s[1]) / 3.0
-        return (16.0 * r2 - r1) / 15.0
+        _, _, g1, g2 = self.fg(pts)
+        df1, df2 = self.dfg(pts)
+        return df1 * g1 + df2 * g2
 
     def __call__(self, x: float, y: float) -> float:
         if x == y:
@@ -254,19 +240,28 @@ def _require_whittaker_z(z: complex) -> complex:
 
 
 def scaled_whittaker_l(z: complex) -> IntegrableKernel:
-    """Scaling limit of the zw L-kernel on R \\ {0}, |Re z| < 1/2, z nonreal."""
+    """Scaling limit of the zw L-kernel on R \\ {0}, |Re z| < 1/2, z nonreal.
+
+    f1 = g2 = c+ x^a e^(-x/2) for x > 0 and f2 = g1 = c- |x|^(-a) e^(x/2)
+    for x < 0 (a = Re z), each zero elsewhere: one array expression over
+    all points.
+    """
     z = _require_whittaker_z(z)
     a = z.real
     c_plus = sqrt(abs(z)) * exp(-log_gamma(z + 1.0).real)
     c_minus = sqrt(abs(z)) * exp(-log_gamma(-z + 1.0).real)
 
-    def plus(x: float) -> float:
-        return c_plus * x ** a * exp(-0.5 * x) if x > 0 else 0.0
+    def fg(points):
+        x = np.asarray(points, dtype=float)
+        # |x|, with 1 at x = 0 so that no power there overflows; the masks
+        # below zero that point anyway
+        t = np.where(x == 0.0, 1.0, np.abs(x))
+        decay = np.exp(-0.5 * t)
+        plus = np.where(x > 0, c_plus * t ** a * decay, 0.0)
+        minus = np.where(x < 0, c_minus * t ** -a * decay, 0.0)
+        return plus, minus, minus, plus
 
-    def minus(x: float) -> float:
-        return c_minus * (-x) ** (-a) * exp(0.5 * x) if x < 0 else 0.0
-
-    return _l_kernel(REAL_LINE, plus, minus, f"scaled-whittaker-l(z={z})")
+    return IntegrableKernel(REAL_LINE, fg, name=f"scaled-whittaker-l(z={z})")
 
 
 # ----------------------------------------------------------------------
@@ -393,13 +388,18 @@ def whittaker_kernel_k(z: complex) -> AssembledKernel:
     """The Whittaker correlation kernel on R \\ {0}, |Re z| < 1/2, z nonreal.
 
     Resolvent data at real points only needs W at positive argument, so the
-    evaluator stays in real arithmetic; the diagonal is a Richardson
-    continuity limit (no order derivatives of W are required).  A point's
-    two W values (orders a + 1/2 and a - 1/2 at x > 0, -a - 1/2 and
-    -a + 1/2 at -x > 0, with a = Re z) come from one `whittaker_w` call on
-    the two orders, which share their recurrence, and are kept for the
-    kernel's lifetime: F and G at one point, and the Richardson diagonal's
-    repeated first argument, never recompute W.
+    evaluator stays in real arithmetic.  A point's two W values (orders
+    k = a + 1/2 and k - 1 at x > 0, k = -a + 1/2 and k - 1 at -x > 0, with
+    a = Re z) come from one `whittaker_w` call on the two orders, which
+    share their recurrence, and are kept for the kernel's lifetime.  The
+    contiguous relations (DLMF 13.15, with mu = i Im z)
+
+        t W_k'(t)     = (k - t/2) W_k + ((k - 1/2)^2 + (Im z)^2) W_(k-1),
+        t W_(k-1)'(t) = (t/2 - k + 1) W_(k-1) - W_k,
+
+    give the derivatives from the same pair, so the diagonal is the
+    L'Hospital limit F1'G1 + F2'G2 in closed form: any entry, the diagonal
+    included, costs one W call per point it touches, and none is repeated.
     """
     z = _require_whittaker_z(z)
     a, m, r = z.real, z.imag, abs(z)
@@ -410,23 +410,40 @@ def whittaker_kernel_k(z: complex) -> AssembledKernel:
     kp, km = a + 0.5, -a + 0.5
 
     @lru_cache(maxsize=None)
-    def psi_pair(x: float) -> tuple:
-        # (psi11, psi21)(x) for x > 0, (psi12, psi22)(x) for x < 0
-        if x > 0:
-            w_hi, w_lo = whittaker_w((kp, kp - 1.0), m, x).tolist()
-            return w_hi / sqrt(x), -r * w_lo / sqrt(x)
-        w_lo, w_hi = whittaker_w((km - 1.0, km), m, -x).tolist()
-        return r * w_lo / sqrt(-x), w_hi / sqrt(-x)
+    def w_pair(x: float) -> tuple:
+        # (W_k, W_(k-1)) at |x|, k = kp for x > 0 and km for x < 0
+        k = kp if x > 0 else km
+        return tuple(whittaker_w((k, k - 1.0), m, abs(x)).tolist())
+
+    def w_data(points) -> tuple:
+        # the W pair at every point, |x| and the mask x > 0
+        x = np.asarray(points, dtype=float)
+        hi, lo = _per_point(w_pair, x, 2)
+        return hi, lo, np.abs(x), x > 0
 
     def fg(points) -> tuple:
-        x = np.asarray(points, dtype=float)
-        p1, p2 = _per_point(psi_pair, x, 2)
-        pos = x > 0
+        hi, lo, t, pos = w_data(points)
+        # (psi11, psi21) for x > 0 and (psi12, psi22) for x < 0
+        root = np.sqrt(t)
+        p1 = np.where(pos, hi, r * lo) / root
+        p2 = np.where(pos, -r * lo, hi) / root
         c = np.where(pos, c_plus, c_minus)
         return (c * p1, c * p2, np.where(pos, -c_plus, c_minus) * p2,
                 np.where(pos, c_plus, -c_minus) * p1)
 
-    return AssembledKernel(REAL_LINE, fg, name=f"whittaker-k(z={z})")
+    def dfg(points) -> tuple:
+        # with e = k - 1/2 - t/2 the relations give d/dt (W_k / sqrt t)
+        # = d_hi and d/dt (-r W_(k-1) / sqrt t) = d_lo; for x < 0,
+        # d/dx = -d/dt makes them -d_hi (psi22) and d_lo (psi12)
+        hi, lo, t, pos = w_data(points)
+        e = np.where(pos, a, -a) - 0.5 * t
+        scale = t * np.sqrt(t)
+        d_hi = (e * hi + r * r * lo) / scale
+        d_lo = r * (hi + e * lo) / scale
+        c = np.where(pos, c_plus, c_minus)
+        return c * np.where(pos, d_hi, d_lo), c * np.where(pos, d_lo, -d_hi)
+
+    return AssembledKernel(REAL_LINE, fg, dfg, name=f"whittaker-k(z={z})")
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,19 @@ def test_oracle_compare_bessel(tmp_path):
     assert max(float(r[4]) for r in rows[1:]) < 1e-8
 
 
+def test_oracle_compare_whittaker_includes_the_diagonal(tmp_path):
+    out = tmp_path / "wc.csv"
+    assert run(["oracle-compare", "--family", "whittaker", "--z-re", "0.25",
+                "--z-im", "0.6", "-o", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["x", "y", "analytic", "oracle", "abs_diff"]
+    assert len(rows) == 1 + 6 * 6
+    diagonal = [r for r in rows[1:] if r[0] == r[1]]
+    assert len(diagonal) == 6
+    # the default window's truncation floor is ~3e-5 (tolerance 1e-3)
+    assert max(float(r[4]) for r in diagonal) < 1e-4
+
+
 def test_prob_command(tmp_path):
     out = tmp_path / "p.csv"
     assert run(["prob", "--rows", "3,3,1", "--theta", "1", "-o", str(out)]) == 0

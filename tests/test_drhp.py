@@ -142,6 +142,32 @@ def test_p_matches_mpmath(theta):
             assert np.max(np.abs(pz - want)) <= 1e-13 * scale, zeta
 
 
+@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0])
+def test_suite_drhp_certifies_p_values_at_every_lattice_x(theta):
+    # one p-values row per x of the p condition, against the real-order J
+    rows = drhp.suite_drhp(theta)
+    cond = [r.point for r in rows if r.check_id == "p-condition"]
+    values = [r for r in rows if r.check_id == "p-values"]
+    assert [r.point for r in values] == cond and len(cond) == 3
+    _assert_all_pass(values)
+
+
+def test_p_values_rows_call_real_order_j_once_per_order_and_catch_a_wrong_j(monkeypatch):
+    calls = []
+    original = special.bessel_j
+
+    def perturbed(nu, u):
+        calls.append(nu)
+        return original(nu, u) * (1.0 + 1e-10 * (nu == 4))
+
+    monkeypatch.setattr(special, "bessel_j", perturbed)
+    rows = drhp.check_p_condition(30.0, [3.5, 7.5, -4.5])
+    # orders 3, 4 | 7, 8 | -5, -4: one call per distinct |order|
+    assert sorted(calls) == [3, 4, 5, 7, 8]
+    failed = {r.point for r in rows if r.check_id == "p-values" and not r.passed}
+    assert failed == {"x=3.5", "x=-4.5"}
+
+
 def test_suite_drhp_makes_few_complex_order_bessel_calls(monkeypatch):
     # p is array-valued: one call for the p condition, one for the shift
     # recurrence and one per eta of the p11 stencil (81 scalar calls before)

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,23 @@ def test_scaled_whittaker_matches_sine_coefficient():
     coeff = abs(cmath.sin(math.pi * z)) / math.pi
     expected = coeff * (x / abs(y)) ** z.real * math.exp((-x + y) / 2) / (x - y)
     assert lk(x, y) == pytest.approx(expected, rel=1e-13)
+
+
+def test_scaled_whittaker_fg_is_its_scalar_formula():
+    z = 0.3 + 0.8j
+    a = z.real
+    c_plus = math.sqrt(abs(z)) * math.exp(-special.log_gamma(z + 1.0).real)
+    c_minus = math.sqrt(abs(z)) * math.exp(-special.log_gamma(-z + 1.0).real)
+    pts = np.concatenate((-np.geomspace(1e-6, 80.0, 50), [0.0], np.geomspace(1e-6, 80.0, 50)))
+    plus = [c_plus * x ** a * math.exp(-0.5 * x) if x > 0 else 0.0 for x in pts.tolist()]
+    minus = [c_minus * (-x) ** (-a) * math.exp(0.5 * x) if x < 0 else 0.0
+             for x in pts.tolist()]
+    f1, f2, g1, g2 = kernels.scaled_whittaker_l(z).fg(pts)
+    # numpy's exp may round differently from libm's by an ulp or two
+    np.testing.assert_allclose(f1, plus, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(f2, minus, rtol=1e-15, atol=0.0)
+    assert f1.tobytes() == g2.tobytes() and f2.tobytes() == g1.tobytes()
+    assert f1[50] == f2[50] == 0.0
 
 
 def test_zw_scaling_limit_to_whittaker():
@@ -319,12 +337,61 @@ def test_whittaker_kernel_fg_identity():
     assert abs(F1 * G1 + F2 * G2)[0] < 1e-8
 
 
-def test_whittaker_kernel_diagonal_by_richardson():
+def test_whittaker_kernel_diagonal_is_the_continuity_limit():
     kk = kernels.whittaker_kernel_k(0.25 + 0.6j)
     # continuity limit: compare against a much smaller step
     x = np.array([0.7, -1.2])
     direct = 0.5 * (kk.off_diagonal(x, x + 1e-5) + kk.off_diagonal(x, x - 1e-5))
     assert kk.diagonal(x) == pytest.approx(direct, abs=1e-7)
+
+
+def _whittaker_diagonal_reference(z: complex, x: float) -> float:
+    """F1'G1 + F2'G2 from mpmath's W, derivatives by mpmath.diff (30 digits)."""
+    a, m, r = z.real, z.imag, abs(z)
+    zc = mpmath.mpc(z.real, z.imag)
+    c = mpmath.sqrt(r) / abs(mpmath.gamma(1 + zc if x > 0 else 1 - zc))
+
+    def w(kappa, t):
+        return mpmath.re(mpmath.whitw(kappa, 1j * m, t)) / mpmath.sqrt(t)
+
+    def f(s):
+        # (F1, F2) near x, on x's side of 0
+        if x > 0:
+            return c * w(a + 0.5, s), -c * r * w(a - 0.5, s)
+        return c * r * w(-a - 0.5, -s), c * w(-a + 0.5, -s)
+
+    f1, f2 = f(mpmath.mpf(x))
+    g1, g2 = (-f2, f1) if x > 0 else (f2, -f1)
+    df1 = mpmath.diff(lambda s: f(s)[0], x)
+    df2 = mpmath.diff(lambda s: f(s)[1], x)
+    return float(df1 * g1 + df2 * g2)
+
+
+def test_whittaker_kernel_diagonal_matches_mpmath():
+    # the benchmark's points and z; 5.7e-15 max(1, |K|) is the largest
+    # error measured here
+    points = np.array((0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1.5, -1.5))
+    with mpmath.workdps(30):
+        for z in (0.25 + 0.6j, -0.3 + 1.2j, 0.1 + 0.3j):
+            got = kernels.whittaker_kernel_k(z).diagonal(points)
+            for x, k in zip(points.tolist(), got.tolist()):
+                want = _whittaker_diagonal_reference(z, x)
+                assert abs(k - want) <= 1e-12 * max(1.0, abs(want)), (z, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(re=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+       im=st.floats(0.1, 1.5), im_sign=st.sampled_from((1.0, -1.0)),
+       x=st.floats(0.2, 5.0), x_sign=st.sampled_from((1.0, -1.0)))
+def test_whittaker_kernel_diagonal_is_the_symmetric_quotient_limit(re, im, im_sign,
+                                                                   x, x_sign):
+    # the closed-form diagonal against the h = 1e-5 symmetric quotient of
+    # off-diagonal entries (5.9e-10 max(1, |K|) at most in a scan)
+    kk = kernels.whittaker_kernel_k(complex(re, im_sign * im))
+    pts = np.array([x_sign * x])
+    diag = kk.diagonal(pts)[0]
+    quotient = 0.5 * (kk.off_diagonal(pts, pts + 1e-5) + kk.off_diagonal(pts, pts - 1e-5))[0]
+    assert abs(diag - quotient) <= 1e-8 * max(1.0, abs(diag))
 
 
 def test_whittaker_kernel_density_nonnegative():
@@ -353,8 +420,8 @@ def test_whittaker_kernel_computes_each_w_once(monkeypatch):
         calls.clear()
         kk = kernels.whittaker_kernel_k(z)
         off, diag = kk(0.5, -1.5), kk(-1.5, -1.5)
-        # 0.5, -1.5 and the six Richardson points, two orders each
-        assert len(calls) == 16 and set(calls.values()) == {1}
+        # 0.5 and -1.5, two orders each; the diagonal needs no new W
+        assert len(calls) == 4 and set(calls.values()) == {1}
         fresh = kernels.whittaker_kernel_k(z)
         assert (fresh(-1.5, -1.5), fresh(0.5, -1.5)) == (diag, off)
 
