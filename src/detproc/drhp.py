@@ -27,8 +27,8 @@ analytically), a code path disjoint from the real-order Bessel kernel
 assembly it is checked against.  p goes through the same 0F1, as
 `special.bessel_j_complex_order`, so m = p diag(...) checks the Gamma
 bookkeeping rather than the 0F1; p's values at lattice points are checked
-against the real-order `special.bessel_j` (series, Decimal tail, Hankel or
-Miller, no 0F1), and pinned against mpmath in the tests.
+against the real-order `special.bessel_j` (at integer orders the series or
+Miller's recurrence, no 0F1), and pinned against mpmath in the tests.
 
 p, m and n are array-valued: every check builds all of its points (every
 contour all of its nodes) and evaluates p or m once, through one
@@ -258,9 +258,10 @@ def _p_from_real_order(theta: float, xs: Sequence[float]) -> list[np.ndarray]:
     """p at lattice points from the real-order `special.bessel_j`.
 
     The orders x -+ 1/2 are integers, so J_(-n) = (-1)^n J_n and one call
-    per distinct |order| serves every entry.  `bessel_j` sums its series
-    (with a Decimal tail above u = 10) or runs Hankel or Miller: a route
-    disjoint from the 0F1 ladder under `bessel_p`.
+    per distinct |order| serves every entry.  At integer orders `bessel_j`
+    sums its series (u <= 10) or runs Miller's recurrence in the order,
+    normalized by the Gegenbauer sum: neither shares code, starting point
+    or normalization with the 0F1 ladder under `bessel_p`.
     """
     eta = sqrt(theta)
     orders = [(round(x - 0.5), round(x + 0.5)) for x in xs]
@@ -348,15 +349,21 @@ def check_m_residues(theta: float, xs: Sequence[float], radius: float = 1e-3,
     return rows
 
 
-def check_m_normalization(theta: float, ts: Sequence[float] = (10.0, 20.0, 40.0),
+def check_m_normalization(theta: float,
                           tol_remainder: float = 1e-2) -> list[ResidualCheck]:
     """m(it) -> I along the imaginary axis.
 
     Reported per t: the raw defect max|m(it) - I| (must decrease in t; it
     decays only like |m1|/t, so no absolute bound is imposed on it) and the
     defect after removing the exact 1/zeta term (bounded by tol_remainder
-    at the largest t, and decreasing).
+    at the largest t, and decreasing).  The remainder scales like
+    theta/t^2, so t is taken from theta: t = t0, 2 t0, 4 t0 with
+    t0 = max(10, 2.5 theta).  The largest-t remainder then measures
+    5.2e-3 at theta = 30, 5.05e-3 at theta = 100 and 5.0e-3 at
+    theta = 400, and every "decreasing" row passes.
     """
+    t0 = max(10.0, 2.5 * theta)
+    ts = (t0, 2.0 * t0, 4.0 * t0)
     m1 = bessel_m1_exact(theta)
     eye = np.eye(2)
     rows = []
@@ -381,22 +388,30 @@ def check_m_normalization(theta: float, ts: Sequence[float] = (10.0, 20.0, 40.0)
     return rows
 
 
-def fit_m1(theta: float, radius: float = 40.0, nodes: int = 4096) -> np.ndarray:
+def _m1_radius(theta: float) -> float:
+    return max(40.0, 4.0 * sqrt(theta))
+
+
+def fit_m1(theta: float, nodes: int = 4096) -> np.ndarray:
     """1/zeta coefficient of m fitted as the circle average of zeta (m - I).
 
     The full-circle average equals the sum of all enclosed residues, which
-    converges to the true coefficient with factorially small remainder.
+    converges to the true coefficient with factorially small remainder
+    once the circle lies well outside the residues' bulk, |x| ~ 2 sqrt(theta).
+    The radius is max(40, 4 sqrt(theta)): at theta = 400 the radius
+    2 sqrt(theta) = 40 leaves m1 5.4e4 off the exact [[-theta, -eta],
+    [-eta, theta]], and 4 sqrt(theta) = 80 brings it to 1.4e-12.
     """
     m = bessel_m(theta)
     eye = np.eye(2)
     return _circle_average(lambda zs: zs[:, None, None] * (m(zs) - eye),
-                           0j, radius, nodes)
+                           0j, _m1_radius(theta), nodes)
 
 
-def check_m1_symmetry(theta: float, radius: float = 40.0,
-                      tol: float = 1e-6) -> list[ResidualCheck]:
+def check_m1_symmetry(theta: float, tol: float = 1e-6) -> list[ResidualCheck]:
     """Fitted m1 = [[alpha,beta],[gamma,delta]] satisfies gamma=beta, delta=-alpha."""
-    m1 = fit_m1(theta, radius=radius)
+    m1 = fit_m1(theta)
+    radius = _m1_radius(theta)
     alpha, beta = m1[0, 0], m1[0, 1]
     gamma, delta = m1[1, 0], m1[1, 1]
     return [
@@ -742,12 +757,15 @@ def suite_special_functions() -> list[ResidualCheck]:
     rows = []
     rng = np.random.default_rng(42)
     worst = 0.0
+    # orders that take Miller's recurrence; a negative non-integer order
+    # would compare the 0F1 ladder with itself
+    orders = (-5.0, 0.0, 1.0, 3.5, 5.0)
     for u in np.linspace(15.0, 25.0, 9):
-        for nu in (-5.0, -2.5, -0.5, 0.0, 1.0, 3.5, 5.0):
-            worst = max(worst, abs(special._jv_series(nu, float(u))
-                                   - special._jv_hankel(nu, float(u))[0]))
-    rows.append(ResidualCheck("bessel-series-vs-asymptotic",
-                              "u in [15,25], |nu|<=5", worst, 1e-9))
+        ladder = bessel_j_complex_order(np.array(orders), float(u)).real
+        worst = max(worst, max(abs(special.bessel_j(nu, float(u)) - j)
+                               for nu, j in zip(orders, ladder)))
+    rows.append(ResidualCheck("bessel-miller-vs-0f1",
+                              "u in [15,25], nu in {-5,0,1,3.5,5}", worst, 1e-9))
     worst = max(abs(special.bessel_j(-n, 2.0)
                     - (-1.0) ** n * special.bessel_j(n, 2.0))
                 for n in range(1, 21))

@@ -10,11 +10,12 @@ Bessel J strategy: the power series
 
     J_nu(u) = sum_k (-1)^k (u/2)^(nu+2k) / (k! Gamma(nu+k+1))
 
-is used for u <= 20 for *every* real order; terms whose 1/Gamma factor sits
+is used for u <= 10 for *every* real order; terms whose 1/Gamma factor sits
 at a pole vanish, so negative orders need no reflection through Y_nu.  For
-u > 20 the Hankel large-argument expansion is used while its smallest term
-is below 1e-13, with a fallback to backward (Miller) recurrence normalized
-by the Gegenbauer sum sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(u) = (u/2)^nu.
+u > 10, integer orders (reflected, J_(-n) = (-1)^n J_n) and positive orders
+run Miller's backward recurrence toward the minimal solution, normalized by
+the Gegenbauer sum sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(u) = (u/2)^nu;
+negative non-integer orders take the 0F1 route below.
 
 Complex orders (the Riemann-Hilbert checks) use a second, independent
 route: J_nu(u) = (u/2)^nu / Gamma(nu+1) 0F1(nu+1; -u^2/4), with 0F1 from
@@ -45,9 +46,8 @@ is used instead (well defined here because 2mu is never an integer).
 from __future__ import annotations
 
 import cmath
-import decimal
 import math
-from math import cos, exp, floor, fsum, lgamma, log, pi, sin, sqrt
+from math import exp, floor, fsum, lgamma, log, pi, sin, sqrt
 
 import numpy as np
 
@@ -197,34 +197,8 @@ def _drgamma(s: float) -> float:
 # Bessel J, real order
 # ----------------------------------------------------------------------
 
-_SERIES_CUT = 20.0          # power series for u <= 20, asymptotics beyond
-_HANKEL_TOL = 1e-13
-
-
-def _jv_series_tail_decimal(nu: float, u: float, k0: int, t0: float) -> float:
-    """Series tail sum_{k>=k0} by the term recurrence in 40-digit decimals.
-
-    Above u ~ 10 the alternating sum cancels down from terms of size up to
-    ~e^u, so double-precision term generation cannot reach 1e-12 absolute;
-    Decimal conversion of floats is exact, leaving only the seed term's
-    double rounding (which enters relatively).
-    """
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        x2 = decimal.Decimal(u) * decimal.Decimal(u) / 4
-        dnu = decimal.Decimal(nu)
-        t = decimal.Decimal(t0)
-        total = decimal.Decimal(0)
-        biggest = abs(t)
-        k = k0
-        while k < 300:
-            total += t
-            t = -t * x2 / ((k + 1) * (dnu + (k + 1)))
-            k += 1
-            biggest = max(biggest, abs(t))
-            if k > k0 + 4 and abs(t) < decimal.Decimal("1e-40") * biggest:
-                break
-        return float(total)
+_SERIES_CUT = 10.0          # ascending series for u <= 10, Miller or 0F1 beyond
+_DORDER_MAX_U = 20.0        # range of the differentiated series
 
 
 def _jv_series(nu: float, u: float) -> float:
@@ -256,9 +230,6 @@ def _jv_series(nu: float, u: float) -> float:
     if lt0 > 705.0:
         raise BesselOverflowError(f"J series term overflow at nu={nu}, u={u}")
     t = (-1.0) ** (k0 % 2) * exp(lt0)
-    if u > 10.0:
-        terms.append(_jv_series_tail_decimal(nu, u, k0, t))
-        return fsum(terms)
     k = k0
     biggest = abs(t)
     while k < 250:
@@ -269,29 +240,6 @@ def _jv_series(nu: float, u: float) -> float:
         if k > k0 + 4 and abs(t) < 1e-18 * max(biggest, 1e-300):
             break
     return fsum(terms)
-
-
-def _jv_hankel(nu: float, u: float) -> tuple[float, float]:
-    """Large-argument expansion; returns (value, error estimate)."""
-    mu4 = 4.0 * nu * nu
-    coeffs = [1.0]
-    a = 1.0
-    for m in range(1, 40):
-        a = a * (mu4 - (2 * m - 1) ** 2) / (m * 8.0 * u)
-        coeffs.append(a)
-        if m > 2 and abs(a) > abs(coeffs[-2]):
-            break
-    mags = [abs(c) for c in coeffs]
-    stop = mags.index(min(mags[1:])) if len(mags) > 1 else 0
-    p = q = 0.0
-    for m, c in enumerate(coeffs[: stop + 1]):
-        if m % 2 == 0:
-            p += c * (-1.0) ** (m // 2)
-        else:
-            q += c * (-1.0) ** ((m - 1) // 2)
-    amp = sqrt(2.0 / (pi * u))
-    omega = u - (0.5 * nu + 0.25) * pi
-    return amp * (cos(omega) * p - sin(omega) * q), amp * mags[stop]
 
 
 def _jv_miller(nu: float, u: float) -> float:
@@ -326,10 +274,27 @@ def _jv_miller(nu: float, u: float) -> float:
 def bessel_j(nu: float, u: float) -> float:
     """Bessel function J_nu(u) for real order nu and u >= 0.
 
-    Negative integer orders use J_{-n} = (-1)^n J_n exactly; negative
-    non-integer orders require u > 0.  Raises BesselOverflowError when the
-    value (or an intermediate term) leaves the double range, which happens
-    for strongly negative non-integer orders at small u.
+    Three routes:
+
+    * u <= 10, every real order: the ascending series `_jv_series`;
+    * u > 10, integer orders (J_(-n) = (-1)^n J_n exactly) and nu > 0:
+      Miller's backward recurrence `_jv_miller`;
+    * u > 10, negative non-integer orders: the real part of
+      `bessel_j_complex_order`, the 0F1 ladder.
+
+    Negative non-integer orders require u > 0.  Raises BesselOverflowError
+    when the value (or an intermediate term) leaves the double range, which
+    happens for strongly negative non-integer orders at small u.
+
+    Against 30-digit mpmath, integer orders 0..120 at u = 2 sqrt(theta),
+    theta in {1, 30, 100, 400, 1000}, are within 2.2e-16 absolute, and
+    random real orders |nu| <= 60 at u <= 40 within 4e-13 max(1, |J|).
+    The one weaker corner is a negative non-integer order at distance
+    delta < 1e-3 from a negative integer -n with n > u, at u > 10: the 0F1
+    ladder for c = nu + 1 steps through c + n - 1 = delta and cancels on the
+    way down, so the error grows like 1e-15/delta max(1, |J|) (measured up to
+    3e-16/delta for u in [12, 35], n - u in [1, 40]; 1e-10 at delta = 1e-6,
+    1e-7 at delta = 1e-9).  No caller in the package uses such orders.
     """
     nu = float(nu)
     u = float(u)
@@ -341,31 +306,18 @@ def bessel_j(nu: float, u: float) -> float:
         n = abs(n)
         if u <= _SERIES_CUT:
             return sign * _jv_series(float(n), u)
-        val, err = _jv_hankel(float(n), u)
-        if err < _HANKEL_TOL:
-            return sign * val
         return sign * _jv_miller(float(n), u)
     if u == 0.0:
         raise DomainError("bessel_j at u=0 needs a nonnegative or integer order")
     if u <= _SERIES_CUT:
         return _jv_series(nu, u)
-    if nu >= 0.0:
-        val, err = _jv_hankel(nu, u)
-        if err < _HANKEL_TOL:
-            return val
+    if nu > 0.0:
         return _jv_miller(nu, u)
-    # negative non-integer order, large argument: seed near order 0 and
-    # recurse downward (J grows in that direction, so this is stable)
-    frac = nu - floor(nu)
-    jh, _ = _jv_hankel(frac, u)
-    jl, _ = _jv_hankel(frac - 1.0, u)
-    s = frac - 1.0
-    while s > nu + 0.5:
-        jh, jl = jl, (2.0 * s / u) * jl - jh
-        if abs(jl) > 1e300:
-            raise BesselOverflowError(f"J_({nu})({u}) exceeds double range")
-        s -= 1.0
-    return jl
+    # log |(u/2)^nu / Gamma(nu+1)|, the factor in front of 0F1 that carries
+    # the growth, checked before anything is formed in floating point
+    if nu * log(0.5 * u) - lgamma(nu + 1.0) > 705.0:
+        raise BesselOverflowError(f"J_({nu})({u}) exceeds double range")
+    return float(bessel_j_complex_order(nu, u).real)
 
 
 def bessel_j_dorder(nu: float, u: float) -> float:
@@ -373,15 +325,15 @@ def bessel_j_dorder(nu: float, u: float) -> float:
 
     Each series term picks up the factor ln(u/2) - psi(nu+k+1); at the
     poles of Gamma the product psi/Gamma is replaced by its finite limit
-    through the reflection split.  Defined for 0 < u <= 20 (the series
-    range): against 40-digit references at orders 0..44 the absolute error
-    grows with u to 7.7e-9 at u = 20.  The series cancels beyond it (3e-6
-    at u = 25, 10 at u = 40), so larger u raises DomainError.
+    through the reflection split.  Defined for 0 < u <= 20: against
+    40-digit references at orders 0..44 the absolute error grows with u to
+    7.7e-9 at u = 20.  The series cancels beyond it (3e-6 at u = 25, 10 at
+    u = 40), so larger u raises DomainError.
     """
     nu = float(nu)
     u = float(u)
-    if not 0.0 < u <= _SERIES_CUT:
-        raise DomainError(f"bessel_j_dorder needs 0 < u <= {_SERIES_CUT:g}, got u={u}")
+    if not 0.0 < u <= _DORDER_MAX_U:
+        raise DomainError(f"bessel_j_dorder needs 0 < u <= {_DORDER_MAX_U:g}, got u={u}")
     lhalf = log(0.5 * u)
     terms = []
     biggest = 0.0

@@ -231,10 +231,26 @@ def test_m_normalization_decreasing_and_remainder():
     _assert_all_pass(drhp.check_m_normalization(1.0))
 
 
+@pytest.mark.parametrize("theta", [30.0, 100.0, 400.0])
+def test_m_normalization_holds_at_large_theta(theta):
+    # t grows with theta; at t = 10/20/40 theta = 100 read 2.55 against 1e-2
+    rows = drhp.check_m_normalization(theta)
+    _assert_all_pass(rows)
+    t = max(10.0, 2.5 * theta)
+    assert {r.point for r in rows} >= {f"t={t}->{2 * t}", f"t={4 * t}"}
+
+
 def test_m1_fit_symmetry():
     _assert_all_pass(drhp.check_m1_symmetry(1.0))
     m1 = drhp.fit_m1(1.0)
     assert np.max(np.abs(m1 - drhp.bessel_m1_exact(1.0))) < 1e-8
+
+
+def test_m1_fit_at_theta_400():
+    # radius 4 sqrt(theta) = 80; at radius 40 the fit was 5.4e4 off
+    _assert_all_pass(drhp.check_m1_symmetry(400.0))
+    m1 = drhp.fit_m1(400.0)
+    assert np.max(np.abs(m1 - drhp.bessel_m1_exact(400.0))) < 1e-10
 
 
 def test_ode_in_eta_and_beta_sign_selection():

@@ -6,7 +6,9 @@ by the kernel formulas.
 """
 
 import cmath
+import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -149,14 +151,57 @@ def test_bessel_against_scipy_grid():
         assert abs(mine - ref) <= 5e-12 * max(1.0, abs(ref))
 
 
-def test_bessel_series_asymptotic_overlap():
+_MILLER_ORDERS = (-5.0, 0.0, 1.0, 3.5, 5.0)
+
+
+def test_bessel_miller_vs_0f1_overlap():
+    # the suite's `bessel-miller-vs-0f1` row: above u = 10 these orders take
+    # Miller's recurrence, which shares nothing with the 0F1 ladder
     worst = 0.0
     for u in np.linspace(15.0, 25.0, 9):
-        for nu in (-5.0, -2.5, -0.5, 0.0, 1.0, 3.5, 5.0):
-            s = special._jv_series(nu, float(u))
-            h, _ = special._jv_hankel(nu, float(u))
-            worst = max(worst, abs(s - h))
+        ladder = special.bessel_j_complex_order(np.array(_MILLER_ORDERS), float(u))
+        for nu, j in zip(_MILLER_ORDERS, ladder):
+            mine = special.bessel_j(nu, float(u))
+            worst = max(worst, abs(mine - j))
+            ref = float(mpmath.besselj(nu, float(u)))
+            # measured up to 6.4e-16 (Miller) and 6.1e-16 (0F1)
+            assert abs(mine - ref) <= 2e-15, (nu, u)
+            assert abs(j - ref) <= 2e-15, (nu, u)
     assert worst < 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _integer_order_refs(theta: float) -> tuple:
+    """J_n(2 sqrt(theta)), n = 0..120, from 30-digit mpmath."""
+    u = 2 * mpmath.sqrt(mpmath.mpf(theta))
+    return tuple(float(mpmath.besselj(n, u)) for n in range(121))
+
+
+@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0, 1000.0])
+def test_bessel_integer_orders_at_lattice_argument(theta):
+    # the lattice kernel's values; the largest error measured is 2.2e-16
+    u = 2.0 * math.sqrt(theta)
+    for n, ref in enumerate(_integer_order_refs(theta)):
+        assert abs(special.bessel_j(n, u) - ref) <= 5e-16, n
+        assert abs(special.bessel_j(-n, u) - (-1) ** n * ref) <= 5e-16, -n
+
+
+@functools.lru_cache(maxsize=None)
+def _near_pole_refs(u: float) -> tuple:
+    """(nu, J_nu(u)) from 30-digit mpmath next to the negative integers -n, n > u."""
+    orders = [-n + d for n in range(int(u) + 1, int(u) + 41, 8)
+              for d in (1e-9, -1e-9, 1e-6, -1e-6)]
+    return tuple((nu, float(mpmath.besselj(mpmath.mpf(nu), u))) for nu in orders)
+
+
+@pytest.mark.parametrize("u", [12.0, 15.0, 19.0, 25.0, 35.0])
+def test_bessel_near_negative_integer_orders_meets_documented_bound(u):
+    # the documented corner of the 0F1 route: error <= 1e-15/delta max(1, |J|)
+    # at distance delta from the pole (measured up to 3.1e-16/delta)
+    for nu, ref in _near_pole_refs(u):
+        delta = abs(nu - round(nu))
+        err = abs(special.bessel_j(nu, u) - ref)
+        assert err <= 1e-15 / delta * max(1.0, abs(ref)), nu
 
 
 def test_bessel_domain_and_overflow():
@@ -166,6 +211,10 @@ def test_bessel_domain_and_overflow():
         special.bessel_j(-0.5, 0.0)
     with pytest.raises(BesselOverflowError):
         special.bessel_j(-59.5, 1e-4)   # reflection growth beyond doubles
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BesselOverflowError):
+            special.bessel_j(-400.5, 11.0)   # the same above the series range
 
 
 def test_bessel_complex_order_matches_real():
