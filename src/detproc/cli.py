@@ -117,12 +117,12 @@ def cmd_oracle_compare(args) -> int:
                              _fmt(a), _fmt(b), _fmt(d)])
         header = ["x_doubled", "y_doubled", "analytic", "oracle", "abs_diff"]
     else:
-        tol = args.tol if args.tol is not None else 1e-3
+        tol = args.tol if args.tol is not None else 1e-10
         z = _parse_z(args)
         kern = kernels.whittaker_kernel_k(z)
         ny = oracle.NystromResolvent(
             kernels.scaled_whittaker_l(z),
-            oracle.quadrature_window(args.radius, args.eps, args.nodes))
+            oracle.quadrature_window(args.radius, args.eps, args.step))
         pts = [float(t) for t in args.points.split(",")]
         worst = 0.0
         for x, y in itertools.product(pts, pts):
@@ -302,9 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["bessel", "bessel-hat", "whittaker"])
     p.add_argument("--window", type=int, default=25)
-    p.add_argument("--radius", type=float, default=40.0)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--nodes", type=int, default=16)
+    p.add_argument("--radius", type=float, default=math.exp(4.5),
+                   help="quadrature window [-R,-eps] u [eps,R] (whittaker)")
+    p.add_argument("--eps", type=float, default=math.exp(-45.0))
+    p.add_argument("--step", type=float, default=0.35,
+                   help="trapezoid step h in s, nodes +-e^s (whittaker)")
     p.add_argument("--points", default="0.5,-0.5,1,-1,2,-2")
     p.add_argument("--tol", type=float, default=None)
     add_common(p, theta=True, z=True)

@@ -429,21 +429,30 @@ def ode_check_eta(theta: float,
                   h: float = 1e-4, tol: float = 1e-6,
                   tol2: float = 1e-5) -> list[ResidualCheck]:
     """First-order ODE in eta for n, the beta sign selection, and the
-    second-order scalar ODE for p11."""
+    second-order scalar ODE for p11.
+
+    n = m diag(eta^zeta, eta^-zeta) satisfies
+    eta dn/deta = [[zeta, -2 beta], [2 beta, -zeta]] n with beta = -eta;
+    the factor eta comes from the diagonal, whose eta-derivative is
+    zeta/eta times itself.  dn/deta is Richardson's extrapolation of the
+    central differences at steps h and h/2.
+    """
     eta = sqrt(theta)
     rows = []
     # n at every zeta in one call per eta
     zs = np.array(zetas, dtype=complex)
-    n_up, n_down, n_mid = (bessel_n(e * e)(zs) for e in (eta + h, eta - h, eta))
+    n_at = {step: bessel_n((eta + step) ** 2)(zs)
+            for step in (-h, -0.5 * h, 0.0, 0.5 * h, h)}
+    dn_all = (8.0 * (n_at[0.5 * h] - n_at[-0.5 * h])
+              - (n_at[h] - n_at[-h])) / (6.0 * h)
 
     worst_minus = 0.0
     worst_plus = 0.0
-    for zeta, up, down, n0 in zip(zetas, n_up, n_down, n_mid):
-        dn = (up - down) / (2.0 * h)
+    for zeta, dn, n0 in zip(zetas, dn_all, n_at[0.0]):
         for beta, tag in ((-eta, "minus"), (eta, "plus")):
             rhs = np.array([[zeta, -2.0 * beta], [2.0 * beta, -zeta]],
                            dtype=complex) @ n0
-            r = float(np.max(np.abs(dn - rhs)))
+            r = float(np.max(np.abs(eta * dn - rhs)))
             if tag == "minus":
                 worst_minus = max(worst_minus, r)
             else:
@@ -569,7 +578,7 @@ def psi_checks_whittaker(z: complex,
         psi = psi_matrix(z, pt)
         rows.append(ResidualCheck(
             "psi-det", f"zeta={pt}", abs(np.linalg.det(psi) - 1.0), det_tol))
-        printed = psi_inv_t_printed(z, pt)
+        printed = psi_inv_t_printed(psi)
         numeric = np.linalg.inv(psi).T
         rows.append(ResidualCheck(
             "psi-inverse-transpose", f"zeta={pt}",

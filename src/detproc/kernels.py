@@ -347,11 +347,13 @@ def _reflected_branch_factor(a: float, zeta: complex) -> complex:
     return cmath.exp(-1j * pi * a) if zeta.imag > 0 else cmath.exp(1j * pi * a)
 
 
-def _psi_entries(z: complex, zeta: complex) -> tuple:
-    """(Psi11, Psi12, Psi21, Psi22) at zeta, from one W call per argument.
+def psi_matrix(z: complex, zeta: complex) -> np.ndarray:
+    """The 2x2 Whittaker matrix Psi(zeta), zeta off the real axis.
 
-    The orders are the printed ones, a +- 1/2 at zeta and -a -+ 1/2 at
-    -zeta, so each entry is the number a call per entry gives.
+    Entries are zeta^(-1/2) W_(+-Re z +- 1/2, i Im z)(+-zeta); powers and
+    W arguments use principal branches, with the reflected column's branch
+    phase applied.  det Psi = 1 identically.  One W call per argument: the
+    printed orders a +- 1/2 at zeta and -a -+ 1/2 at -zeta.
     """
     z = _require_whittaker_z(z)
     a, m, r = z.real, z.imag, abs(z)
@@ -360,27 +362,18 @@ def _psi_entries(z: complex, zeta: complex) -> tuple:
     rm = cmath.exp(-0.5 * cmath.log(-zeta)) * _reflected_branch_factor(a, zeta)
     w11, w21 = whittaker_w_complex((a + 0.5, a - 0.5), m, zeta).tolist()
     w12, w22 = whittaker_w_complex((-a - 0.5, -a + 0.5), m, -zeta).tolist()
-    return rp * w11, r * rm * w12, -r * rp * w21, rm * w22
+    return np.array([[rp * w11, r * rm * w12], [-r * rp * w21, rm * w22]],
+                    dtype=complex)
 
 
-def psi_matrix(z: complex, zeta: complex) -> np.ndarray:
-    """The 2x2 Whittaker matrix Psi(zeta), zeta off the real axis.
-
-    Entries are zeta^(-1/2) W_(+-Re z +- 1/2, i Im z)(+-zeta); powers and
-    W arguments use principal branches, with the reflected column's branch
-    phase applied.  det Psi = 1 identically.
-    """
-    p11, p12, p21, p22 = _psi_entries(z, zeta)
-    return np.array([[p11, p12], [p21, p22]], dtype=complex)
-
-
-def psi_inv_t_printed(z: complex, zeta: complex) -> np.ndarray:
+def psi_inv_t_printed(psi: np.ndarray) -> np.ndarray:
     """The closed-form inverse transpose of Psi (not computed numerically).
 
     With det Psi = 1 it is the adjugate [[Psi22, -Psi21], [-Psi12, Psi11]],
-    the printed form entry for entry (negation is exact).
+    the printed form entry for entry (negation is exact), built from the
+    entries of `psi_matrix` so that no W value is evaluated twice.
     """
-    p11, p12, p21, p22 = _psi_entries(z, zeta)
+    (p11, p12), (p21, p22) = psi
     return np.array([[p22, -p21], [-p12, p11]], dtype=complex)
 
 

@@ -130,7 +130,7 @@ def test_criterion_07_ode_and_condition():
                      if r.check_id == "p-condition")
     ok = ode_resid < 1e-6 and worst_cond < 1e-12 and plus_fails
     _verdict(7, ok,
-             f"d n/d eta ODE residual {ode_resid:.2e} (tol 1e-6); "
+             f"eta dn/deta ODE residual {ode_resid:.2e} (tol 1e-6); "
              f"half-integer reflection condition residual {worst_cond:.2e} "
              f"(tol 1e-12); beta=+eta variant fails as required: {plus_fails}")
 
@@ -142,23 +142,23 @@ def test_criterion_08_whittaker_oracle():
     lk = kernels.scaled_whittaker_l(z)
     pts = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
 
-    def max_diff(nodes):
-        ny = oracle.NystromResolvent(
-            lk, oracle.quadrature_window(40.0, 1e-4, nodes))
+    def max_diff(h):
+        ny = oracle.NystromResolvent(lk, oracle.quadrature_window(h=h))
         return max(abs(kk(x, y) - ny.k_at(x, y))
-                   for x, y in itertools.product(pts, pts) if x != y)
+                   for x, y in itertools.product(pts, pts))
 
-    err16 = max_diff(16)
-    # node count controls the error until the window-truncation floor
-    # (~3e-5 at eps=1e-4), so the doubling study runs on the coarse side
-    err1 = max_diff(1)
-    err2 = max_diff(2)
+    # the trapezoid rule in s converges exponentially in 1/h: each halving
+    # of h at least half again the digits (an algebraic rate adds a fixed
+    # number), until rounding at the default h = 0.35
+    err_coarse, err_mid, err = max_diff(1.4), max_diff(0.7), max_diff(0.35)
+    exponential = err_mid <= err_coarse ** 1.5 and err <= err_mid ** 1.5
     elapsed = time.perf_counter() - t0
-    ok = err16 < 1e-3 and err2 <= 0.5 * err1 and elapsed < 30.0
+    ok = err < 1e-10 and exponential and elapsed < 30.0
     _verdict(8, ok,
-             f"max |K_analytic - K_quadrature| = {err16:.2e} at 16 "
-             f"nodes/panel (tol 1e-3); doubling 1->2 nodes/panel shrinks "
-             f"{err1:.2e} -> {err2:.2e} (>= halving); {elapsed:.1f}s < 30s")
+             f"max |K_analytic - K_quadrature| = {err:.2e} at h = 0.35, "
+             f"diagonal included (tol 1e-10); halving h 1.4 -> 0.7 -> 0.35 "
+             f"gives {err_coarse:.2e} -> {err_mid:.2e} -> {err:.2e} "
+             f"(each <= the previous^1.5); {elapsed:.1f}s < 30s")
 
 
 def test_criterion_09_psi_certification():

@@ -84,8 +84,11 @@ def test_oracle_compare_whittaker_includes_the_diagonal(tmp_path):
     assert len(rows) == 1 + 6 * 6
     diagonal = [r for r in rows[1:] if r[0] == r[1]]
     assert len(diagonal) == 6
-    # the default window's truncation floor is ~3e-5 (tolerance 1e-3)
-    assert max(float(r[4]) for r in diagonal) < 1e-4
+    # 1e-14 on the default window, diagonal included (tolerance 1e-10)
+    assert max(float(r[4]) for r in rows[1:]) < 1e-10
+    # a coarse step misses the default tolerance and exits 1
+    assert run(["oracle-compare", "--family", "whittaker", "--z-re", "0.25",
+                "--z-im", "0.6", "--step", "0.7", "-o", str(out)]) == 1
 
 
 def test_prob_command(tmp_path):

@@ -262,6 +262,16 @@ def test_ode_in_eta_and_beta_sign_selection():
     assert "ode-p11-second-order" in ids
 
 
+@pytest.mark.parametrize("theta", [0.25, 4.0, 30.0])
+def test_ode_in_eta_holds_away_from_theta_one(theta):
+    # the checked identity is eta dn/deta = [[zeta, -2 beta], [2 beta, -zeta]] n;
+    # without the factor eta it failed by 3.7 / 2.6 / 11 at these theta,
+    # where the two forms differ.  Richardson leaves <= 9.1e-11 here.
+    rows = {r.check_id: r for r in drhp.ode_check_eta(theta)}
+    _assert_all_pass(rows.values())
+    assert rows["ode-eta-beta-minus"].residual < 1e-9
+
+
 def test_verifier_kernel_agrees_with_bessel_kernel():
     # 3.1e-16 at theta = 1 and 1.9e-12 at theta = 30 measured
     pts = [k + 0.5 for k in range(-11, 11)]
@@ -275,6 +285,20 @@ def test_verifier_kernel_agrees_with_bessel_kernel():
 
 def test_psi_suite():
     _assert_all_pass(drhp.suite_psi(0.25 + 0.6j))
+
+
+def test_psi_suite_evaluates_each_psi_once(monkeypatch):
+    # 4 det points (Psi and its printed inverse transpose from one Psi)
+    # plus 2 jump points x 3 eps x 4 boundary values
+    calls = []
+
+    def counted(z, zeta):
+        calls.append(zeta)
+        return kernels.psi_matrix(z, zeta)
+
+    monkeypatch.setattr(drhp, "psi_matrix", counted)
+    drhp.suite_psi(0.25 + 0.6j)
+    assert len(calls) == 28 and len(set(calls)) == 28
 
 
 def test_psi_suite_other_parameter():

@@ -432,6 +432,14 @@ def test_psi_det_one():
         assert abs(np.linalg.det(psi) - 1.0) < 1e-8
 
 
+def test_psi_inv_t_printed_is_the_adjugate_of_psi():
+    for zeta in (2.0 + 0.5j, -1.5 + 0.8j):
+        psi = kernels.psi_matrix(0.25 + 0.6j, zeta)
+        printed = kernels.psi_inv_t_printed(psi)
+        assert printed.tolist() == [[psi[1, 1], -psi[1, 0]], [-psi[0, 1], psi[0, 0]]]
+        assert np.max(np.abs(printed - np.linalg.inv(psi).T)) < 1e-8
+
+
 # ---------------------------------------------------------------- matrix vs scalar
 
 _LATTICE_POINTS = st.lists(st.integers(-12, 11), min_size=1, max_size=5,

@@ -18,6 +18,11 @@ def _from_matrix(points, entries) -> oracle.WindowedOperator:
         np.asarray(entries, dtype=float))
 
 
+def _small_window() -> oracle.Window:
+    # 40 nodes a side: eps e^(kh) for k = 0..39
+    return oracle.quadrature_window(10.0, 1e-2, 0.175)
+
+
 def test_lattice_window_points():
     win = oracle.lattice_window(3)
     assert list(win.points) == [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
@@ -35,7 +40,7 @@ def test_materialize_domain_mismatch():
                            oracle.lattice_window(3))
     with pytest.raises(WindowError):
         oracle.materialize(kernels.plancherel_l(1.0),
-                           oracle.quadrature_window(5.0, 1e-3, 4))
+                           oracle.quadrature_window(5.0, 1e-3, 1.0))
 
 
 def test_k_from_l_zero_kernel():
@@ -139,7 +144,7 @@ def test_correlation_from_k():
 
 def test_index_of_finds_every_point_and_rejects_others():
     lattice = oracle.lattice_window(6)
-    quad = oracle.quadrature_window(r=10.0, eps=1e-2, nodes_per_panel=4)
+    quad = _small_window()
     uneven = oracle.Window(kernels.LATTICE, np.array([0.5, 2.5, -1.5]))
     for window in (lattice, quad, uneven):
         for i, x in enumerate(window.points):
@@ -156,30 +161,40 @@ def test_index_of_finds_every_point_and_rejects_others():
 
 
 def test_quadrature_window_shape():
-    win = oracle.quadrature_window(40.0, 1e-4, 16)
-    assert win.weights is not None
-    assert np.all(win.weights > 0)
-    assert np.min(win.points) > -40.0 and np.max(win.points) < 40.0
-    assert np.min(np.abs(win.points)) > 1e-4
-    # symmetric about 0
-    assert np.max(np.abs(win.points + win.points[::-1])) < 1e-15
+    win = oracle.quadrature_window()
+    assert win.size == 284
+    pos = win.points[142:]
+    # x = e^s on s = -45, -45 + 0.35, ..., 4.35 <= 4.5, weights h e^s
+    assert np.max(np.abs(np.log(pos) - (-45.0 + 0.35 * np.arange(142)))) < 1e-13
+    assert np.array_equal(win.weights, 0.35 * np.abs(win.points))
+    assert np.array_equal(win.points, -win.points[::-1])
+    assert np.all(np.diff(win.points) > 0)
+    small = _small_window()
+    assert small.size == 80
+    assert np.min(np.abs(small.points)) == pytest.approx(1e-2, rel=1e-14)
+    assert np.max(small.points) <= 10.0
+    for r, eps, h in ((1.0, 1.0, 0.35), (1.0, 0.0, 0.35), (10.0, 1e-2, 0.0),
+                      (10.0, 1e-2, -0.1), (10.0, 1e-2, math.nan),
+                      (math.inf, 1e-2, 0.35)):
+        with pytest.raises(WindowError):
+            oracle.quadrature_window(r, eps, h)
 
 
 def test_nystrom_self_convergence():
+    # halving h from the default 0.35 moves no entry by more than rounding
     z = 0.25 + 0.6j
     lk = kernels.scaled_whittaker_l(z)
-    coarse = oracle.NystromResolvent(lk, oracle.quadrature_window(40.0, 1e-4, 16))
-    fine = oracle.NystromResolvent(lk, oracle.quadrature_window(40.0, 1e-4, 32))
+    coarse = oracle.NystromResolvent(lk, oracle.quadrature_window())
+    fine = oracle.NystromResolvent(lk, oracle.quadrature_window(h=0.175))
     pts = (0.5, -1.0, 2.0)
     for x in pts:
         for y in pts:
-            if x != y:
-                assert abs(coarse.k_at(x, y) - fine.k_at(x, y)) < 1e-4
+            assert abs(coarse.k_at(x, y) - fine.k_at(x, y)) < 1e-12
 
 
 def _small_nystrom():
     return oracle.NystromResolvent(kernels.scaled_whittaker_l(0.25 + 0.6j),
-                                   oracle.quadrature_window(10.0, 1e-2, 4))
+                                   _small_window())
 
 
 def test_nystrom_rows_and_columns_are_the_scalar_kernel():
@@ -196,9 +211,9 @@ def test_nystrom_k_at_nodes_is_the_full_resolvent():
                                  oracle.quadrature_window())
     full = oracle.k_from_l(oracle.materialize(ny.kernel, ny.window))
     pts = ny.window.points
-    # entries next to 0 reach ~3e3, so the bound is relative where |K| > 1
-    for i in (0, 5, 200, 303, 304, 450, 607):
-        for j in (5, 303, 304, 450):
+    # the bound is relative where |K| > 1
+    for i in (0, 5, 100, 141, 142, 200, 283):
+        for j in (5, 141, 142, 200):
             ref = full.value_at(pts[i], pts[j])
             assert abs(ny.k_at(pts[i], pts[j]) - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -215,7 +230,7 @@ def test_nystrom_column_solve_failures_raise(monkeypatch):
         return f1, f2, np.where(np.asarray(points) == 1.0, math.nan, g1), g2
 
     broken = kernels.IntegrableKernel(lk.domain, broken_fg)
-    ny = oracle.NystromResolvent(broken, oracle.quadrature_window(10.0, 1e-2, 4))
+    ny = oracle.NystromResolvent(broken, _small_window())
     with pytest.raises(SingularOperatorError, match="non-finite"):
         ny.k_at(0.5, 1.0)
     ny = _small_nystrom()
@@ -226,7 +241,7 @@ def test_nystrom_column_solve_failures_raise(monkeypatch):
 
 @pytest.mark.parametrize("z", [0.25 + 0.6j, -0.3 + 1.2j, 0.1 + 0.3j])
 def test_nystrom_schur_solve_matches_the_dense_solve(z):
-    # the continuum benchmark's points and z on the default 608-node window
+    # the continuum benchmark's points and z on the default 284-node window
     ny = oracle.NystromResolvent(kernels.scaled_whittaker_l(z),
                                  oracle.quadrature_window())
     a = np.eye(ny.window.size) + oracle.materialize(ny.kernel, ny.window).entries
@@ -238,6 +253,20 @@ def test_nystrom_schur_solve_matches_the_dense_solve(z):
         for x in pts:
             ref = ny.kernel(x, y) - np.sum(sqrtw * ny.row(x) * v)
             assert abs(ny.k_at(x, y) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("z", [0.25 + 0.6j, -0.3 + 1.2j, 0.1 + 0.3j])
+def test_nystrom_meets_the_whittaker_kernel_on_the_default_window(z):
+    # the continuum benchmark's z and 64 point pairs, diagonal included;
+    # 7.2e-14 is the worst measured (it was 9.2e-5 on the 608-node
+    # Gauss-Legendre panels that cut off (-1e-4, 1e-4) and |x| > 40)
+    kk = kernels.whittaker_kernel_k(z)
+    ny = oracle.NystromResolvent(kernels.scaled_whittaker_l(z),
+                                 oracle.quadrature_window())
+    pts = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1.5, -1.5)
+    for x in pts:
+        for y in pts:
+            assert abs(kk(x, y) - ny.k_at(x, y)) <= 1e-12
 
 
 def test_nystrom_rejects_a_kernel_without_the_two_sided_form():
@@ -252,7 +281,7 @@ def test_nystrom_rejects_a_kernel_without_the_two_sided_form():
         p, m, _, _ = lk.fg(points)
         return p, m, m, 2.0 * p
 
-    window = oracle.quadrature_window(10.0, 1e-2, 4)
+    window = _small_window()
     with pytest.raises(WindowError):
         oracle.NystromResolvent(kernels.plancherel_l(1.0), window)
     for fg in (leaky_fg, unpaired_fg):
@@ -260,20 +289,20 @@ def test_nystrom_rejects_a_kernel_without_the_two_sided_form():
             oracle.NystromResolvent(kernels.IntegrableKernel(lk.domain, fg), window)
 
 
-# Margins, measured on over 13 000 z (the 20 corners of the range, then
-# uniform draws): node values within 1.2e-13 of max(1, |K|), 8.7x below
-# the bound; det within 2.3e-13 relative, 4.3x below.  As in the 608-node
-# test above, the indices are the ends and the nodes next to 0.  Over all
-# 80 x 80 node pairs the routes differ by up to 3.2e-12 at |Re z| -> 1/2,
-# |Im z| = 1.5, where a 40-digit solve puts the dense route 1.2e-12 and
-# the Schur route 3.2e-12 off, so a 1e-12 bound there would test the
+# Margins, measured on 3 020 z (the 20 corners of the range, then uniform
+# draws): node values within 9.1e-14 of max(1, |K|), 11x below the bound;
+# det within 1.7e-13 relative, 6x below.  As in the 284-node test above,
+# the indices are the ends and the nodes next to 0.  Over all 80 x 80
+# node pairs the routes differ by up to 7.0e-12 at |Re z| -> 1/2,
+# |Im z| = 1.5, where a 40-digit solve puts the dense route 3.9e-12 and
+# the Schur route 6.5e-12 off, so a 1e-12 bound there would test the
 # rounding of both.
 @settings(max_examples=50, deadline=None)
 @given(re=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
        im=st.floats(0.1, 1.5), sign=st.sampled_from((-1.0, 1.0)))
 def test_nystrom_matches_the_dense_route_across_z(re, im, sign):
     lk = kernels.scaled_whittaker_l(complex(re, sign * im))
-    ny = oracle.NystromResolvent(lk, oracle.quadrature_window(10.0, 1e-2, 4))
+    ny = oracle.NystromResolvent(lk, _small_window())
     l_op = oracle.materialize(lk, ny.window)
     full = oracle.k_from_l(l_op)
     pts = ny.window.points
