@@ -282,19 +282,30 @@ def _discrete_bessel(theta: float, sign: float, name: str) -> AssembledKernel:
     u = 2.0 * eta
     s = sqrt(eta)
 
-    @lru_cache(maxsize=None)
-    def j(nu: float) -> float:
-        return s * bessel_j(nu, u)
+    # s J_n(u) and s dJ/dnu by order, kept for the kernel's lifetime
+    jn: dict[float, float] = {}
+    djn: dict[float, float] = {}
 
-    @lru_cache(maxsize=None)
-    def dj(nu: float) -> float:
-        return s * bessel_j_dorder(nu, u)
+    def j(orders) -> dict:
+        # one bessel_j call takes every order not yet known
+        new = sorted(set(orders) - jn.keys())
+        if new:
+            jn.update(zip(new, (s * bessel_j(new, u)).tolist()))
+        return jn
 
-    def ladder(fn, points) -> tuple:
-        # fn at the orders |x| - 1/2 and |x| + 1/2, and the mask x > 0
+    def dj(orders) -> dict:
+        for nu in set(orders) - djn.keys():
+            djn[nu] = s * bessel_j_dorder(nu, u)
+        return djn
+
+    def ladder(table, points) -> tuple:
+        # the table at the orders |x| - 1/2 and |x| + 1/2, and the mask x > 0
         x = np.asarray(points, dtype=float)
-        a, b = _per_point(lambda t: (fn(abs(t) - 0.5), fn(abs(t) + 0.5)), x, 2)
-        return a, b, x > 0
+        lo = (np.abs(x) - 0.5).tolist()
+        hi = (np.abs(x) + 0.5).tolist()
+        values = table(lo + hi)
+        return (np.array([values[n] for n in lo]), np.array([values[n] for n in hi]),
+                x > 0)
 
     def fg(points) -> tuple:
         a, b, pos = ladder(j, points)
@@ -318,9 +329,10 @@ def discrete_bessel_k(theta: float) -> AssembledKernel:
 
     and the diagonal is K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) with the order
     derivative of J.  Each J_n(2 sqrt(theta)) and dJ/dnu is computed once
-    per kernel: an M-window costs M + 1 calls of each.  The diagonal needs
-    dJ/dnu at u = 2 sqrt(theta) <= 20, so theta <= 100; beyond that it
-    raises DomainError.
+    per kernel: an M-window costs one `bessel_j` call on its M + 1 orders
+    (one Miller run for all of them above theta = 25) and M + 1 dJ/dnu
+    calls.  The diagonal needs dJ/dnu at u = 2 sqrt(theta) <= 20, so
+    theta <= 100; beyond that it raises DomainError.
     """
     return _discrete_bessel(theta, 1.0, "discrete-bessel-k")
 

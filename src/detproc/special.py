@@ -15,7 +15,8 @@ at a pole vanish, so negative orders need no reflection through Y_nu.  For
 u > 10, integer orders (reflected, J_(-n) = (-1)^n J_n) and positive orders
 run Miller's backward recurrence toward the minimal solution, normalized by
 the Gegenbauer sum sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(u) = (u/2)^nu;
-negative non-integer orders take the 0F1 route below.
+one run started at a point fixed by u serves every integer order up to a
+reach fixed by u.  Negative non-integer orders take the 0F1 route below.
 
 Complex orders (the Riemann-Hilbert checks) use a second, independent
 route: J_nu(u) = (u/2)^nu / Gamma(nu+1) 0F1(nu+1; -u^2/4), with 0F1 from
@@ -30,12 +31,13 @@ Whittaker W strategy: the integral representation
                       * int_0^inf e^{-t} t^(mu-kappa-1/2) (1+t/z)^(mu+kappa-1/2) dt
 
 (valid for Re(mu-kappa+1/2) > 0 and |arg z| < pi) evaluated on
-geometrically graded panels, all panels' nodes in one array expression;
-kappa >= 1/2 is reached by the three-term contiguous recurrence in kappa,
-run upward from two base values below 1/2.  W takes a sequence of orders
-too, and orders on one recurrence ladder share its base values.  Near the
-cut arg z ~ +-pi the integrand develops an unresolvable spike, so there the
-Kummer connection
+geometrically graded panels; kappa >= 1/2 is reached by the three-term
+contiguous recurrence in kappa, run upward from two base values below 1/2.
+W takes a sequence of orders too, and orders on one recurrence ladder share
+its base values.  Every base value of a call, with both quadrature rules
+of its self-check, comes from one array expression over base x panel x
+node.  Near the cut arg z ~ +-pi the integrand develops an unresolvable
+spike, so there the Kummer connection
 
     W = Gamma(-2mu)/Gamma(1/2-mu-kappa) M_{kappa,mu}
       + Gamma(2mu)/Gamma(1/2+mu-kappa) M_{kappa,-mu}
@@ -46,6 +48,7 @@ is used instead (well defined here because 2mu is never an integer).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from math import exp, floor, fsum, lgamma, log, pi, sin, sqrt
 
@@ -242,45 +245,71 @@ def _jv_series(nu: float, u: float) -> float:
     return fsum(terms)
 
 
-def _jv_miller(nu: float, u: float) -> float:
-    """Backward recurrence for nu >= 0, normalized by the Gegenbauer sum."""
-    frac = nu - floor(nu)
-    top = int(max(nu, u) + 20 + 12 * sqrt(max(nu, u, 1.0)))
+def _miller_top(nu: float, u: float) -> int:
+    """Start of Miller's run for order nu: 20 + 12 sqrt(.) orders above max(nu, u)."""
+    m = max(nu, u)
+    return int(m + 20 + 12 * sqrt(max(m, 1.0)))
+
+
+def _miller(frac: float, top: int, u: float) -> np.ndarray:
+    """J_(frac+k)(u), k = 0..top: one backward run from order frac + top.
+
+    The run is normalized by the Gegenbauer sum
+    sum_k (frac+2k) Gamma(frac+k)/k! J_(frac+2k)(u) = (u/2)^frac.
+    """
     above = 0.0
     here = 1e-280
-    vals: dict[int, float] = {}
+    vals = [0.0] * (top + 1)
     s = frac + top
-    while s > frac - 0.5:
-        vals[round(s - frac)] = here
+    for k in range(top, -1, -1):
+        vals[k] = here
         above, here = here, (2.0 * s / u) * here - above
         if abs(here) > 1e250:
             above *= 1e-250
             here *= 1e-250
-            for idx in vals:
-                vals[idx] *= 1e-250
+            vals = [v * 1e-250 for v in vals]
         s -= 1.0
     norm = 0.0
     for k in range(top // 2):
-        if 2 * k not in vals:
-            break
         if frac == 0.0:
             c = 1.0 if k == 0 else 2.0
         else:
             c = (frac + 2 * k) * exp(lgamma(frac + k) - lgamma(k + 1))
         norm += c * vals[2 * k]
-    return vals[round(nu - frac)] * (0.5 * u) ** frac / norm
+    return np.array(vals) * (0.5 * u) ** frac / norm
 
 
-def bessel_j(nu: float, u: float) -> float:
+def _jv_miller(nu: float, u: float) -> float:
+    """J_nu(u), nu >= 0, from a run started 20 + 12 sqrt(.) orders above max(nu, u)."""
+    frac = nu - floor(nu)
+    return float(_miller(frac, _miller_top(nu, u), u)[round(nu - frac)])
+
+
+def _jn_reach(u: float) -> int:
+    """Highest integer order read from the shared run at u: 20 below its start."""
+    return _miller_top(0.0, u) - 20
+
+
+def bessel_j(nu, u: float):
     """Bessel function J_nu(u) for real order nu and u >= 0.
 
     Three routes:
 
     * u <= 10, every real order: the ascending series `_jv_series`;
     * u > 10, integer orders (J_(-n) = (-1)^n J_n exactly) and nu > 0:
-      Miller's backward recurrence `_jv_miller`;
+      Miller's backward recurrence, started 20 + 12 sqrt(.) orders above
+      max(nu, u).  Every integer order up to u shares that start, T(u), so
+      all integer orders |n| <= R(u) = T(u) - 20 read one run from T(u)
+      and J_n(u) depends on (n, u) alone.  Against 40-digit mpmath at u in
+      [10, 150], the run is within 2.1e-15 relative on (u, R(u)], against
+      3.4e-15 for a run per order.  Higher integer orders and non-integer
+      orders run their own recurrence;
     * u > 10, negative non-integer orders: the real part of
       `bessel_j_complex_order`, the 0F1 ladder.
+
+    `nu` may be a sequence of orders: the result is then an array, its
+    entries bit for bit the scalar values, and at u > 10 the integer orders
+    up to R(u) share a single run.
 
     Negative non-integer orders require u > 0.  Raises BesselOverflowError
     when the value (or an intermediate term) leaves the double range, which
@@ -296,16 +325,26 @@ def bessel_j(nu: float, u: float) -> float:
     3e-16/delta for u in [12, 35], n - u in [1, 40]; 1e-10 at delta = 1e-6,
     1e-7 at delta = 1e-9).  No caller in the package uses such orders.
     """
-    nu = float(nu)
     u = float(u)
     if u < 0.0:
         raise DomainError(f"bessel_j needs u >= 0, got u={u}")
+    # the run every integer order n <= u starts alike, made on first use
+    run = functools.cache(lambda: _miller(0.0, _miller_top(0.0, u), u))
+    if not np.ndim(nu):
+        return _bessel_j(float(nu), u, run)
+    return np.array([_bessel_j(float(n), u, run) for n in nu])
+
+
+def _bessel_j(nu: float, u: float, run) -> float:
+    """One order of `bessel_j`; `run()` is the shared integer-order run at u."""
     if nu == round(nu):
         n = int(round(nu))
         sign = 1.0 if (n >= 0 or n % 2 == 0) else -1.0
         n = abs(n)
         if u <= _SERIES_CUT:
             return sign * _jv_series(float(n), u)
+        if n <= _jn_reach(u):
+            return sign * float(run()[n])
         return sign * _jv_miller(float(n), u)
     if u == 0.0:
         raise DomainError("bessel_j at u=0 needs a nonnegative or integer order")
@@ -442,45 +481,78 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def _w_integral(kappa: float, mu_im: float, zeta: complex, nodes: int) -> complex:
-    """Integral representation, kappa < 1/2, |arg zeta| <= 3pi/4.
+def _w_integral(kappas: list, mu_im: float, zeta: complex, nodes: int,
+                check: bool) -> tuple[list, list]:
+    """(W, scale) at base orders kappa < 1/2, |arg zeta| <= 3pi/4, in one pass.
 
-    Panels double geometrically from 2^-20 |zeta| up to 80; the leading
-    panel [0, 2^-20 |zeta|] is integrated analytically from a third-order
-    Taylor expansion of the smooth factor, which removes the algebraic
-    endpoint singularity t^(mu-kappa-1/2) from the quadrature's job.
+    Integral representation.  Panels double geometrically from
+    2^-20 |zeta| up to 80; the leading panel [0, 2^-20 |zeta|] is integrated
+    analytically from a third-order Taylor expansion of the smooth factor,
+    which removes the algebraic endpoint singularity t^(mu-kappa-1/2) from
+    the quadrature's job.  The integrand is one base x panel x node array:
+    log t and log(1 + t/zeta) are shared by every base, and with `check`
+    the max(20, nodes - 8)-point rule's nodes sit beside the `nodes`-point
+    rule's along the node axis.  Each rule's panel sums are added one by
+    one in Python, so every value rounds exactly as a separate pass per
+    base and rule does.  A base whose two rules differ by more than 1e-8
+    relative raises ConvergenceError.  The scale is |prefactor| times the
+    moduli of the leading panel and of the main rule's terms, summed: the
+    size of what was added up, against which rounding in W is measured.
     """
     mu = 1j * mu_im
-    a = mu - kappa - 0.5
-    b = mu + kappa - 0.5
     h = abs(zeta) * 2.0 ** -20
-    # Taylor coefficients of g(t) = e^-t (1+t/zeta)^b around t = 0
-    g = (
-        1.0 + 0j,
-        -1.0 + b / zeta,
-        0.5 - b / zeta + b * (b - 1.0) / (2.0 * zeta ** 2),
-        -1.0 / 6.0 + b / (2.0 * zeta) - b * (b - 1.0) / (2.0 * zeta ** 2)
-        + b * (b - 1.0) * (b - 2.0) / (6.0 * zeta ** 3),
-    )
-    total = 0j
     lh = log(h)
-    for j, gj in enumerate(g):
-        total += gj * cmath.exp((a + j + 1) * lh) / (a + j + 1)
     edges = [h]
     while edges[-1] < 80.0:
         edges.append(min(2.0 * edges[-1], 80.0))
     edges = np.array(edges)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    xg, wg = _gl_nodes(nodes)
-    # every panel's nodes at once, one row per panel; adding the panel sums
-    # one by one rounds exactly as a loop over the panels does
+    rules = [_gl_nodes(nodes)] + ([_gl_nodes(max(20, nodes - 8))] if check else [])
+    xg = np.concatenate([x for x, _ in rules])
+    wg = np.concatenate([w for _, w in rules])
     t = half * xg + mid
-    panels = np.sum(half * wg * np.exp(a * np.log(t) - t + b * np.log(1.0 + t / zeta)),
-                    axis=1)
-    total = sum(panels, total)
-    pref = cmath.exp(-0.5 * zeta + kappa * cmath.log(zeta) - log_gamma(mu - kappa + 0.5))
-    return pref * total
+    log_t = np.log(t)
+    log_1p = np.log(1.0 + t / zeta)
+    heads, prefs, a_s, b_s = [], [], [], []
+    for kappa in kappas:
+        a = mu - kappa - 0.5
+        b = mu + kappa - 0.5
+        # Taylor coefficients of g(t) = e^-t (1+t/zeta)^b around t = 0
+        g = (
+            1.0 + 0j,
+            -1.0 + b / zeta,
+            0.5 - b / zeta + b * (b - 1.0) / (2.0 * zeta ** 2),
+            -1.0 / 6.0 + b / (2.0 * zeta) - b * (b - 1.0) / (2.0 * zeta ** 2)
+            + b * (b - 1.0) * (b - 2.0) / (6.0 * zeta ** 3),
+        )
+        head = 0j
+        for j, gj in enumerate(g):
+            head += gj * cmath.exp((a + j + 1) * lh) / (a + j + 1)
+        heads.append(head)
+        prefs.append(cmath.exp(-0.5 * zeta + kappa * cmath.log(zeta)
+                               - log_gamma(mu - kappa + 0.5)))
+        a_s.append(a)
+        b_s.append(b)
+    a = np.array(a_s)[:, None, None]
+    b = np.array(b_s)[:, None, None]
+    terms = half * wg * np.exp(a * log_t - t + b * log_1p)
+    main = terms[..., :nodes]
+    panels = main.sum(axis=-1)
+    sizes = np.abs(main).sum(axis=(1, 2)).tolist()
+    checks = terms[..., nodes:].sum(axis=-1)
+    values, scales = [], []
+    for i, (kappa, head, pref) in enumerate(zip(kappas, heads, prefs)):
+        val = pref * sum(panels[i], head)
+        if check:
+            ref = pref * sum(checks[i], head)
+            if abs(val - ref) > 1e-8 * max(abs(val), 1e-280):
+                raise ConvergenceError(
+                    f"W quadrature not converged at kappa={kappa}, mu_im={mu_im}, zeta={zeta}"
+                )
+        values.append(val)
+        scales.append(abs(pref) * (abs(head) + sizes[i]))
+    return values, scales
 
 
 def _hyp1f1(a: complex, b: complex, w: complex) -> complex:
@@ -493,8 +565,8 @@ def _hyp1f1(a: complex, b: complex, w: complex) -> complex:
     raise ConvergenceError(f"1F1({a},{b},{w}) did not converge")
 
 
-def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> complex:
-    """Kummer connection, used near the cut; needs mu_im != 0."""
+def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> tuple[complex, float]:
+    """(W, scale) by the Kummer connection, used near the cut; needs mu_im != 0."""
     if mu_im == 0.0:
         raise ParameterError("Kummer route to W needs a nonzero imaginary index")
     mu = 1j * mu_im
@@ -504,25 +576,48 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> complex:
     # M(a,b,zeta) = e^zeta M(b-a,b,-zeta) keeps the 1F1 sums cancellation-free
     m1 = _hyp1f1(0.5 + mu + kappa, 1.0 + 2.0 * mu, -zeta)
     m2 = _hyp1f1(0.5 - mu + kappa, 1.0 - 2.0 * mu, -zeta)
-    return cmath.exp(0.5 * zeta) * (c1 * m1 + c2 * m2)
+    grow = cmath.exp(0.5 * zeta)
+    return grow * (c1 * m1 + c2 * m2), abs(grow) * (abs(c1 * m1) + abs(c2 * m2))
 
 
 _ARG_SPLIT = 0.75 * pi
 
 
-def _w_base(kappa: float, mu_im: float, zeta: complex, nodes: int,
-            check: bool) -> complex:
-    """W for kappa < 1/2: the integral, or the Kummer connection near the cut."""
+def _whittaker(kappa, mu_im: float, zeta: complex, nodes: int, check: bool):
+    """(W, scale) at one order or a sequence of orders, see `whittaker_w_complex`.
+
+    The scale bounds the rounding in W: the base values' scales, carried
+    up each ladder by the recurrence with its coefficients in modulus.
+    """
+    zeta = complex(zeta)
+    if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
+        raise DomainError(f"W is evaluated on the plane cut along (-inf,0], got {zeta}")
+    orders = [float(k) for k in kappa] if np.ndim(kappa) else [float(kappa)]
+    ladders = []
+    for k in orders:
+        levels = []
+        while k >= 0.5 - 1e-13:
+            levels.append(k)
+            k -= 1.0
+        ladders.append((levels, (levels[-1] - 2.0, levels[-1] - 1.0) if levels else (k,)))
+    bases = list(dict.fromkeys(k for _, ends in ladders for k in ends))
     if abs(cmath.phase(zeta)) > _ARG_SPLIT:
-        return _w_kummer(kappa, mu_im, zeta)
-    val = _w_integral(kappa, mu_im, zeta, nodes)
-    if check:
-        ref = _w_integral(kappa, mu_im, zeta, max(20, nodes - 8))
-        if abs(val - ref) > 1e-8 * max(abs(val), 1e-280):
-            raise ConvergenceError(
-                f"W quadrature not converged at kappa={kappa}, mu_im={mu_im}, zeta={zeta}"
-            )
-    return val
+        pairs = [_w_kummer(k, mu_im, zeta) for k in bases]
+    else:
+        pairs = zip(*_w_integral(bases, mu_im, zeta, nodes, check))
+    base = dict(zip(bases, pairs))
+    values, scales = [], []
+    for levels, ends in ladders:
+        (lo, s_lo), (hi, s_hi) = base[ends[0]], base[ends[-1]]
+        for level in reversed(levels):
+            c1, c2 = zeta - 2.0 * level + 2.0, (1.5 - level) ** 2 + mu_im ** 2
+            lo, hi = hi, c1 * hi - c2 * lo
+            s_lo, s_hi = s_hi, abs(c1) * s_hi + abs(c2) * s_lo
+        values.append(hi)
+        scales.append(s_hi)
+    if np.ndim(kappa):
+        return np.array(values), np.array(scales)
+    return values[0], scales[0]
 
 
 def whittaker_w_complex(kappa, mu_im: float, zeta: complex, *,
@@ -533,33 +628,14 @@ def whittaker_w_complex(kappa, mu_im: float, zeta: complex, *,
     two base values below 1/2.  `kappa` may also be a sequence of orders:
     the result is then an array, and orders of one call whose ladders
     reach the same base values (such as kappa and kappa - 1) share them.
+    A call first collects its distinct base orders, then evaluates them
+    all in one integrand pass (`_w_integral`: both quadrature rules, one
+    base x panel x node array) or, for |arg zeta| > 3pi/4, one Kummer
+    connection each, and then runs the ladders.  A pair such as
+    (W_k, W_(k-1)) (two orders, two bases) costs ~105 µs on a 2-core AMD
+    EPYC, against ~170 µs for one pass per base and rule.
     """
-    zeta = complex(zeta)
-    if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
-        raise DomainError(f"W is evaluated on the plane cut along (-inf,0], got {zeta}")
-    bases: dict = {}
-
-    def base(k: float) -> complex:
-        if k not in bases:
-            bases[k] = _w_base(k, mu_im, zeta, nodes, _check)
-        return bases[k]
-
-    def one(k: float) -> complex:
-        levels = []
-        while k >= 0.5 - 1e-13:
-            levels.append(k)
-            k -= 1.0
-        if not levels:
-            return base(k)
-        lo, hi = base(levels[-1] - 2.0), base(levels[-1] - 1.0)
-        for level in reversed(levels):
-            lo, hi = hi, ((zeta - 2.0 * level + 2.0) * hi
-                          - ((1.5 - level) ** 2 + mu_im ** 2) * lo)
-        return hi
-
-    if np.ndim(kappa):
-        return np.array([one(float(k)) for k in kappa])
-    return one(float(kappa))
+    return _whittaker(kappa, mu_im, zeta, nodes, _check)[0]
 
 
 def whittaker_w(kappa, mu_im: float, x: float):
@@ -572,15 +648,19 @@ def whittaker_w(kappa, mu_im: float, x: float):
     (5.0e-11, at x < 0.1, where W oscillates like x^(1/2 +- i mu_im)).
     At the orders of the continuum kernel (kappa = +-Re z + 1/2 and
     kappa - 1) for the benchmark's z it is <= 8.5e-15 on x in [0.05, 40].
-    Raises ConvergenceError if the internal quadrature misses its
-    tolerance or leaves a relative imaginary residue above 1e-10 (one
-    draw did, next to a zero of W at mu_im = 2.96, x = 0.077).
+    Next to a zero of W the relative error grows as |W| vanishes, while the
+    absolute error stays at rounding level (4.7e-16, 2.4e-10 relative, at
+    kappa = -0.0957, mu_im = 2.961, x = 0.07685).  Raises ConvergenceError
+    if the internal quadrature misses its tolerance or leaves an imaginary
+    residue above 1e-10 times the scale of the computation (the moduli of
+    the summed terms, carried up the ladder), a test that holds next to a
+    zero of W too.
     """
     if not x > 0.0:
         raise DomainError(f"whittaker_w needs x > 0, got x={x}")
-    val = whittaker_w_complex(kappa, float(mu_im), complex(x))
+    val, scale = _whittaker(kappa, float(mu_im), complex(x), 32, True)
     residue = np.abs(np.imag(val))
-    if np.any(residue > 1e-10 * np.maximum(np.abs(np.real(val)), 1e-280)):
+    if np.any(residue > 1e-10 * scale):
         raise ConvergenceError(
             f"W({kappa}, {mu_im}i, {x}) kept an imaginary residue {np.max(residue):.3e}"
         )

@@ -278,33 +278,39 @@ def test_discrete_bessel_memo_is_bitwise_the_uncached_kernel(theta, m):
 @pytest.mark.parametrize("build", [kernels.discrete_bessel_k,
                                    kernels.discrete_bessel_khat])
 def test_discrete_bessel_computes_each_bessel_value_once(monkeypatch, build):
+    # one bessel_j call (one ladder) on the window's orders and at most
+    # M + 1 dJ/dnu calls per kernel; a fresh kernel pays again
     calls = collections.Counter()
+    ladders = []
     j, dj = kernels.bessel_j, kernels.bessel_j_dorder
 
-    def counted_j(nu, u):
-        calls["j", nu] += 1
-        return j(nu, u)
+    def counted_j(orders, u):
+        ladders.append(list(orders))
+        return j(orders, u)
 
     def counted_dj(nu, u):
-        calls["dj", nu] += 1
+        calls[nu] += 1
         return dj(nu, u)
 
     monkeypatch.setattr(kernels, "bessel_j", counted_j)
     monkeypatch.setattr(kernels, "bessel_j_dorder", counted_dj)
-    for theta, m in ((4.0, 20), (30.0, 30)):
+    for theta, m in ((4.0, 20), (30.0, 30), (100.0, 40)):
         pts = oracle.lattice_window(m).points
         calls.clear()
+        ladders.clear()
         kern = build(theta)
         first = kern.matrix(pts)
-        per_fn = collections.Counter(fn for fn, _ in calls)
-        assert per_fn["j"] <= m + 1 and per_fn["dj"] <= m + 1
-        assert set(calls.values()) == {1}
+        orders = [float(n) for n in range(m + 1)]
+        assert ladders == [orders]
+        assert len(calls) <= m + 1 and set(calls.values()) == {1}
+        paid = dict(calls)
         calls.clear()
+        ladders.clear()
         assert kern.matrix(pts).tobytes() == first.tobytes()
-        assert not calls
+        assert not calls and not ladders
         # the memo belongs to the kernel: a fresh one pays again
         assert build(theta).matrix(pts).tobytes() == first.tobytes()
-        assert collections.Counter(fn for fn, _ in calls) == per_fn
+        assert ladders == [orders] and calls == paid
 
 
 def test_discrete_bessel_diagonal_beyond_dorder_range_raises():

@@ -186,6 +186,33 @@ def test_bessel_integer_orders_at_lattice_argument(theta):
         assert abs(special.bessel_j(-n, u) - (-1) ** n * ref) <= 5e-16, -n
 
 
+@pytest.mark.parametrize("u", [10.5, 2.0 * math.sqrt(30.0), 20.0, 2.0 * math.sqrt(1000.0)])
+def test_bessel_integer_orders_share_one_miller_run(monkeypatch, u):
+    reach = special._jn_reach(u)
+    orders = list(range(-reach - 3, reach + 4))
+    runs = []
+    miller = special._miller
+
+    def counted(*args):
+        runs.append(args)
+        return miller(*args)
+
+    monkeypatch.setattr(special, "_miller", counted)
+    ladder = special.bessel_j(orders, u)
+    # one run serves |n| <= reach; the six orders beyond it run their own
+    assert len(runs) == 1 + 6
+    monkeypatch.undo()
+    # the array holds the scalar values bit for bit
+    assert ladder.tolist() == [special.bessel_j(n, u) for n in orders]
+    # every order n <= u starts its own run where the shared run starts
+    for n in range(int(u) + 1):
+        assert special.bessel_j(n, u) == special._jv_miller(float(n), u)
+    # above u the shared run is within 2.1e-15 relative of mpmath
+    worst = max(abs(special.bessel_j(n, u) / float(mpmath.besselj(n, u)) - 1.0)
+                for n in range(int(u) + 1, reach + 1))
+    assert worst <= 3e-15
+
+
 @functools.lru_cache(maxsize=None)
 def _near_pole_refs(u: float) -> tuple:
     """(nu, J_nu(u)) from 30-digit mpmath next to the negative integers -n, n > u."""
@@ -442,13 +469,15 @@ def test_w_integral_array_form_matches_the_panel_loop():
     zetas = [complex(zeta) for zeta in zetas
              if abs(cmath.phase(complex(zeta))) <= special._ARG_SPLIT]
     worst = 0.0
-    for kappa in (-1.25, -0.75, -0.2, 0.25, 0.45):
-        for mu in (0.0, 0.3, 0.6, 1.2, 3.0):
-            for zeta in zetas:
-                for nodes in (24, 32):
+    kappas = [-1.25, -0.75, -0.2, 0.25, 0.45]
+    for mu in (0.0, 0.3, 0.6, 1.2, 3.0):
+        for zeta in zetas:
+            for nodes in (24, 32):
+                # every base in one pass, the main rule alone
+                mine, _ = special._w_integral(kappas, mu, zeta, nodes, False)
+                for kappa, value in zip(kappas, mine):
                     ref = _w_integral_panel_loop(kappa, mu, zeta, nodes)
-                    mine = special._w_integral(kappa, mu, zeta, nodes)
-                    worst = max(worst, abs(mine - ref) / abs(ref))
+                    worst = max(worst, abs(value - ref) / abs(ref))
     assert worst <= 1e-14
 
 
@@ -460,19 +489,163 @@ def test_whittaker_kappa_ladder_is_bitwise_the_recursion():
             assert mine == ref
 
 
+def _count_passes(monkeypatch) -> list:
+    """Record the base orders of every `_w_integral` pass."""
+    passes = []
+    integral = special._w_integral
+
+    def counted(kappas, *args):
+        passes.append(list(kappas))
+        return integral(kappas, *args)
+
+    monkeypatch.setattr(special, "_w_integral", counted)
+    return passes
+
+
 def test_whittaker_orders_in_one_call(monkeypatch):
     orders = (0.75, -0.25, 1.75, -0.6)
     values = special.whittaker_w(orders, 0.6, 2.0)
     assert values.shape == (4,)
     assert values.tolist() == [special.whittaker_w(k, 0.6, 2.0) for k in orders]
-    bases = []
-    base = special._w_base
-
-    def counted(kappa, *args):
-        bases.append(kappa)
-        return base(kappa, *args)
-
-    monkeypatch.setattr(special, "_w_base", counted)
+    passes = _count_passes(monkeypatch)
     # W_{3/4} and W_{-1/4} share the ladder's base values -1/4 and -5/4
     special.whittaker_w((0.75, -0.25), 0.6, 2.0)
-    assert sorted(bases) == [-1.25, -0.25]
+    assert len(passes) == 1 and sorted(passes[0]) == [-1.25, -0.25]
+
+
+def test_whittaker_makes_one_integrand_pass_per_call(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    kummer = []
+    original = special._w_kummer
+
+    def counted_kummer(kappa, *args):
+        kummer.append(kappa)
+        return original(kappa, *args)
+
+    monkeypatch.setattr(special, "_w_kummer", counted_kummer)
+    for orders, bases in (((0.75, -0.25), 2), ((0.25, -0.75), 2),
+                          ((2.75, -1.6, 0.3, 0.8), 6), (0.45, 1)):
+        for zeta in (2.0 + 0.5j, 0.3 - 1.0j, 7.0 + 0j):
+            passes.clear()
+            special.whittaker_w_complex(orders, 0.6, zeta)
+            assert len(passes) == 1 and len(passes[0]) == bases
+        # near the cut every base takes one Kummer connection instead
+        passes.clear()
+        kummer.clear()
+        special.whittaker_w_complex(orders, 0.6, -1.0 + 1e-3j)
+        assert not passes and len(kummer) == bases
+
+
+# The parent form of the Whittaker base values, kept as the bitwise
+# reference of the one-pass evaluation: one integrand pass per base order
+# and quadrature rule, then the same ladders.
+
+def _w_integral_per_base(kappa, mu_im, zeta, nodes):
+    mu = 1j * mu_im
+    a = mu - kappa - 0.5
+    b = mu + kappa - 0.5
+    h = abs(zeta) * 2.0 ** -20
+    g = (
+        1.0 + 0j,
+        -1.0 + b / zeta,
+        0.5 - b / zeta + b * (b - 1.0) / (2.0 * zeta ** 2),
+        -1.0 / 6.0 + b / (2.0 * zeta) - b * (b - 1.0) / (2.0 * zeta ** 2)
+        + b * (b - 1.0) * (b - 2.0) / (6.0 * zeta ** 3),
+    )
+    total = 0j
+    lh = math.log(h)
+    for j, gj in enumerate(g):
+        total += gj * cmath.exp((a + j + 1) * lh) / (a + j + 1)
+    edges = [h]
+    while edges[-1] < 80.0:
+        edges.append(min(2.0 * edges[-1], 80.0))
+    edges = np.array(edges)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    t = half * xg + mid
+    panels = np.sum(half * wg * np.exp(a * np.log(t) - t + b * np.log(1.0 + t / zeta)),
+                    axis=1)
+    total = sum(panels, total)
+    pref = cmath.exp(-0.5 * zeta + kappa * cmath.log(zeta)
+                     - special.log_gamma(mu - kappa + 0.5))
+    return pref * total
+
+
+def _whittaker_w_per_base(orders, mu_im, zeta):
+    bases = {}
+
+    def base(k):
+        if k not in bases:
+            if abs(cmath.phase(zeta)) > special._ARG_SPLIT:
+                bases[k] = special._w_kummer(k, mu_im, zeta)[0]
+            else:
+                val = _w_integral_per_base(k, mu_im, zeta, 32)
+                ref = _w_integral_per_base(k, mu_im, zeta, 24)
+                assert abs(val - ref) <= 1e-8 * max(abs(val), 1e-280)
+                bases[k] = val
+        return bases[k]
+
+    def one(k):
+        levels = []
+        while k >= 0.5 - 1e-13:
+            levels.append(k)
+            k -= 1.0
+        if not levels:
+            return base(k)
+        lo, hi = base(levels[-1] - 2.0), base(levels[-1] - 1.0)
+        for level in reversed(levels):
+            lo, hi = hi, ((zeta - 2.0 * level + 2.0) * hi
+                          - ((1.5 - level) ** 2 + mu_im ** 2) * lo)
+        return hi
+
+    return np.array([one(float(k)) for k in orders])
+
+
+_BENCH_Z = (0.25 + 0.6j, -0.3 + 1.2j, 0.1 + 0.3j)
+
+
+def _recorded_w_calls(monkeypatch, name, run) -> list:
+    """(args, value) of every call `run` makes to kernels.<name>."""
+    from detproc import kernels
+    calls = []
+    original = getattr(kernels, name)
+
+    def recorded(*args):
+        value = original(*args)
+        calls.append((args, value))
+        return value
+
+    monkeypatch.setattr(kernels, name, recorded)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("z", _BENCH_Z)
+def test_whittaker_one_pass_is_bitwise_the_per_base_passes(monkeypatch, z):
+    # the psi suite's W calls and the continuum kernel's W pairs at the
+    # benchmark's z: every value matches one pass per base and rule bit for
+    # bit, so every check residual built on them does too
+    from detproc import drhp, kernels
+    psi = _recorded_w_calls(monkeypatch, "whittaker_w_complex", lambda: drhp.suite_psi(z))
+    assert len(psi) == 56
+    for (orders, mu, zeta), value in psi:
+        assert value.tobytes() == _whittaker_w_per_base(orders, mu, zeta).tobytes()
+    points = np.array((0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1.5, -1.5, 0.05, 40.0))
+    pairs = _recorded_w_calls(monkeypatch, "whittaker_w",
+                              lambda: kernels.whittaker_kernel_k(z).matrix(points))
+    assert len(pairs) == len(points)
+    for (orders, mu, x), value in pairs:
+        ref = _whittaker_w_per_base(orders, mu, complex(x))
+        assert value.tobytes() == ref.real.tobytes()
+
+
+def test_whittaker_near_its_zero_is_not_refused():
+    # W_{-0.0957, 2.961i} vanishes next to x = 0.0769: the imaginary residue
+    # is measured against the scale of the sum, not against |W|, so these
+    # values are returned; the error is ~5e-16 absolute
+    for x in (0.0767, 0.0768, 0.07685, 0.0769):
+        mine = special.whittaker_w(-0.0957, 2.961, x)
+        ref = float(mpmath.whitw(-0.0957, 2.961j, x).real)
+        assert abs(mine) < 1e-5 and abs(mine - ref) <= 1e-15
