@@ -59,23 +59,18 @@ def _parse_z(args) -> complex:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _lattice_kernel(args):
-    fam = args.family
-    if fam == "plancherel-l":
-        return kernels.plancherel_l(args.theta)
-    if fam == "zw-l":
-        return kernels.zw_l(_parse_z(args), args.xi)
-    if fam == "bessel":
-        return kernels.discrete_bessel_k(args.theta)
-    if fam == "bessel-hat":
-        return kernels.discrete_bessel_khat(args.theta)
-    raise ParameterError(f"not a lattice family: {fam}")
+_LATTICE_KERNELS = {
+    "plancherel-l": lambda args: kernels.plancherel_l(args.theta),
+    "zw-l": lambda args: kernels.zw_l(_parse_z(args), args.xi),
+    "bessel": lambda args: kernels.discrete_bessel_k(args.theta),
+    "bessel-hat": lambda args: kernels.discrete_bessel_khat(args.theta),
+}
 
 
 def cmd_kernel(args) -> int:
     rows = []
-    if args.family in ("plancherel-l", "zw-l", "bessel", "bessel-hat"):
-        kern = _lattice_kernel(args)
+    if args.family in _LATTICE_KERNELS:
+        kern = _LATTICE_KERNELS[args.family](args)
         pts = oracle.lattice_window(args.window).points
         header = ["x_doubled", "y_doubled", "value"]
         for x, row in zip(pts, kern.matrix(pts).tolist()):
@@ -98,7 +93,7 @@ def cmd_oracle_compare(args) -> int:
     rows = []
     if args.family in ("bessel", "bessel-hat"):
         tol = args.tol if args.tol is not None else 1e-8
-        kern = _lattice_kernel(args)
+        kern = _LATTICE_KERNELS[args.family](args)
         lop = oracle.materialize(kernels.plancherel_l(args.theta),
                                  oracle.lattice_window(args.window))
         ref = (oracle.k_from_l(lop) if args.family == "bessel"
@@ -196,21 +191,18 @@ def cmd_correlation(args) -> int:
     return 0
 
 
+_SUITES = {
+    "drhp": lambda args: drhp.suite_drhp(args.theta),
+    "psi": lambda args: drhp.suite_psi(_parse_z(args)),
+    "two-point": lambda args: drhp.suite_two_point(args.mu, args.nu),
+    "contour": lambda args: drhp.suite_contour(),
+    "special-functions": lambda args: drhp.suite_special_functions(),
+    "cd": lambda args: drhp.suite_cd(),
+}
+
+
 def cmd_verify(args) -> int:
-    if args.suite == "drhp":
-        rows = drhp.suite_drhp(args.theta)
-    elif args.suite == "psi":
-        rows = drhp.suite_psi(_parse_z(args))
-    elif args.suite == "two-point":
-        rows = drhp.suite_two_point(args.mu, args.nu)
-    elif args.suite == "contour":
-        rows = drhp.suite_contour()
-    elif args.suite == "special-functions":
-        rows = drhp.suite_special_functions()
-    elif args.suite == "cd":
-        rows = drhp.suite_cd()
-    else:
-        raise ParameterError(f"unknown suite {args.suite}")
+    rows = _SUITES[args.suite](args)
     drhp.report_to_csv(rows, args.output)
     if not drhp.all_pass(rows):
         failed = [r.check_id for r in rows if not r.passed]
@@ -218,46 +210,48 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _zw_degeneration(args) -> tuple:
+    """zw_l with |z|^2 xi = theta against plancherel_l as |z| grows."""
+    pts = [k + 0.5 for k in range(-4, 4)]
+    ref = kernels.plancherel_l(args.theta).matrix(pts)
+    nonzero = ref != 0.0
+    rows, errs = [], []
+    for absz in (20.0, 50.0, 100.0):
+        kern = kernels.zw_l(complex(0.0, absz), args.theta / absz ** 2).matrix(pts)
+        worst = np.max(np.abs(kern[nonzero] - ref[nonzero]) / np.abs(ref[nonzero]),
+                       initial=0.0)
+        errs.append(worst)
+        rows.append([_fmt(absz), _fmt(worst)])
+    ok = errs[1] < 0.05 and errs[0] > errs[1] > errs[2]
+    return ["abs_z", "max_rel_err"], rows, ok
+
+
+def _whittaker_scaling(args) -> tuple:
+    """zw_l / (1 - xi) at lattice points floor(x / (1 - xi)) + 1/2 against
+    scaled_whittaker_l at x, on the pairs with xy <= 0."""
+    z = _parse_z(args)
+    sample = np.array([0.5, 1.0, 2.0, -0.5, -1.0, -2.0])
+    target = kernels.scaled_whittaker_l(z).matrix(sample)
+    opposite = np.multiply.outer(sample, sample) <= 0
+    rows, errs = [], []
+    for xi in (0.9, 0.99):
+        scale = 1.0 - xi
+        lattice = np.floor(sample / scale) + 0.5
+        kern = kernels.zw_l(z, xi).matrix(lattice)
+        worst = np.max(np.abs(kern / scale - target)[opposite])
+        errs.append(worst)
+        rows.append([_fmt(xi), _fmt(worst)])
+    return ["xi", "max_abs_err"], rows, errs[1] < errs[0]
+
+
+_STUDIES = {
+    "zw-degeneration": _zw_degeneration,
+    "whittaker-scaling": _whittaker_scaling,
+}
+
+
 def cmd_limits(args) -> int:
-    rows = []
-    ok = True
-    if args.study == "zw-degeneration":
-        theta = args.theta
-        pl = kernels.plancherel_l(theta)
-        pts = [k + 0.5 for k in range(-4, 4)]
-        errs = []
-        for absz in (20.0, 50.0, 100.0):
-            kern = kernels.zw_l(complex(0.0, absz), theta / absz ** 2)
-            worst = 0.0
-            for x, y in itertools.product(pts, pts):
-                ref = pl(x, y)
-                if ref != 0.0:
-                    worst = max(worst, abs(kern(x, y) - ref) / abs(ref))
-            errs.append(worst)
-            rows.append([_fmt(absz), _fmt(worst)])
-        ok = errs[1] < 0.05 and errs[0] > errs[1] > errs[2]
-        header = ["abs_z", "max_rel_err"]
-    elif args.study == "whittaker-scaling":
-        z = _parse_z(args)
-        target = kernels.scaled_whittaker_l(z)
-        sample = [0.5, 1.0, 2.0, -0.5, -1.0, -2.0]
-        errs = []
-        for xi in (0.9, 0.99):
-            kern = kernels.zw_l(z, xi)
-            scale = 1.0 - xi
-            worst = 0.0
-            for x, y in itertools.product(sample, sample):
-                if x * y > 0:
-                    continue
-                lx = math.floor(x / scale) + 0.5
-                ly = math.floor(y / scale) + 0.5
-                worst = max(worst, abs(kern(lx, ly) / scale - target(x, y)))
-            errs.append(worst)
-            rows.append([_fmt(xi), _fmt(worst)])
-        ok = errs[1] < errs[0]
-        header = ["xi", "max_abs_err"]
-    else:
-        raise ParameterError(f"unknown study {args.study}")
+    header, rows, ok = _STUDIES[args.study](args)
     _write_csv(args.output, header, rows)
     if not ok:
         raise _CheckFailure(f"limit study {args.study} not converging")
@@ -288,8 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="tabulate a kernel")
     p.add_argument("--family", required=True,
-                   choices=["plancherel-l", "zw-l", "bessel", "bessel-hat",
-                            "whittaker-l", "whittaker"])
+                   choices=[*_LATTICE_KERNELS, "whittaker-l", "whittaker"])
     p.add_argument("--window", type=int, default=10,
                    help="lattice radius M (lattice families)")
     p.add_argument("--points", default="0.5,-0.5,1,-1,2,-2",
@@ -345,17 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlation)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["drhp", "psi", "two-point", "contour",
-                            "special-functions", "cd"])
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
     p.add_argument("--mu", type=float, default=0.3)
     p.add_argument("--nu", type=float, default=0.5)
     add_common(p, theta=True, z=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("limits", help="degeneration / scaling-limit studies")
-    p.add_argument("--study", required=True,
-                   choices=["zw-degeneration", "whittaker-scaling"])
+    p.add_argument("--study", required=True, choices=list(_STUDIES))
     add_common(p, theta=True, z=True)
     p.set_defaults(func=cmd_limits)
 

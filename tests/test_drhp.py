@@ -152,18 +152,18 @@ def test_suite_drhp_certifies_p_values_at_every_lattice_x(theta):
     _assert_all_pass(values)
 
 
-def test_p_values_rows_call_real_order_j_once_per_order_and_catch_a_wrong_j(monkeypatch):
+def test_p_values_rows_call_real_order_j_once_and_catch_a_wrong_j(monkeypatch):
     calls = []
     original = special.bessel_j
 
     def perturbed(nu, u):
-        calls.append(nu)
-        return original(nu, u) * (1.0 + 1e-10 * (nu == 4))
+        calls.append(list(nu))
+        return original(nu, u) * (1.0 + 1e-10 * (np.abs(nu) == 4))
 
     monkeypatch.setattr(special, "bessel_j", perturbed)
     rows = drhp.check_p_condition(30.0, [3.5, 7.5, -4.5])
-    # orders 3, 4 | 7, 8 | -5, -4: one call per distinct |order|
-    assert sorted(calls) == [3, 4, 5, 7, 8]
+    # one call on the signed orders x - 1/2, -(x - 1/2), x + 1/2, -(x + 1/2)
+    assert calls == [[3, -3, 4, -4, 7, -7, 8, -8, -5, 5, -4, 4]]
     failed = {r.point for r in rows if r.check_id == "p-values" and not r.passed}
     assert failed == {"x=3.5", "x=-4.5"}
 
@@ -333,6 +333,80 @@ def test_two_point_diagonal_value():
 
 def test_contour_suite():
     _assert_all_pass(drhp.suite_contour())
+
+
+def test_two_point_m_on_an_array_is_the_scalar_m():
+    model = kernels.TwoPointModel(-0.4, 0.7, a=1.0 + 1.0j, b=-2.0)
+    zs = np.array([[0.3 + 0.4j, -2.2 + 1.0j], [10j, 1.0 + 1.001j]])
+    for fn in (model.m, model.m_inv_t):
+        assert fn(zs[0, 0]).shape == (2, 2)
+        stacked = fn(zs)
+        assert stacked.shape == (2, 2, 2, 2)
+        scalar = np.array([[fn(complex(z)) for z in row] for row in zs])
+        assert np.array_equal(stacked, scalar)
+
+
+# ---------------------------------------------------------------- suite shapes
+#
+# the certify benchmark charges a task that raises by fixed row counts, and
+# the CSV reports are read by row position: pin every suite's layout
+
+_DRHP_IDS = (
+    ["p-condition", "p-hat-violates-plain-condition", "p-hat-flipped-condition",
+     "p-values"] * 3
+    + ["p-recurrence-11", "p-recurrence-21"] * 3
+    + ["m-residue"] * 20
+    + ["m-normalization-decreasing", "m-normalization-remainder-decreasing"] * 2
+    + ["m-normalization-remainder", "m-normalization-raw-informational",
+       "m1-gamma-equals-beta", "m1-delta-equals-minus-alpha",
+       "m1-beta-equals-minus-eta", "ode-eta-beta-minus",
+       "ode-eta-beta-plus-must-fail", "ode-p11-second-order"])
+
+_PSI_IDS = (["psi-det", "psi-inverse-transpose"] * 4
+            + (["psi-jump"] * 3 + ["psi-jump-refinement"] * 2) * 2)
+
+_TOY_ROWS = [
+    ("two-point-det-m", "20 pseudo-random zeta", 1e-12),
+    ("two-point-m-inv-t", "20 pseudo-random zeta", 1e-12),
+    ("two-point-residue", "point=0.0", 1e-10),
+    ("two-point-residue", "point=1.0", 1e-10),
+    ("two-point-resolvent-f", "point=0.0", 1e-13),
+    ("two-point-resolvent-g", "point=0.0", 1e-13),
+    ("two-point-m-prime-limit", "point=0.0", 1e-10),
+    ("two-point-resolvent-f", "point=1.0", 1e-13),
+    ("two-point-resolvent-g", "point=1.0", 1e-13),
+    ("two-point-m-prime-limit", "point=1.0", 1e-10),
+    ("two-point-assembly-vs-printed", "mu=0.3, nu=0.5", 1e-14),
+    ("two-point-printed-vs-oracle", "mu=0.3, nu=0.5", 1e-14),
+    ("contour-l-squared", "(x,z)=((1+0j),1j)", 1e-10),
+    ("contour-m-inverse", "6 contour points", 1e-12),
+    ("contour-resolvent-data-fixed", "6 contour points", 1e-12),
+]
+
+_CD_ROWS = [
+    ("cd-two-forms-agree", "30-point grid, N=5", 1e-10),
+    ("cd-projection", "K.K = K", 1e-10),
+    ("cd-trace", "trace = N", 1e-10),
+    ("cd-symmetry", "K = K^t", 1e-12),
+]
+
+
+@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0])
+def test_suite_drhp_layout(theta):
+    assert len(_DRHP_IDS) == 50
+    assert [r.check_id for r in drhp.suite_drhp(theta)] == _DRHP_IDS
+
+
+@pytest.mark.parametrize("z", [0.25 + 0.6j, -0.3 + 1.2j, 0.1 + 0.3j])
+def test_suite_psi_layout(z):
+    assert len(_PSI_IDS) == 18
+    assert [r.check_id for r in drhp.suite_psi(z)] == _PSI_IDS
+
+
+def test_toy_and_cd_suite_layout():
+    toys = drhp.suite_two_point() + drhp.suite_contour()
+    assert [(r.check_id, r.point, r.tolerance) for r in toys] == _TOY_ROWS
+    assert [(r.check_id, r.point, r.tolerance) for r in drhp.suite_cd()] == _CD_ROWS
 
 
 # ---------------------------------------------------------------- reports

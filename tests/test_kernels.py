@@ -516,6 +516,81 @@ def test_cd_degeneracy_error():
         kernels.christoffel_darboux_k([0.0, 1.0], [1.0, -1.0], 1)
 
 
+def _cd_by_recurrence(grid, weights, n):
+    """The per-entry reference: Stieltjes coefficients, then p_0..p_N at
+    each point of an entry by the three-term recurrence."""
+    alpha, beta, h = np.zeros(n), np.zeros(n), np.zeros(n + 1)
+    p_prev, p_cur = np.zeros_like(grid), np.ones_like(grid)
+    for k in range(n):
+        h[k] = np.sum(weights * p_cur * p_cur)
+        alpha[k] = np.sum(weights * grid * p_cur * p_cur) / h[k]
+        beta[k] = h[k] / h[k - 1] if k else 0.0
+        p_prev, p_cur = p_cur, (grid - alpha[k]) * p_cur - beta[k] * p_prev
+    h[n] = np.sum(weights * p_cur * p_cur)
+
+    def polys(x):
+        vals = [1.0, x - alpha[0]]
+        for k in range(1, n):
+            vals.append((x - alpha[k]) * vals[k] - beta[k] * vals[k - 1])
+        return np.array(vals)
+
+    size = grid.size
+    sum_form = np.zeros((size, size))
+    cd_form = np.full((size, size), np.nan)
+    for i, x in enumerate(grid):
+        for j, y in enumerate(grid):
+            px, py = polys(x), polys(y)
+            scale = math.sqrt(weights[i] * weights[j])
+            sum_form[i, j] = np.sum(px[:n] * py[:n] / h[:n]) * scale
+            if x != y:
+                cd_form[i, j] = ((px[n] * py[n - 1] - px[n - 1] * py[n])
+                                 / (h[n - 1] * (x - y)) * scale)
+    return sum_form, cd_form
+
+
+@pytest.mark.parametrize("case", ["gaussian", "uneven"])
+def test_cd_grid_matrices_are_the_per_entry_recurrence(case):
+    if case == "gaussian":
+        grid = np.linspace(-2.5, 2.5, 30)
+        weights, n = np.exp(-grid ** 2), 5
+    else:
+        rng = np.random.default_rng(7)
+        grid = np.sort(rng.uniform(-1.0, 3.0, 17))
+        weights, n = rng.uniform(0.2, 2.0, 17), 8
+    kern = kernels.christoffel_darboux_k(grid, weights, n)
+    sum_ref, cd_ref = _cd_by_recurrence(grid, weights, n)
+    off = ~np.isnan(cd_ref)
+    assert np.max(np.abs(kern.matrix() - sum_ref)) < 1e-14
+    assert np.max(np.abs(kern.cd_matrix()[off] - cd_ref[off])) < 1e-14
+    for i, j in ((0, 3), (4, 4), (grid.size - 1, 1)):
+        x, y = float(grid[i]), float(grid[j])
+        assert abs(kern.sum_form(x, y) - sum_ref[i, j]) < 1e-14
+        if i != j:
+            assert abs(kern.cd_form(x, y) - cd_ref[i, j]) < 1e-14
+    assert kern.trace() == pytest.approx(n, abs=1e-12)
+
+
+def test_cd_reads_the_grid_only():
+    grid = np.linspace(-2.5, 2.5, 30)
+    kern = kernels.christoffel_darboux_k(grid, np.exp(-grid ** 2), 5)
+    off_grid = float(grid[3]) + 1e-3
+    for call in (lambda: kern.sum_form(off_grid, 0.0),
+                 lambda: kern.cd_form(float(grid[0]), off_grid),
+                 lambda: kern.polys_at(off_grid),
+                 lambda: kern.cd_form(float(grid[2]), float(grid[2]))):
+        with pytest.raises(DegenerateGridError):
+            call()
+    assert kern.polys_at(float(grid[3])).shape == (6,)
+
+
+def test_cd_matrix_with_a_repeated_node_is_a_projection():
+    # each node keeps its own weight, so K is a projection on the nodes
+    kern = kernels.christoffel_darboux_k([0.0, 0.0, 1.0, 2.0], [1.0, 3.0, 1.0, 2.0], 2)
+    mat = kern.matrix()
+    assert np.max(np.abs(mat @ mat - mat)) < 1e-14
+    assert kern.trace() == pytest.approx(2.0, abs=1e-14)
+
+
 # ---------------------------------------------------------------- two point
 
 def test_two_point_zero_case():
