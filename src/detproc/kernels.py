@@ -330,8 +330,8 @@ def discrete_bessel_k(theta: float) -> AssembledKernel:
     and the diagonal is K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) with the order
     derivative of J.  Each J_n(2 sqrt(theta)) and dJ/dnu is computed once
     per kernel: an M-window costs one `bessel_j` call on its M + 1 orders
-    (one Miller run for all of them above theta = 25) and M + 1 dJ/dnu
-    calls.  The diagonal needs dJ/dnu at u = 2 sqrt(theta) <= 20, so
+    (at any theta one Miller run, for every order up to its reach R(u))
+    and M + 1 dJ/dnu calls.  The diagonal needs dJ/dnu at u = 2 sqrt(theta) <= 20, so
     theta <= 100; beyond that it raises DomainError.  Against the tail sum
     K(x,x) = sum_(n >= |x|+1/2) J_n(2 sqrt(theta))^2 the diagonal is within
     3.9e-16, 1.9e-12 and 1.8e-8 on |x| <= M - 1/2 at (theta, M) = (1, 15),
@@ -557,7 +557,8 @@ class TwoPointModel:
     the resolvent data F, G, and the diagonal derivative limits.
     Matrix index 0 corresponds to a, index 1 to b.  `m` and `m_inv_t` take
     a scalar zeta or an array of them (one 2 x 2 matrix per element); `f`,
-    `g` and `w` live on the two points and take one point.
+    `g`, `w`, `resolvent_f`, `resolvent_g` and `m_prime_f_limit` live on the
+    two points, take one point, and raise ParameterError at any other.
 
     The residue matrices of m are rank one:
 
@@ -594,20 +595,25 @@ class TwoPointModel:
         mn = self.mu * self.nu
         return np.array([[mn, self.mu], [self.nu, mn]]) / (mn - 1.0)
 
-    def f(self, point: complex) -> np.ndarray:
+    def _side(self, point: complex) -> int:
+        """0 at a, 1 at b; a point off the two-point set raises ParameterError."""
         if point == self.a:
-            return np.array([0.0, self.mu * (self.a - self.b)], dtype=complex)
-        return np.array([self.nu * (self.b - self.a), 0.0], dtype=complex)
+            return 0
+        if point == self.b:
+            return 1
+        raise ParameterError(f"{point} is neither of the two points {self.a}, {self.b}")
+
+    def f(self, point: complex) -> np.ndarray:
+        return np.array([[0.0, self.mu * (self.a - self.b)],
+                         [self.nu * (self.b - self.a), 0.0]], dtype=complex)[self._side(point)]
 
     def g(self, point: complex) -> np.ndarray:
-        return np.array([1.0, 0.0] if point == self.a else [0.0, 1.0], dtype=complex)
+        return np.eye(2, dtype=complex)[self._side(point)]
 
     def w(self, point: complex) -> np.ndarray:
-        if point == self.a:
-            return np.array([[0.0, 0.0], [self.mu * (self.b - self.a), 0.0]],
-                            dtype=complex)
-        return np.array([[0.0, self.nu * (self.a - self.b)], [0.0, 0.0]],
-                        dtype=complex)
+        return np.array([[[0.0, 0.0], [self.mu * (self.b - self.a), 0.0]],
+                         [[0.0, self.nu * (self.a - self.b)], [0.0, 0.0]]],
+                        dtype=complex)[self._side(point)]
 
     def _rank_one_sum(self, zeta, res_a, res_b) -> np.ndarray:
         """I + ca/(zeta-a) res_a + cb/(zeta-b) res_b; zeta of any shape S
@@ -630,26 +636,24 @@ class TwoPointModel:
     def resolvent_f(self, point: complex) -> np.ndarray:
         """F(x) = lim m(zeta) f(x) in closed form."""
         d = self._den
-        if point == self.a:
-            return np.array([self.mu * self.nu * (self.a - self.b) / d,
-                             self.mu * (self.a - self.b) / d], dtype=complex)
-        return np.array([self.nu * (self.b - self.a) / d,
-                         self.mu * self.nu * (self.b - self.a) / d], dtype=complex)
+        return np.array([[self.mu * self.nu * (self.a - self.b) / d,
+                          self.mu * (self.a - self.b) / d],
+                         [self.nu * (self.b - self.a) / d,
+                          self.mu * self.nu * (self.b - self.a) / d]],
+                        dtype=complex)[self._side(point)]
 
     def resolvent_g(self, point: complex) -> np.ndarray:
         """G(x) = lim m^-t(zeta) g(x) in closed form."""
         d = self._den
-        if point == self.a:
-            return np.array([1.0 / d, -self.nu / d], dtype=complex)
-        return np.array([-self.mu / d, 1.0 / d], dtype=complex)
+        return np.array([[1.0 / d, -self.nu / d], [-self.mu / d, 1.0 / d]],
+                        dtype=complex)[self._side(point)]
 
     def m_prime_f_limit(self, point: complex) -> np.ndarray:
         """lim m'(zeta) f(x): the diagonal ingredient of the resolvent kernel."""
         d = self._den
         mn = self.mu * self.nu
-        if point == self.a:
-            return np.array([-mn / d, -self.mu * mn / d], dtype=complex)
-        return np.array([-self.nu * mn / d, -mn / d], dtype=complex)
+        return np.array([[-mn / d, -self.mu * mn / d], [-self.nu * mn / d, -mn / d]],
+                        dtype=complex)[self._side(point)]
 
 
 def two_point_k(mu: float, nu: float, a: complex = 0.0, b: complex = 1.0) -> np.ndarray:

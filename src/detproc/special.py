@@ -6,24 +6,20 @@ with its derivative in the order, Bessel J of complex order through 0F1,
 and the Whittaker function W with real first index and purely imaginary
 second index.
 
-Bessel J strategy: the power series
+Bessel J strategy: two routes, split by the order.  Integer orders
+(reflected, J_(-n) = (-1)^n J_n) run Miller's backward recurrence toward
+the minimal solution, normalized by J_0 + 2 sum_k J_2k = 1; one run
+started at a point fixed by u serves every integer order up to a reach
+fixed by u.  Every other real order, and every complex order (the
+Riemann-Hilbert checks), takes
 
-    J_nu(u) = sum_k (-1)^k (u/2)^(nu+2k) / (k! Gamma(nu+k+1))
+    J_nu(u) = (u/2)^nu / Gamma(nu+1) 0F1(nu+1; -u^2/4),
 
-is used for u <= 10 for *every* real order; terms whose 1/Gamma factor sits
-at a pole vanish, so negative orders need no reflection through Y_nu.  For
-u > 10, integer orders (reflected, J_(-n) = (-1)^n J_n) and positive orders
-run Miller's backward recurrence toward the minimal solution, normalized by
-the Gegenbauer sum sum_k (nu+2k) Gamma(nu+k)/k! J_{nu+2k}(u) = (u/2)^nu;
-one run started at a point fixed by u serves every integer order up to a
-reach fixed by u.  Negative non-integer orders take the 0F1 route below.
-
-Complex orders (the Riemann-Hilbert checks) use a second, independent
-route: J_nu(u) = (u/2)^nu / Gamma(nu+1) 0F1(nu+1; -u^2/4), with 0F1 from
-`_hyp0f1`, which sums the series only where it does not cancel and runs
-the contiguous relation in c down from there (stable, since 0F1 is its
-minimal solution).  It takes arrays of orders and reflects negative
-integer orders, J_(-n) = (-1)^n J_n; the relative error is ~1e-14.
+with 0F1 from `_hyp0f1`, which sums the series only where it does not
+cancel and runs the contiguous relation in c down from there (stable,
+since 0F1 is its minimal solution).  The complex-order form takes arrays
+of orders and reflects negative integer orders, J_(-n) = (-1)^n J_n; the
+relative error is ~1e-14.
 
 Whittaker W strategy: the integral representation
 
@@ -200,67 +196,23 @@ def _drgamma(s: float) -> float:
 # Bessel J, real order
 # ----------------------------------------------------------------------
 
-_SERIES_CUT = 10.0          # ascending series for u <= 10, Miller or 0F1 beyond
 _DORDER_MAX_U = 20.0        # range of the differentiated series
+_MILLER_MIN_U = 1e-40       # below it one step of Miller's run can overflow
 
 
-def _jv_series(nu: float, u: float) -> float:
-    """Ascending series; poles of 1/Gamma handled term by term."""
-    if u == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    lhalf = log(0.5 * u)
-    x2 = 0.25 * u * u
-    terms = []
-    # below k0 the argument nu+k+1 may be <= 0: evaluate those terms directly
-    # in log magnitude, which also guards the double range
-    k0 = 0 if nu > -1.0 else int(math.ceil(-nu - 1.0)) + 1
-    for k in range(k0):
-        s = nu + k + 1
-        lt = (nu + 2 * k) * lhalf - lgamma(k + 1)
-        if s > 0.0:
-            logmag = lt - lgamma(s)
-            sign = 1.0
-        else:
-            sp = _sinpi(s)
-            if sp == 0.0:
-                continue
-            logmag = lt + log(abs(sp)) + lgamma(1.0 - s) - log(pi)
-            sign = math.copysign(1.0, sp)
-        if logmag > 705.0:
-            raise BesselOverflowError(f"J series term overflow at nu={nu}, u={u}")
-        terms.append((-1.0) ** (k % 2) * sign * exp(logmag))
-    lt0 = (nu + 2 * k0) * lhalf - lgamma(nu + k0 + 1) - lgamma(k0 + 1)
-    if lt0 > 705.0:
-        raise BesselOverflowError(f"J series term overflow at nu={nu}, u={u}")
-    t = (-1.0) ** (k0 % 2) * exp(lt0)
-    k = k0
-    biggest = abs(t)
-    while k < 250:
-        terms.append(t)
-        t = -t * x2 / ((k + 1) * (nu + k + 1))
-        k += 1
-        biggest = max(biggest, abs(t))
-        if k > k0 + 4 and abs(t) < 1e-18 * max(biggest, 1e-300):
-            break
-    return fsum(terms)
-
-
-def _miller_top(nu: float, u: float) -> int:
-    """Start of Miller's run for order nu: 20 + 12 sqrt(.) orders above max(nu, u)."""
-    m = max(nu, u)
+def _miller_top(n: float, u: float) -> int:
+    """Start of Miller's run for order n: 20 + 12 sqrt(.) orders above max(n, u)."""
+    m = max(n, u)
     return int(m + 20 + 12 * sqrt(max(m, 1.0)))
 
 
-def _miller(frac: float, top: int, u: float) -> np.ndarray:
-    """J_(frac+k)(u), k = 0..top: one backward run from order frac + top.
-
-    The run is normalized by the Gegenbauer sum
-    sum_k (frac+2k) Gamma(frac+k)/k! J_(frac+2k)(u) = (u/2)^frac.
-    """
+def _miller(top: int, u: float) -> np.ndarray:
+    """J_k(u), k = 0..top: one backward run from order top, normalized by
+    J_0 + 2 sum_(k >= 1) J_2k = 1."""
     above = 0.0
     here = 1e-280
     vals = [0.0] * (top + 1)
-    s = frac + top
+    s = float(top)
     for k in range(top, -1, -1):
         vals[k] = here
         above, here = here, (2.0 * s / u) * here - above
@@ -271,18 +223,8 @@ def _miller(frac: float, top: int, u: float) -> np.ndarray:
         s -= 1.0
     norm = 0.0
     for k in range(top // 2):
-        if frac == 0.0:
-            c = 1.0 if k == 0 else 2.0
-        else:
-            c = (frac + 2 * k) * exp(lgamma(frac + k) - lgamma(k + 1))
-        norm += c * vals[2 * k]
-    return np.array(vals) * (0.5 * u) ** frac / norm
-
-
-def _jv_miller(nu: float, u: float) -> float:
-    """J_nu(u), nu >= 0, from a run started 20 + 12 sqrt(.) orders above max(nu, u)."""
-    frac = nu - floor(nu)
-    return float(_miller(frac, _miller_top(nu, u), u)[round(nu - frac)])
+        norm += (1.0 if k == 0 else 2.0) * vals[2 * k]
+    return np.array(vals) / norm
 
 
 def _jn_reach(u: float) -> int:
@@ -293,43 +235,49 @@ def _jn_reach(u: float) -> int:
 def bessel_j(nu, u: float):
     """Bessel function J_nu(u) for real order nu and u >= 0.
 
-    Three routes:
+    Two routes, by the order, at every u:
 
-    * u <= 10, every real order: the ascending series `_jv_series`;
-    * u > 10, integer orders (J_(-n) = (-1)^n J_n exactly) and nu > 0:
-      Miller's backward recurrence, started 20 + 12 sqrt(.) orders above
-      max(nu, u).  Every integer order up to u shares that start, T(u), so
-      all integer orders |n| <= R(u) = T(u) - 20 read one run from T(u)
-      and J_n(u) depends on (n, u) alone.  Against 40-digit mpmath at u in
-      [10, 150], the run is within 2.1e-15 relative on (u, R(u)], against
-      3.4e-15 for a run per order.  Higher integer orders and non-integer
-      orders run their own recurrence;
-    * u > 10, negative non-integer orders: the real part of
-      `bessel_j_complex_order`, the 0F1 ladder.
+    * integer orders (J_(-n) = (-1)^n J_n exactly): Miller's backward
+      recurrence, started 20 + 12 sqrt(.) orders above max(n, u) and
+      normalized by J_0 + 2 sum J_2k = 1.  Every order n <= u shares that
+      start, T(u), so all integer orders |n| <= R(u) = T(u) - 20 read one
+      run from T(u) and J_n(u) depends on (n, u) alone.  A higher order
+      runs its own recurrence.  Below u = 1e-40, where one step of the
+      recurrence can overflow, they take the 0F1 route;
+    * non-integer orders, either sign: (u/2)^nu / Gamma(nu+1) 0F1(nu+1;
+      -u^2/4) with 0F1 from `_hyp0f1`, the ladder under
+      `bessel_j_complex_order`, and the factor in front from the real
+      `lgamma` (the complex `log_gamma` is up to 1.4e-13 off at negative
+      arguments).
 
     `nu` may be a sequence of orders: the result is then an array, its
-    entries bit for bit the scalar values, and at u > 10 the integer orders
-    up to R(u) share a single run.
+    entries bit for bit the scalar values, and the integer orders up to
+    R(u) share a single run.
 
-    Negative non-integer orders require u > 0.  Raises BesselOverflowError
-    when the value (or an intermediate term) leaves the double range, which
-    happens for strongly negative non-integer orders at small u.
+    At u = 0 integer orders give 1 or 0 and non-integer orders raise
+    DomainError.  Raises BesselOverflowError when (u/2)^nu / Gamma(nu+1)
+    leaves the double range, which happens for strongly negative
+    non-integer orders at small u.
 
-    Against 30-digit mpmath, integer orders 0..120 at u = 2 sqrt(theta),
-    theta in {1, 30, 100, 400, 1000}, are within 2.2e-16 absolute, and
-    random real orders |nu| <= 60 at u <= 40 within 4e-13 max(1, |J|).
-    The one weaker corner is a negative non-integer order at distance
-    delta < 1e-3 from a negative integer -n with n > u, at u > 10: the 0F1
-    ladder for c = nu + 1 steps through c + n - 1 = delta and cancels on the
-    way down, so the error grows like 1e-15/delta max(1, |J|) (measured up to
-    3e-16/delta for u in [12, 35], n - u in [1, 40]; 1e-10 at delta = 1e-6,
-    1e-7 at delta = 1e-9).  No caller in the package uses such orders.
+    Against 40-digit mpmath, integer orders 0..120 at u = 2 sqrt(theta),
+    theta in {1, 4, 9, 16, 25, 30, 100, 400, 1000}, are within 2.2e-16
+    absolute (2.2e-16 measured, at theta = 1000), and integer orders
+    0..120 at ten u in [0.05, 10] likewise (2.2e-16).  Against 30-digit
+    mpmath, random real orders |nu| <= 60 at u <= 40 are within
+    4e-13 max(1, |J|) (1.0e-13 measured on 3 300 draws off the corner
+    below).  The one weaker corner is a negative non-integer order at
+    distance delta < 1e-3 from a negative integer -n with n > u: the 0F1
+    ladder for c = nu + 1 steps through c + n - 1 = delta and cancels on
+    the way down, so the error grows like 1e-15/delta max(1, |J|)
+    (measured up to 3.5e-16/delta for u in [0.5, 40], n - u in [1, 40];
+    1e-10 at delta = 1e-6, 1e-7 at delta = 1e-9).  No caller in the
+    package uses such orders.
     """
     u = float(u)
     if u < 0.0:
         raise DomainError(f"bessel_j needs u >= 0, got u={u}")
     # the run every integer order n <= u starts alike, made on first use
-    run = functools.cache(lambda: _miller(0.0, _miller_top(0.0, u), u))
+    run = functools.cache(lambda: _miller(_miller_top(0.0, u), u))
     if not np.ndim(nu):
         return _bessel_j(float(nu), u, run)
     return np.array([_bessel_j(float(n), u, run) for n in nu])
@@ -338,25 +286,25 @@ def bessel_j(nu, u: float):
 def _bessel_j(nu: float, u: float, run) -> float:
     """One order of `bessel_j`; `run()` is the shared integer-order run at u."""
     if nu == round(nu):
-        n = int(round(nu))
-        sign = 1.0 if (n >= 0 or n % 2 == 0) else -1.0
-        n = abs(n)
-        if u <= _SERIES_CUT:
-            return sign * _jv_series(float(n), u)
-        if n <= _jn_reach(u):
-            return sign * float(run()[n])
-        return sign * _jv_miller(float(n), u)
-    if u == 0.0:
+        if nu < 0.0:
+            return (1.0 if nu % 2.0 == 0.0 else -1.0) * _bessel_j(-nu, u, run)
+        if u == 0.0:
+            return 1.0 if nu == 0.0 else 0.0
+        if u >= _MILLER_MIN_U:
+            n = int(nu)
+            return float(run()[n] if n <= _jn_reach(u) else _miller(_miller_top(n, u), u)[n])
+    elif u == 0.0:
         raise DomainError("bessel_j at u=0 needs a nonnegative or integer order")
-    if u <= _SERIES_CUT:
-        return _jv_series(nu, u)
-    if nu > 0.0:
-        return _jv_miller(nu, u)
     # log |(u/2)^nu / Gamma(nu+1)|, the factor in front of 0F1 that carries
     # the growth, checked before anything is formed in floating point
-    if nu * log(0.5 * u) - lgamma(nu + 1.0) > 705.0:
+    c = nu + 1.0
+    scale = nu * log(0.5 * u) - lgamma(c)
+    if scale > 705.0:
         raise BesselOverflowError(f"J_({nu})({u}) exceeds double range")
-    return float(bessel_j_complex_order(nu, u).real)
+    f0, _ = _hyp0f1(c, -0.25 * u * u)
+    # Gamma(c) < 0 exactly where sin(pi c) < 0 on c < 0
+    sign = -1.0 if c < 0.0 and _sinpi(c) < 0.0 else 1.0
+    return sign * exp(scale) * float(f0.real)
 
 
 def bessel_j_dorder(nu: float, u: float) -> float:
@@ -588,6 +536,8 @@ def _whittaker(kappa, mu_im: float, zeta: complex, nodes: int, check: bool):
 
     The scale bounds the rounding in W: the base values' scales, carried
     up each ladder by the recurrence with its coefficients in modulus.
+    `nodes` and `check` go to `_w_integral`; both public callers pass 32
+    and True.
     """
     zeta = complex(zeta)
     if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
@@ -620,8 +570,7 @@ def _whittaker(kappa, mu_im: float, zeta: complex, nodes: int, check: bool):
     return values[0], scales[0]
 
 
-def whittaker_w_complex(kappa, mu_im: float, zeta: complex, *,
-                        nodes: int = 32, _check: bool = True):
+def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
     """W_{kappa, i mu_im}(zeta) on the cut plane |arg zeta| < pi.
 
     kappa >= 1/2 runs the contiguous recurrence in kappa upward from the
@@ -635,7 +584,7 @@ def whittaker_w_complex(kappa, mu_im: float, zeta: complex, *,
     (W_k, W_(k-1)) (two orders, two bases) costs ~105 µs on a 2-core AMD
     EPYC, against ~170 µs for one pass per base and rule.
     """
-    return _whittaker(kappa, mu_im, zeta, nodes, _check)[0]
+    return _whittaker(kappa, mu_im, zeta, 32, True)[0]
 
 
 def whittaker_w(kappa, mu_im: float, x: float):

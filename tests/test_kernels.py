@@ -617,3 +617,17 @@ def test_two_point_singularity():
     with pytest.raises(ParameterError):
         kernels.TwoPointModel(0.1, 0.2, 1.0, 1.0)
 
+
+def test_two_point_data_live_on_the_two_points_only():
+    model = kernels.TwoPointModel(0.3, 0.5, a=1.0 + 1.0j, b=-2.0)
+    methods = (model.f, model.g, model.w, model.resolvent_f, model.resolvent_g,
+               model.m_prime_f_limit)
+    for method in methods:
+        # a at index 0, b at index 1, whatever type the point comes in
+        assert np.array_equal(method(1.0 + 1.0j), method(np.complex128(1.0 + 1.0j)))
+        assert np.array_equal(method(-2.0), method(-2))
+        assert not np.array_equal(method(1.0 + 1.0j), method(-2.0))
+        for point in (5.0, 0.0, 1.0, 1.0 - 1.0j):
+            with pytest.raises(ParameterError):
+                method(point)
+    assert np.array_equal(model.g(-2.0), [0.0, 1.0])
