@@ -3,21 +3,27 @@
 The closed-form kernel ingredients are taken as given and every condition
 that characterizes them is checked numerically:
 
-* the Bessel matrix p is entire and satisfies the half-integer reflection
-  condition p(x) = (-1)^(x-1/2) p(x) [[0,1],[1,0]], plus the shift
-  recurrence p11(zeta+1) = (beta/eta) p21(zeta) with beta = -eta;
+* the Bessel matrix p agrees at lattice points with p assembled from the
+  real-order Bessel J.  There its orders are integers, so the
+  half-integer reflection condition p(x) = (-1)^(x-1/2) p(x) [[0,1],[1,0]]
+  holds by construction (J_(-n) = (-1)^n J_n, DLMF 10.4.1) and is not
+  checked;
 * m(zeta) = p(zeta) diag(eta^-zeta Gamma(zeta+1/2), eta^zeta Gamma(1/2-zeta))
   has simple poles exactly on Z + 1/2 with Res m = lim m(zeta) w(x), tends
   to I at infinity, and its 1/zeta coefficient has the symmetry gamma=beta,
   delta=-alpha;
 * n(zeta) = m(zeta) diag(eta^zeta, eta^-zeta) satisfies the first-order
   ODE dn/deta = [[zeta,-2beta],[2beta,-zeta]] n, and only beta = -eta does;
-* the Whittaker matrix Psi has det 1, the printed inverse transpose, and
-  piecewise-constant multiplicative jumps across R+- ;
-* the two-point and closed-contour toy models reproduce all their printed
-  formulas;
+* the Whittaker matrix Psi has det 1 and piecewise-constant
+  multiplicative jumps across R+- ;
+* the two-point toy model reproduces all its printed formulas, and an
+  integrable kernel L with g^t f = 0 on a closed contour has L^2 = 0;
 * the scalar special functions and the Christoffel-Darboux kernel keep
   their module invariants (`suite_special_functions`, `suite_cd`).
+
+Every row can fail: for each row id that `suite_drhp`, `suite_psi`,
+`suite_two_point` and `suite_contour` emit, tests/test_drhp.py perturbs
+the row's subject and requires the row to fail.
 
 Residues are computed by trapezoidal averages over small circles (exact
 for simple poles up to spectrally small quadrature error), derivatives by
@@ -25,8 +31,7 @@ Cauchy-integral averages, so no symbolic differentiation enters.  m itself
 is evaluated through 0F1 ratios (the Gamma factors are cancelled
 analytically), a code path disjoint from the real-order Bessel kernel
 assembly it is checked against.  p goes through the same 0F1, as
-`special.bessel_j_complex_order`, so m = p diag(...) checks the Gamma
-bookkeeping rather than the 0F1; p's values at lattice points are checked
+`special.bessel_j_complex_order`; its values at lattice points are checked
 against the real-order `special.bessel_j` (at integer orders Miller's
 recurrence at every u, no 0F1), and pinned against mpmath in the tests.
 
@@ -52,7 +57,6 @@ from .kernels import (
     AssembledKernel,
     TwoPointModel,
     christoffel_darboux_k,
-    psi_inv_t_printed,
     psi_matrix,
 )
 from .special import _hyp0f1, bessel_j_complex_order, log_gamma
@@ -68,16 +72,12 @@ __all__ = [
     "bessel_m1_exact",
     "fit_m1",
     "bessel_kernel_from_m",
-    "check_p_condition",
-    "check_p_recurrence",
+    "check_p_values",
     "check_m_residues",
     "check_m_normalization",
     "check_m1_symmetry",
     "ode_check_eta",
-    "psi_checks_whittaker",
     "psi_jump_matrix",
-    "verify_two_point",
-    "verify_closed_contour_identity",
     "suite_drhp",
     "suite_psi",
     "suite_two_point",
@@ -86,7 +86,20 @@ __all__ = [
     "suite_cd",
 ]
 
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# the checks' fixed inputs, quadrature and tolerances
+_P_XS, _P_TOL = (3.5, 7.5, -4.5), 1e-12
+_RESIDUE_XS = tuple(k + 0.5 for k in range(-10, 10))
+_RESIDUE_RADIUS, _RESIDUE_NODES, _RESIDUE_TOL = 1e-3, 32, 1e-9
+_REMAINDER_TOL = 1e-2
+_M1_NODES, _M1_TOL = 4096, 1e-6
+_ODE_ZETAS = (0.3 + 0.4j, 1.2 - 0.7j, 2.5j)
+_ODE_STEP, _ODE_TOL, _P11_TOL = 1e-4, 1e-6, 1e-5
+_DERIV_RADIUS, _DERIV_NODES = 0.25, 48
+_PSI_DET_POINTS = (2.0 + 0.5j, 2.0 + 0.1j, 2.0 - 0.1j, -1.5 + 0.8j)
+_PSI_DET_TOL = 1e-12
+_PSI_JUMP_XS, _PSI_EPS = (1.0, -1.0), (1e-2, 1e-3, 1e-4)
+_TWO_POINT_TOL = 1e-13
+_CONTOUR_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -125,8 +138,7 @@ def bessel_p(theta: float):
 
     zeta may be an array: the result then has shape zeta.shape + (2, 2),
     from one `bessel_j_complex_order` call on all four orders of every
-    point.  p_hat, the beta = +eta companion, is p with its off-diagonal
-    signs flipped.
+    point.
     """
     eta = sqrt(theta)
     u = 2.0 * eta
@@ -267,87 +279,40 @@ def _p_from_real_order(theta: float, xs: Sequence[float]) -> np.ndarray:
     return sqrt(eta) * j * np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
-def check_p_condition(theta: float, xs: Sequence[float],
-                      tol: float = 1e-12) -> list[ResidualCheck]:
-    """p(x) = (-1)^(x-1/2) p(x) [[0,1],[1,0]] on the half-integer lattice.
+def check_p_values(theta: float, xs: Sequence[float]) -> list[ResidualCheck]:
+    """p at lattice points against `_p_from_real_order`, to _P_TOL max(1, |p|).
 
-    Also certifies that the companion matrix p_hat fails this condition but
-    satisfies the variant with (-1)^(x+1/2).  At a lattice point the
-    orders of p are integers, and `bessel_j_complex_order` computes J_(-n)
-    as (-1)^n J_n from the same J_n, so both conditions hold exactly: those
-    rows certify p's sign layout.  p's values are certified by the
-    `p-values` row at each x, against p assembled from the real-order
-    `special.bessel_j` (`_p_from_real_order`) within tol * max(1, |p|).
+    The reflection condition needs no row: `bessel_j_complex_order` forms
+    J_(-n) as (-1)^n J_n from the same J_n, so it holds by construction.
     """
-    flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    rows = []
-    for x, px, ref in zip(xs, bessel_p(theta)(np.asarray(xs, dtype=float)),
-                          _p_from_real_order(theta, xs)):
-        sign = (-1.0) ** round(x - 0.5)
-        rows.append(ResidualCheck(
-            "p-condition", f"x={x}", float(np.max(np.abs(px - sign * px @ SWAP))), tol))
-        phx = px * flip
-        scale = float(np.max(np.abs(phx)))
-        viol = float(np.max(np.abs(phx - sign * phx @ SWAP)))
-        # must-be-large check: the plain condition has to fail by an O(1)
-        # fraction of p_hat's size; encoded as threshold/actual < 1
-        rows.append(ResidualCheck(
-            "p-hat-violates-plain-condition", f"x={x}",
-            1e-2 * scale / viol if viol > 0 else math.inf, 1.0))
-        rows.append(ResidualCheck(
-            "p-hat-flipped-condition", f"x={x}",
-            float(np.max(np.abs(phx + sign * phx @ SWAP))), tol))
-        rows.append(ResidualCheck(
-            "p-values", f"x={x}", float(np.max(np.abs(px - ref))),
-            tol * max(1.0, float(np.max(np.abs(ref))))))
-    return rows
+    return [ResidualCheck("p-values", f"x={x}", float(np.max(np.abs(px - ref))),
+                          _P_TOL * max(1.0, float(np.max(np.abs(ref)))))
+            for x, px, ref in zip(xs, bessel_p(theta)(np.asarray(xs, dtype=float)),
+                                  _p_from_real_order(theta, xs))]
 
 
-def check_p_recurrence(theta: float, zetas: Sequence[complex],
-                       tol: float = 1e-10) -> list[ResidualCheck]:
-    """Shift relations p11(z+1) = (beta/eta) p21(z), p21(z-1) = (beta/eta) p11(z).
-
-    p at z, z + 1 and z - 1 comes from one J call, and both sides of each
-    relation are that call's J at one order (formed once as z + 1 - 1/2,
-    once as z + 1/2), so the residual is 0 by construction up to the
-    rounding of the order (2.2e-16 at zeta = 1.3, theta = 100): the rows
-    certify the index and sign layout of p; its values are certified by
-    the `p-values` rows of `check_p_condition`.
-    """
-    zs = np.asarray(zetas, dtype=complex)
-    here, up, down = bessel_p(theta)(np.stack([zs, zs + 1.0, zs - 1.0]))
-    rows = []
-    for z, h, u, d in zip(zetas, here, up, down):
-        rows.append(ResidualCheck(
-            "p-recurrence-11", f"zeta={z}", abs(u[0, 0] - (-1.0) * h[1, 0]), tol))
-        rows.append(ResidualCheck(
-            "p-recurrence-21", f"zeta={z}", abs(d[1, 0] - (-1.0) * h[0, 0]), tol))
-    return rows
-
-
-def check_m_residues(theta: float, xs: Sequence[float], radius: float = 1e-3,
-                     nodes: int = 32, tol: float = 1e-9) -> list[ResidualCheck]:
+def check_m_residues(theta: float, xs: Sequence[float]) -> list[ResidualCheck]:
     """Res_{zeta=x} m = lim_{zeta->x} m(zeta) w(x) at every lattice point given."""
-    circles = [_circle(complex(x), radius, nodes) for x in xs]
+    circles = [_circle(complex(x), _RESIDUE_RADIUS, _RESIDUE_NODES) for x in xs]
     if not circles:
         return []
     values = bessel_m(theta)(np.concatenate([zs for _, zs in circles]))
     rows = []
-    for x, (phases, _), mx in zip(xs, circles, values.reshape(-1, nodes, 2, 2)):
-        res = _residue(mx, phases, radius)
+    for x, (phases, _), mx in zip(xs, circles,
+                                  values.reshape(-1, _RESIDUE_NODES, 2, 2)):
+        res = _residue(mx, phases, _RESIDUE_RADIUS)
         lim = _average(mx @ bessel_w_weight(theta, x))
         rows.append(ResidualCheck(
-            "m-residue", f"x={x}", float(np.max(np.abs(res - lim))), tol))
+            "m-residue", f"x={x}", float(np.max(np.abs(res - lim))), _RESIDUE_TOL))
     return rows
 
 
-def check_m_normalization(theta: float,
-                          tol_remainder: float = 1e-2) -> list[ResidualCheck]:
+def check_m_normalization(theta: float) -> list[ResidualCheck]:
     """m(it) -> I along the imaginary axis.
 
     Reported per t: the raw defect max|m(it) - I| (must decrease in t; it
     decays only like |m1|/t, so no absolute bound is imposed on it) and the
-    defect after removing the exact 1/zeta term (bounded by tol_remainder
+    defect after removing the exact 1/zeta term (bounded by _REMAINDER_TOL
     at the largest t, and decreasing).  The remainder scales like
     theta/t^2, so t is taken from theta: t = t0, 2 t0, 4 t0 with
     t0 = max(10, 2.5 theta).  The largest-t remainder then measures
@@ -374,9 +339,7 @@ def check_m_normalization(theta: float,
             "m-normalization-remainder-decreasing", f"t={ts[i - 1]}->{ts[i]}",
             rem[i] / rem[i - 1], 1.0))
     rows.append(ResidualCheck(
-        "m-normalization-remainder", f"t={ts[-1]}", rem[-1], tol_remainder))
-    rows.append(ResidualCheck(
-        "m-normalization-raw-informational", f"t={ts[-1]}", raw[-1], math.inf))
+        "m-normalization-remainder", f"t={ts[-1]}", rem[-1], _REMAINDER_TOL))
     return rows
 
 
@@ -384,7 +347,7 @@ def _m1_radius(theta: float) -> float:
     return max(40.0, 4.0 * sqrt(theta))
 
 
-def fit_m1(theta: float, nodes: int = 4096) -> np.ndarray:
+def fit_m1(theta: float) -> np.ndarray:
     """1/zeta coefficient of m fitted as the circle average of zeta (m - I).
 
     The full-circle average equals the sum of all enclosed residues, which
@@ -397,10 +360,10 @@ def fit_m1(theta: float, nodes: int = 4096) -> np.ndarray:
     m = bessel_m(theta)
     eye = np.eye(2)
     return _circle_average(lambda zs: zs[:, None, None] * (m(zs) - eye),
-                           0j, _m1_radius(theta), nodes)
+                           0j, _m1_radius(theta), _M1_NODES)
 
 
-def check_m1_symmetry(theta: float, tol: float = 1e-6) -> list[ResidualCheck]:
+def check_m1_symmetry(theta: float) -> list[ResidualCheck]:
     """Fitted m1 = [[alpha,beta],[gamma,delta]] satisfies gamma=beta, delta=-alpha."""
     m1 = fit_m1(theta)
     radius = _m1_radius(theta)
@@ -408,18 +371,15 @@ def check_m1_symmetry(theta: float, tol: float = 1e-6) -> list[ResidualCheck]:
     gamma, delta = m1[1, 0], m1[1, 1]
     return [
         ResidualCheck("m1-gamma-equals-beta", f"|zeta|={radius}",
-                      abs(gamma - beta), tol),
+                      abs(gamma - beta), _M1_TOL),
         ResidualCheck("m1-delta-equals-minus-alpha", f"|zeta|={radius}",
-                      abs(delta + alpha), tol),
+                      abs(delta + alpha), _M1_TOL),
         ResidualCheck("m1-beta-equals-minus-eta", f"|zeta|={radius}",
-                      abs(beta - (-sqrt(theta))), tol),
+                      abs(beta - (-sqrt(theta))), _M1_TOL),
     ]
 
 
-def ode_check_eta(theta: float,
-                  zetas: Sequence[complex] = (0.3 + 0.4j, 1.2 - 0.7j, 2.5j),
-                  h: float = 1e-4, tol: float = 1e-6,
-                  tol2: float = 1e-5) -> list[ResidualCheck]:
+def ode_check_eta(theta: float) -> list[ResidualCheck]:
     """First-order ODE in eta for n, the beta sign selection, and the
     second-order scalar ODE for p11.
 
@@ -427,11 +387,13 @@ def ode_check_eta(theta: float,
     eta dn/deta = [[zeta, -2 beta], [2 beta, -zeta]] n with beta = -eta;
     the factor eta comes from the diagonal, whose eta-derivative is
     zeta/eta times itself.  dn/deta is Richardson's extrapolation of the
-    central differences at steps h and h/2.
+    central differences at steps _ODE_STEP and _ODE_STEP/2.
     """
     eta = sqrt(theta)
+    h = _ODE_STEP
     rows = []
     # n at every zeta in one call per eta
+    zetas = list(_ODE_ZETAS)
     zs = np.array(zetas, dtype=complex)
     n_at = {step: bessel_n((eta + step) ** 2)(zs)
             for step in (-h, -0.5 * h, 0.0, 0.5 * h, h)}
@@ -449,9 +411,9 @@ def ode_check_eta(theta: float,
                 worst_minus = max(worst_minus, r)
             else:
                 worst_plus = max(worst_plus, r)
-    rows.append(ResidualCheck("ode-eta-beta-minus", f"zetas={list(zetas)}",
-                              worst_minus, tol))
-    rows.append(ResidualCheck("ode-eta-beta-plus-must-fail", f"zetas={list(zetas)}",
+    rows.append(ResidualCheck("ode-eta-beta-minus", f"zetas={zetas}",
+                              worst_minus, _ODE_TOL))
+    rows.append(ResidualCheck("ode-eta-beta-plus-must-fail", f"zetas={zetas}",
                               1.0 / worst_plus if worst_plus > 0 else math.inf,
                               1.0 / 1e-2))
 
@@ -467,13 +429,12 @@ def ode_check_eta(theta: float,
     # Richardson in h^2 removes the leading truncation term
     second = (4.0 * second_diff(0.5 * h2) - second_diff(h2)) / 3.0
     worst2 = float(np.max(np.abs(second - (zs * (zs - 1.0) / theta - 4.0) * p11[0.0])))
-    rows.append(ResidualCheck("ode-p11-second-order", f"zetas={list(zetas)}",
-                              worst2, tol2))
+    rows.append(ResidualCheck("ode-p11-second-order", f"zetas={zetas}",
+                              worst2, _P11_TOL))
     return rows
 
 
-def bessel_kernel_from_m(theta: float, deriv_radius: float = 0.25,
-                         deriv_nodes: int = 48) -> AssembledKernel:
+def bessel_kernel_from_m(theta: float) -> AssembledKernel:
     """Correlation kernel reassembled from m by the limit definitions.
 
     F(x) = lim m(zeta) f(x) and G(x) = lim m^-t(zeta) g(x) use the
@@ -492,12 +453,12 @@ def bessel_kernel_from_m(theta: float, deriv_radius: float = 0.25,
     eta = sqrt(theta)
     w = -theta
     lt = math.log(theta)
-    phases, circle = _circle(0j, deriv_radius, deriv_nodes)
-    # every c below is >= 1 - deriv_radius on the lattice; passing that
+    phases, circle = _circle(0j, _DERIV_RADIUS, _DERIV_NODES)
+    # every c below is >= 1 - _DERIV_RADIUS on the lattice; passing that
     # floor along fixes where the 0F1 ladder starts, so a point's values do
     # not depend on the other points of the call and the entries of
     # `matrix` are the scalar kernel's bit for bit
-    floor = 1.0 - deriv_radius
+    floor = 1.0 - _DERIV_RADIUS
 
     def column(x: np.ndarray, c: np.ndarray) -> tuple:
         lo, hi = _hyp0f1(np.append(c, floor), w)
@@ -525,7 +486,7 @@ def bessel_kernel_from_m(theta: float, deriv_radius: float = 0.25,
         x = np.asarray(points, dtype=float)[:, None]
         zs = x + circle
         top, bottom = column(x, np.where(x > 0, zs + 0.5, 0.5 - zs))
-        wt = weight(x[:, 0]) / (deriv_nodes * deriv_radius)
+        wt = weight(x[:, 0]) / (_DERIV_NODES * _DERIV_RADIUS)
         return (wt * (top * phases.conj()).sum(axis=1).real,
                 wt * (bottom * phases.conj()).sum(axis=1).real)
 
@@ -557,28 +518,21 @@ def psi_jump_matrix(z: complex, x: float) -> np.ndarray:
     )
 
 
-def psi_checks_whittaker(z: complex,
-                         det_points: Sequence[complex] = (2.0 + 0.5j, 2.0 + 0.1j,
-                                                          2.0 - 0.1j, -1.5 + 0.8j),
-                         jump_xs: Sequence[float] = (1.0, -1.0),
-                         eps_seq: Sequence[float] = (1e-2, 1e-3, 1e-4),
-                         det_tol: float = 1e-7,
-                         invt_tol: float = 1e-7) -> list[ResidualCheck]:
-    """det Psi = 1, printed Psi^-t, and the piecewise-constant jump across R."""
-    rows = []
-    for pt in det_points:
-        psi = psi_matrix(z, pt)
-        rows.append(ResidualCheck(
-            "psi-det", f"zeta={pt}", abs(np.linalg.det(psi) - 1.0), det_tol))
-        printed = psi_inv_t_printed(psi)
-        numeric = np.linalg.inv(psi).T
-        rows.append(ResidualCheck(
-            "psi-inverse-transpose", f"zeta={pt}",
-            float(np.max(np.abs(printed - numeric))), invt_tol))
-    for x in jump_xs:
+def suite_psi(z: complex) -> list[ResidualCheck]:
+    """det Psi = 1 and the piecewise-constant jump across R.
+
+    The extrapolated boundary values leave an O(eps^3) jump residual
+    (<= 2.0 eps^3 at seven z with |Im z| <= 1.5), so each eps <= 1e-3 row
+    passes below 100 eps^3 and each refinement eps -> eps/10 below 1e-2
+    (1.05e-3 measured).  The eps = 1e-2 rows keep the loose 1e-1.
+    """
+    rows = [ResidualCheck("psi-det", f"zeta={pt}",
+                          abs(np.linalg.det(psi_matrix(z, pt)) - 1.0), _PSI_DET_TOL)
+            for pt in _PSI_DET_POINTS]
+    for x in _PSI_JUMP_XS:
         v = psi_jump_matrix(z, x)
         resids = []
-        for eps in eps_seq:
+        for eps in _PSI_EPS:
             # boundary values extrapolated to the axis (kills the O(eps)
             # drift of Psi itself; a wrong v would survive as a plateau)
             up = (2.0 * psi_matrix(z, complex(x, 0.5 * eps))
@@ -591,11 +545,11 @@ def psi_checks_whittaker(z: complex,
             resids.append(resid)
             rows.append(ResidualCheck(
                 "psi-jump", f"x={x}, eps={eps}", resid,
-                1e-3 if eps <= 1e-3 else 1e-1))
+                100.0 * eps ** 3 if eps <= 1e-3 else 1e-1))
         for i in range(1, len(resids)):
             rows.append(ResidualCheck(
-                "psi-jump-refinement", f"x={x}, eps={eps_seq[i-1]}->{eps_seq[i]}",
-                resids[i] / resids[i - 1], 1.0))
+                "psi-jump-refinement", f"x={x}, eps={_PSI_EPS[i-1]}->{_PSI_EPS[i]}",
+                resids[i] / resids[i - 1], 1e-2))
     return rows
 
 
@@ -603,8 +557,8 @@ def psi_checks_whittaker(z: complex,
 # toy models
 # ----------------------------------------------------------------------
 
-def verify_two_point(mu: float, nu: float, a: complex = 0.0, b: complex = 1.0,
-                     tol: float = 1e-13) -> list[ResidualCheck]:
+def suite_two_point(mu: float = 0.3, nu: float = 0.5, a: complex = 0.0,
+                    b: complex = 1.0) -> list[ResidualCheck]:
     """Everything printed for the two-point ensemble, cross-checked."""
     model = TwoPointModel(mu, nu, a, b)
     rows = []
@@ -635,10 +589,12 @@ def verify_two_point(mu: float, nu: float, a: complex = 0.0, b: complex = 1.0,
                                 complex(point), radius, 32)
         rows.append(ResidualCheck(
             "two-point-resolvent-f", f"point={point}",
-            float(np.max(np.abs(f_lim - model.resolvent_f(point)))), tol))
+            float(np.max(np.abs(f_lim - model.resolvent_f(point)))),
+            _TWO_POINT_TOL))
         rows.append(ResidualCheck(
             "two-point-resolvent-g", f"point={point}",
-            float(np.max(np.abs(g_lim - model.resolvent_g(point)))), tol))
+            float(np.max(np.abs(g_lim - model.resolvent_g(point)))),
+            _TWO_POINT_TOL))
         mp_lim = _circle_derivative(mf, complex(point), radius, 32)
         rows.append(ResidualCheck(
             "two-point-m-prime-limit", f"point={point}",
@@ -666,79 +622,49 @@ def verify_two_point(mu: float, nu: float, a: complex = 0.0, b: complex = 1.0,
     return rows
 
 
-def verify_closed_contour_identity(nodes: int = 512) -> list[ResidualCheck]:
+def _contour_f(zeta) -> np.ndarray:
+    ez = np.exp(np.asarray(zeta, dtype=complex))
+    return np.stack([np.ones_like(ez), ez], axis=-1)
+
+
+def _contour_g(zeta) -> np.ndarray:
+    ez = np.exp(np.asarray(zeta, dtype=complex))
+    return np.stack([-ez, np.ones_like(ez)], axis=-1)
+
+
+def suite_contour() -> list[ResidualCheck]:
     """Closed clockwise contour with analytic data: L^2 = 0, so K = L.
 
-    Uses f = (1, zeta), g = (-zeta, 1) on the unit circle; the interior
-    solution is m = I - 2 pi i f g^t and the resolvent data collapse back
-    to (f, g).  f, g and L act on arrays of points, stacked along the
-    leading axes.
+    f = (1, e^zeta) and g = (-e^zeta, 1) have g^t f = 0, so
+    L(x, y) = (e^x - e^y)/(x - y) is entire in each variable and the
+    trapezoid sum of L(x0, y) L(y, z0) dy over the unit circle vanishes by
+    Cauchy's theorem (5.0e-16 measured; 34.9 with the sign of g1 flipped,
+    where L has a pole on the diagonal).
     """
-    def f(zeta) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=complex)
-        return np.stack([np.ones_like(zeta), zeta], axis=-1)
-
-    def g(zeta) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=complex)
-        return np.stack([-zeta, np.ones_like(zeta)], axis=-1)
-
     def l_kernel(x, y):
-        fx, gy = f(x), g(y)
+        fx, gy = _contour_f(x), _contour_g(y)
         return (fx[..., 0] * gy[..., 0] + fx[..., 1] * gy[..., 1]) / (x - y)
 
     # clockwise parametrization y = e^{-i theta}; nodes offset half a step
     # so they never coincide with the evaluation points x0, z0
     x0, z0 = 1.0 + 0j, 1j
-    y = np.exp(-1j * (2.0 * pi * (np.arange(nodes) + 0.5) / nodes))
-    dy = -1j * y * (2.0 * pi / nodes)
+    y = np.exp(-1j * (2.0 * pi * (np.arange(_CONTOUR_NODES) + 0.5) / _CONTOUR_NODES))
+    dy = -1j * y * (2.0 * pi / _CONTOUR_NODES)
     acc = np.sum(l_kernel(x0, y) * l_kernel(y, z0) * dy)
-    rows = [ResidualCheck("contour-l-squared", f"(x,z)=({x0},{z0})",
+    return [ResidualCheck("contour-l-squared", f"(x,z)=({x0},{z0})",
                           float(abs(acc)), 1e-10)]
-
-    zeta = np.exp(1j * np.linspace(0.0, 2.0 * pi, 7)[:-1])
-    fz, gz = f(zeta), g(zeta)
-    fg = fz[:, :, None] * gz[:, None, :]
-    m_in = np.eye(2) - 2j * pi * fg
-    m_inv = np.eye(2) + 2j * pi * fg       # (fg)^2 = 0 since g^t f = 0
-    worst_m = float(np.max(np.abs(m_in @ m_inv - np.eye(2))))
-    big_f = (m_in @ fz[..., None])[..., 0]
-    big_g = (m_inv.swapaxes(-1, -2) @ gz[..., None])[..., 0]
-    worst_fg = float(max(np.max(np.abs(big_f - fz)), np.max(np.abs(big_g - gz))))
-    rows.append(ResidualCheck("contour-m-inverse", "6 contour points",
-                              worst_m, 1e-12))
-    rows.append(ResidualCheck("contour-resolvent-data-fixed", "6 contour points",
-                              worst_fg, 1e-12))
-    return rows
 
 
 # ----------------------------------------------------------------------
 # suites
 # ----------------------------------------------------------------------
 
-def suite_drhp(theta: float, xmax: float = 10.5) -> list[ResidualCheck]:
-    xs = [k + 0.5 for k in range(int(xmax))]
-    xs = sorted([-x for x in xs] + xs)
-    rows = []
-    rows += check_p_condition(theta, [3.5, 7.5, -4.5])
-    rows += check_p_recurrence(theta, [1.3, 0.3 + 0.4j, -2.5])
-    rows += check_m_residues(theta, xs)
-    rows += check_m_normalization(theta)
-    rows += check_m1_symmetry(theta)
-    rows += ode_check_eta(theta)
-    return rows
-
-
-def suite_psi(z: complex) -> list[ResidualCheck]:
-    return psi_checks_whittaker(z)
-
-
-def suite_two_point(mu: float = 0.3, nu: float = 0.5, a: complex = 0.0,
-                    b: complex = 1.0) -> list[ResidualCheck]:
-    return verify_two_point(mu, nu, a, b)
-
-
-def suite_contour() -> list[ResidualCheck]:
-    return verify_closed_contour_identity()
+def suite_drhp(theta: float) -> list[ResidualCheck]:
+    return (check_p_values(theta, _P_XS)
+            + check_m_residues(theta, _RESIDUE_XS)
+            + check_m_normalization(theta)
+            + check_m1_symmetry(theta)
+            + ode_check_eta(theta))
 
 
 def suite_special_functions() -> list[ResidualCheck]:

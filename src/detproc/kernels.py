@@ -54,7 +54,6 @@ __all__ = [
     "discrete_bessel_khat",
     "whittaker_kernel_k",
     "psi_matrix",
-    "psi_inv_t_printed",
     "christoffel_darboux_k",
     "ChristoffelDarbouxKernel",
     "two_point_k",
@@ -379,17 +378,6 @@ def psi_matrix(z: complex, zeta: complex) -> np.ndarray:
     w12, w22 = whittaker_w_complex((-a - 0.5, -a + 0.5), m, -zeta).tolist()
     return np.array([[rp * w11, r * rm * w12], [-r * rp * w21, rm * w22]],
                     dtype=complex)
-
-
-def psi_inv_t_printed(psi: np.ndarray) -> np.ndarray:
-    """The closed-form inverse transpose of Psi (not computed numerically).
-
-    With det Psi = 1 it is the adjugate [[Psi22, -Psi21], [-Psi12, Psi11]],
-    the printed form entry for entry (negation is exact), built from the
-    entries of `psi_matrix` so that no W value is evaluated twice.
-    """
-    (p11, p12), (p21, p22) = psi
-    return np.array([[p22, -p21], [-p12, p11]], dtype=complex)
 
 
 def whittaker_kernel_k(z: complex) -> AssembledKernel:

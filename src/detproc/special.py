@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from math import exp, floor, fsum, lgamma, log, pi, sin, sqrt
 
 import numpy as np
@@ -254,10 +255,13 @@ def bessel_j(nu, u: float):
     entries bit for bit the scalar values, and the integer orders up to
     R(u) share a single run.
 
-    At u = 0 integer orders give 1 or 0 and non-integer orders raise
-    DomainError.  Raises BesselOverflowError when (u/2)^nu / Gamma(nu+1)
-    leaves the double range, which happens for strongly negative
-    non-integer orders at small u.
+    At u = 0 order 0 gives 1, other integer and positive orders 0, and
+    negative non-integer orders, where J is infinite, raise DomainError.
+    A subnormal u takes log(u) - log 2 for log(u/2), since u/2 rounds
+    there (and underflows to 0 at the least subnormal).  Raises
+    BesselOverflowError when (u/2)^nu / Gamma(nu+1) leaves the double
+    range, which happens for strongly negative non-integer orders at
+    small u.
 
     Against 40-digit mpmath, integer orders 0..120 at u = 2 sqrt(theta),
     theta in {1, 4, 9, 16, 25, 30, 100, 400, 1000}, are within 2.2e-16
@@ -294,11 +298,14 @@ def _bessel_j(nu: float, u: float, run) -> float:
             n = int(nu)
             return float(run()[n] if n <= _jn_reach(u) else _miller(_miller_top(n, u), u)[n])
     elif u == 0.0:
-        raise DomainError("bessel_j at u=0 needs a nonnegative or integer order")
+        if nu < 0.0:
+            raise DomainError("bessel_j at u=0 needs a nonnegative or integer order")
+        return 0.0
     # log |(u/2)^nu / Gamma(nu+1)|, the factor in front of 0F1 that carries
     # the growth, checked before anything is formed in floating point
     c = nu + 1.0
-    scale = nu * log(0.5 * u) - lgamma(c)
+    log_half = log(0.5 * u) if 0.5 * u >= sys.float_info.min else log(u) - log(2.0)
+    scale = nu * log_half - lgamma(c)
     if scale > 705.0:
         raise BesselOverflowError(f"J_({nu})({u}) exceeds double range")
     f0, _ = _hyp0f1(c, -0.25 * u * u)

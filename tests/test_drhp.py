@@ -104,22 +104,14 @@ def test_circle_nodes_are_bitwise_the_scalar_phases(nodes):
 
 # ---------------------------------------------------------------- bessel side
 
-def test_p_condition_and_phat_variant():
-    _assert_all_pass(drhp.check_p_condition(1.0, [3.5, 7.5, -4.5]))
-
-
 @pytest.mark.parametrize("theta", [30.0, 100.0])
 def test_p_condition_and_p11_ode_hold_at_large_theta(theta):
-    # both failed with the cancelling complex-order series (p-condition by
+    # both failed with the cancelling complex-order series (p's values by
     # up to 1.6e-7, the p11 ODE by 0.45 at theta = 100)
-    _assert_all_pass(drhp.check_p_condition(theta, [3.5, 7.5, -4.5]))
+    _assert_all_pass(drhp.check_p_values(theta, [3.5, 7.5, -4.5]))
     rows = [r for r in drhp.ode_check_eta(theta) if r.check_id == "ode-p11-second-order"]
     assert len(rows) == 1
     _assert_all_pass(rows)
-
-
-def test_p_recurrence():
-    _assert_all_pass(drhp.check_p_recurrence(1.0, [1.3, 0.3 + 0.4j, -2.5]))
 
 
 @pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
@@ -144,11 +136,9 @@ def test_p_matches_mpmath(theta):
 
 @pytest.mark.parametrize("theta", [1.0, 30.0, 100.0])
 def test_suite_drhp_certifies_p_values_at_every_lattice_x(theta):
-    # one p-values row per x of the p condition, against the real-order J
-    rows = drhp.suite_drhp(theta)
-    cond = [r.point for r in rows if r.check_id == "p-condition"]
-    values = [r for r in rows if r.check_id == "p-values"]
-    assert [r.point for r in values] == cond and len(cond) == 3
+    # one p-values row per lattice x, against the real-order J
+    values = [r for r in drhp.suite_drhp(theta) if r.check_id == "p-values"]
+    assert [r.point for r in values] == ["x=3.5", "x=7.5", "x=-4.5"]
     _assert_all_pass(values)
 
 
@@ -161,7 +151,7 @@ def test_p_values_rows_call_real_order_j_once_and_catch_a_wrong_j(monkeypatch):
         return original(nu, u) * (1.0 + 1e-10 * (np.abs(nu) == 4))
 
     monkeypatch.setattr(special, "bessel_j", perturbed)
-    rows = drhp.check_p_condition(30.0, [3.5, 7.5, -4.5])
+    rows = drhp.check_p_values(30.0, [3.5, 7.5, -4.5])
     # one call on the signed orders x - 1/2, -(x - 1/2), x + 1/2, -(x + 1/2)
     assert calls == [[3, -3, 4, -4, 7, -7, 8, -8, -5, 5, -4, 4]]
     failed = {r.point for r in rows if r.check_id == "p-values" and not r.passed}
@@ -169,8 +159,8 @@ def test_p_values_rows_call_real_order_j_once_and_catch_a_wrong_j(monkeypatch):
 
 
 def test_suite_drhp_makes_few_complex_order_bessel_calls(monkeypatch):
-    # p is array-valued: one call for the p condition, one for the shift
-    # recurrence and one per eta of the p11 stencil (81 scalar calls before)
+    # p is array-valued: one call for the p-values rows and one per eta of
+    # the p11 stencil (81 scalar calls before)
     calls = []
     original = drhp.bessel_j_complex_order
 
@@ -180,7 +170,7 @@ def test_suite_drhp_makes_few_complex_order_bessel_calls(monkeypatch):
 
     monkeypatch.setattr(drhp, "bessel_j_complex_order", counted)
     drhp.suite_drhp(30.0)
-    assert len(calls) <= 7
+    assert len(calls) <= 6
 
 
 def test_m_has_unit_determinant():
@@ -288,8 +278,7 @@ def test_psi_suite():
 
 
 def test_psi_suite_evaluates_each_psi_once(monkeypatch):
-    # 4 det points (Psi and its printed inverse transpose from one Psi)
-    # plus 2 jump points x 3 eps x 4 boundary values
+    # 4 det points plus 2 jump points x 3 eps x 4 boundary values
     calls = []
 
     def counted(z, zeta):
@@ -316,11 +305,11 @@ def test_psi_jump_residuals_decrease():
 # ---------------------------------------------------------------- toy models
 
 def test_two_point_suite():
-    _assert_all_pass(drhp.verify_two_point(0.3, 0.5))
+    _assert_all_pass(drhp.suite_two_point(0.3, 0.5))
 
 
 def test_two_point_other_points():
-    _assert_all_pass(drhp.verify_two_point(-0.4, 0.7, a=1.0 + 1.0j, b=-2.0))
+    _assert_all_pass(drhp.suite_two_point(-0.4, 0.7, a=1.0 + 1.0j, b=-2.0))
 
 
 def test_two_point_diagonal_value():
@@ -352,17 +341,14 @@ def test_two_point_m_on_an_array_is_the_scalar_m():
 # the CSV reports are read by row position: pin every suite's layout
 
 _DRHP_IDS = (
-    ["p-condition", "p-hat-violates-plain-condition", "p-hat-flipped-condition",
-     "p-values"] * 3
-    + ["p-recurrence-11", "p-recurrence-21"] * 3
+    ["p-values"] * 3
     + ["m-residue"] * 20
     + ["m-normalization-decreasing", "m-normalization-remainder-decreasing"] * 2
-    + ["m-normalization-remainder", "m-normalization-raw-informational",
-       "m1-gamma-equals-beta", "m1-delta-equals-minus-alpha",
+    + ["m-normalization-remainder", "m1-gamma-equals-beta", "m1-delta-equals-minus-alpha",
        "m1-beta-equals-minus-eta", "ode-eta-beta-minus",
        "ode-eta-beta-plus-must-fail", "ode-p11-second-order"])
 
-_PSI_IDS = (["psi-det", "psi-inverse-transpose"] * 4
+_PSI_IDS = (["psi-det"] * 4
             + (["psi-jump"] * 3 + ["psi-jump-refinement"] * 2) * 2)
 
 _TOY_ROWS = [
@@ -379,8 +365,6 @@ _TOY_ROWS = [
     ("two-point-assembly-vs-printed", "mu=0.3, nu=0.5", 1e-14),
     ("two-point-printed-vs-oracle", "mu=0.3, nu=0.5", 1e-14),
     ("contour-l-squared", "(x,z)=((1+0j),1j)", 1e-10),
-    ("contour-m-inverse", "6 contour points", 1e-12),
-    ("contour-resolvent-data-fixed", "6 contour points", 1e-12),
 ]
 
 _CD_ROWS = [
@@ -393,20 +377,103 @@ _CD_ROWS = [
 
 @pytest.mark.parametrize("theta", [1.0, 30.0, 100.0])
 def test_suite_drhp_layout(theta):
-    assert len(_DRHP_IDS) == 50
+    assert len(_DRHP_IDS) == 34
     assert [r.check_id for r in drhp.suite_drhp(theta)] == _DRHP_IDS
 
 
 @pytest.mark.parametrize("z", [0.25 + 0.6j, -0.3 + 1.2j, 0.1 + 0.3j])
 def test_suite_psi_layout(z):
-    assert len(_PSI_IDS) == 18
-    assert [r.check_id for r in drhp.suite_psi(z)] == _PSI_IDS
+    assert len(_PSI_IDS) == 14
+    rows = drhp.suite_psi(z)
+    assert [r.check_id for r in rows] == _PSI_IDS
+    jump = [1e-1, 100 * 1e-3 ** 3, 100 * 1e-4 ** 3, 1e-2, 1e-2]
+    assert [r.tolerance for r in rows] == pytest.approx([1e-12] * 4 + jump * 2)
 
 
 def test_toy_and_cd_suite_layout():
     toys = drhp.suite_two_point() + drhp.suite_contour()
     assert [(r.check_id, r.point, r.tolerance) for r in toys] == _TOY_ROWS
     assert [(r.check_id, r.point, r.tolerance) for r in drhp.suite_cd()] == _CD_ROWS
+
+
+# ---------------------------------------------------------------- every row can fail
+#
+# each row id the four suites emit has a mutant: a small perturbation of the
+# row's subject under which at least one row of that id has to fail
+
+
+def _scale(factor):
+    return lambda value, *args: value * factor
+
+
+def _m_plus(term):
+    """m(zeta) + term(zeta), as a change of `bessel_m`."""
+    return lambda m, theta: lambda zeta: m(zeta) + term(np.asarray(zeta, dtype=complex))
+
+
+def _m1_off(entries):
+    """m + 1e-4 E / zeta: the 1/zeta coefficient of m off by 1e-4 E."""
+    e = np.array(entries, dtype=complex)
+    return _m_plus(lambda z: 1e-4 / z[..., None, None] * e)
+
+
+_M_GROWS = _m_plus(lambda z: 1e-2 * z[..., None, None] * np.eye(2))
+_JUMP_OFF = _scale(np.array([[1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]]))
+_TP = kernels.TwoPointModel
+
+# row id: (suite, owner, attribute, change of the attribute's result)
+_MUTANTS = {
+    "p-values": ("drhp", drhp, "bessel_j_complex_order", _scale(1.0 + 1e-10)),
+    "m-residue": ("drhp", drhp, "bessel_w_weight", _scale(1.0 + 1e-6)),
+    # m - I growing like 1e-2 zeta instead of decaying
+    "m-normalization-decreasing": ("drhp", drhp, "bessel_m", _M_GROWS),
+    "m-normalization-remainder-decreasing": ("drhp", drhp, "bessel_m", _M_GROWS),
+    "m-normalization-remainder": ("drhp", drhp, "bessel_m", _M_GROWS),
+    "m1-gamma-equals-beta": ("drhp", drhp, "bessel_m", _m1_off([[0, 0], [1, 0]])),
+    "m1-delta-equals-minus-alpha": ("drhp", drhp, "bessel_m", _m1_off([[0, 0], [0, 1]])),
+    "m1-beta-equals-minus-eta": ("drhp", drhp, "bessel_m", _m1_off([[0, 1], [1, 0]])),
+    # n theta^1e-5: n unchanged at theta = 1, eta dn/deta off by 2e-5 n
+    "ode-eta-beta-minus": ("drhp", drhp, "bessel_n",
+                           lambda n, theta: lambda z: n(z) * theta ** 1e-5),
+    # diag(1, -1) n diag(1, -1) solves the beta = +eta equation
+    "ode-eta-beta-plus-must-fail": ("drhp", drhp, "bessel_n",
+                                    lambda n, theta: lambda z: n(z) * np.array([[1, -1],
+                                                                                [-1, 1]])),
+    # J (1 + 1e-4 u^2): p11 off by a smooth factor in eta
+    "ode-p11-second-order": ("drhp", drhp, "bessel_j_complex_order",
+                             lambda j, nu, u: j * (1.0 + 1e-4 * u * u)),
+    "psi-det": ("psi", drhp, "psi_matrix", _scale(1.0 + 1e-10)),
+    "psi-jump": ("psi", drhp, "psi_jump_matrix", _JUMP_OFF),
+    "psi-jump-refinement": ("psi", drhp, "psi_jump_matrix", _JUMP_OFF),
+    "two-point-det-m": ("toys", _TP, "m", _scale(1.0 + 1e-10)),
+    "two-point-m-inv-t": ("toys", _TP, "m_inv_t", _scale(1.0 + 1e-10)),
+    "two-point-residue": ("toys", _TP, "w", _scale(1.0 + 1e-6)),
+    "two-point-resolvent-f": ("toys", _TP, "resolvent_f", _scale(1.0 + 1e-10)),
+    "two-point-resolvent-g": ("toys", _TP, "resolvent_g", _scale(1.0 + 1e-10)),
+    "two-point-m-prime-limit": ("toys", _TP, "m_prime_f_limit", _scale(1.0 + 1e-6)),
+    "two-point-assembly-vs-printed": ("toys", _TP, "k_matrix", _scale(1.0 + 1e-10)),
+    "two-point-printed-vs-oracle": ("toys", _TP, "l_matrix", _scale(1.0 + 1e-10)),
+    # g = (e^zeta, 1): g^t f != 0, so L has a pole on the diagonal
+    "contour-l-squared": ("toys", drhp, "_contour_g", _scale(np.array([-1.0, 1.0]))),
+}
+
+_MUTATED_SUITES = {
+    "drhp": lambda: drhp.suite_drhp(1.0),
+    "psi": lambda: drhp.suite_psi(0.25 + 0.6j),
+    "toys": lambda: drhp.suite_two_point() + drhp.suite_contour(),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(set(_DRHP_IDS + _PSI_IDS)
+                                            | {cid for cid, _, _ in _TOY_ROWS}))
+def test_every_row_fails_under_its_mutant(check_id, monkeypatch):
+    # the id lists are the layouts pinned above, so every emitted id is here
+    assert check_id in _MUTANTS, f"row {check_id} has no mutant"
+    suite, owner, name, change = _MUTANTS[check_id]
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: change(original(*args), *args))
+    rows = [r for r in _MUTATED_SUITES[suite]() if r.check_id == check_id]
+    assert rows and not drhp.all_pass(rows), check_id
 
 
 # ---------------------------------------------------------------- reports

@@ -121,6 +121,32 @@ def test_bessel_trivial_at_zero():
     assert special.bessel_j(0.0, 0.0) == 1.0
     assert special.bessel_j(3.0, 0.0) == 0.0
     assert special.bessel_j(-4.0, 0.0) == 0.0
+    # J_nu(0) = 0 for every nu > 0
+    assert special.bessel_j(0.5, 0.0) == 0.0
+    assert special.bessel_j(3.7, 0.0) == 0.0
+    assert special.bessel_j([0.5, 2.0, 0.0], 0.0).tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("u", [5e-324, 1.5e-323, 1e-320, 1e-310])
+def test_bessel_at_subnormal_u(u):
+    # u/2 rounds at subnormal u and underflows to 0 at the least one;
+    # (u/2)^nu carries the relative error of log(u/2) times |nu log(u/2)|
+    # ~ 745 |nu| (4.4e-14 measured at nu = 0.5)
+    assert special.bessel_j(0.0, u) == 1.0
+    for nu in (0.001, 0.5, 1.0, -0.5, 2.5, -3.0):
+        ref = float(mpmath.besselj(nu, mpmath.mpf(u)))
+        assert special.bessel_j(nu, u) == pytest.approx(ref, rel=1e-12, abs=5e-324), nu
+
+
+def test_bessel_integer_orders_take_miller_from_1e_40(monkeypatch):
+    # integer orders at u >= 1e-40, the lattice and Monte Carlo kernels'
+    # orders, run Miller's recurrence and never the 0F1 route
+    def no_ladder(*args):
+        raise AssertionError("integer order took the 0F1 route")
+
+    monkeypatch.setattr(special, "_hyp0f1", no_ladder)
+    for u in (1e-40, 1e-3, 2.0, 20.0, 2.0 * math.sqrt(1000.0)):
+        special.bessel_j(np.arange(-40.0, 41.0), u)
 
 
 def test_bessel_negative_integer_symmetry():
