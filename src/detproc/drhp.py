@@ -53,6 +53,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import special
+from .errors import ConvergenceError
 from .kernels import (
     AssembledKernel,
     TwoPointModel,
@@ -91,7 +92,7 @@ _P_XS, _P_TOL = (3.5, 7.5, -4.5), 1e-12
 _RESIDUE_XS = tuple(k + 0.5 for k in range(-10, 10))
 _RESIDUE_RADIUS, _RESIDUE_NODES, _RESIDUE_TOL = 1e-3, 32, 1e-9
 _REMAINDER_TOL = 1e-2
-_M1_NODES, _M1_TOL = 4096, 1e-6
+_M1_START_NODES, _M1_MAX_NODES, _M1_REL_TOL = 128, 4096, 1e-12
 _ODE_ZETAS = (0.3 + 0.4j, 1.2 - 0.7j, 2.5j)
 _ODE_STEP, _ODE_TOL, _P11_TOL = 1e-4, 1e-6, 1e-5
 _DERIV_RADIUS, _DERIV_NODES = 0.25, 48
@@ -167,10 +168,10 @@ def bessel_m(theta: float):
     One `_hyp0f1` call on zeta+1/2 and 1/2-zeta gives all four entries,
     since Phi(c+1) comes with Phi(c).  The number of recurrence steps
     grows with theta and with how far left the points reach, and each
-    step is a few numpy calls over all points: one point takes ~0.2 ms
-    at theta = 1 and ~0.7 ms at theta = 100, the 4096 nodes of `fit_m1`
-    ~6 ms and ~17 ms (2-core Xeon, Python 3.11, numpy 2.4), so pass every
-    point of a computation in one call.
+    step is a few numpy calls over all points: one point takes ~0.14 ms
+    at theta = 1 and ~0.3 ms at theta = 100, 256 points ~0.3 ms and
+    ~0.7 ms, 4096 points ~2.3 ms and ~5.5 ms (2-core AMD EPYC, Python
+    3.11, numpy 2.4), so pass every point of a computation in one call.
     """
     eta = sqrt(theta)
     w = -theta
@@ -347,6 +348,11 @@ def _m1_radius(theta: float) -> float:
     return max(40.0, 4.0 * sqrt(theta))
 
 
+def _m1_tol(theta: float) -> float:
+    """Bound on fit_m1's self-check and on the m1 rows: m1 is of size theta."""
+    return _M1_REL_TOL * max(1.0, theta)
+
+
 def fit_m1(theta: float) -> np.ndarray:
     """1/zeta coefficient of m fitted as the circle average of zeta (m - I).
 
@@ -355,27 +361,52 @@ def fit_m1(theta: float) -> np.ndarray:
     once the circle lies well outside the residues' bulk, |x| ~ 2 sqrt(theta).
     The radius is max(40, 4 sqrt(theta)): at theta = 400 the radius
     2 sqrt(theta) = 40 leaves m1 5.4e4 off the exact [[-theta, -eta],
-    [-eta, theta]], and 4 sqrt(theta) = 80 brings it to 1.4e-12.
+    [-eta, theta]], and 4 sqrt(theta) = 80 brings it to 5.5e-13.
+
+    The average is the periodic trapezoid rule, which converges
+    geometrically in the node count, so the count is chosen by doubling:
+    starting from 128 nodes, m is evaluated only at the new odd nodes of
+    the doubled circle (the old nodes are its even ones), and the 2N-node
+    average is accepted once it is within 1e-12 max(1, theta) of the
+    N-node one.  Measured N vs 2N differences over max(1, theta): 128/256
+    <= 3.7e-15 for theta <= 400 and 5.1e-14 at theta = 1000, so 256 nodes
+    are accepted at every theta <= 1000 (32/64 reads 3.6e-9 at theta = 100
+    and 1.7e-4 at 1000).  Raises ConvergenceError when 4096 nodes do not
+    pass.
     """
     m = bessel_m(theta)
     eye = np.eye(2)
-    return _circle_average(lambda zs: zs[:, None, None] * (m(zs) - eye),
-                           0j, _m1_radius(theta), _M1_NODES)
+    radius, tol = _m1_radius(theta), _m1_tol(theta)
+
+    def average(zs: np.ndarray) -> np.ndarray:
+        return _average(zs[:, None, None] * (m(zs) - eye))
+
+    nodes = _M1_START_NODES
+    avg = average(_circle(0j, radius, nodes)[1])
+    while 2 * nodes <= _M1_MAX_NODES:
+        odd = _circle(0j, radius, 2 * nodes)[1][1::2]
+        doubled = 0.5 * (avg + average(odd))
+        if np.max(np.abs(doubled - avg)) <= tol:
+            return doubled
+        avg, nodes = doubled, 2 * nodes
+    raise ConvergenceError(
+        f"fit_m1({theta}): the {nodes // 2}- and {nodes}-node circle averages "
+        f"differ by more than {tol:.1e}")
 
 
 def check_m1_symmetry(theta: float) -> list[ResidualCheck]:
     """Fitted m1 = [[alpha,beta],[gamma,delta]] satisfies gamma=beta, delta=-alpha."""
     m1 = fit_m1(theta)
-    radius = _m1_radius(theta)
+    radius, tol = _m1_radius(theta), _m1_tol(theta)
     alpha, beta = m1[0, 0], m1[0, 1]
     gamma, delta = m1[1, 0], m1[1, 1]
     return [
         ResidualCheck("m1-gamma-equals-beta", f"|zeta|={radius}",
-                      abs(gamma - beta), _M1_TOL),
+                      abs(gamma - beta), tol),
         ResidualCheck("m1-delta-equals-minus-alpha", f"|zeta|={radius}",
-                      abs(delta + alpha), _M1_TOL),
+                      abs(delta + alpha), tol),
         ResidualCheck("m1-beta-equals-minus-eta", f"|zeta|={radius}",
-                      abs(beta - (-sqrt(theta))), _M1_TOL),
+                      abs(beta - (-sqrt(theta))), tol),
     ]
 
 

@@ -112,12 +112,12 @@ def test_criterion_06_drhp_certification():
     sym_rows = drhp.check_m1_symmetry(theta)
     worst_sym = max(r.residual for r in sym_rows[:2])
     ok = (worst_res < 1e-9 and remainder < 1e-2 and decreasing
-          and worst_sym < 1e-6)
+          and worst_sym < 1e-12)
     _verdict(6, ok,
              f"residue residuals <= {worst_res:.2e} (tol 1e-9, |x|<=21/2); "
              f"normalization defect beyond the exact 1/zeta term at "
              f"|zeta|=40 is {remainder:.2e} (tol 1e-2) and decreasing; "
-             f"fitted m1 symmetry off by {worst_sym:.2e} (tol 1e-6)")
+             f"fitted m1 symmetry off by {worst_sym:.2e} (tol 1e-12)")
 
 
 def test_criterion_07_ode_and_condition():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from detproc import drhp, kernels, special
 from detproc.drhp import ResidualCheck
-from detproc.errors import PoleError
+from detproc.errors import ConvergenceError, PoleError
 
 
 def _assert_all_pass(rows):
@@ -230,17 +230,64 @@ def test_m_normalization_holds_at_large_theta(theta):
     assert {r.point for r in rows} >= {f"t={t}->{2 * t}", f"t={4 * t}"}
 
 
-def test_m1_fit_symmetry():
-    _assert_all_pass(drhp.check_m1_symmetry(1.0))
-    m1 = drhp.fit_m1(1.0)
-    assert np.max(np.abs(m1 - drhp.bessel_m1_exact(1.0))) < 1e-8
+# measured max |fit_m1 - exact| / max(1, theta) at 256 nodes: <= 1.6e-15 for
+# theta <= 400 and 7.5e-14 at theta = 1000; the bounds leave a factor 5
+@pytest.mark.parametrize("theta", [1.0, 4.0, 30.0, 100.0, 400.0, 1000.0])
+def test_m1_fit_matches_exact(theta):
+    # radius 4 sqrt(theta) = 80 at theta = 400; at radius 40 the fit was 5.4e4 off
+    _assert_all_pass(drhp.check_m1_symmetry(theta))
+    m1 = drhp.fit_m1(theta)
+    bound = 8e-15 if theta <= 400.0 else 4e-13
+    assert np.max(np.abs(m1 - drhp.bessel_m1_exact(theta))) <= bound * max(1.0, theta)
 
 
-def test_m1_fit_at_theta_400():
-    # radius 4 sqrt(theta) = 80; at radius 40 the fit was 5.4e4 off
-    _assert_all_pass(drhp.check_m1_symmetry(400.0))
-    m1 = drhp.fit_m1(400.0)
-    assert np.max(np.abs(m1 - drhp.bessel_m1_exact(400.0))) < 1e-10
+def _count_m_points(monkeypatch):
+    """Wrap `drhp.bessel_m` so that every point m is evaluated at is counted."""
+    seen = []
+    original = drhp.bessel_m
+
+    def counted(theta):
+        m = original(theta)
+        return lambda zeta: (seen.append(np.size(zeta)), m(zeta))[1]
+
+    monkeypatch.setattr(drhp, "bessel_m", counted)
+    return seen
+
+
+@pytest.mark.parametrize("theta", [1.0, 100.0, 1000.0])
+def test_m1_fit_evaluates_m_at_256_points(theta, monkeypatch):
+    # 128 nodes, then only the 128 new odd nodes of the 256 circle
+    seen = _count_m_points(monkeypatch)
+    drhp.fit_m1(theta)
+    assert seen == [128, 128]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(1.0, 1000.0))
+def test_m1_fit_symmetry_holds_over_theta(theta):
+    m1 = drhp.fit_m1(theta)
+    tol = 1e-12 * max(1.0, theta)
+    assert abs(m1[1, 0] - m1[0, 1]) <= tol
+    assert abs(m1[1, 1] + m1[0, 0]) <= tol
+    assert abs(m1[0, 1] + math.sqrt(theta)) <= tol
+
+
+def test_m1_fit_raises_when_the_trapezoid_does_not_converge(monkeypatch):
+    # a pole of m at 0.999 of the radius: the N-node average is off by
+    # ~0.999^N, still ~0.13 at N = 2048, so no doubling passes
+    original = drhp.bessel_m
+    pole = 0.999 * drhp._m1_radius(1.0)
+
+    def with_pole(theta):
+        m = original(theta)
+        return lambda zeta: m(zeta) + (1.0 / (np.asarray(zeta) - pole))[..., None, None]
+
+    monkeypatch.setattr(drhp, "bessel_m", with_pole)
+    seen = _count_m_points(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        drhp.fit_m1(1.0)
+    # every node of the 4096 circle once, none twice
+    assert seen == [128, 128, 256, 512, 1024, 2048]
 
 
 def test_ode_in_eta_and_beta_sign_selection():
