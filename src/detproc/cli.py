@@ -3,8 +3,9 @@
 Each subcommand writes exactly one CSV artifact (header row mandatory,
 numbers at 17 significant digits, lattice points on the wire as doubled
 integers so that x = 1 means the half-integer 1/2).  Exit status: 0 when
-every invoked numerical check meets its tolerance, 1 on a failed check,
-2 on usage errors, 3 on I/O errors.
+every invoked numerical check meets its tolerance, 1 on a failed check or
+a numerical failure, 2 on usage errors and invalid input, 3 on I/O errors;
+each typed error of `detproc.errors` exits with one line on stderr.
 
 Subcommands: kernel, oracle-compare, fredholm, prob, sample, correlation,
 verify (suites drhp | psi | two-point | contour | special-functions | cd),
@@ -21,8 +22,7 @@ import sys
 
 import numpy as np
 
-from . import drhp, kernels, oracle, sampler
-from .errors import DomainError, ParameterError
+from . import drhp, errors, kernels, oracle, sampler
 from .partitions import YoungDiagram, fr_config, plancherel_weight
 
 FMT = "%.17g"
@@ -360,7 +360,12 @@ def main(argv=None) -> int:
     except _CheckFailure as err:
         print(f"detproc: check failed: {err}", file=sys.stderr)
         return 1
-    except (DomainError, ParameterError) as err:
+    except (errors.ConvergenceError, errors.SingularOperatorError,
+            errors.BesselOverflowError) as err:
+        print(f"detproc: numerical failure: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
+    except (errors.DomainError, errors.ParameterError, errors.WindowError,
+            errors.DegenerateGridError) as err:
         print(f"detproc: invalid arguments: {err}", file=sys.stderr)
         return 2
     except _IOFailure as err:

@@ -238,6 +238,12 @@ def _require_whittaker_z(z: complex) -> complex:
     return z
 
 
+def _whittaker_c(z: complex) -> tuple[float, float]:
+    """c+- = sqrt|z| / |Gamma(1 +- z)|, the constant of f and g on R+-."""
+    root = sqrt(abs(z))
+    return root * exp(-log_gamma(1.0 + z).real), root * exp(-log_gamma(1.0 - z).real)
+
+
 def scaled_whittaker_l(z: complex) -> IntegrableKernel:
     """Scaling limit of the zw L-kernel on R \\ {0}, |Re z| < 1/2, z nonreal.
 
@@ -247,8 +253,7 @@ def scaled_whittaker_l(z: complex) -> IntegrableKernel:
     """
     z = _require_whittaker_z(z)
     a = z.real
-    c_plus = sqrt(abs(z)) * exp(-log_gamma(z + 1.0).real)
-    c_minus = sqrt(abs(z)) * exp(-log_gamma(-z + 1.0).real)
+    c_plus, c_minus = _whittaker_c(z)
 
     def fg(points):
         x = np.asarray(points, dtype=float)
@@ -399,8 +404,7 @@ def whittaker_kernel_k(z: complex) -> AssembledKernel:
     """
     z = _require_whittaker_z(z)
     a, m, r = z.real, z.imag, abs(z)
-    c_plus = sqrt(r) * exp(-log_gamma(z + 1.0).real)
-    c_minus = sqrt(r) * exp(-log_gamma(-z + 1.0).real)
+    c_plus, c_minus = _whittaker_c(z)
     # the lower order of each pair is written as the upper one minus 1, so
     # that both lie on one contiguous ladder
     kp, km = a + 0.5, -a + 0.5
@@ -450,11 +454,11 @@ class ChristoffelDarbouxKernel:
     """Rank-N projection kernel of a discrete orthogonal polynomial ensemble.
 
     Monic polynomials p_0..p_N and norms h_k are generated by the Stieltjes
-    three-term recurrence on the weighted grid, which keeps their values
-    on the grid as one (N+1) x G table; the kernel carries the
-    sqrt(w(x)w(y)) factor.  `sum_form` and `cd_form` are the two equivalent
-    closed forms (rank-N sum vs two-term quotient), each a grid matrix built
-    once from that table; a repeated grid value reads its first node.
+    three-term recurrence on the weighted grid, as one (N+1) x G table of
+    their values on the grid; the kernel carries the sqrt(w(x)w(y))
+    factor.  `matrix` (the rank-N sum) and `cd_matrix` (the two-term
+    quotient) are the two equivalent closed forms, each a grid matrix built
+    once from that table and indexed by grid node.
     """
 
     def __init__(self, grid, weights, n: int):
@@ -482,10 +486,6 @@ class ChristoffelDarbouxKernel:
             alpha = np.sum(weights * grid * p[k] * p[k]) / h[k]
             p[k + 1] = (grid - alpha) * p[k] - (h[k] / h[k - 1] * p[k - 1] if k else 0.0)
         h[n] = np.sum(weights * p[n] * p[n])
-        self._p = p
-        self._index: dict[float, int] = {}
-        for i, x in enumerate(grid.tolist()):
-            self._index.setdefault(x, i)
         # orthonormal functions p_k sqrt(w / h_k) on the grid
         root_w = np.sqrt(weights)
         q = p[:n] * root_w / np.sqrt(h[:n, None])
@@ -494,27 +494,6 @@ class ChristoffelDarbouxKernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             self._cd = ((np.outer(hi, lo) - np.outer(lo, hi))
                         / (h[n - 1] * np.subtract.outer(grid, grid)))
-
-    def _at(self, x: float) -> int:
-        try:
-            return self._index[x]
-        except KeyError:
-            raise DegenerateGridError(f"point {x} is not on the grid") from None
-
-    def polys_at(self, x: float) -> np.ndarray:
-        """Values p_0(x)..p_N(x) at a grid point."""
-        return self._p[:, self._at(x)].copy()
-
-    def sum_form(self, x: float, y: float) -> float:
-        return float(self._sum[self._at(x), self._at(y)])
-
-    def cd_form(self, x: float, y: float) -> float:
-        if x == y:
-            raise DegenerateGridError("two-term form is an off-diagonal identity")
-        return float(self._cd[self._at(x), self._at(y)])
-
-    def __call__(self, x: float, y: float) -> float:
-        return self.sum_form(x, y)
 
     def matrix(self) -> np.ndarray:
         return self._sum.copy()
@@ -543,10 +522,11 @@ class TwoPointModel:
     [[-mu nu, mu], [nu, -mu nu]]; the model also carries the explicit
     solution m of the associated residue problem, its inverse transpose,
     the resolvent data F, G, and the diagonal derivative limits.
-    Matrix index 0 corresponds to a, index 1 to b.  `m` and `m_inv_t` take
-    a scalar zeta or an array of them (one 2 x 2 matrix per element); `f`,
-    `g`, `w`, `resolvent_f`, `resolvent_g` and `m_prime_f_limit` live on the
-    two points, take one point, and raise ParameterError at any other.
+    `m` and `m_inv_t` take a scalar zeta or an array of them (one 2 x 2
+    matrix per element).  `f`, `g`, `w`, `resolvent_f`, `resolvent_g` and
+    `m_prime_f_limit` return their table over the two points, row 0 at a
+    and row 1 at b; the residue weight is w = -f g^t, one 2 x 2 matrix
+    per point.
 
     The residue matrices of m are rank one:
 
@@ -583,25 +563,15 @@ class TwoPointModel:
         mn = self.mu * self.nu
         return np.array([[mn, self.mu], [self.nu, mn]]) / (mn - 1.0)
 
-    def _side(self, point: complex) -> int:
-        """0 at a, 1 at b; a point off the two-point set raises ParameterError."""
-        if point == self.a:
-            return 0
-        if point == self.b:
-            return 1
-        raise ParameterError(f"{point} is neither of the two points {self.a}, {self.b}")
-
-    def f(self, point: complex) -> np.ndarray:
+    def f(self) -> np.ndarray:
         return np.array([[0.0, self.mu * (self.a - self.b)],
-                         [self.nu * (self.b - self.a), 0.0]], dtype=complex)[self._side(point)]
+                         [self.nu * (self.b - self.a), 0.0]], dtype=complex)
 
-    def g(self, point: complex) -> np.ndarray:
-        return np.eye(2, dtype=complex)[self._side(point)]
+    def g(self) -> np.ndarray:
+        return np.eye(2, dtype=complex)
 
-    def w(self, point: complex) -> np.ndarray:
-        return np.array([[[0.0, 0.0], [self.mu * (self.b - self.a), 0.0]],
-                         [[0.0, self.nu * (self.a - self.b)], [0.0, 0.0]]],
-                        dtype=complex)[self._side(point)]
+    def w(self) -> np.ndarray:
+        return -self.f()[:, :, None] * self.g()[:, None, :]
 
     def _rank_one_sum(self, zeta, res_a, res_b) -> np.ndarray:
         """I + ca/(zeta-a) res_a + cb/(zeta-b) res_b; zeta of any shape S
@@ -621,27 +591,27 @@ class TwoPointModel:
         return self._rank_one_sum(zeta, [[0.0, 1.0], [0.0, -self.nu]],
                                   [[-self.mu, 0.0], [1.0, 0.0]])
 
-    def resolvent_f(self, point: complex) -> np.ndarray:
+    def resolvent_f(self) -> np.ndarray:
         """F(x) = lim m(zeta) f(x) in closed form."""
         d = self._den
         return np.array([[self.mu * self.nu * (self.a - self.b) / d,
                           self.mu * (self.a - self.b) / d],
                          [self.nu * (self.b - self.a) / d,
                           self.mu * self.nu * (self.b - self.a) / d]],
-                        dtype=complex)[self._side(point)]
+                        dtype=complex)
 
-    def resolvent_g(self, point: complex) -> np.ndarray:
+    def resolvent_g(self) -> np.ndarray:
         """G(x) = lim m^-t(zeta) g(x) in closed form."""
         d = self._den
         return np.array([[1.0 / d, -self.nu / d], [-self.mu / d, 1.0 / d]],
-                        dtype=complex)[self._side(point)]
+                        dtype=complex)
 
-    def m_prime_f_limit(self, point: complex) -> np.ndarray:
+    def m_prime_f_limit(self) -> np.ndarray:
         """lim m'(zeta) f(x): the diagonal ingredient of the resolvent kernel."""
         d = self._den
         mn = self.mu * self.nu
         return np.array([[-mn / d, -self.mu * mn / d], [-self.nu * mn / d, -mn / d]],
-                        dtype=complex)[self._side(point)]
+                        dtype=complex)
 
 
 def two_point_k(mu: float, nu: float, a: complex = 0.0, b: complex = 1.0) -> np.ndarray:

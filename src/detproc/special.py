@@ -427,17 +427,15 @@ def bessel_j_complex_order(nu, u: float):
 # Whittaker W
 # ----------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Gauss-Legendre nodes and weights of the W integral on one axis: the
+# 32-point rule that gives W, then the 24-point rule that checks it
+_W_NODES = 32
+_W_X, _W_WEIGHTS = (np.concatenate(pair) for pair in
+                    zip(np.polynomial.legendre.leggauss(_W_NODES),
+                        np.polynomial.legendre.leggauss(24)))
 
 
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _w_integral(kappas: list, mu_im: float, zeta: complex, nodes: int,
-                check: bool) -> tuple[list, list]:
+def _w_integral(kappas: list, mu_im: float, zeta: complex) -> tuple[list, list]:
     """(W, scale) at base orders kappa < 1/2, |arg zeta| <= 3pi/4, in one pass.
 
     Integral representation.  Panels double geometrically from
@@ -445,14 +443,14 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex, nodes: int,
     analytically from a third-order Taylor expansion of the smooth factor,
     which removes the algebraic endpoint singularity t^(mu-kappa-1/2) from
     the quadrature's job.  The integrand is one base x panel x node array:
-    log t and log(1 + t/zeta) are shared by every base, and with `check`
-    the max(20, nodes - 8)-point rule's nodes sit beside the `nodes`-point
-    rule's along the node axis.  Each rule's panel sums are added one by
-    one in Python, so every value rounds exactly as a separate pass per
-    base and rule does.  A base whose two rules differ by more than 1e-8
-    relative raises ConvergenceError.  The scale is |prefactor| times the
-    moduli of the leading panel and of the main rule's terms, summed: the
-    size of what was added up, against which rounding in W is measured.
+    log t and log(1 + t/zeta) are shared by every base, and the 24-point
+    check rule's nodes sit beside the 32-point rule's along the node axis.
+    Each rule's panel sums are added one by one in Python, so every value
+    rounds exactly as a separate pass per base and rule does.  A base
+    whose two rules differ by more than 1e-8 relative raises
+    ConvergenceError.  The scale is |prefactor| times the moduli of the
+    leading panel and of the main rule's terms, summed: the size of what
+    was added up, against which rounding in W is measured.
     """
     mu = 1j * mu_im
     h = abs(zeta) * 2.0 ** -20
@@ -463,10 +461,7 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex, nodes: int,
     edges = np.array(edges)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    rules = [_gl_nodes(nodes)] + ([_gl_nodes(max(20, nodes - 8))] if check else [])
-    xg = np.concatenate([x for x, _ in rules])
-    wg = np.concatenate([w for _, w in rules])
-    t = half * xg + mid
+    t = half * _W_X + mid
     log_t = np.log(t)
     log_1p = np.log(1.0 + t / zeta)
     heads, prefs, a_s, b_s = [], [], [], []
@@ -491,20 +486,19 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex, nodes: int,
         b_s.append(b)
     a = np.array(a_s)[:, None, None]
     b = np.array(b_s)[:, None, None]
-    terms = half * wg * np.exp(a * log_t - t + b * log_1p)
-    main = terms[..., :nodes]
+    terms = half * _W_WEIGHTS * np.exp(a * log_t - t + b * log_1p)
+    main = terms[..., :_W_NODES]
     panels = main.sum(axis=-1)
     sizes = np.abs(main).sum(axis=(1, 2)).tolist()
-    checks = terms[..., nodes:].sum(axis=-1)
+    checks = terms[..., _W_NODES:].sum(axis=-1)
     values, scales = [], []
     for i, (kappa, head, pref) in enumerate(zip(kappas, heads, prefs)):
         val = pref * sum(panels[i], head)
-        if check:
-            ref = pref * sum(checks[i], head)
-            if abs(val - ref) > 1e-8 * max(abs(val), 1e-280):
-                raise ConvergenceError(
-                    f"W quadrature not converged at kappa={kappa}, mu_im={mu_im}, zeta={zeta}"
-                )
+        ref = pref * sum(checks[i], head)
+        if abs(val - ref) > 1e-8 * max(abs(val), 1e-280):
+            raise ConvergenceError(
+                f"W quadrature not converged at kappa={kappa}, mu_im={mu_im}, zeta={zeta}"
+            )
         values.append(val)
         scales.append(abs(pref) * (abs(head) + sizes[i]))
     return values, scales
@@ -538,13 +532,11 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> tuple[complex, float
 _ARG_SPLIT = 0.75 * pi
 
 
-def _whittaker(kappa, mu_im: float, zeta: complex, nodes: int, check: bool):
+def _whittaker(kappa, mu_im: float, zeta: complex):
     """(W, scale) at one order or a sequence of orders, see `whittaker_w_complex`.
 
     The scale bounds the rounding in W: the base values' scales, carried
     up each ladder by the recurrence with its coefficients in modulus.
-    `nodes` and `check` go to `_w_integral`; both public callers pass 32
-    and True.
     """
     zeta = complex(zeta)
     if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
@@ -561,7 +553,7 @@ def _whittaker(kappa, mu_im: float, zeta: complex, nodes: int, check: bool):
     if abs(cmath.phase(zeta)) > _ARG_SPLIT:
         pairs = [_w_kummer(k, mu_im, zeta) for k in bases]
     else:
-        pairs = zip(*_w_integral(bases, mu_im, zeta, nodes, check))
+        pairs = zip(*_w_integral(bases, mu_im, zeta))
     base = dict(zip(bases, pairs))
     values, scales = [], []
     for levels, ends in ladders:
@@ -591,7 +583,7 @@ def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
     (W_k, W_(k-1)) (two orders, two bases) costs ~105 µs on a 2-core AMD
     EPYC, against ~170 µs for one pass per base and rule.
     """
-    return _whittaker(kappa, mu_im, zeta, 32, True)[0]
+    return _whittaker(kappa, mu_im, zeta)[0]
 
 
 def whittaker_w(kappa, mu_im: float, x: float):
@@ -614,7 +606,7 @@ def whittaker_w(kappa, mu_im: float, x: float):
     """
     if not x > 0.0:
         raise DomainError(f"whittaker_w needs x > 0, got x={x}")
-    val, scale = _whittaker(kappa, float(mu_im), complex(x), 32, True)
+    val, scale = _whittaker(kappa, float(mu_im), complex(x))
     residue = np.abs(np.imag(val))
     if np.any(residue > 1e-10 * scale):
         raise ConvergenceError(

@@ -4,9 +4,10 @@ import csv
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from detproc import cli
+from detproc import cli, drhp, errors
 
 
 def run(args):
@@ -145,6 +146,56 @@ def test_invalid_parameters_exit_code(tmp_path):
     # integer z is a parameter error -> exit 2
     assert run(["kernel", "--family", "zw-l", "--z-re", "2", "--z-im", "0",
                 "--xi", "0.5", "-o", str(tmp_path / "z.csv")]) == 2
+
+
+def test_window_error_exits_2_with_one_line(tmp_path, capsys):
+    # it ended in a traceback while only DomainError and ParameterError
+    # were caught
+    assert run(["fredholm", "--window", "0", "-o", str(tmp_path / "f.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "window radius must be >= 1" in err
+
+
+def test_convergence_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # a pole of m at 0.999 of fit_m1's radius: no doubling of its
+    # trapezoid passes, and fit_m1 raises ConvergenceError
+    original = drhp.bessel_m
+    pole = 0.999 * drhp._m1_radius(1.0)
+
+    def with_pole(theta):
+        m = original(theta)
+        return lambda zeta: m(zeta) + (1.0 / (np.asarray(zeta) - pole))[..., None, None]
+
+    monkeypatch.setattr(drhp, "bessel_m", with_pole)
+    assert run(["verify", "--suite", "drhp", "-o", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("detproc: numerical failure: ConvergenceError: fit_m1")
+
+
+_EXIT_CODES = {
+    errors.DomainError: 2, errors.PoleError: 2, errors.ParameterError: 2,
+    errors.WindowError: 2, errors.DegenerateGridError: 2,
+    errors.ConvergenceError: 1, errors.SingularOperatorError: 1,
+    errors.BesselOverflowError: 1,
+}
+
+
+def test_every_typed_error_has_an_exit_code():
+    typed = {v for v in vars(errors).values()
+             if isinstance(v, type) and issubclass(v, Exception)}
+    assert typed == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", list(_EXIT_CODES), ids=lambda e: e.__name__)
+def test_typed_error_exit_code(error, tmp_path, capsys, monkeypatch):
+    def fail():
+        raise error("raised inside the suite")
+
+    monkeypatch.setattr(drhp, "suite_cd", fail)
+    assert run(["verify", "--suite", "cd", "-o", str(tmp_path / "cd.csv")]) == _EXIT_CODES[error]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "raised inside the suite" in err
 
 
 def test_io_error_exit_code():

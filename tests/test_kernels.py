@@ -477,19 +477,16 @@ def test_matrix_entries_are_bitwise_the_scalar_kernel(family, data):
 
 def test_cd_two_point_grid_constant():
     kern = kernels.christoffel_darboux_k([0.0, 1.0], [1.0, 1.0], 1)
-    for x in (0.0, 1.0):
-        for y in (0.0, 1.0):
-            assert kern(x, y) == pytest.approx(0.5, rel=1e-14)
+    assert kern.matrix() == pytest.approx(np.full((2, 2), 0.5), rel=1e-14)
 
 
 def test_cd_two_forms_agree():
     grid = np.linspace(-2.5, 2.5, 30)
     kern = kernels.christoffel_darboux_k(grid, np.exp(-grid ** 2), 5)
-    for x in grid[::4]:
-        for y in grid[::4]:
-            if x != y:
-                assert kern.sum_form(float(x), float(y)) == pytest.approx(
-                    kern.cd_form(float(x), float(y)), abs=1e-10)
+    every_fourth = np.ix_(range(0, 30, 4), range(0, 30, 4))
+    sum_form, cd_form = kern.matrix()[every_fourth], kern.cd_matrix()[every_fourth]
+    off = ~np.eye(sum_form.shape[0], dtype=bool)
+    assert sum_form[off] == pytest.approx(cd_form[off], abs=1e-10)
 
 
 def test_cd_projection_and_trace():
@@ -554,25 +551,7 @@ def test_cd_grid_matrices_are_the_per_entry_recurrence(case):
     off = ~np.isnan(cd_ref)
     assert np.max(np.abs(kern.matrix() - sum_ref)) < 1e-14
     assert np.max(np.abs(kern.cd_matrix()[off] - cd_ref[off])) < 1e-14
-    for i, j in ((0, 3), (4, 4), (grid.size - 1, 1)):
-        x, y = float(grid[i]), float(grid[j])
-        assert abs(kern.sum_form(x, y) - sum_ref[i, j]) < 1e-14
-        if i != j:
-            assert abs(kern.cd_form(x, y) - cd_ref[i, j]) < 1e-14
     assert kern.trace() == pytest.approx(n, abs=1e-12)
-
-
-def test_cd_reads_the_grid_only():
-    grid = np.linspace(-2.5, 2.5, 30)
-    kern = kernels.christoffel_darboux_k(grid, np.exp(-grid ** 2), 5)
-    off_grid = float(grid[3]) + 1e-3
-    for call in (lambda: kern.sum_form(off_grid, 0.0),
-                 lambda: kern.cd_form(float(grid[0]), off_grid),
-                 lambda: kern.polys_at(off_grid),
-                 lambda: kern.cd_form(float(grid[2]), float(grid[2]))):
-        with pytest.raises(DegenerateGridError):
-            call()
-    assert kern.polys_at(float(grid[3])).shape == (6,)
 
 
 def test_cd_matrix_with_a_repeated_node_is_a_projection():
@@ -610,16 +589,20 @@ def test_two_point_singularity():
         kernels.TwoPointModel(0.1, 0.2, 1.0, 1.0)
 
 
-def test_two_point_data_live_on_the_two_points_only():
-    model = kernels.TwoPointModel(0.3, 0.5, a=1.0 + 1.0j, b=-2.0)
-    methods = (model.f, model.g, model.w, model.resolvent_f, model.resolvent_g,
-               model.m_prime_f_limit)
-    for method in methods:
-        # a at index 0, b at index 1, whatever type the point comes in
-        assert np.array_equal(method(1.0 + 1.0j), method(np.complex128(1.0 + 1.0j)))
-        assert np.array_equal(method(-2.0), method(-2))
-        assert not np.array_equal(method(1.0 + 1.0j), method(-2.0))
-        for point in (5.0, 0.0, 1.0, 1.0 - 1.0j):
-            with pytest.raises(ParameterError):
-                method(point)
-    assert np.array_equal(model.g(-2.0), [0.0, 1.0])
+def _printed_two_point_w(mu, nu, a, b):
+    """The residue weights of the two-point problem as printed, at a then b."""
+    return np.array([[[0.0, 0.0], [mu * (b - a), 0.0]],
+                     [[0.0, nu * (a - b)], [0.0, 0.0]]], dtype=complex)
+
+
+def test_two_point_data_are_tables_over_the_two_points():
+    # the parameters of both two-point suites in the tests
+    for mu, nu, a, b in ((0.3, 0.5, 0.0, 1.0), (-0.4, 0.7, 1.0 + 1.0j, -2.0)):
+        model = kernels.TwoPointModel(mu, nu, a=a, b=b)
+        for table in (model.f(), model.g(), model.resolvent_f(), model.resolvent_g(),
+                      model.m_prime_f_limit()):
+            assert table.shape == (2, 2)
+        # row 0 at a, row 1 at b, and w = -f g^t is the printed table bit for bit
+        assert np.array_equal(model.f()[0], [0.0, mu * (a - b)])
+        assert np.array_equal(model.g(), np.eye(2))
+        assert np.array_equal(model.w(), _printed_two_point_w(mu, nu, a, b))
