@@ -55,6 +55,15 @@ def _parse_z(args) -> complex:
     return complex(args.z_re, args.z_im)
 
 
+def _parse_list(text: str, convert, option: str) -> list:
+    """The comma-separated values of an option, each through convert."""
+    try:
+        return [convert(t) for t in text.split(",")]
+    except ValueError as err:
+        raise errors.DomainError(
+            f"{option} needs comma-separated {convert.__name__}s, got {text!r}") from err
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -80,7 +89,7 @@ def cmd_kernel(args) -> int:
         kern = (kernels.scaled_whittaker_l(_parse_z(args))
                 if args.family == "whittaker-l"
                 else kernels.whittaker_kernel_k(_parse_z(args)))
-        pts = [float(t) for t in args.points.split(",")]
+        pts = _parse_list(args.points, float, "--points")
         header = ["x", "y", "value"]
         for x in pts:
             for y in pts:
@@ -118,7 +127,7 @@ def cmd_oracle_compare(args) -> int:
         ny = oracle.NystromResolvent(
             kernels.scaled_whittaker_l(z),
             oracle.quadrature_window(args.radius, args.eps, args.step))
-        pts = [float(t) for t in args.points.split(",")]
+        pts = _parse_list(args.points, float, "--points")
         worst = 0.0
         for x, y in itertools.product(pts, pts):
             a = kern(x, y)
@@ -147,8 +156,7 @@ def cmd_fredholm(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    diagram = YoungDiagram([] if not args.rows else
-                           [int(r) for r in args.rows.split(",")])
+    diagram = YoungDiagram([] if not args.rows else _parse_list(args.rows, int, "--rows"))
     lop = oracle.materialize(kernels.plancherel_l(args.theta),
                              oracle.lattice_window(args.window))
     weight = plancherel_weight(diagram, args.theta)
@@ -173,7 +181,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_correlation(args) -> int:
-    points = tuple(int(t) for t in args.points.split(","))
+    points = tuple(_parse_list(args.points, int, "--points"))
     gen = sampler.SeededGenerator(args.seed)
     est = sampler.empirical_correlation(args.theta, points, args.n, gen,
                                         n_substreams=args.substreams)

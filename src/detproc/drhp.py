@@ -37,10 +37,16 @@ assembly it is checked against.  p goes through the same 0F1, as
 against the real-order `special.bessel_j` (at integer orders Miller's
 recurrence at every u, no 0F1), and pinned against mpmath in the tests.
 
-p, m and n are array-valued: every check builds all of its points (every
-contour all of its nodes) and evaluates p or m once, through one
-`_hyp0f1` call that runs the stable downward recurrence of 0F1 on every
-element together.
+p, m and n are array-valued, m and n in theta as well as in zeta.  Each
+call runs one `_hyp0f1` ladder, the stable downward recurrence of 0F1 on
+every element together, whose cost is set by its length (about
+theta + 20 steps) rather than by the number of points.  So the checks
+come in two halves, their points and their rows from values: a check
+called on its own evaluates its subject once on its points, and
+`suite_drhp` evaluates each subject once for all its checks, J for the
+p-values orders and the p11 stencil, m for the residue circles and the
+normalization points, n at every (eta, zeta) of the eta stencil.  With
+`fit_m1`'s two, a suite runs five ladders.
 """
 
 from __future__ import annotations
@@ -97,7 +103,9 @@ _RESIDUE_RADIUS, _RESIDUE_NODES, _RESIDUE_TOL = 1e-3, 32, 1e-9
 _REMAINDER_TOL = 1e-2
 _M1_START_NODES, _M1_MAX_NODES, _M1_REL_TOL = 128, 4096, 1e-12
 _ODE_ZETAS = (0.3 + 0.4j, 1.2 - 0.7j, 2.5j)
-_ODE_STEP, _ODE_TOL, _P11_TOL = 1e-4, 1e-6, 1e-5
+_ODE_STEP, _P11_STEP, _ODE_TOL, _P11_TOL = 1e-4, 2e-3, 1e-6, 1e-5
+# the five-point stencil in eta, in units of the step
+_STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 _DERIV_RADIUS, _DERIV_NODES = 0.25, 48
 _PSI_DET_POINTS = (2.0 + 0.5j, 2.0 + 0.1j, 2.0 - 0.1j, -1.5 + 0.8j)
 _PSI_DET_TOL = 1e-12
@@ -137,6 +145,18 @@ def all_pass(rows: Iterable[ResidualCheck]) -> bool:
 # Bessel-side matrix functions
 # ----------------------------------------------------------------------
 
+def _p_orders(zeta) -> np.ndarray:
+    """The orders of J in p at every zeta, along a leading axis of 4."""
+    z = np.asarray(zeta, dtype=complex)
+    return np.stack([z - 0.5, 0.5 - z, z + 0.5, -z - 0.5])
+
+
+def _p_from_j(theta: float, j: np.ndarray) -> np.ndarray:
+    """p from J at `_p_orders` and u = 2 eta: shape j.shape[1:] + (2, 2)."""
+    a, b, c, d = j
+    return sqrt(sqrt(theta)) * np.stack([a, b, -c, d], axis=-1).reshape(a.shape + (2, 2))
+
+
 def bessel_p(theta: float):
     """Entire matrix sqrt(eta) [[J_(z-1/2), J_(-z+1/2)], [-J_(z+1/2), J_(-z-1/2)]](2 eta).
 
@@ -144,17 +164,8 @@ def bessel_p(theta: float):
     from one `bessel_j_complex_order` call on all four orders of every
     point.
     """
-    eta = sqrt(theta)
-    u = 2.0 * eta
-    s = sqrt(eta)
-
-    def ev(zeta) -> np.ndarray:
-        z = np.asarray(zeta, dtype=complex)
-        a, b, c, d = bessel_j_complex_order(
-            np.stack([z - 0.5, 0.5 - z, z + 0.5, -z - 0.5]), u)
-        return s * np.stack([a, b, -c, d], axis=-1).reshape(z.shape + (2, 2))
-
-    return ev
+    u = 2.0 * sqrt(theta)
+    return lambda zeta: _p_from_j(theta, bessel_j_complex_order(_p_orders(zeta), u))
 
 
 def bessel_m(theta: float):
@@ -167,20 +178,21 @@ def bessel_m(theta: float):
 
     which stays stable at any |zeta| and exhibits the simple poles on the
     half-integer lattice directly (column 1 on Z'_-, column 2 on Z'_+).
-    zeta may be an array: the result then has shape zeta.shape + (2, 2).
-    One `_hyp0f1` call on zeta+1/2 and 1/2-zeta gives all four entries,
-    since Phi(c+1) comes with Phi(c).  The number of recurrence steps
-    grows with theta and with how far left the points reach, and each
-    step is a few numpy calls over all points: one point takes ~0.14 ms
-    at theta = 1 and ~0.3 ms at theta = 100, 256 points ~0.3 ms and
-    ~0.7 ms, 4096 points ~2.3 ms and ~5.5 ms (2-core AMD EPYC, Python
-    3.11, numpy 2.4), so pass every point of a computation in one call.
+    zeta may be an array, and so may theta, broadcast against zeta: the
+    result has their broadcast shape + (2, 2).  One `_hyp0f1` call on
+    zeta+1/2 and 1/2-zeta gives all four entries, since Phi(c+1) comes
+    with Phi(c).  The number of recurrence steps grows with the largest
+    theta and with how far left the points reach, and each step is a few
+    numpy calls over all points: one point takes ~0.14 ms at theta = 1
+    and ~0.3 ms at theta = 100, 256 points ~0.3 ms and ~0.7 ms, 4096
+    points ~2.3 ms and ~5.5 ms (2-core AMD EPYC, Python 3.11, numpy 2.4),
+    so pass every point of a computation, at every theta, in one call.
     """
-    eta = sqrt(theta)
-    w = -theta
+    eta = np.sqrt(theta)
+    w = -np.asarray(theta, dtype=float)
 
     def ev(zeta) -> np.ndarray:
-        z = np.asarray(zeta, dtype=complex)
+        z = np.broadcast_arrays(np.asarray(zeta, dtype=complex), w)[0]
         lo, hi = _hyp0f1(np.stack([z + 0.5, 0.5 - z]), w)
         out = np.empty(z.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = lo[0]
@@ -193,8 +205,9 @@ def bessel_m(theta: float):
 
 
 def bessel_n(theta: float):
-    """n(zeta) = m(zeta) diag(eta^zeta, eta^-zeta); zeta may be an array."""
-    log_eta = math.log(sqrt(theta))
+    """n(zeta) = m(zeta) diag(eta^zeta, eta^-zeta); zeta and theta may be
+    arrays, broadcast as in `bessel_m`."""
+    log_eta = np.log(np.sqrt(theta)) if np.ndim(theta) else math.log(sqrt(theta))
     m = bessel_m(theta)
 
     def ev(zeta) -> np.ndarray:
@@ -258,30 +271,72 @@ def _p_from_real_order(theta: float, xs: Sequence[float]) -> np.ndarray:
     return sqrt(eta) * j * np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
+def _p_value_points(theta: float, xs: Sequence[float]) -> tuple:
+    """(orders, u) of J for p at the lattice points xs."""
+    return _p_orders(xs), 2.0 * sqrt(theta)
+
+
+def _p_value_rows(theta: float, xs: Sequence[float], j: np.ndarray) -> list[ResidualCheck]:
+    return [ResidualCheck("p-values", f"x={x}", float(np.max(np.abs(px - ref))),
+                          _P_TOL * max(1.0, float(np.max(np.abs(ref)))))
+            for x, px, ref in zip(xs, _p_from_j(theta, j), _p_from_real_order(theta, xs))]
+
+
 def check_p_values(theta: float, xs: Sequence[float]) -> list[ResidualCheck]:
     """p at lattice points against `_p_from_real_order`, to _P_TOL max(1, |p|).
 
     The reflection condition needs no row: `bessel_j_complex_order` forms
     J_(-n) as (-1)^n J_n from the same J_n, so it holds by construction.
     """
-    return [ResidualCheck("p-values", f"x={x}", float(np.max(np.abs(px - ref))),
-                          _P_TOL * max(1.0, float(np.max(np.abs(ref)))))
-            for x, px, ref in zip(xs, bessel_p(theta)(np.asarray(xs, dtype=float)),
-                                  _p_from_real_order(theta, xs))]
+    return _p_value_rows(theta, xs, bessel_j_complex_order(*_p_value_points(theta, xs)))
+
+
+def _residue_points(xs: Sequence[float]) -> np.ndarray:
+    """The nodes of a small circle around every lattice point, one row per point."""
+    return np.asarray(xs, dtype=float)[:, None] + _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[1]
+
+
+def _residue_rows(theta: float, xs: Sequence[float], values: np.ndarray) -> list[ResidualCheck]:
+    x = np.asarray(xs, dtype=float)
+    f1, f2, g1, g2 = plancherel_l(theta).fg(x)
+    weights = -np.stack([f1, f2], -1)[:, :, None] * np.stack([g1, g2], -1)[:, None, :]
+    phases = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[0]
+    return [ResidualCheck("m-residue", f"x={xx}",
+                          float(np.max(np.abs(_residue(mx, phases, _RESIDUE_RADIUS)
+                                              - _average(mx @ w)))), _RESIDUE_TOL)
+            for xx, mx, w in zip(xs, values, weights)]
 
 
 def check_m_residues(theta: float, xs: Sequence[float]) -> list[ResidualCheck]:
     """Res_{zeta=x} m = lim_{zeta->x} m(zeta) w(x) at every lattice point given,
     with w = -f g^t from one `plancherel_l(theta).fg` call."""
-    x = np.asarray(xs, dtype=float)
-    f1, f2, g1, g2 = plancherel_l(theta).fg(x)
-    weights = -np.stack([f1, f2], -1)[:, :, None] * np.stack([g1, g2], -1)[:, None, :]
-    phases, circle = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)
-    values = bessel_m(theta)(x[:, None] + circle)
-    return [ResidualCheck("m-residue", f"x={xx}",
-                          float(np.max(np.abs(_residue(mx, phases, _RESIDUE_RADIUS)
-                                              - _average(mx @ w)))), _RESIDUE_TOL)
-            for xx, mx, w in zip(xs, values, weights)]
+    return _residue_rows(theta, xs, bessel_m(theta)(_residue_points(xs)))
+
+
+def _normalization_ts(theta: float) -> tuple:
+    t0 = max(10.0, 2.5 * theta)
+    return t0, 2.0 * t0, 4.0 * t0
+
+
+def _normalization_points(theta: float) -> np.ndarray:
+    return np.array([1j * t for t in _normalization_ts(theta)])
+
+
+def _normalization_rows(theta: float, values: np.ndarray) -> list[ResidualCheck]:
+    ts = _normalization_ts(theta)
+    d = values - np.eye(2)
+    raw = np.max(np.abs(d), axis=(1, 2)).tolist()
+    rem = np.max(np.abs(d - bessel_m1_exact(theta) / (1j * np.array(ts))[:, None, None]),
+                 axis=(1, 2)).tolist()
+    rows = []
+    for i in range(1, len(ts)):
+        step = f"t={ts[i - 1]}->{ts[i]}"
+        rows.append(ResidualCheck("m-normalization-decreasing", step, raw[i] / raw[i - 1], 1.0))
+        rows.append(ResidualCheck("m-normalization-remainder-decreasing", step,
+                                  rem[i] / rem[i - 1], 1.0))
+    rows.append(ResidualCheck(
+        "m-normalization-remainder", f"t={ts[-1]}", rem[-1], _REMAINDER_TOL))
+    return rows
 
 
 def check_m_normalization(theta: float) -> list[ResidualCheck]:
@@ -296,28 +351,7 @@ def check_m_normalization(theta: float) -> list[ResidualCheck]:
     5.2e-3 at theta = 30, 5.05e-3 at theta = 100 and 5.0e-3 at
     theta = 400, and every "decreasing" row passes.
     """
-    t0 = max(10.0, 2.5 * theta)
-    ts = (t0, 2.0 * t0, 4.0 * t0)
-    m1 = bessel_m1_exact(theta)
-    eye = np.eye(2)
-    rows = []
-    raw = []
-    rem = []
-    values = bessel_m(theta)(np.array([1j * t for t in ts]))
-    for t, mt in zip(ts, values):
-        d = mt - eye
-        raw.append(float(np.max(np.abs(d))))
-        rem.append(float(np.max(np.abs(d - m1 / (1j * t)))))
-    for i in range(1, len(ts)):
-        rows.append(ResidualCheck(
-            "m-normalization-decreasing", f"t={ts[i - 1]}->{ts[i]}",
-            raw[i] / raw[i - 1], 1.0))
-        rows.append(ResidualCheck(
-            "m-normalization-remainder-decreasing", f"t={ts[i - 1]}->{ts[i]}",
-            rem[i] / rem[i - 1], 1.0))
-    rows.append(ResidualCheck(
-        "m-normalization-remainder", f"t={ts[-1]}", rem[-1], _REMAINDER_TOL))
-    return rows
+    return _normalization_rows(theta, bessel_m(theta)(_normalization_points(theta)))
 
 
 def _m1_radius(theta: float) -> float:
@@ -386,6 +420,48 @@ def check_m1_symmetry(theta: float) -> list[ResidualCheck]:
     ]
 
 
+def _ode_points(theta: float) -> tuple:
+    """((theta, zeta) of n, (order, u) of J) on the eta stencils of
+    `ode_check_eta`: the stencil along axis 0, _ODE_ZETAS along axis 1."""
+    eta = sqrt(theta)
+    zs = np.array(_ODE_ZETAS, dtype=complex)
+    n_etas = (eta + _ODE_STEP * _STENCIL)[:, None]
+    p11_etas = (eta + _P11_STEP * _STENCIL)[:, None]
+    return (n_etas ** 2, zs), (zs - 0.5, 2.0 * p11_etas)
+
+
+def _ode_rows(theta: float, n: np.ndarray, j: np.ndarray) -> list[ResidualCheck]:
+    """The rows of `ode_check_eta` from n and J at `_ode_points`."""
+    eta = sqrt(theta)
+    zetas = list(_ODE_ZETAS)
+    zs = np.array(zetas, dtype=complex)
+    # n[i] is n at eta + _ODE_STEP _STENCIL[i]
+    dn = (8.0 * (n[3] - n[1]) - (n[4] - n[0])) / (6.0 * _ODE_STEP)
+
+    def worst(beta: float) -> float:
+        rhs = np.array([[[z, -2.0 * beta], [2.0 * beta, -z]] for z in zetas]) @ n[2]
+        return float(np.max(np.abs(eta * dn - rhs)))
+
+    # p11 = sqrt(e) J_(zeta-1/2)(2e) on the five-point stencil in eta
+    steps = _P11_STEP * _STENCIL
+    p11 = np.sqrt(eta + steps)[:, None] * j
+
+    def second_diff(i: int) -> np.ndarray:
+        return (p11[2 + i] - 2.0 * p11[2] + p11[2 - i]) / (steps[2 + i] * steps[2 + i])
+
+    # Richardson in h^2 removes the leading truncation term
+    second = (4.0 * second_diff(1) - second_diff(2)) / 3.0
+    worst_plus = worst(eta)
+    return [
+        ResidualCheck("ode-eta-beta-minus", f"zetas={zetas}", worst(-eta), _ODE_TOL),
+        ResidualCheck("ode-eta-beta-plus-must-fail", f"zetas={zetas}",
+                      1.0 / worst_plus if worst_plus > 0 else math.inf, 1.0 / 1e-2),
+        ResidualCheck("ode-p11-second-order", f"zetas={zetas}",
+                      float(np.max(np.abs(second - (zs * (zs - 1.0) / theta - 4.0) * p11[2]))),
+                      _P11_TOL),
+    ]
+
+
 def ode_check_eta(theta: float) -> list[ResidualCheck]:
     """First-order ODE in eta for n, the beta sign selection, and the
     second-order scalar ODE for p11.
@@ -394,51 +470,12 @@ def ode_check_eta(theta: float) -> list[ResidualCheck]:
     eta dn/deta = [[zeta, -2 beta], [2 beta, -zeta]] n with beta = -eta;
     the factor eta comes from the diagonal, whose eta-derivative is
     zeta/eta times itself.  dn/deta is Richardson's extrapolation of the
-    central differences at steps _ODE_STEP and _ODE_STEP/2.
+    central differences at steps _ODE_STEP and _ODE_STEP/2.  n at every
+    eta and zeta of the stencil comes from one `bessel_n` call, and p11
+    from one `bessel_j_complex_order` call.
     """
-    eta = sqrt(theta)
-    h = _ODE_STEP
-    rows = []
-    # n at every zeta in one call per eta
-    zetas = list(_ODE_ZETAS)
-    zs = np.array(zetas, dtype=complex)
-    n_at = {step: bessel_n((eta + step) ** 2)(zs)
-            for step in (-h, -0.5 * h, 0.0, 0.5 * h, h)}
-    dn_all = (8.0 * (n_at[0.5 * h] - n_at[-0.5 * h])
-              - (n_at[h] - n_at[-h])) / (6.0 * h)
-
-    worst_minus = 0.0
-    worst_plus = 0.0
-    for zeta, dn, n0 in zip(zetas, dn_all, n_at[0.0]):
-        for beta, tag in ((-eta, "minus"), (eta, "plus")):
-            rhs = np.array([[zeta, -2.0 * beta], [2.0 * beta, -zeta]],
-                           dtype=complex) @ n0
-            r = float(np.max(np.abs(eta * dn - rhs)))
-            if tag == "minus":
-                worst_minus = max(worst_minus, r)
-            else:
-                worst_plus = max(worst_plus, r)
-    rows.append(ResidualCheck("ode-eta-beta-minus", f"zetas={zetas}",
-                              worst_minus, _ODE_TOL))
-    rows.append(ResidualCheck("ode-eta-beta-plus-must-fail", f"zetas={zetas}",
-                              1.0 / worst_plus if worst_plus > 0 else math.inf,
-                              1.0 / 1e-2))
-
-    # p11 = sqrt(e) J_(zeta-1/2)(2e) on the five-point stencil in eta,
-    # every zeta in one call per eta
-    h2 = 2e-3
-    p11 = {step: sqrt(eta + step) * bessel_j_complex_order(zs - 0.5, 2.0 * (eta + step))
-           for step in (-h2, -0.5 * h2, 0.0, 0.5 * h2, h2)}
-
-    def second_diff(step: float) -> np.ndarray:
-        return (p11[step] - 2.0 * p11[0.0] + p11[-step]) / (step * step)
-
-    # Richardson in h^2 removes the leading truncation term
-    second = (4.0 * second_diff(0.5 * h2) - second_diff(h2)) / 3.0
-    worst2 = float(np.max(np.abs(second - (zs * (zs - 1.0) / theta - 4.0) * p11[0.0])))
-    rows.append(ResidualCheck("ode-p11-second-order", f"zetas={zetas}",
-                              worst2, _P11_TOL))
-    return rows
+    (n_theta, zs), (orders, u) = _ode_points(theta)
+    return _ode_rows(theta, bessel_n(n_theta)(zs), bessel_j_complex_order(orders, u))
 
 
 def bessel_kernel_from_m(theta: float) -> AssembledKernel:
@@ -663,12 +700,41 @@ def suite_contour() -> list[ResidualCheck]:
 # suites
 # ----------------------------------------------------------------------
 
+def _in_one_call(fn, *groups) -> list:
+    """fn at the points of every group in one call, its values split back.
+
+    A group is a tuple of fn's arguments, arrays broadcast together; each
+    argument is flattened and joined across the groups, and the values,
+    points along axis 0, come back in each group's broadcast shape.
+    """
+    shapes = [np.broadcast_shapes(*(np.shape(arg) for arg in group)) for group in groups]
+    args = [np.concatenate([np.broadcast_to(arg, shape).ravel()
+                            for arg, shape in zip(column, shapes)])
+            for column in zip(*groups)]
+    values = fn(*args)
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [v.reshape(shape + v.shape[1:])
+            for v, shape in zip(np.split(values, cuts), shapes)]
+
+
 def suite_drhp(theta: float) -> list[ResidualCheck]:
-    return (check_p_values(theta, _P_XS)
-            + check_m_residues(theta, _RESIDUE_XS)
-            + check_m_normalization(theta)
+    """Every Bessel-side check at theta, each subject evaluated once.
+
+    The rows are those of `check_p_values`, `check_m_residues`,
+    `check_m_normalization`, `check_m1_symmetry` and `ode_check_eta`, in
+    that order, from the same points; here J, m and n each take one call
+    (one `_hyp0f1` ladder) for all of them, and `fit_m1` its two.
+    """
+    (n_theta, zs), p11_points = _ode_points(theta)
+    p_values, p11 = _in_one_call(bessel_j_complex_order,
+                                 _p_value_points(theta, _P_XS), p11_points)
+    residues, normalization = _in_one_call(bessel_m(theta), (_residue_points(_RESIDUE_XS),),
+                                           (_normalization_points(theta),))
+    return (_p_value_rows(theta, _P_XS, p_values)
+            + _residue_rows(theta, _RESIDUE_XS, residues)
+            + _normalization_rows(theta, normalization)
             + check_m1_symmetry(theta)
-            + ode_check_eta(theta))
+            + _ode_rows(theta, bessel_n(n_theta)(zs), p11))
 
 
 def suite_special_functions() -> list[ResidualCheck]:

@@ -1,15 +1,16 @@
 """Monte Carlo ground truth: Plancherel-random diagrams via row insertion.
 
-A uniform permutation of {1..n} comes from numpy's `Generator.permutation`,
-its insertion shape is computed by Robinson-Schensted row bumping (so
+A uniform permutation of {1..n} comes from numpy's `Generator.shuffle` on
+a list (the draws of `Generator.permutation`), its insertion shape is computed by Robinson-Schensted row bumping (so
 lambda_1 is the longest increasing subsequence length), and the
 poissonized measure arises by first drawing the size from Poisson(theta)
 with numpy's Poisson sampler.
 
-`empirical_correlations` draws all sizes of a substream in one call, takes
-the doubled Frobenius points straight from the RSK row lengths (no diagram
-objects are built), and marks them in one boolean occupancy matrix of
-samples x requested points; every estimate is a reduction of that matrix.
+`empirical_correlations` draws all sizes of a substream in one call and
+marks the requested points of every sample in one boolean occupancy
+matrix of samples x requested points, by array operations on the RSK row
+lengths (no diagram objects are built); every estimate is a reduction of
+that matrix.
 
 Randomness comes from numpy's Philox counter-based generator, keyed by a
 `SeedSequence` of the seed and the generator's substream path.
@@ -26,7 +27,8 @@ from __future__ import annotations
 import csv
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from itertools import chain
+from math import sqrt
 
 import numpy as np
 
@@ -78,18 +80,29 @@ class SeededGenerator:
         return float(self._gen.random())
 
     def permutation(self, n: int) -> list:
-        """Uniform random permutation of (1..n)."""
-        return (self._gen.permutation(n) + 1).tolist()
+        """Uniform random permutation of (1..n).
+
+        `Generator.shuffle` on a list makes the draws of
+        `Generator.permutation(n) + 1` and leaves the stream at the same
+        place (pinned in tests/test_sampler.py), without the array.
+        """
+        word = list(range(1, n + 1))
+        self._gen.shuffle(word)
+        return word
 
     def poisson(self, theta: float) -> int:
-        """One Poisson(theta) draw, for any finite theta > 0."""
+        """One Poisson(theta) draw, for 0 < theta <= _POISSON_MAX."""
         return int(self._gen.poisson(_checked_theta(theta)))
+
+
+# numpy's Generator.poisson raises ValueError above this mean
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * sqrt(np.iinfo(np.int64).max)
 
 
 def _checked_theta(theta: float) -> float:
     theta = float(theta)
-    if not (theta > 0.0 and isfinite(theta)):
-        raise DomainError(f"poisson needs a finite theta > 0, got {theta}")
+    if not 0.0 < theta <= _POISSON_MAX:
+        raise DomainError(f"poisson needs 0 < theta <= {_POISSON_MAX:.6g}, got {theta}")
     return theta
 
 
@@ -111,23 +124,33 @@ def _rsk_rows(word) -> list:
     return [len(row) for row in rows]
 
 
-def _frobenius_points(rows) -> list:
-    """Fr(lambda) as doubled integers, from the row lengths of lambda.
+def _frobenius_occupancy(rows: list, points: np.ndarray) -> np.ndarray:
+    """occupied[i, j]: is points[j] in Fr(lambda) of diagram i?
 
-    The arm points are 2 lambda_i - 2i - 1 and the leg points
-    2i - 2 lambda'_i + 1 (i = 0..d-1, lambda' the conjugate), where
-    lambda'_i counts the rows longer than i.
+    `rows` holds one list of row lengths per diagram, `points` distinct
+    doubled half-integers (odd).  With R rows, the doubled values
+    2 (lambda_k - k) - 1, k = 0..R-1, decrease strictly; continued by
+    -2k - 1 for k >= R, they are the particles of the Maya diagram, and Fr
+    is the particles above zero (the arm points 2 lambda_k - 2k - 1) and
+    the holes below it (the leg points 2k - 2 lambda'_k + 1).  So a point
+    p > 0 is in Fr when it is one of the R values, and p < 0 when it is
+    none of them and -p <= 2R - 1.  Every temporary is one entry per row
+    or per (diagram, point).
     """
-    d = 0
-    while d < len(rows) and rows[d] > d:
-        d += 1
-    points = [2 * (rows[i] - i) - 1 for i in range(d)]
-    longer = len(rows)
-    for i in range(d):
-        while rows[longer - 1] <= i:
-            longer -= 1
-        points.append(2 * (i - longer) + 1)
-    return points
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    lam = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(counts.sum()))
+    starts = np.cumsum(counts) - counts
+    k = np.arange(lam.size) - np.repeat(starts, counts)
+    values = 2 * (lam - k) - 1
+    order = np.argsort(points)
+    # the even sentinel ends the sorted points and matches no value
+    ordered = np.append(points[order], 0)
+    pos = np.searchsorted(ordered[:-1], values)
+    hit = ordered[pos] == values
+    is_value = np.zeros((len(rows), len(points)), dtype=bool)
+    is_value[np.repeat(np.arange(len(rows)), counts)[hit], order[pos[hit]]] = True
+    inside = -points[None, :] <= 2 * counts[:, None] - 1
+    return np.where(points > 0, is_value, inside & ~is_value)
 
 
 def rsk_shape(word) -> YoungDiagram:
@@ -158,15 +181,13 @@ class EmpiricalCorrelation:
     n_samples: int
 
 
-def _mark_samples(occupied: np.ndarray, theta: float, column: dict,
-                  gen: SeededGenerator) -> None:
-    """Draw one poissonized sample per row of `occupied` from gen; set
-    occupied[i, column[p]] for every point p of sample i that has a column."""
-    for i, size in enumerate(gen._gen.poisson(theta, len(occupied)).tolist()):
-        for p in _frobenius_points(_rsk_rows(gen.permutation(size))):
-            j = column.get(p)
-            if j is not None:
-                occupied[i, j] = True
+def _sample_occupancy(theta: float, points: np.ndarray, n: int,
+                      gen: SeededGenerator) -> np.ndarray:
+    """n poissonized samples from gen, all sizes drawn first: their
+    `_frobenius_occupancy` at points."""
+    sizes = gen._gen.poisson(theta, n).tolist()
+    return _frobenius_occupancy([_rsk_rows(gen.permutation(size)) for size in sizes],
+                                points)
 
 
 def empirical_correlations(theta: float, point_sets, n_samples: int,
@@ -193,14 +214,13 @@ def empirical_correlations(theta: float, point_sets, n_samples: int,
     for pts in point_sets:
         for p in pts:
             column.setdefault(p, len(column))
-    occupied = np.zeros((n_samples, len(column)), dtype=bool)
+    points = np.array(list(column), dtype=np.int64)
     streams = ([gen] if n_substreams == 1
                else [gen.substream(i) for i in range(n_substreams)])
-    lo = 0
-    for i, stream in enumerate(streams):
-        hi = lo + n_samples // n_substreams + (i < n_samples % n_substreams)
-        _mark_samples(occupied[lo:hi], theta, column, stream)
-        lo = hi
+    occupied = np.concatenate([
+        _sample_occupancy(theta, points,
+                          n_samples // n_substreams + (i < n_samples % n_substreams), stream)
+        for i, stream in enumerate(streams)])
     out = []
     for pts in point_sets:
         hits = int(occupied[:, [column[p] for p in pts]].all(axis=1).sum())
@@ -220,6 +240,9 @@ def empirical_correlation(theta: float, points, n_samples: int,
 def write_samples_csv(path, theta: float, n_samples: int,
                       gen: SeededGenerator) -> None:
     """Dump samples: one row (sample_index, size, d, doubled Fr points)."""
+    theta = _checked_theta(theta)
+    if n_samples < 0:
+        raise DomainError(f"need n_samples >= 0, got {n_samples}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "size", "d", "fr_points_doubled"])

@@ -119,6 +119,29 @@ def test_correlation_command(tmp_path):
     assert float(rows[1][4]) < 4.0
 
 
+def test_malformed_point_list_exits_2_with_one_line(tmp_path, capsys):
+    # int("x") ended in a ValueError traceback
+    assert run(["correlation", "--theta", "1", "--points", "1,x",
+                "-o", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--points needs comma-separated ints" in err
+    assert run(["prob", "--theta", "1", "--rows", "2,1.5",
+                "-o", str(tmp_path / "p.csv")]) == 2
+    assert run(["kernel", "--family", "whittaker", "--points", "0.5,",
+                "-o", str(tmp_path / "k.csv")]) == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("args", [["--n", "-5"], ["--theta", "1e19"], ["--theta", "0"]])
+def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
+    # --n -5 exited 0 with a header-only file, --theta 1e19 ended in
+    # numpy's "lam value too large"
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--theta", "2", "--n", "3", *args, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_suites(tmp_path):
     for suite in ("two-point", "contour", "cd", "special-functions",
                   "drhp", "psi"):

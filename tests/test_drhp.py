@@ -76,6 +76,71 @@ def test_hyp0f1_shapes_and_poles():
         special._hyp0f1(np.array([1.5, -2.0]), -1.0)
 
 
+def _pole_circle_and_box_cs(rng, size):
+    """c on residue circles of radius 1e-3 around the poles 0..-12, and c
+    off the poles in a box, as two arrays of `size` elements."""
+    near = -rng.integers(0, 13, size) + 1e-3 * np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+    off = rng.uniform(-5, 5, size) + 1j * rng.uniform(-5, 5, size) + 0.37
+    return near, off
+
+
+def test_hyp0f1_array_w_of_one_value_is_the_scalar_call():
+    cs = np.concatenate(_pole_circle_and_box_cs(np.random.default_rng(3), 8))
+    for w in (-1.0, -30.0, -400.0):
+        want = special._hyp0f1(cs, w)
+        got = special._hyp0f1(cs, np.full(cs.shape, w))
+        assert all(g.tobytes() == v.tobytes() for g, v in zip(got, want))
+
+
+def test_hyp0f1_array_w_matches_one_call_per_element():
+    # one ladder, sized by the largest |w| and the leftmost c, against a
+    # ladder per element: the values move within _hyp0f1's own error.
+    # Measured on these 2 x 300 draws: 3.5e-13 relative next to the
+    # poles, 1.2e-14 off them
+    rng = np.random.default_rng(24)
+    worst = {}
+    for _ in range(300):
+        size = int(rng.integers(1, 12))
+        w = -rng.uniform(0.5, 400.0, size)
+        for kind, cs in zip(("near", "off"), _pole_circle_and_box_cs(rng, size)):
+            lo, hi = special._hyp0f1(cs, w)
+            for c, wi, f0, f1 in zip(cs, w, lo, hi):
+                one = special._hyp0f1(c, wi)
+                err = max(abs(got - want) / abs(want) for got, want in zip((f0, f1), one))
+                worst[kind] = max(worst.get(kind, 0.0), err)
+    assert worst["near"] <= 4e-12 and worst["off"] <= 1e-13, worst
+
+
+def test_hyp0f1_broadcasts_w_against_c():
+    lo, hi = special._hyp0f1(np.array([0.5 + 1j, 2.0, 3.0 - 2j]), np.array([[-1.0], [-30.0]]))
+    assert lo.shape == hi.shape == (2, 3)
+    assert lo[1, 2] == pytest.approx(_hyp0f1_mpmath(3.0 - 2j, -30.0), rel=1e-13)
+
+
+def test_complex_order_j_at_array_u_matches_one_call_per_u():
+    # orders of p at lattice points and of p11 at complex zeta;
+    # 7.3e-16 max(1, |J|) measured
+    nu = np.array([3.0, -3.0, 4.0, -8.0, -0.2 + 0.4j, 0.7 - 0.7j, -0.5 + 2.5j])
+    u = 2.0 * np.sqrt(np.array([[1.0], [30.0], [100.0]]))
+    got = special.bessel_j_complex_order(nu, u)
+    assert got.shape == (3, 7)
+    for row, ui in zip(got, u[:, 0]):
+        want = special.bessel_j_complex_order(nu, float(ui))
+        assert np.max(np.abs(row - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+
+def test_m_and_n_at_array_theta_match_one_call_per_theta():
+    # 9.0e-16 max|n| measured
+    thetas = np.array([[1.0], [30.0], [100.0]])
+    zetas = np.array([0.3 + 0.4j, -2.2 + 1.0j, 10j, 3.0 + 1e-3j])
+    for fn in (drhp.bessel_m, drhp.bessel_n):
+        got = fn(thetas)(zetas)
+        assert got.shape == (3, 4, 2, 2)
+        for row, theta in zip(got, thetas[:, 0]):
+            want = fn(float(theta))(zetas)
+            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_m_array_matches_points():
     # a batch and a single point run ladders of different lengths, so they
     # agree to rounding (1.0e-15 max|m| measured here), not bit for bit
@@ -158,9 +223,9 @@ def test_p_values_rows_call_real_order_j_once_and_catch_a_wrong_j(monkeypatch):
     assert failed == {"x=3.5", "x=-4.5"}
 
 
-def test_suite_drhp_makes_few_complex_order_bessel_calls(monkeypatch):
-    # p is array-valued: one call for the p-values rows and one per eta of
-    # the p11 stencil (81 scalar calls before)
+def test_suite_drhp_makes_one_complex_order_bessel_call(monkeypatch):
+    # the p-values orders and the five-eta p11 stencil share one call
+    # (81 scalar calls, then 6 array calls, before)
     calls = []
     original = drhp.bessel_j_complex_order
 
@@ -170,7 +235,50 @@ def test_suite_drhp_makes_few_complex_order_bessel_calls(monkeypatch):
 
     monkeypatch.setattr(drhp, "bessel_j_complex_order", counted)
     drhp.suite_drhp(30.0)
-    assert len(calls) <= 6
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("theta", [1.0, 100.0, 1000.0])
+def test_suite_drhp_runs_five_0f1_ladders(theta, monkeypatch):
+    # one for J, one for m at the residue circles and the normalization
+    # points, one for n on the eta stencil, two for fit_m1's 128 + 128
+    # nodes; one call per check and per eta made it 15
+    calls = []
+    original = special._hyp0f1
+
+    def counted(c, w):
+        calls.append(np.size(c))
+        return original(c, w)
+
+    monkeypatch.setattr(special, "_hyp0f1", counted)
+    monkeypatch.setattr(drhp, "_hyp0f1", counted)
+    drhp.suite_drhp(theta)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
+def test_suite_drhp_rows_are_the_standalone_checks_rows(theta):
+    # the suite joins the checks' points into one call per subject.  Two
+    # kinds of rows run a different ladder there: the normalization rows
+    # (the residue circles reach further left) move by <= 6.6e-14
+    # relative, and the p-values rows (the p11 stencil's orders and u
+    # join them), whose residuals are rounding of two routes (<= 5.6e-16),
+    # by <= 3.3e-16 absolute
+    suite = drhp.suite_drhp(theta)
+    alone = (drhp.check_p_values(theta, drhp._P_XS)
+             + drhp.check_m_residues(theta, drhp._RESIDUE_XS)
+             + drhp.check_m_normalization(theta)
+             + drhp.check_m1_symmetry(theta)
+             + drhp.ode_check_eta(theta))
+    assert ([(r.check_id, r.point, r.tolerance, r.passed) for r in suite]
+            == [(r.check_id, r.point, r.tolerance, r.passed) for r in alone])
+    for got, want in zip(suite, alone):
+        if got.check_id.startswith("m-normalization"):
+            assert got.residual == pytest.approx(want.residual, rel=1e-12, abs=0.0)
+        elif got.check_id == "p-values":
+            assert abs(got.residual - want.residual) <= 1e-3 * got.tolerance
+        else:
+            assert got.residual == want.residual, got.check_id
 
 
 def test_m_has_unit_determinant():
@@ -524,9 +632,10 @@ _MUTANTS = {
     "m1-gamma-equals-beta": ("drhp", drhp, "bessel_m", _m1_off([[0, 0], [1, 0]])),
     "m1-delta-equals-minus-alpha": ("drhp", drhp, "bessel_m", _m1_off([[0, 0], [0, 1]])),
     "m1-beta-equals-minus-eta": ("drhp", drhp, "bessel_m", _m1_off([[0, 1], [1, 0]])),
-    # n theta^1e-5: n unchanged at theta = 1, eta dn/deta off by 2e-5 n
+    # n theta^1e-5: n unchanged at theta = 1, eta dn/deta off by 2e-5 n;
+    # theta is an array of the stencil's thetas, one per n
     "ode-eta-beta-minus": ("drhp", drhp, "bessel_n",
-                           lambda n, theta: lambda z: n(z) * theta ** 1e-5),
+                           lambda n, theta: lambda z: n(z) * (theta ** 1e-5)[..., None, None]),
     # diag(1, -1) n diag(1, -1) solves the beta = +eta equation
     "ode-eta-beta-plus-must-fail": ("drhp", drhp, "bessel_n",
                                     lambda n, theta: lambda z: n(z) * np.array([[1, -1],

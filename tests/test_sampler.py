@@ -3,6 +3,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,7 +111,10 @@ def test_poisson_size_law_beyond_underflow():
 
 def test_poisson_rejects_bad_theta():
     gen = sampler.SeededGenerator(0)
-    for theta in (0.0, -1.0, math.nan, math.inf):
+    # numpy's Generator.poisson takes means up to _POISSON_MAX ~ 9.22e18
+    assert gen.poisson(sampler._POISSON_MAX) > 0
+    for theta in (0.0, -1.0, math.nan, math.inf, 1e19,
+                  math.nextafter(sampler._POISSON_MAX, math.inf)):
         with pytest.raises(DomainError):
             gen.poisson(theta)
         with pytest.raises(DomainError):
@@ -167,6 +171,16 @@ def test_stream_version_pins_the_draws():
     assert gen.permutation(6) == [1, 4, 5, 2, 3, 6]
     assert gen.poisson(30.0) == 25
     assert sampler.sample_poissonized(10.0, gen).rows == (3, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 30, 100, 255, 256, 1000, 65536, 300_000])
+def test_permutation_is_numpys_permutation_stream(n):
+    # the list shuffle makes Generator.permutation(n)'s draws and leaves the
+    # stream where it leaves it, so STREAM_VERSION 2 stands
+    gen = sampler.SeededGenerator(2001, n)
+    ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(2001, spawn_key=(n,))))
+    assert gen.permutation(n) == (ref.permutation(n) + 1).tolist()
+    assert gen.random() == ref.random()
 
 
 def test_occupancy_counts_match_diagram_route():
@@ -241,6 +255,13 @@ def test_expected_point_count_matches_kernel_trace():
     assert abs(mean - trace) < 4 * math.sqrt(2 * trace / n)
 
 
+def test_samples_csv_rejects_a_negative_count(tmp_path):
+    path = tmp_path / "samples.csv"
+    with pytest.raises(DomainError):
+        sampler.write_samples_csv(path, 1.5, -5, sampler.SeededGenerator(1))
+    assert not path.exists()
+
+
 def test_samples_csv(tmp_path):
     path = tmp_path / "samples.csv"
     sampler.write_samples_csv(path, 1.5, 50, sampler.SeededGenerator(1))
@@ -273,9 +294,14 @@ def test_rsk_rows_properties(word):
 
 
 @settings(max_examples=200, deadline=None)
-@given(permutations)
-def test_frobenius_points_from_rows(word):
-    rows = sampler._rsk_rows(word)
-    points = sampler._frobenius_points(rows)
-    assert len(points) == len(set(points))
-    assert set(points) == fr_config(YoungDiagram(rows))
+@given(st.lists(permutations, max_size=5))
+def test_frobenius_occupancy_from_rows(words):
+    # every odd point out to beyond the largest diagram, in no sorted order
+    rows = [sampler._rsk_rows(word) for word in words]
+    reach = 2 * max((len(w) for w in words), default=0) + 5
+    points = np.random.default_rng(len(words)).permutation(np.arange(-reach, reach + 1, 2))
+    occupied = sampler._frobenius_occupancy(rows, points)
+    assert occupied.shape == (len(words), len(points))
+    for row, marks in zip(rows, occupied):
+        assert set(points[marks].tolist()) == fr_config(YoungDiagram(row))
+    assert sampler._frobenius_occupancy(rows, points[:0]).shape == (len(words), 0)
