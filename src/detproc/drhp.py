@@ -40,13 +40,14 @@ recurrence at every u, no 0F1), and pinned against mpmath in the tests.
 p, m and n are array-valued, m and n in theta as well as in zeta.  Each
 call runs one `_hyp0f1` ladder, the stable downward recurrence of 0F1 on
 every element together, whose cost is set by its length (about
-theta + 20 steps) rather than by the number of points.  So the checks
-come in two halves, their points and their rows from values: a check
-called on its own evaluates its subject once on its points, and
-`suite_drhp` evaluates each subject once for all its checks, J for the
-p-values orders and the p11 stencil, m for the residue circles and the
-normalization points, n at every (eta, zeta) of the eta stencil.  With
-`fit_m1`'s two, a suite runs five ladders.
+theta + 20 - min Re c steps) rather than by the number of points.  So
+each subject comes in two halves, its 0F1 arguments (c, w) and its
+values from 0F1 there, and each check in two, its points and its rows
+from values: a check called on its own evaluates its subject once on its
+points, and `suite_drhp` joins the (c, w) of J (the p-values orders and
+the p11 stencil), m (the residue circles and the normalization points)
+and n (the eta stencil) into one ladder.  With `fit_m1`'s, a suite runs
+two.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .kernels import (
     plancherel_l,
     psi_matrix,
 )
-from .special import _hyp0f1, bessel_j_complex_order
+from .special import _hyp0f1, _j_0f1_args, _j_from_0f1, bessel_j_complex_order
 
 __all__ = [
     "ResidualCheck",
@@ -100,7 +101,7 @@ __all__ = [
 _P_XS, _P_TOL = (3.5, 7.5, -4.5), 1e-12
 _RESIDUE_XS = tuple(k + 0.5 for k in range(-10, 10))
 _RESIDUE_RADIUS, _RESIDUE_NODES, _RESIDUE_TOL = 1e-3, 32, 1e-9
-_REMAINDER_TOL = 1e-2
+_REMAINDER_TOL, _RATE_TOL = 1e-2, 1.1
 _M1_START_NODES, _M1_MAX_NODES, _M1_REL_TOL = 128, 4096, 1e-12
 _ODE_ZETAS = (0.3 + 0.4j, 1.2 - 0.7j, 2.5j)
 _ODE_STEP, _P11_STEP, _ODE_TOL, _P11_TOL = 1e-4, 2e-3, 1e-6, 1e-5
@@ -168,6 +169,26 @@ def bessel_p(theta: float):
     return lambda zeta: _p_from_j(theta, bessel_j_complex_order(_p_orders(zeta), u))
 
 
+def _m_0f1_args(theta, zeta) -> tuple:
+    """(c, w) of the 0F1 values in m: c = zeta + 1/2 and 1/2 - zeta along a
+    leading axis of 2, zeta broadcast against theta, and w = -theta."""
+    w = -np.asarray(theta, dtype=float)
+    z = np.broadcast_arrays(np.asarray(zeta, dtype=complex), w)[0]
+    return np.stack([z + 0.5, 0.5 - z]), w
+
+
+def _m_from_0f1(theta, zeta, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """m at zeta from `_hyp0f1`'s (lo, hi) at `_m_0f1_args(theta, zeta)`."""
+    eta = np.sqrt(theta)
+    z = np.broadcast_to(np.asarray(zeta, dtype=complex), lo.shape[1:])
+    out = np.empty(z.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = lo[0]
+    out[..., 0, 1] = eta / (0.5 - z) * hi[1]
+    out[..., 1, 0] = -eta / (z + 0.5) * hi[0]
+    out[..., 1, 1] = lo[1]
+    return out
+
+
 def bessel_m(theta: float):
     """Solution m of the lattice residue problem, in 0F1-ratio form.
 
@@ -183,41 +204,28 @@ def bessel_m(theta: float):
     zeta+1/2 and 1/2-zeta gives all four entries, since Phi(c+1) comes
     with Phi(c).  The number of recurrence steps grows with the largest
     theta and with how far left the points reach, and each step is a few
-    numpy calls over all points: one point takes ~0.14 ms at theta = 1
-    and ~0.3 ms at theta = 100, 256 points ~0.3 ms and ~0.7 ms, 4096
-    points ~2.3 ms and ~5.5 ms (2-core AMD EPYC, Python 3.11, numpy 2.4),
-    so pass every point of a computation, at every theta, in one call.
+    numpy calls over all points, so a call costs nearly the same at one
+    point as at hundreds: pass every point of a computation, at every
+    theta, in one call, or join its 0F1 arguments (`_m_0f1_args`) with
+    other subjects' as `suite_drhp` does.
     """
-    eta = np.sqrt(theta)
-    w = -np.asarray(theta, dtype=float)
+    return lambda zeta: _m_from_0f1(theta, zeta, *_hyp0f1(*_m_0f1_args(theta, zeta)))
 
-    def ev(zeta) -> np.ndarray:
-        z = np.broadcast_arrays(np.asarray(zeta, dtype=complex), w)[0]
-        lo, hi = _hyp0f1(np.stack([z + 0.5, 0.5 - z]), w)
-        out = np.empty(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = lo[0]
-        out[..., 0, 1] = eta / (0.5 - z) * hi[1]
-        out[..., 1, 0] = -eta / (z + 0.5) * hi[0]
-        out[..., 1, 1] = lo[1]
-        return out
 
-    return ev
+def _n_from_0f1(theta, zeta, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """n at zeta from the 0F1 values of m there (see `_m_from_0f1`)."""
+    log_eta = np.log(np.sqrt(theta)) if np.ndim(theta) else math.log(sqrt(theta))
+    z = np.asarray(zeta, dtype=complex)
+    out = _m_from_0f1(theta, z, lo, hi)
+    out[..., 0] *= np.exp(z * log_eta)[..., None]
+    out[..., 1] *= np.exp(-z * log_eta)[..., None]
+    return out
 
 
 def bessel_n(theta: float):
     """n(zeta) = m(zeta) diag(eta^zeta, eta^-zeta); zeta and theta may be
     arrays, broadcast as in `bessel_m`."""
-    log_eta = np.log(np.sqrt(theta)) if np.ndim(theta) else math.log(sqrt(theta))
-    m = bessel_m(theta)
-
-    def ev(zeta) -> np.ndarray:
-        z = np.asarray(zeta, dtype=complex)
-        out = m(z)
-        out[..., 0] *= np.exp(z * log_eta)[..., None]
-        out[..., 1] *= np.exp(-z * log_eta)[..., None]
-        return out
-
-    return ev
+    return lambda zeta: _n_from_0f1(theta, zeta, *_hyp0f1(*_m_0f1_args(theta, zeta)))
 
 
 def bessel_m1_exact(theta: float) -> np.ndarray:
@@ -322,34 +330,38 @@ def _normalization_points(theta: float) -> np.ndarray:
     return np.array([1j * t for t in _normalization_ts(theta)])
 
 
+def _m2_size(theta: float) -> float:
+    """Largest entry of m's 1/zeta^2 coefficient, which the 0F1 series of
+    m's entries give as [[theta(theta+1)/2, -eta(theta+1/2)],
+    [eta(theta+1/2), theta(theta+1)/2]]."""
+    return max(0.5 * theta * (theta + 1.0), sqrt(theta) * (theta + 0.5))
+
+
 def _normalization_rows(theta: float, values: np.ndarray) -> list[ResidualCheck]:
     ts = _normalization_ts(theta)
-    d = values - np.eye(2)
-    raw = np.max(np.abs(d), axis=(1, 2)).tolist()
-    rem = np.max(np.abs(d - bessel_m1_exact(theta) / (1j * np.array(ts))[:, None, None]),
-                 axis=(1, 2)).tolist()
-    rows = []
-    for i in range(1, len(ts)):
-        step = f"t={ts[i - 1]}->{ts[i]}"
-        rows.append(ResidualCheck("m-normalization-decreasing", step, raw[i] / raw[i - 1], 1.0))
-        rows.append(ResidualCheck("m-normalization-remainder-decreasing", step,
-                                  rem[i] / rem[i - 1], 1.0))
+    m1_term = bessel_m1_exact(theta) / (1j * np.array(ts))[:, None, None]
+    rem = np.max(np.abs(values - np.eye(2) - m1_term), axis=(1, 2))
+    rows = [ResidualCheck("m-normalization-rate", f"t={t}", float(r * t * t / _m2_size(theta)),
+                          _RATE_TOL)
+            for t, r in zip(ts, rem.tolist())]
     rows.append(ResidualCheck(
-        "m-normalization-remainder", f"t={ts[-1]}", rem[-1], _REMAINDER_TOL))
+        "m-normalization-remainder", f"t={ts[-1]}", float(rem[-1]), _REMAINDER_TOL))
     return rows
 
 
 def check_m_normalization(theta: float) -> list[ResidualCheck]:
-    """m(it) -> I along the imaginary axis.
+    """m(it) -> I along the imaginary axis, at the rate of its expansion.
 
-    Reported per t: the raw defect max|m(it) - I| (must decrease in t; it
-    decays only like |m1|/t, so no absolute bound is imposed on it) and the
-    defect after removing the exact 1/zeta term (bounded by _REMAINDER_TOL
-    at the largest t, and decreasing).  The remainder scales like
-    theta/t^2, so t is taken from theta: t = t0, 2 t0, 4 t0 with
-    t0 = max(10, 2.5 theta).  The largest-t remainder then measures
-    5.2e-3 at theta = 30, 5.05e-3 at theta = 100 and 5.0e-3 at
-    theta = 400, and every "decreasing" row passes.
+    With the exact 1/zeta term removed, the remainder max|m(it) - I -
+    m1/(it)| decays like |m2|/t^2, |m2| the largest entry of the 1/zeta^2
+    coefficient (`_m2_size`).  Each t gets an `m-normalization-rate` row
+    reading remainder t^2/|m2|: measured 0.954-0.99992 over 500 theta in
+    [1e-3, 2000] at every t, so the tolerance _RATE_TOL = 1.1 leaves 10 %
+    over its limit 1.  The largest t also bounds the remainder itself by
+    _REMAINDER_TOL.  Since |m2| ~ theta^2/2, t is taken from theta:
+    t = t0, 2 t0, 4 t0 with t0 = max(10, 2.5 theta).  The largest-t
+    remainder then measures 5.2e-3 at theta = 30, 5.05e-3 at theta = 100
+    and 5.0e-3 at theta = 400.
     """
     return _normalization_rows(theta, bessel_m(theta)(_normalization_points(theta)))
 
@@ -374,34 +386,36 @@ def fit_m1(theta: float) -> np.ndarray:
     [-eta, theta]], and 4 sqrt(theta) = 80 brings it to 5.5e-13.
 
     The average is the periodic trapezoid rule, which converges
-    geometrically in the node count, so the count is chosen by doubling:
-    starting from 128 nodes, m is evaluated only at the new odd nodes of
-    the doubled circle (the old nodes are its even ones), and the 2N-node
-    average is accepted once it is within 1e-12 max(1, theta) of the
-    N-node one.  Measured N vs 2N differences over max(1, theta): 128/256
-    <= 3.7e-15 for theta <= 400 and 5.1e-14 at theta = 1000, so 256 nodes
-    are accepted at every theta <= 1000 (32/64 reads 3.6e-9 at theta = 100
-    and 1.7e-4 at 1000).  Raises ConvergenceError when 4096 nodes do not
-    pass.
+    geometrically in the node count, so the count is chosen by doubling.
+    m is evaluated on the 256-node circle in one call; its even nodes are
+    the 128-node circle, and its average is accepted once it is within
+    1e-12 max(1, theta) of theirs.  Otherwise m is evaluated only at the
+    odd nodes of the next doubled circle (its even nodes are the old ones),
+    and the check repeats.  Measured N vs 2N differences over
+    max(1, theta): 128/256 <= 3.7e-15 for theta <= 400 and 5.1e-14 at
+    theta = 1000, so 256 nodes are accepted at every theta <= 1000 (32/64
+    reads 3.6e-9 at theta = 100 and 1.7e-4 at 1000).  Raises
+    ConvergenceError when 4096 nodes do not pass.
     """
     m = bessel_m(theta)
     eye = np.eye(2)
     radius, tol = _m1_radius(theta), _m1_tol(theta)
 
-    def average(zs: np.ndarray) -> np.ndarray:
-        return _average(zs[:, None, None] * (m(zs) - eye))
+    def terms(zs: np.ndarray) -> np.ndarray:
+        return zs[:, None, None] * (m(zs) - eye)
 
-    nodes = _M1_START_NODES
-    avg = average(_circle(0j, radius, nodes)[1])
-    while 2 * nodes <= _M1_MAX_NODES:
-        odd = _circle(0j, radius, 2 * nodes)[1][1::2]
-        doubled = 0.5 * (avg + average(odd))
-        if np.max(np.abs(doubled - avg)) <= tol:
-            return doubled
+    nodes = 2 * _M1_START_NODES
+    first = terms(_circle(0j, radius, nodes)[1])
+    avg = _average(first[0::2])
+    doubled = 0.5 * (avg + _average(first[1::2]))
+    while np.max(np.abs(doubled - avg)) > tol:
+        if 2 * nodes > _M1_MAX_NODES:
+            raise ConvergenceError(
+                f"fit_m1({theta}): the {nodes // 2}- and {nodes}-node circle averages "
+                f"differ by more than {tol:.1e}")
         avg, nodes = doubled, 2 * nodes
-    raise ConvergenceError(
-        f"fit_m1({theta}): the {nodes // 2}- and {nodes}-node circle averages "
-        f"differ by more than {tol:.1e}")
+        doubled = 0.5 * (avg + _average(terms(_circle(0j, radius, nodes)[1][1::2])))
+    return doubled
 
 
 def check_m1_symmetry(theta: float) -> list[ResidualCheck]:
@@ -700,41 +714,48 @@ def suite_contour() -> list[ResidualCheck]:
 # suites
 # ----------------------------------------------------------------------
 
-def _in_one_call(fn, *groups) -> list:
-    """fn at the points of every group in one call, its values split back.
+def _hyp0f1_joined(*groups) -> list:
+    """`_hyp0f1` at the (c, w) of every group in one ladder, split back.
 
-    A group is a tuple of fn's arguments, arrays broadcast together; each
-    argument is flattened and joined across the groups, and the values,
-    points along axis 0, come back in each group's broadcast shape.
+    Each group's c and w are broadcast together and flattened, the groups
+    are joined, and every group gets its (0F1(c; w), 0F1(c+1; w)) in its
+    broadcast shape.  The ladder's length is set by the largest |w| and
+    the leftmost c of all groups.
     """
-    shapes = [np.broadcast_shapes(*(np.shape(arg) for arg in group)) for group in groups]
-    args = [np.concatenate([np.broadcast_to(arg, shape).ravel()
+    shapes = [np.broadcast_shapes(np.shape(c), np.shape(w)) for c, w in groups]
+    c, w = (np.concatenate([np.broadcast_to(arg, shape).ravel()
                             for arg, shape in zip(column, shapes)])
-            for column in zip(*groups)]
-    values = fn(*args)
+            for column in zip(*groups))
     cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return [v.reshape(shape + v.shape[1:])
-            for v, shape in zip(np.split(values, cuts), shapes)]
+    lo, hi = (np.split(f, cuts) for f in _hyp0f1(c, w))
+    return [(f0.reshape(shape), f1.reshape(shape)) for f0, f1, shape in zip(lo, hi, shapes)]
 
 
 def suite_drhp(theta: float) -> list[ResidualCheck]:
-    """Every Bessel-side check at theta, each subject evaluated once.
+    """Every Bessel-side check at theta, in two 0F1 ladders.
 
     The rows are those of `check_p_values`, `check_m_residues`,
     `check_m_normalization`, `check_m1_symmetry` and `ode_check_eta`, in
-    that order, from the same points; here J, m and n each take one call
-    (one `_hyp0f1` ladder) for all of them, and `fit_m1` its two.
+    that order, from the same points.  Every J, m and n value of the suite
+    has w = -theta or w = -theta_i of the eta stencils, so one ladder
+    serves them all: J at the p-values orders and on the p11 stencil, m
+    on the residue circles and at the normalization points, n on the eta
+    stencil.  `fit_m1` runs the other: its circle reaches Re c = 1/2 - 40,
+    and joined with it every element would run ~30 more steps, which
+    costs the p11 row digits at theta = 1.
     """
     (n_theta, zs), p11_points = _ode_points(theta)
-    p_values, p11 = _in_one_call(bessel_j_complex_order,
-                                 _p_value_points(theta, _P_XS), p11_points)
-    residues, normalization = _in_one_call(bessel_m(theta), (_residue_points(_RESIDUE_XS),),
-                                           (_normalization_points(theta),))
-    return (_p_value_rows(theta, _P_XS, p_values)
-            + _residue_rows(theta, _RESIDUE_XS, residues)
-            + _normalization_rows(theta, normalization)
+    p_points = _p_value_points(theta, _P_XS)
+    residue_zs, norm_zs = _residue_points(_RESIDUE_XS), _normalization_points(theta)
+    j_p, j_p11, m_res, m_norm, n_ode = _hyp0f1_joined(
+        _j_0f1_args(*p_points), _j_0f1_args(*p11_points), _m_0f1_args(theta, residue_zs),
+        _m_0f1_args(theta, norm_zs), _m_0f1_args(n_theta, zs))
+    return (_p_value_rows(theta, _P_XS, _j_from_0f1(*p_points, j_p[0]))
+            + _residue_rows(theta, _RESIDUE_XS, _m_from_0f1(theta, residue_zs, *m_res))
+            + _normalization_rows(theta, _m_from_0f1(theta, norm_zs, *m_norm))
             + check_m1_symmetry(theta)
-            + _ode_rows(theta, bessel_n(n_theta)(zs), p11))
+            + _ode_rows(theta, _n_from_0f1(n_theta, zs, *n_ode),
+                        _j_from_0f1(*p11_points, j_p11[0])))
 
 
 def suite_special_functions() -> list[ResidualCheck]:

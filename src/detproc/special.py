@@ -404,6 +404,33 @@ def _hyp0f1(c, w) -> tuple[np.ndarray, np.ndarray]:
     return f0, f1
 
 
+def _j_reflected(nu, u) -> tuple:
+    """(order, sign, u) of `bessel_j_complex_order`: negative integer orders
+    -n reflected to n with the sign (-1)^n, and u checked to be > 0."""
+    u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+    if not np.all(u > 0.0):
+        raise DomainError(f"bessel_j_complex_order needs u > 0, got u={u}")
+    nu = np.asarray(nu, dtype=complex)
+    reflect = (nu.imag == 0.0) & (nu.real < 0.0) & (nu.real == np.round(nu.real))
+    order = np.where(reflect, -nu, nu)
+    return order, np.where(reflect & (order.real % 2.0 == 1.0), -1.0, 1.0), u
+
+
+def _j_0f1_args(nu, u) -> tuple:
+    """(c, w) of the 0F1 in J_nu(u): c = nu + 1 after reflection, w = -u^2/4."""
+    order, _, u = _j_reflected(nu, u)
+    return order + 1.0, -0.25 * u * u
+
+
+def _j_from_0f1(nu, u, f0):
+    """J_nu(u) from f0 = 0F1(c; w) at `_j_0f1_args(nu, u)`."""
+    order, sign, u = _j_reflected(nu, u)
+    lg = np.array([log_gamma(s) for s in (order + 1.0).ravel().tolist()]).reshape(order.shape)
+    # math.log at one u: np.log can differ from it by an ulp
+    log_half = np.log(0.5 * u) if np.ndim(u) else log(0.5 * u)
+    return (sign * np.exp(order * log_half - lg) * f0)[()]
+
+
 def bessel_j_complex_order(nu, u):
     """J_nu(u) = (u/2)^nu / Gamma(nu+1) 0F1(nu+1; -u^2/4) for complex orders.
 
@@ -420,21 +447,11 @@ def bessel_j_complex_order(nu, u):
     relative on real orders up to |nu| = 40.  Digits are lost only within
     ~1e-6 of a negative integer -n with n > u, where the ladder runs down
     next to the pole (4e-11 relative at nu = -11 + 1e-6, u = 2).
+
+    The work splits in two halves, `_j_0f1_args` and `_j_from_0f1`, so
+    that a caller can run the 0F1 of several subjects in one ladder.
     """
-    u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
-    if not np.all(u > 0.0):
-        raise DomainError(f"bessel_j_complex_order needs u > 0, got u={u}")
-    nu = np.asarray(nu, dtype=complex)
-    reflect = (nu.imag == 0.0) & (nu.real < 0.0) & (nu.real == np.round(nu.real))
-    order = np.where(reflect, -nu, nu)
-    sign = np.where(reflect & (order.real % 2.0 == 1.0), -1.0, 1.0)
-    c = order + 1.0
-    f0, _ = _hyp0f1(c, -0.25 * u * u)
-    lg = np.array([log_gamma(s) for s in c.ravel().tolist()]).reshape(c.shape)
-    # math.log at one u: np.log can differ from it by an ulp
-    log_half = np.log(0.5 * u) if np.ndim(u) else log(0.5 * u)
-    out = sign * np.exp(order * log_half - lg) * f0
-    return out[()]
+    return _j_from_0f1(nu, u, _hyp0f1(*_j_0f1_args(nu, u))[0])
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,47 @@ def test_hyp0f1_array_w_matches_one_call_per_element():
     assert worst["near"] <= 4e-12 and worst["off"] <= 1e-13, worst
 
 
+def _ladder(c, w) -> tuple:
+    """(steps, series terms) of the `_hyp0f1` ladder on these arguments."""
+    a = -float(np.min(w))
+    k, bound = 0, 1.0
+    while bound > 1e-17:
+        k += 1
+        bound *= a / (k * (a + 19.0 + k))
+    return max(0, math.ceil(a + 20.0 - float(np.min(np.real(c))))), k
+
+
+# c in a box reaching left of -9, at least 1e-2 from the poles 0, -1, -2, ...
+_OFF_POLES = st.builds(complex, st.floats(-12.0, 12.0), st.floats(-3.0, 3.0)).filter(
+    lambda c: c.real > 0.5 or abs(c - round(c.real)) >= 1e-2)
+# a group's w: one value for the group, or one per c
+_GROUP = st.tuples(st.lists(st.tuples(_OFF_POLES, st.floats(-400.0, 0.0)), min_size=1,
+                            max_size=6), st.booleans()).map(
+    lambda g: (np.array([c for c, _ in g[0]]),
+               g[0][0][1] if g[1] else np.array([w for _, w in g[0]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_GROUP, min_size=1, max_size=4))
+def test_hyp0f1_on_joined_groups_is_one_call_per_group(groups):
+    # what suite_drhp relies on: a group's values from the joined ladder are
+    # its own call's values, bit for bit where the joined ladder has the
+    # group's length and term count, and otherwise within 1e-13 of the
+    # larger of |0F1(c)| and |0F1(c + 1)| (one value's relative error is
+    # unbounded next to a zero of 0F1 in c).  Measured: 1.1e-14 over 3000
+    # examples of these strategies, 2.8e-14 on 48 000 seeded draws with
+    # c down to 1e-2 from the poles
+    joined = drhp._hyp0f1_joined(*groups)
+    whole = _ladder(np.concatenate([c for c, _ in groups]), min(np.min(w) for _, w in groups))
+    for (c, w), (f0, f1) in zip(groups, joined):
+        g0, g1 = special._hyp0f1(c, w)
+        if _ladder(c, w) == whole:
+            assert f0.tobytes() == g0.tobytes() and f1.tobytes() == g1.tobytes()
+        else:
+            scale = np.maximum(np.abs(g0), np.abs(g1))
+            assert np.all(np.maximum(np.abs(f0 - g0), np.abs(f1 - g1)) <= 1e-13 * scale)
+
+
 def test_hyp0f1_broadcasts_w_against_c():
     lo, hi = special._hyp0f1(np.array([0.5 + 1j, 2.0, 3.0 - 2j]), np.array([[-1.0], [-30.0]]))
     assert lo.shape == hi.shape == (2, 3)
@@ -223,26 +264,33 @@ def test_p_values_rows_call_real_order_j_once_and_catch_a_wrong_j(monkeypatch):
     assert failed == {"x=3.5", "x=-4.5"}
 
 
-def test_suite_drhp_makes_one_complex_order_bessel_call(monkeypatch):
-    # the p-values orders and the five-eta p11 stencil share one call
-    # (81 scalar calls, then 6 array calls, before)
-    calls = []
-    original = drhp.bessel_j_complex_order
+def test_suite_drhp_takes_j_from_the_joined_ladder(monkeypatch):
+    # J at the p-values orders and on the five-eta p11 stencil is formed
+    # from the ladder it shares with m and n, never by a J call of its own
+    # (81 scalar calls, then 6 array calls, then 1 before)
+    calls, formed = [], []
+    original, values = drhp.bessel_j_complex_order, drhp._j_from_0f1
 
     def counted(nu, u):
         calls.append(u)
         return original(nu, u)
 
+    def shapes(nu, u, f0):
+        formed.append(np.shape(f0))
+        return values(nu, u, f0)
+
     monkeypatch.setattr(drhp, "bessel_j_complex_order", counted)
+    monkeypatch.setattr(drhp, "_j_from_0f1", shapes)
     drhp.suite_drhp(30.0)
-    assert len(calls) == 1
+    assert calls == [] and formed == [(4, 3), (5, 3)]
 
 
 @pytest.mark.parametrize("theta", [1.0, 100.0, 1000.0])
 def test_suite_drhp_runs_five_0f1_ladders(theta, monkeypatch):
-    # one for J, one for m at the residue circles and the normalization
-    # points, one for n on the eta stencil, two for fit_m1's 128 + 128
-    # nodes; one call per check and per eta made it 15
+    # two ladders, down from five (and 15 before that): one joins J (12
+    # p-values orders, 3 zeta x 5 eta of p11), m (2 x 20 residue circles
+    # x 32 nodes, 2 x 3 normalization points) and n (2 x 3 zeta x 5 eta);
+    # the other is fit_m1's 256 circle nodes, 2 c each
     calls = []
     original = special._hyp0f1
 
@@ -253,17 +301,19 @@ def test_suite_drhp_runs_five_0f1_ladders(theta, monkeypatch):
     monkeypatch.setattr(special, "_hyp0f1", counted)
     monkeypatch.setattr(drhp, "_hyp0f1", counted)
     drhp.suite_drhp(theta)
-    assert len(calls) == 5
+    assert calls == [12 + 15 + 1280 + 6 + 30, 512]
 
 
 @pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
 def test_suite_drhp_rows_are_the_standalone_checks_rows(theta):
-    # the suite joins the checks' points into one call per subject.  Two
-    # kinds of rows run a different ladder there: the normalization rows
-    # (the residue circles reach further left) move by <= 6.6e-14
-    # relative, and the p-values rows (the p11 stencil's orders and u
-    # join them), whose residuals are rounding of two routes (<= 5.6e-16),
-    # by <= 3.3e-16 absolute
+    # the suite joins the checks' 0F1 arguments into one ladder, which is
+    # longer than a check's own ladder for three kinds of rows: the
+    # normalization rows (the residue circles reach further left) move by
+    # <= 6.6e-14 relative, the p-values rows, whose residuals are rounding
+    # of two routes (<= 5.6e-16), by <= 3.3e-4 of the tolerance, and the
+    # ODE rows, finite differences of n and J, by <= 1.2e-3 of the
+    # tolerance (p11 at theta = 100).  The residue circles' ladder keeps
+    # its length and the m1 rows run fit_m1's own: both are bit for bit
     suite = drhp.suite_drhp(theta)
     alone = (drhp.check_p_values(theta, drhp._P_XS)
              + drhp.check_m_residues(theta, drhp._RESIDUE_XS)
@@ -277,6 +327,8 @@ def test_suite_drhp_rows_are_the_standalone_checks_rows(theta):
             assert got.residual == pytest.approx(want.residual, rel=1e-12, abs=0.0)
         elif got.check_id == "p-values":
             assert abs(got.residual - want.residual) <= 1e-3 * got.tolerance
+        elif got.check_id.startswith("ode-"):
+            assert abs(got.residual - want.residual) <= 1e-2 * got.tolerance, got.check_id
         else:
             assert got.residual == want.residual, got.check_id
 
@@ -363,7 +415,8 @@ def test_m_normalization_holds_at_large_theta(theta):
     rows = drhp.check_m_normalization(theta)
     _assert_all_pass(rows)
     t = max(10.0, 2.5 * theta)
-    assert {r.point for r in rows} >= {f"t={t}->{2 * t}", f"t={4 * t}"}
+    rate = [r.point for r in rows if r.check_id == "m-normalization-rate"]
+    assert rate == [f"t={t}", f"t={2 * t}", f"t={4 * t}"]
 
 
 # measured max |fit_m1 - exact| / max(1, theta) at 256 nodes: <= 1.6e-15 for
@@ -392,10 +445,10 @@ def _count_m_points(monkeypatch):
 
 @pytest.mark.parametrize("theta", [1.0, 100.0, 1000.0])
 def test_m1_fit_evaluates_m_at_256_points(theta, monkeypatch):
-    # 128 nodes, then only the 128 new odd nodes of the 256 circle
+    # the 256 circle in one call, checked against its even nodes
     seen = _count_m_points(monkeypatch)
     drhp.fit_m1(theta)
-    assert seen == [128, 128]
+    assert seen == [256]
 
 
 @settings(max_examples=20, deadline=None)
@@ -423,7 +476,7 @@ def test_m1_fit_raises_when_the_trapezoid_does_not_converge(monkeypatch):
     with pytest.raises(ConvergenceError):
         drhp.fit_m1(1.0)
     # every node of the 4096 circle once, none twice
-    assert seen == [128, 128, 256, 512, 1024, 2048]
+    assert seen == [256, 256, 512, 1024, 2048]
 
 
 def test_ode_in_eta_and_beta_sign_selection():
@@ -526,7 +579,7 @@ def test_two_point_m_on_an_array_is_the_scalar_m():
 _DRHP_IDS = (
     ["p-values"] * 3
     + ["m-residue"] * 20
-    + ["m-normalization-decreasing", "m-normalization-remainder-decreasing"] * 2
+    + ["m-normalization-rate"] * 3
     + ["m-normalization-remainder", "m1-gamma-equals-beta", "m1-delta-equals-minus-alpha",
        "m1-beta-equals-minus-eta", "ode-eta-beta-minus",
        "ode-eta-beta-plus-must-fail", "ode-p11-second-order"])
@@ -562,7 +615,7 @@ _SPECIAL_IDS = ["bessel-miller-vs-0f1", "bessel-dorder-vs-finite-difference",
 
 @pytest.mark.parametrize("theta", [1.0, 30.0, 100.0])
 def test_suite_drhp_layout(theta):
-    assert len(_DRHP_IDS) == 34
+    assert len(_DRHP_IDS) == 33
     assert [r.check_id for r in drhp.suite_drhp(theta)] == _DRHP_IDS
 
 
@@ -596,8 +649,9 @@ def _scale(factor):
 
 
 def _m_plus(term):
-    """m(zeta) + term(zeta), as a change of `bessel_m`."""
-    return lambda m, theta: lambda zeta: m(zeta) + term(np.asarray(zeta, dtype=complex))
+    """m(zeta) + term(zeta), as a change of m's values from 0F1, which every
+    m of the suite goes through (`fit_m1` by way of `bessel_m`)."""
+    return lambda m, theta, zeta, *values: m + term(np.asarray(zeta, dtype=complex))
 
 
 def _m1_off(entries):
@@ -623,26 +677,27 @@ _CD = kernels.ChristoffelDarbouxKernel
 
 # row id: (suite, owner, attribute, change of the attribute's result)
 _MUTANTS = {
-    "p-values": ("drhp", drhp, "bessel_j_complex_order", _scale(1.0 + 1e-10)),
+    # the suite forms J, m and n from one joined ladder, so their mutants
+    # change the values-from-0F1 halves `_j_from_0f1`, `_m_from_0f1` and
+    # `_n_from_0f1`
+    "p-values": ("drhp", drhp, "_j_from_0f1", _scale(1.0 + 1e-10)),
     "m-residue": ("drhp", drhp, "plancherel_l", _f_scaled(1.0 + 1e-6)),
     # m - I growing like 1e-2 zeta instead of decaying
-    "m-normalization-decreasing": ("drhp", drhp, "bessel_m", _M_GROWS),
-    "m-normalization-remainder-decreasing": ("drhp", drhp, "bessel_m", _M_GROWS),
-    "m-normalization-remainder": ("drhp", drhp, "bessel_m", _M_GROWS),
-    "m1-gamma-equals-beta": ("drhp", drhp, "bessel_m", _m1_off([[0, 0], [1, 0]])),
-    "m1-delta-equals-minus-alpha": ("drhp", drhp, "bessel_m", _m1_off([[0, 0], [0, 1]])),
-    "m1-beta-equals-minus-eta": ("drhp", drhp, "bessel_m", _m1_off([[0, 1], [1, 0]])),
+    "m-normalization-rate": ("drhp", drhp, "_m_from_0f1", _M_GROWS),
+    "m-normalization-remainder": ("drhp", drhp, "_m_from_0f1", _M_GROWS),
+    "m1-gamma-equals-beta": ("drhp", drhp, "_m_from_0f1", _m1_off([[0, 0], [1, 0]])),
+    "m1-delta-equals-minus-alpha": ("drhp", drhp, "_m_from_0f1", _m1_off([[0, 0], [0, 1]])),
+    "m1-beta-equals-minus-eta": ("drhp", drhp, "_m_from_0f1", _m1_off([[0, 1], [1, 0]])),
     # n theta^1e-5: n unchanged at theta = 1, eta dn/deta off by 2e-5 n;
     # theta is an array of the stencil's thetas, one per n
-    "ode-eta-beta-minus": ("drhp", drhp, "bessel_n",
-                           lambda n, theta: lambda z: n(z) * (theta ** 1e-5)[..., None, None]),
+    "ode-eta-beta-minus": ("drhp", drhp, "_n_from_0f1",
+                           lambda n, theta, *args: n * (theta ** 1e-5)[..., None, None]),
     # diag(1, -1) n diag(1, -1) solves the beta = +eta equation
-    "ode-eta-beta-plus-must-fail": ("drhp", drhp, "bessel_n",
-                                    lambda n, theta: lambda z: n(z) * np.array([[1, -1],
-                                                                                [-1, 1]])),
+    "ode-eta-beta-plus-must-fail": ("drhp", drhp, "_n_from_0f1",
+                                    lambda n, *args: n * np.array([[1, -1], [-1, 1]])),
     # J (1 + 1e-4 u^2): p11 off by a smooth factor in eta
-    "ode-p11-second-order": ("drhp", drhp, "bessel_j_complex_order",
-                             lambda j, nu, u: j * (1.0 + 1e-4 * u * u)),
+    "ode-p11-second-order": ("drhp", drhp, "_j_from_0f1",
+                             lambda j, nu, u, f0: j * (1.0 + 1e-4 * u * u)),
     "psi-det": ("psi", drhp, "psi_matrix", _scale(1.0 + 1e-10)),
     "psi-jump": ("psi", drhp, "psi_jump_matrix", _JUMP_OFF),
     "psi-jump-refinement": ("psi", drhp, "psi_jump_matrix", _JUMP_OFF),
