@@ -47,7 +47,10 @@ from values: a check called on its own evaluates its subject once on its
 points, and `suite_drhp` joins the (c, w) of J (the p-values orders and
 the p11 stencil), m (the residue circles and the normalization points)
 and n (the eta stencil) into one ladder.  With `fit_m1`'s, a suite runs
-two.
+two.  The ladder passes through 0F1(c + k) for every integer k on its way
+down to c, and the residue circles' c = zeta + 1/2 and 1/2 - zeta are
+integer shifts of 64 elements c0 +- delta_j, one per node offset: those
+64 elements, read at every shift, give m on all 20 circles (1,280 nodes).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import special
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .kernels import (
     AssembledKernel,
     TwoPointModel,
@@ -100,7 +103,7 @@ __all__ = [
 # the checks' fixed inputs, quadrature and tolerances
 _P_XS, _P_TOL = (3.5, 7.5, -4.5), 1e-12
 _RESIDUE_XS = tuple(k + 0.5 for k in range(-10, 10))
-_RESIDUE_RADIUS, _RESIDUE_NODES, _RESIDUE_TOL = 1e-3, 32, 1e-9
+_RESIDUE_RADIUS, _RESIDUE_NODES, _RESIDUE_REL_TOL = 1e-3, 32, 1.9e-13
 _REMAINDER_TOL, _RATE_TOL = 1e-2, 1.1
 _M1_START_NODES, _M1_MAX_NODES, _M1_REL_TOL = 128, 4096, 1e-12
 _ODE_ZETAS = (0.3 + 0.4j, 1.2 - 0.7j, 2.5j)
@@ -207,7 +210,11 @@ def bessel_m(theta: float):
     numpy calls over all points, so a call costs nearly the same at one
     point as at hundreds: pass every point of a computation, at every
     theta, in one call, or join its 0F1 arguments (`_m_0f1_args`) with
-    other subjects' as `suite_drhp` does.
+    other subjects' as `suite_drhp` does.  Points that differ by integers
+    need not each be an element: `_hyp0f1`'s `top` reads Phi at every
+    integer shift of one element, which is how the residue checks form m
+    on their circles (`_residue_m`); they agree with this function at the
+    same nodes to 3.6e-12 max(1, |m|).
     """
     return lambda zeta: _m_from_0f1(theta, zeta, *_hyp0f1(*_m_0f1_args(theta, zeta)))
 
@@ -299,26 +306,69 @@ def check_p_values(theta: float, xs: Sequence[float]) -> list[ResidualCheck]:
     return _p_value_rows(theta, xs, bessel_j_complex_order(*_p_value_points(theta, xs)))
 
 
-def _residue_points(xs: Sequence[float]) -> np.ndarray:
-    """The nodes of a small circle around every lattice point, one row per point."""
-    return np.asarray(xs, dtype=float)[:, None] + _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[1]
+def _residue_family(xs: Sequence[float]) -> tuple:
+    """The 0F1 elements of m on the residue circles around the lattice points xs.
+
+    The circle around x has the nodes zeta = x + delta_j, so m's
+    c = zeta + 1/2 and 1/2 - zeta are c0 + delta_j + k and c0 - delta_j + k
+    for integers k >= 0, with c0 the least of x + 1/2 and 1/2 - x.  Returns
+    the 2 x _RESIDUE_NODES elements c0 +- delta_j and, for every x, the k of
+    zeta + 1/2 and of 1/2 - zeta, along a leading axis of 2.  Raises
+    DomainError for an x off Z + 1/2.
+    """
+    x = np.asarray(xs, dtype=float)
+    if not np.all(x - 0.5 == np.round(x - 0.5)):
+        raise DomainError(f"check_m_residues needs x in Z + 1/2, got {list(xs)}")
+    shifts = np.stack([x + 0.5, 0.5 - x])
+    # x + 1/2 and 1/2 - x add up to 1, so the initial 1 counts only for no x
+    c0 = shifts.min(initial=1.0)
+    delta = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[1]
+    return c0 + np.stack([delta, -delta]), (shifts - c0).astype(int)
+
+
+def _residue_0f1_args(theta: float, xs: Sequence[float]) -> tuple:
+    """(c, w, top) of the `_hyp0f1` call whose values `_residue_m` reads."""
+    c, k = _residue_family(xs)
+    return c, -theta, int(k.max(initial=0)) + 1
+
+
+def _residue_m(theta: float, xs: Sequence[float], f: np.ndarray) -> np.ndarray:
+    """m at the residue circles' nodes (point, node, 2, 2), from
+    f[k] = 0F1(c + k; -theta) at `_residue_0f1_args`: Phi(c) and Phi(c + 1)
+    of every node are gathered at the node's shift k and k + 1."""
+    k = _residue_family(xs)[1][..., None]
+    sign, node = np.arange(2)[:, None, None], np.arange(_RESIDUE_NODES)
+    zetas = np.asarray(xs, dtype=float)[:, None] + _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[1]
+    return _m_from_0f1(theta, zetas, f[k, sign, node], f[k + 1, sign, node])
 
 
 def _residue_rows(theta: float, xs: Sequence[float], values: np.ndarray) -> list[ResidualCheck]:
-    x = np.asarray(xs, dtype=float)
-    f1, f2, g1, g2 = plancherel_l(theta).fg(x)
-    weights = -np.stack([f1, f2], -1)[:, :, None] * np.stack([g1, g2], -1)[:, None, :]
-    phases = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[0]
-    return [ResidualCheck("m-residue", f"x={xx}",
-                          float(np.max(np.abs(_residue(mx, phases, _RESIDUE_RADIUS)
-                                              - _average(mx @ w)))), _RESIDUE_TOL)
-            for xx, mx, w in zip(xs, values, weights)]
+    f1, f2, g1, g2 = plancherel_l(theta).fg(np.asarray(xs, dtype=float))
+    weights = -np.stack([f1, f2], -1)[:, None, :, None] * np.stack([g1, g2], -1)[:, None, None, :]
+    phases = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[0][:, None, None]
+    res = (values * phases).sum(axis=1) * (_RESIDUE_RADIUS / _RESIDUE_NODES)
+    residual = np.max(np.abs(res - (values @ weights).sum(axis=1) / _RESIDUE_NODES), axis=(1, 2))
+    tol = _RESIDUE_REL_TOL * np.maximum(1.0, np.max(np.abs(res), axis=(1, 2)))
+    return [ResidualCheck("m-residue", f"x={x}", r, t)
+            for x, r, t in zip(xs, residual.tolist(), tol.tolist())]
 
 
 def check_m_residues(theta: float, xs: Sequence[float]) -> list[ResidualCheck]:
     """Res_{zeta=x} m = lim_{zeta->x} m(zeta) w(x) at every lattice point given,
-    with w = -f g^t from one `plancherel_l(theta).fg` call."""
-    return _residue_rows(theta, xs, bessel_m(theta)(_residue_points(xs)))
+    with w = -f g^t from one `plancherel_l(theta).fg` call.
+
+    A row passes below 1.9e-13 max(1, |Res m|): the residual is the
+    rounding of the 1e-3 circle's trapezoid, <= 6.0e-14 of that scale at
+    theta = 1, 30, 100 and 400, while |Res m| grows like
+    theta^|x| / Gamma(|x| + 1/2)^2 (5.1e3 at theta = 100 and 3.4e6 at
+    theta = 400 for |x| <= 9.5, where the tolerance stays below 1e-9 at
+    theta <= 100).  m on every circle comes from one `_hyp0f1` call on the
+    2 x 32 elements of `_residue_family`, read at every integer shift, as
+    in `suite_drhp`.
+    Raises DomainError for an x off Z + 1/2.
+    """
+    c, w, top = _residue_0f1_args(theta, xs)
+    return _residue_rows(theta, xs, _residue_m(theta, xs, _hyp0f1(c, w, top)))
 
 
 def _normalization_ts(theta: float) -> tuple:
@@ -714,21 +764,21 @@ def suite_contour() -> list[ResidualCheck]:
 # suites
 # ----------------------------------------------------------------------
 
-def _hyp0f1_joined(*groups) -> list:
+def _hyp0f1_joined(*groups, top: int = 1) -> list:
     """`_hyp0f1` at the (c, w) of every group in one ladder, split back.
 
     Each group's c and w are broadcast together and flattened, the groups
-    are joined, and every group gets its (0F1(c; w), 0F1(c+1; w)) in its
-    broadcast shape.  The ladder's length is set by the largest |w| and
-    the leftmost c of all groups.
+    are joined, and every group gets its 0F1(c + k; w), k = 0, ..., top,
+    along a leading axis and in its broadcast shape.  The ladder's length
+    is set by the largest |w| and the leftmost c of all groups.
     """
     shapes = [np.broadcast_shapes(np.shape(c), np.shape(w)) for c, w in groups]
     c, w = (np.concatenate([np.broadcast_to(arg, shape).ravel()
                             for arg, shape in zip(column, shapes)])
             for column in zip(*groups))
     cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    lo, hi = (np.split(f, cuts) for f in _hyp0f1(c, w))
-    return [(f0.reshape(shape), f1.reshape(shape)) for f0, f1, shape in zip(lo, hi, shapes)]
+    return [f.reshape((top + 1,) + shape)
+            for f, shape in zip(np.split(_hyp0f1(c, w, top), cuts, axis=1), shapes)]
 
 
 def suite_drhp(theta: float) -> list[ResidualCheck]:
@@ -739,22 +789,26 @@ def suite_drhp(theta: float) -> list[ResidualCheck]:
     that order, from the same points.  Every J, m and n value of the suite
     has w = -theta or w = -theta_i of the eta stencils, so one ladder
     serves them all: J at the p-values orders and on the p11 stencil, m
-    on the residue circles and at the normalization points, n on the eta
-    stencil.  `fit_m1` runs the other: its circle reaches Re c = 1/2 - 40,
+    on the residue circles (the 64 elements of `_residue_family`, read at
+    every integer shift) and at the normalization points, n on the eta
+    stencil.  The family's leftmost element sets the ladder's length, as
+    the residue circles did when each of their 1,280 nodes was an element.
+    `fit_m1` runs the other ladder: its circle reaches Re c = 1/2 - 40,
     and joined with it every element would run ~30 more steps, which
     costs the p11 row digits at theta = 1.
     """
     (n_theta, zs), p11_points = _ode_points(theta)
     p_points = _p_value_points(theta, _P_XS)
-    residue_zs, norm_zs = _residue_points(_RESIDUE_XS), _normalization_points(theta)
+    residue_c, residue_w, top = _residue_0f1_args(theta, _RESIDUE_XS)
+    norm_zs = _normalization_points(theta)
     j_p, j_p11, m_res, m_norm, n_ode = _hyp0f1_joined(
-        _j_0f1_args(*p_points), _j_0f1_args(*p11_points), _m_0f1_args(theta, residue_zs),
-        _m_0f1_args(theta, norm_zs), _m_0f1_args(n_theta, zs))
+        _j_0f1_args(*p_points), _j_0f1_args(*p11_points), (residue_c, residue_w),
+        _m_0f1_args(theta, norm_zs), _m_0f1_args(n_theta, zs), top=top)
     return (_p_value_rows(theta, _P_XS, _j_from_0f1(*p_points, j_p[0]))
-            + _residue_rows(theta, _RESIDUE_XS, _m_from_0f1(theta, residue_zs, *m_res))
-            + _normalization_rows(theta, _m_from_0f1(theta, norm_zs, *m_norm))
+            + _residue_rows(theta, _RESIDUE_XS, _residue_m(theta, _RESIDUE_XS, m_res))
+            + _normalization_rows(theta, _m_from_0f1(theta, norm_zs, *m_norm[:2]))
             + check_m1_symmetry(theta)
-            + _ode_rows(theta, _n_from_0f1(n_theta, zs, *n_ode),
+            + _ode_rows(theta, _n_from_0f1(n_theta, zs, *n_ode[:2]),
                         _j_from_0f1(*p11_points, j_p11[0])))
 
 

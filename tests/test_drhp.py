@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from detproc import drhp, kernels, special
 from detproc.drhp import ResidualCheck
-from detproc.errors import ConvergenceError, PoleError
+from detproc.errors import ConvergenceError, DomainError, PoleError
 
 
 def _assert_all_pass(rows):
@@ -158,6 +158,80 @@ def test_hyp0f1_broadcasts_w_against_c():
     assert lo[1, 2] == pytest.approx(_hyp0f1_mpmath(3.0 - 2j, -30.0), rel=1e-13)
 
 
+def _real_w_ladder(c, w) -> tuple:
+    """`_hyp0f1` as it was for real w <= 0 only: the ladder sized from -min w."""
+    c = np.asarray(c, dtype=complex)
+    if np.ndim(w):
+        c, w = np.broadcast_arrays(c, np.asarray(w, dtype=float))
+    a = -float(np.min(w))
+    n = max(0, math.ceil(a + 20.0 - c.real.min()))
+    shift = np.array([n, n + 1]).reshape((2,) + (1,) * c.ndim)
+    term = np.ones((2,) + c.shape, dtype=complex)
+    total = term.copy()
+    k, bound = 0, 1.0
+    while bound > 1e-17:
+        term *= w / (k + 1)
+        term /= c + (shift + k)
+        total += term
+        k += 1
+        bound *= a / (k * (a + 19.0 + k))
+    f0, f1 = total
+    b = c + n
+    for k in range(n, 0, -1):
+        b1 = c + (k - 1)
+        f0, f1 = f0 + w * f1 / (b * b1), f0
+        b = b1
+    return f0, f1
+
+
+def test_hyp0f1_real_w_keeps_its_values_bit_for_bit():
+    # sizing the ladder from max |w| instead of -min w changes nothing at
+    # real w <= 0, nor does keeping the values at every shift (top)
+    rng = np.random.default_rng(17)
+    cs = np.concatenate(_pole_circle_and_box_cs(rng, 16))
+    for w in (-1.0, -30.0, -400.0, -rng.uniform(0.5, 400.0, cs.size), 0.0):
+        want = _real_w_ladder(cs, w)
+        for top in (1, 3, 20):
+            got = special._hyp0f1(cs, w, top)
+            assert got.shape == (top + 1,) + cs.shape
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("radius", [5.0, 20.0, 40.0])
+def test_hyp0f1_at_complex_w_matches_mpmath(radius):
+    # six phases of w, positive real w included; 3.8e-15 relative measured
+    cs = np.arange(21) + 0.5
+    for phase in range(6):
+        w = radius * cmath.exp(2j * math.pi * phase / 6)
+        lo, hi = special._hyp0f1(cs, w)
+        with mpmath.workdps(40):
+            for c, f0, f1 in zip(cs.tolist(), lo, hi):
+                for got, arg in ((f0, c), (f1, c + 1.0)):
+                    want = complex(mpmath.hyp0f1(arg, mpmath.mpc(w.real, w.imag)))
+                    assert abs(got - want) <= 1e-14 * abs(want), (arg, w)
+
+
+def test_hyp0f1_top_reads_every_integer_shift():
+    # 0F1(c + k) at k = 0..top from one ladder, against a call at c + k:
+    # within 5.0e-15 of the larger of |0F1(c + k)| and |0F1(c + k + 1)| on
+    # residue circles around -9 and off the poles, measured
+    rng = np.random.default_rng(26)
+    delta = 1e-3 * np.exp(2j * np.pi * np.arange(32) / 32)
+    box = rng.uniform(-5, 5, 8) + 1j * rng.uniform(-5, 5, 8) + 0.37
+    for w in (-1.0, -30.0, -400.0):
+        for cs in (np.concatenate([-9.0 + delta, -9.0 - delta]), box):
+            f = special._hyp0f1(cs, w, 20)
+            for k in range(20):
+                g0, g1 = special._hyp0f1(cs + k, w)
+                scale = np.maximum(np.abs(g0), np.abs(g1))
+                assert np.all(np.maximum(np.abs(f[k] - g0), np.abs(f[k + 1] - g1))
+                              <= 5e-14 * scale), (w, k)
+    # a top beyond the ladder's own length starts the ladder higher
+    f = special._hyp0f1(np.array([50.5]), -1.0, 5)
+    for k in range(6):
+        assert f[k, 0] == pytest.approx(_hyp0f1_mpmath(50.5 + k, -1.0), rel=1e-15)
+
+
 def test_complex_order_j_at_array_u_matches_one_call_per_u():
     # orders of p at lattice points and of p11 at complex zeta;
     # 7.3e-16 max(1, |J|) measured
@@ -286,22 +360,23 @@ def test_suite_drhp_takes_j_from_the_joined_ladder(monkeypatch):
 
 
 @pytest.mark.parametrize("theta", [1.0, 100.0, 1000.0])
-def test_suite_drhp_runs_five_0f1_ladders(theta, monkeypatch):
-    # two ladders, down from five (and 15 before that): one joins J (12
-    # p-values orders, 3 zeta x 5 eta of p11), m (2 x 20 residue circles
-    # x 32 nodes, 2 x 3 normalization points) and n (2 x 3 zeta x 5 eta);
-    # the other is fit_m1's 256 circle nodes, 2 c each
+def test_suite_drhp_runs_two_0f1_ladders(theta, monkeypatch):
+    # two ladders (five before, and 15 before that): one joins J (12
+    # p-values orders, 3 zeta x 5 eta of p11), m (2 x 32 residue-circle
+    # elements read at every integer shift, where each of the 2 x 20 x 32
+    # nodes was an element before, and 2 x 3 normalization points) and n
+    # (2 x 3 zeta x 5 eta); the other is fit_m1's 256 circle nodes, 2 c each
     calls = []
     original = special._hyp0f1
 
-    def counted(c, w):
+    def counted(c, w, top=1):
         calls.append(np.size(c))
-        return original(c, w)
+        return original(c, w, top)
 
     monkeypatch.setattr(special, "_hyp0f1", counted)
     monkeypatch.setattr(drhp, "_hyp0f1", counted)
     drhp.suite_drhp(theta)
-    assert calls == [12 + 15 + 1280 + 6 + 30, 512]
+    assert calls == [12 + 15 + 64 + 6 + 30, 512]
 
 
 @pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
@@ -312,8 +387,9 @@ def test_suite_drhp_rows_are_the_standalone_checks_rows(theta):
     # <= 6.6e-14 relative, the p-values rows, whose residuals are rounding
     # of two routes (<= 5.6e-16), by <= 3.3e-4 of the tolerance, and the
     # ODE rows, finite differences of n and J, by <= 1.2e-3 of the
-    # tolerance (p11 at theta = 100).  The residue circles' ladder keeps
-    # its length and the m1 rows run fit_m1's own: both are bit for bit
+    # tolerance (p11 at theta = 100).  The residue circles run the same
+    # family of 64 elements in both, whose leftmost element sets the length
+    # of either ladder, and the m1 rows run fit_m1's own: both are bit for bit
     suite = drhp.suite_drhp(theta)
     alone = (drhp.check_p_values(theta, drhp._P_XS)
              + drhp.check_m_residues(theta, drhp._RESIDUE_XS)
@@ -393,6 +469,46 @@ def test_m_residue_conditions_at_theta_100():
     rows = drhp.check_m_residues(100.0, [k + 0.5 for k in range(-10, 10)])
     _assert_all_pass(rows)
     assert all(r.residual <= 1e-11 for r in rows if r.point in ("x=-0.5", "x=0.5"))
+
+
+@pytest.mark.parametrize("theta", [1.0, 4.0, 30.0, 100.0, 400.0])
+def test_m_on_the_residue_circles_from_their_family_is_bessel_m(theta):
+    # 64 elements read at every integer shift against a ladder element per
+    # node: 3.6e-12 max(1, |m|) at most over 155 theta in (0, 400]
+    xs = drhp._RESIDUE_XS
+    c, w, top = drhp._residue_0f1_args(theta, xs)
+    assert c.shape == (2, 32) and top == 20
+    got = drhp._residue_m(theta, xs, special._hyp0f1(c, w, top))
+    zetas = np.array(xs)[:, None] + drhp._circle(0j, 1e-3, 32)[1]
+    want = drhp.bessel_m(theta)(zetas)
+    assert got.shape == want.shape == (20, 32, 2, 2)
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
+
+
+def test_check_m_residues_needs_lattice_points():
+    with pytest.raises(DomainError):
+        drhp.check_m_residues(1.0, [0.5, 1.0])
+    rows = drhp.check_m_residues(1.0, [7.5, -2.5])
+    assert [r.point for r in rows] == ["x=7.5", "x=-2.5"]
+    _assert_all_pass(rows)
+    assert drhp.check_m_residues(1.0, []) == []
+
+
+@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
+def test_m_residue_tolerance_is_relative_to_the_residue(theta):
+    # the residual is rounding of the 1e-3 circle's trapezoid, <= 6.0e-14
+    # of max(1, |Res m|) at these theta, while |Res m| reaches 5.1e3 at
+    # theta = 100 and 3.4e6 at theta = 400.  The tolerance 1.9e-13
+    # max(1, |Res m|) passes every row (under the absolute 1e-9 before, the
+    # ten rows with |x| >= 5.5 failed at theta = 400), with >= 3.18 to
+    # spare, and at theta <= 100 it stays below 1e-9: it accepts nothing
+    # there that 1e-9 rejected
+    rows = drhp.suite_drhp(theta)
+    _assert_all_pass(rows)
+    res = [r for r in rows if r.check_id == "m-residue"]
+    assert all(2.0 * r.residual <= r.tolerance for r in res)
+    if theta <= 100.0:
+        assert max(r.tolerance for r in res) < 1e-9
 
 
 def test_m_reflection_symmetry():
@@ -724,23 +840,30 @@ _MUTANTS = {
 }
 
 _MUTATED_SUITES = {
-    "drhp": lambda: drhp.suite_drhp(1.0),
-    "psi": lambda: drhp.suite_psi(0.25 + 0.6j),
-    "toys": lambda: drhp.suite_two_point() + drhp.suite_contour(),
-    "special-functions": drhp.suite_special_functions,
-    "cd": drhp.suite_cd,
+    "drhp": drhp.suite_drhp,
+    "psi": lambda theta: drhp.suite_psi(0.25 + 0.6j),
+    "toys": lambda theta: drhp.suite_two_point() + drhp.suite_contour(),
+    "special-functions": lambda theta: drhp.suite_special_functions(),
+    "cd": lambda theta: drhp.suite_cd(),
 }
 
+# a row that fails its mutant at theta = 1 can be slack at larger theta, so
+# the drhp mutants also run at theta = 100 and 400
+_MUTANT_CASES = [
+    pytest.param(cid, theta, id=cid if theta == 1.0 else f"{cid}-theta={theta:g}")
+    for cid in sorted(set(_DRHP_IDS + _PSI_IDS + _SPECIAL_IDS)
+                      | {cid for cid, _, _ in _TOY_ROWS + _CD_ROWS})
+    for theta in ((1.0, 100.0, 400.0) if cid in _DRHP_IDS else (1.0,))]
 
-@pytest.mark.parametrize("check_id", sorted(set(_DRHP_IDS + _PSI_IDS + _SPECIAL_IDS)
-                                            | {cid for cid, _, _ in _TOY_ROWS + _CD_ROWS}))
-def test_every_row_fails_under_its_mutant(check_id, monkeypatch):
+
+@pytest.mark.parametrize("check_id, theta", _MUTANT_CASES)
+def test_every_row_fails_under_its_mutant(check_id, theta, monkeypatch):
     # the id lists are the layouts pinned above, so every emitted id is here
     assert check_id in _MUTANTS, f"row {check_id} has no mutant"
     suite, owner, name, change = _MUTANTS[check_id]
     original = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: change(original(*args), *args))
-    rows = [r for r in _MUTATED_SUITES[suite]() if r.check_id == check_id]
+    rows = [r for r in _MUTATED_SUITES[suite](theta) if r.check_id == check_id]
     assert rows and not drhp.all_pass(rows), check_id
 
 
