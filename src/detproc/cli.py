@@ -102,6 +102,10 @@ def cmd_oracle_compare(args) -> int:
     rows = []
     if args.family in ("bessel", "bessel-hat"):
         tol = args.tol if args.tol is not None else 1e-8
+        if args.window <= oracle.LATTICE_MARGIN:
+            raise errors.WindowError(
+                f"--window must exceed the margin {oracle.LATTICE_MARGIN} that "
+                f"the compared block keeps from the edge, got {args.window}")
         kern = _LATTICE_KERNELS[args.family](args)
         lop = oracle.materialize(kernels.plancherel_l(args.theta),
                                  oracle.lattice_window(args.window))

@@ -42,12 +42,9 @@ call runs one `_hyp0f1` ladder, the stable downward recurrence of 0F1 on
 every element together, whose cost is set by its length (about
 theta + 20 - min Re c steps) rather than by the number of points.  So
 each subject comes in two halves, its 0F1 arguments (c, w) and its
-values from 0F1 there, and each check in two, its points and its rows
-from values: a check called on its own evaluates its subject once on its
-points, and `suite_drhp` joins the (c, w) of J (the p-values orders and
-the p11 stencil), m (the residue circles and the normalization points)
-and n (the eta stencil) into one ladder.  With `fit_m1`'s, a suite runs
-two.  The ladder passes through 0F1(c + k) for every integer k on its way
+values from 0F1 there, and `suite_drhp` joins the (c, w) of J, m and n
+at every point of its rows into one ladder; `fit_m1` runs the other.
+The ladder passes through 0F1(c + k) for every integer k on its way
 down to c, and the residue circles' c = zeta + 1/2 and 1/2 - zeta are
 integer shifts of 64 elements c0 +- delta_j, one per node offset: those
 64 elements, read at every shift, give m on all 20 circles (1,280 nodes).
@@ -65,7 +62,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import special
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .kernels import (
     AssembledKernel,
     TwoPointModel,
@@ -86,11 +83,6 @@ __all__ = [
     "bessel_m1_exact",
     "fit_m1",
     "bessel_kernel_from_m",
-    "check_p_values",
-    "check_m_residues",
-    "check_m_normalization",
-    "check_m1_symmetry",
-    "ode_check_eta",
     "psi_jump_matrix",
     "suite_drhp",
     "suite_psi",
@@ -267,6 +259,9 @@ def _average(values: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Bessel-side checks
 # ----------------------------------------------------------------------
+#
+# Each kind of `suite_drhp` row, formed from the values of J, m and n that
+# the suite takes from its joined 0F1 ladder.
 
 def _p_from_real_order(theta: float, xs: Sequence[float]) -> np.ndarray:
     """p at lattice points from the real-order `special.bessel_j`.
@@ -286,24 +281,16 @@ def _p_from_real_order(theta: float, xs: Sequence[float]) -> np.ndarray:
     return sqrt(eta) * j * np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
-def _p_value_points(theta: float, xs: Sequence[float]) -> tuple:
-    """(orders, u) of J for p at the lattice points xs."""
-    return _p_orders(xs), 2.0 * sqrt(theta)
-
-
 def _p_value_rows(theta: float, xs: Sequence[float], j: np.ndarray) -> list[ResidualCheck]:
+    """p at the lattice points xs, from J at `_p_orders(xs)` and u = 2 eta,
+    against `_p_from_real_order`, to _P_TOL max(1, |p|).
+
+    The reflection condition needs no row: J_(-n) is formed as (-1)^n J_n
+    from the same J_n (`special._j_reflected`), so it holds by construction.
+    """
     return [ResidualCheck("p-values", f"x={x}", float(np.max(np.abs(px - ref))),
                           _P_TOL * max(1.0, float(np.max(np.abs(ref)))))
             for x, px, ref in zip(xs, _p_from_j(theta, j), _p_from_real_order(theta, xs))]
-
-
-def check_p_values(theta: float, xs: Sequence[float]) -> list[ResidualCheck]:
-    """p at lattice points against `_p_from_real_order`, to _P_TOL max(1, |p|).
-
-    The reflection condition needs no row: `bessel_j_complex_order` forms
-    J_(-n) as (-1)^n J_n from the same J_n, so it holds by construction.
-    """
-    return _p_value_rows(theta, xs, bessel_j_complex_order(*_p_value_points(theta, xs)))
 
 
 def _residue_family(xs: Sequence[float]) -> tuple:
@@ -313,15 +300,11 @@ def _residue_family(xs: Sequence[float]) -> tuple:
     c = zeta + 1/2 and 1/2 - zeta are c0 + delta_j + k and c0 - delta_j + k
     for integers k >= 0, with c0 the least of x + 1/2 and 1/2 - x.  Returns
     the 2 x _RESIDUE_NODES elements c0 +- delta_j and, for every x, the k of
-    zeta + 1/2 and of 1/2 - zeta, along a leading axis of 2.  Raises
-    DomainError for an x off Z + 1/2.
+    zeta + 1/2 and of 1/2 - zeta, along a leading axis of 2.
     """
     x = np.asarray(xs, dtype=float)
-    if not np.all(x - 0.5 == np.round(x - 0.5)):
-        raise DomainError(f"check_m_residues needs x in Z + 1/2, got {list(xs)}")
     shifts = np.stack([x + 0.5, 0.5 - x])
-    # x + 1/2 and 1/2 - x add up to 1, so the initial 1 counts only for no x
-    c0 = shifts.min(initial=1.0)
+    c0 = shifts.min()
     delta = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[1]
     return c0 + np.stack([delta, -delta]), (shifts - c0).astype(int)
 
@@ -329,7 +312,7 @@ def _residue_family(xs: Sequence[float]) -> tuple:
 def _residue_0f1_args(theta: float, xs: Sequence[float]) -> tuple:
     """(c, w, top) of the `_hyp0f1` call whose values `_residue_m` reads."""
     c, k = _residue_family(xs)
-    return c, -theta, int(k.max(initial=0)) + 1
+    return c, -theta, int(k.max()) + 1
 
 
 def _residue_m(theta: float, xs: Sequence[float], f: np.ndarray) -> np.ndarray:
@@ -343,6 +326,17 @@ def _residue_m(theta: float, xs: Sequence[float], f: np.ndarray) -> np.ndarray:
 
 
 def _residue_rows(theta: float, xs: Sequence[float], values: np.ndarray) -> list[ResidualCheck]:
+    """Res_{zeta=x} m = lim_{zeta->x} m(zeta) w(x) at every lattice point x,
+    from m's values on the circles (`_residue_m`) and w = -f g^t from one
+    `plancherel_l(theta).fg` call.
+
+    A row passes below 1.9e-13 max(1, |Res m|): the residual is the
+    rounding of the 1e-3 circle's trapezoid, <= 6.0e-14 of that scale at
+    theta = 1, 30, 100 and 400, while |Res m| grows like
+    theta^|x| / Gamma(|x| + 1/2)^2 (5.1e3 at theta = 100 and 3.4e6 at
+    theta = 400 for |x| <= 9.5, where the tolerance stays below 1e-9 at
+    theta <= 100).
+    """
     f1, f2, g1, g2 = plancherel_l(theta).fg(np.asarray(xs, dtype=float))
     weights = -np.stack([f1, f2], -1)[:, None, :, None] * np.stack([g1, g2], -1)[:, None, None, :]
     phases = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[0][:, None, None]
@@ -353,31 +347,9 @@ def _residue_rows(theta: float, xs: Sequence[float], values: np.ndarray) -> list
             for x, r, t in zip(xs, residual.tolist(), tol.tolist())]
 
 
-def check_m_residues(theta: float, xs: Sequence[float]) -> list[ResidualCheck]:
-    """Res_{zeta=x} m = lim_{zeta->x} m(zeta) w(x) at every lattice point given,
-    with w = -f g^t from one `plancherel_l(theta).fg` call.
-
-    A row passes below 1.9e-13 max(1, |Res m|): the residual is the
-    rounding of the 1e-3 circle's trapezoid, <= 6.0e-14 of that scale at
-    theta = 1, 30, 100 and 400, while |Res m| grows like
-    theta^|x| / Gamma(|x| + 1/2)^2 (5.1e3 at theta = 100 and 3.4e6 at
-    theta = 400 for |x| <= 9.5, where the tolerance stays below 1e-9 at
-    theta <= 100).  m on every circle comes from one `_hyp0f1` call on the
-    2 x 32 elements of `_residue_family`, read at every integer shift, as
-    in `suite_drhp`.
-    Raises DomainError for an x off Z + 1/2.
-    """
-    c, w, top = _residue_0f1_args(theta, xs)
-    return _residue_rows(theta, xs, _residue_m(theta, xs, _hyp0f1(c, w, top)))
-
-
 def _normalization_ts(theta: float) -> tuple:
     t0 = max(10.0, 2.5 * theta)
     return t0, 2.0 * t0, 4.0 * t0
-
-
-def _normalization_points(theta: float) -> np.ndarray:
-    return np.array([1j * t for t in _normalization_ts(theta)])
 
 
 def _m2_size(theta: float) -> float:
@@ -388,19 +360,8 @@ def _m2_size(theta: float) -> float:
 
 
 def _normalization_rows(theta: float, values: np.ndarray) -> list[ResidualCheck]:
-    ts = _normalization_ts(theta)
-    m1_term = bessel_m1_exact(theta) / (1j * np.array(ts))[:, None, None]
-    rem = np.max(np.abs(values - np.eye(2) - m1_term), axis=(1, 2))
-    rows = [ResidualCheck("m-normalization-rate", f"t={t}", float(r * t * t / _m2_size(theta)),
-                          _RATE_TOL)
-            for t, r in zip(ts, rem.tolist())]
-    rows.append(ResidualCheck(
-        "m-normalization-remainder", f"t={ts[-1]}", float(rem[-1]), _REMAINDER_TOL))
-    return rows
-
-
-def check_m_normalization(theta: float) -> list[ResidualCheck]:
-    """m(it) -> I along the imaginary axis, at the rate of its expansion.
+    """m(it) -> I along the imaginary axis, at the rate of its expansion,
+    from m's values at it for the t of `_normalization_ts`.
 
     With the exact 1/zeta term removed, the remainder max|m(it) - I -
     m1/(it)| decays like |m2|/t^2, |m2| the largest entry of the 1/zeta^2
@@ -413,7 +374,15 @@ def check_m_normalization(theta: float) -> list[ResidualCheck]:
     remainder then measures 5.2e-3 at theta = 30, 5.05e-3 at theta = 100
     and 5.0e-3 at theta = 400.
     """
-    return _normalization_rows(theta, bessel_m(theta)(_normalization_points(theta)))
+    ts = _normalization_ts(theta)
+    m1_term = bessel_m1_exact(theta) / (1j * np.array(ts))[:, None, None]
+    rem = np.max(np.abs(values - np.eye(2) - m1_term), axis=(1, 2))
+    rows = [ResidualCheck("m-normalization-rate", f"t={t}", float(r * t * t / _m2_size(theta)),
+                          _RATE_TOL)
+            for t, r in zip(ts, rem.tolist())]
+    rows.append(ResidualCheck(
+        "m-normalization-remainder", f"t={ts[-1]}", float(rem[-1]), _REMAINDER_TOL))
+    return rows
 
 
 def _m1_radius(theta: float) -> float:
@@ -468,34 +437,28 @@ def fit_m1(theta: float) -> np.ndarray:
     return doubled
 
 
-def check_m1_symmetry(theta: float) -> list[ResidualCheck]:
-    """Fitted m1 = [[alpha,beta],[gamma,delta]] satisfies gamma=beta, delta=-alpha."""
-    m1 = fit_m1(theta)
-    radius, tol = _m1_radius(theta), _m1_tol(theta)
-    alpha, beta = m1[0, 0], m1[0, 1]
-    gamma, delta = m1[1, 0], m1[1, 1]
-    return [
-        ResidualCheck("m1-gamma-equals-beta", f"|zeta|={radius}",
-                      abs(gamma - beta), tol),
-        ResidualCheck("m1-delta-equals-minus-alpha", f"|zeta|={radius}",
-                      abs(delta + alpha), tol),
-        ResidualCheck("m1-beta-equals-minus-eta", f"|zeta|={radius}",
-                      abs(beta - (-sqrt(theta))), tol),
-    ]
-
-
-def _ode_points(theta: float) -> tuple:
-    """((theta, zeta) of n, (order, u) of J) on the eta stencils of
-    `ode_check_eta`: the stencil along axis 0, _ODE_ZETAS along axis 1."""
-    eta = sqrt(theta)
-    zs = np.array(_ODE_ZETAS, dtype=complex)
-    n_etas = (eta + _ODE_STEP * _STENCIL)[:, None]
-    p11_etas = (eta + _P11_STEP * _STENCIL)[:, None]
-    return (n_etas ** 2, zs), (zs - 0.5, 2.0 * p11_etas)
+def _m1_rows(theta: float) -> list[ResidualCheck]:
+    """Fitted m1 = [[alpha,beta],[gamma,delta]] satisfies gamma=beta,
+    delta=-alpha and beta=-eta, to `_m1_tol`."""
+    (alpha, beta), (gamma, delta) = fit_m1(theta)
+    point, tol = f"|zeta|={_m1_radius(theta)}", _m1_tol(theta)
+    return [ResidualCheck("m1-gamma-equals-beta", point, abs(gamma - beta), tol),
+            ResidualCheck("m1-delta-equals-minus-alpha", point, abs(delta + alpha), tol),
+            ResidualCheck("m1-beta-equals-minus-eta", point, abs(beta + sqrt(theta)), tol)]
 
 
 def _ode_rows(theta: float, n: np.ndarray, j: np.ndarray) -> list[ResidualCheck]:
-    """The rows of `ode_check_eta` from n and J at `_ode_points`."""
+    """First-order ODE in eta for n, the beta sign selection, and the
+    second-order scalar ODE for p11, from n at theta_i = (eta + _ODE_STEP
+    _STENCIL[i])^2 and J_(zeta-1/2) at u = 2 (eta + _P11_STEP _STENCIL[i]):
+    the stencil along axis 0, _ODE_ZETAS along axis 1.
+
+    n = m diag(eta^zeta, eta^-zeta) satisfies
+    eta dn/deta = [[zeta, -2 beta], [2 beta, -zeta]] n with beta = -eta;
+    the factor eta comes from the diagonal, whose eta-derivative is
+    zeta/eta times itself.  dn/deta is Richardson's extrapolation of the
+    central differences at steps _ODE_STEP and _ODE_STEP/2.
+    """
     eta = sqrt(theta)
     zetas = list(_ODE_ZETAS)
     zs = np.array(zetas, dtype=complex)
@@ -524,22 +487,6 @@ def _ode_rows(theta: float, n: np.ndarray, j: np.ndarray) -> list[ResidualCheck]
                       float(np.max(np.abs(second - (zs * (zs - 1.0) / theta - 4.0) * p11[2]))),
                       _P11_TOL),
     ]
-
-
-def ode_check_eta(theta: float) -> list[ResidualCheck]:
-    """First-order ODE in eta for n, the beta sign selection, and the
-    second-order scalar ODE for p11.
-
-    n = m diag(eta^zeta, eta^-zeta) satisfies
-    eta dn/deta = [[zeta, -2 beta], [2 beta, -zeta]] n with beta = -eta;
-    the factor eta comes from the diagonal, whose eta-derivative is
-    zeta/eta times itself.  dn/deta is Richardson's extrapolation of the
-    central differences at steps _ODE_STEP and _ODE_STEP/2.  n at every
-    eta and zeta of the stencil comes from one `bessel_n` call, and p11
-    from one `bessel_j_complex_order` call.
-    """
-    (n_theta, zs), (orders, u) = _ode_points(theta)
-    return _ode_rows(theta, bessel_n(n_theta)(zs), bessel_j_complex_order(orders, u))
 
 
 def bessel_kernel_from_m(theta: float) -> AssembledKernel:
@@ -784,30 +731,41 @@ def _hyp0f1_joined(*groups, top: int = 1) -> list:
 def suite_drhp(theta: float) -> list[ResidualCheck]:
     """Every Bessel-side check at theta, in two 0F1 ladders.
 
-    The rows are those of `check_p_values`, `check_m_residues`,
-    `check_m_normalization`, `check_m1_symmetry` and `ode_check_eta`, in
-    that order, from the same points.  Every J, m and n value of the suite
-    has w = -theta or w = -theta_i of the eta stencils, so one ladder
+    The rows are p's values at _P_XS (`_p_value_rows`), m's residues at
+    _RESIDUE_XS (`_residue_rows`), m's normalization (`_normalization_rows`),
+    the symmetry of m's fitted 1/zeta coefficient (`_m1_rows`) and the ODEs
+    in eta (`_ode_rows`), in that order.  Every J, m and n value of the
+    suite has w = -theta or w = -theta_i of the eta stencils, so one ladder
     serves them all: J at the p-values orders and on the p11 stencil, m
     on the residue circles (the 64 elements of `_residue_family`, read at
     every integer shift) and at the normalization points, n on the eta
-    stencil.  The family's leftmost element sets the ladder's length, as
-    the residue circles did when each of their 1,280 nodes was an element.
+    stencil.  The family's leftmost element sets the ladder's length.
     `fit_m1` runs the other ladder: its circle reaches Re c = 1/2 - 40,
     and joined with it every element would run ~30 more steps, which
     costs the p11 row digits at theta = 1.
+
+    Raises ParameterError unless 0 < theta < inf, and DomainError for
+    theta <= _P11_STEP^2 = 4e-6, where the p11 stencil reaches eta <= 0.
     """
-    (n_theta, zs), p11_points = _ode_points(theta)
-    p_points = _p_value_points(theta, _P_XS)
+    if not 0.0 < theta < math.inf:
+        raise ParameterError(f"suite_drhp needs a finite theta > 0, got {theta}")
+    eta = sqrt(theta)
+    if eta <= _P11_STEP:
+        raise DomainError(f"suite_drhp needs theta > {_P11_STEP ** 2:g}, where the p11 "
+                          f"stencil eta +- {_P11_STEP:g} stays above 0, got {theta}")
+    zs = np.array(_ODE_ZETAS, dtype=complex)
+    n_theta = (eta + _ODE_STEP * _STENCIL)[:, None] ** 2
+    p_points = _p_orders(_P_XS), 2.0 * eta
+    p11_points = zs - 0.5, 2.0 * (eta + _P11_STEP * _STENCIL)[:, None]
     residue_c, residue_w, top = _residue_0f1_args(theta, _RESIDUE_XS)
-    norm_zs = _normalization_points(theta)
+    norm_zs = np.array([1j * t for t in _normalization_ts(theta)])
     j_p, j_p11, m_res, m_norm, n_ode = _hyp0f1_joined(
         _j_0f1_args(*p_points), _j_0f1_args(*p11_points), (residue_c, residue_w),
         _m_0f1_args(theta, norm_zs), _m_0f1_args(n_theta, zs), top=top)
     return (_p_value_rows(theta, _P_XS, _j_from_0f1(*p_points, j_p[0]))
             + _residue_rows(theta, _RESIDUE_XS, _residue_m(theta, _RESIDUE_XS, m_res))
             + _normalization_rows(theta, _m_from_0f1(theta, norm_zs, *m_norm[:2]))
-            + check_m1_symmetry(theta)
+            + _m1_rows(theta)
             + _ode_rows(theta, _n_from_0f1(n_theta, zs, *n_ode[:2]),
                         _j_from_0f1(*p11_points, j_p11[0])))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, lgamma, log, pi, sqrt
+from math import exp, inf, lgamma, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -181,8 +181,8 @@ def plancherel_l(theta: float) -> IntegrableKernel:
     L(x,y) = 0 for xy > 0 and theta^((|x|+|y|)/2) / ((|x|-1/2)! (|y|-1/2)!
     (x-y)) for xy < 0; half-integer factorials are Gamma(|x|+1/2).
     """
-    if not theta > 0.0:
-        raise ParameterError(f"theta must be positive, got {theta}")
+    if not 0.0 < theta < inf:
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
     lt = log(theta)
 
     def plus(x: float) -> float:
@@ -202,8 +202,8 @@ def zw_l(z: complex, xi: float) -> IntegrableKernel:
     points never overflow.
     """
     z = complex(z)
-    if _is_integer(z):
-        raise ParameterError(f"zw_l needs z outside Z, got {z}")
+    if not cmath.isfinite(z) or _is_integer(z):
+        raise ParameterError(f"zw_l needs a finite z outside Z, got {z}")
     if not 0.0 < xi < 1.0:
         raise ParameterError(f"zw_l needs xi in (0,1), got {xi}")
     root_absz = sqrt(abs(z))
@@ -231,8 +231,8 @@ def zw_l(z: complex, xi: float) -> IntegrableKernel:
 
 def _require_whittaker_z(z: complex) -> complex:
     z = complex(z)
-    if z.imag == 0.0:
-        raise ParameterError(f"needs a nonreal z, got {z}")
+    if not cmath.isfinite(z) or z.imag == 0.0:
+        raise ParameterError(f"needs a finite nonreal z, got {z}")
     if abs(z.real) >= 0.5:
         raise ParameterError(f"needs |Re z| < 1/2, got {z}")
     return z
@@ -280,8 +280,8 @@ def _discrete_bessel(theta: float, sign: float, name: str) -> AssembledKernel:
     G = (sign b, a) and F' = (sign a', -b'); for x < 0, F = (b, sign a),
     G = (a, -sign b) and F' = (-b', -sign a').
     """
-    if not theta > 0.0:
-        raise ParameterError(f"theta must be positive, got {theta}")
+    if not 0.0 < theta < inf:
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
     eta = sqrt(theta)
     u = 2.0 * eta
     s = sqrt(eta)

@@ -101,19 +101,19 @@ def test_criterion_05_two_point_closed_form():
 
 def test_criterion_06_drhp_certification():
     theta = 1.0
-    xs = [k + 0.5 for k in range(-11, 11)]
-    res_rows = drhp.check_m_residues(theta, xs)
+    rows = drhp.suite_drhp(theta)
+    res_rows = [r for r in rows if r.check_id == "m-residue"]
     worst_res = max(r.residual for r in res_rows)
-    norm_rows = drhp.check_m_normalization(theta)
+    norm_rows = [r for r in rows if r.check_id.startswith("m-normalization")]
     keyed = {r.check_id + r.point: r for r in norm_rows}
     remainder = keyed["m-normalization-remaindert=40.0"].residual
     rates = [r.residual for r in norm_rows if r.check_id == "m-normalization-rate"]
-    sym_rows = drhp.check_m1_symmetry(theta)
+    sym_rows = [r for r in rows if r.check_id.startswith("m1-")]
     worst_sym = max(r.residual for r in sym_rows[:2])
-    ok = (worst_res < 1e-9 and remainder < 1e-2 and len(rates) == 3
-          and max(rates) < 1.1 and worst_sym < 1e-12)
+    ok = (len(res_rows) == 20 and worst_res < 1e-9 and remainder < 1e-2
+          and len(rates) == 3 and max(rates) < 1.1 and worst_sym < 1e-12)
     _verdict(6, ok,
-             f"residue residuals <= {worst_res:.2e} (tol 1e-9, |x|<=21/2); "
+             f"residue residuals <= {worst_res:.2e} (tol 1e-9, |x|<=19/2); "
              f"normalization defect beyond the exact 1/zeta term at "
              f"|zeta|=40 is {remainder:.2e} (tol 1e-2), times t^2/|m2| "
              f"<= {max(rates):.3f} at t = 10, 20, 40 (tol 1.1); "
@@ -122,14 +122,17 @@ def test_criterion_06_drhp_certification():
 
 def test_criterion_07_ode_and_condition():
     theta = 1.0
-    ode_rows = {r.check_id: r for r in drhp.ode_check_eta(theta)}
+    rows = drhp.suite_drhp(theta)
+    ode_rows = {r.check_id: r for r in rows if r.check_id.startswith("ode-")}
     ode_resid = ode_rows["ode-eta-beta-minus"].residual
     plus_fails = ode_rows["ode-eta-beta-plus-must-fail"].passed
     xs = [3.5, 7.5, -4.5]
     ps = drhp.bessel_p(theta)(np.array(xs))
+    p_rows = [r for r in rows if r.check_id == "p-values"]
     worst_p = max(r.residual / max(1.0, float(np.max(np.abs(p))))
-                  for r, p in zip(drhp.check_p_values(theta, xs), ps))
-    ok = ode_resid < 1e-6 and worst_p < 1e-12 and plus_fails
+                  for r, p in zip(p_rows, ps))
+    ok = ([r.point for r in p_rows] == [f"x={x}" for x in xs]
+          and ode_resid < 1e-6 and worst_p < 1e-12 and plus_fails)
     _verdict(7, ok,
              f"eta dn/deta ODE residual {ode_resid:.2e} (tol 1e-6); "
              f"p at lattice points off the real-order Bessel route by "

@@ -142,6 +142,29 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "drhp", "--theta", "-1"],
+    ["verify", "--suite", "drhp", "--theta", "inf"],
+    ["verify", "--suite", "drhp", "--theta", "0"],
+    ["verify", "--suite", "drhp", "--theta", "nan"],
+    ["verify", "--suite", "drhp", "--theta", "1e-10"],
+    ["fredholm", "--theta", "inf"],
+    ["prob", "--theta", "inf"],
+    ["kernel", "--family", "bessel", "--theta", "inf"],
+    ["kernel", "--family", "whittaker", "--z-im", "nan"],
+    ["kernel", "--family", "zw-l", "--z-re", "nan"],
+    ["oracle-compare", "--family", "bessel", "--window", "3"],
+    ["oracle-compare", "--family", "bessel-hat", "--window", "5"],
+], ids=" ".join)
+def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsys):
+    # each ended in a traceback, printed a numpy array over several lines,
+    # or exited 0 with nan entries or a header-only file
+    out = tmp_path / "out.csv"
+    assert run([*args, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_suites(tmp_path):
     for suite in ("two-point", "contour", "cd", "special-functions",
                   "drhp", "psi"):

@@ -11,13 +11,18 @@ from hypothesis import strategies as st
 
 from detproc import drhp, kernels, special
 from detproc.drhp import ResidualCheck
-from detproc.errors import ConvergenceError, DomainError, PoleError
+from detproc.errors import ConvergenceError, DomainError, ParameterError, PoleError
 
 
 def _assert_all_pass(rows):
     failed = [(r.check_id, r.point, r.residual, r.tolerance)
               for r in rows if not r.passed]
     assert not failed, f"failed checks: {failed}"
+
+
+def _suite_rows(theta, prefix):
+    """The rows of `suite_drhp(theta)` whose id starts with prefix."""
+    return [r for r in drhp.suite_drhp(theta) if r.check_id.startswith(prefix)]
 
 
 # ---------------------------------------------------------------- 0F1 series
@@ -288,10 +293,13 @@ def test_circle_nodes_are_bitwise_the_scalar_phases(nodes):
 def test_p_condition_and_p11_ode_hold_at_large_theta(theta):
     # both failed with the cancelling complex-order series (p's values by
     # up to 1.6e-7, the p11 ODE by 0.45 at theta = 100)
-    _assert_all_pass(drhp.check_p_values(theta, [3.5, 7.5, -4.5]))
-    rows = [r for r in drhp.ode_check_eta(theta) if r.check_id == "ode-p11-second-order"]
-    assert len(rows) == 1
-    _assert_all_pass(rows)
+    rows = drhp.suite_drhp(theta)
+    values = [r for r in rows if r.check_id == "p-values"]
+    assert [r.point for r in values] == ["x=3.5", "x=7.5", "x=-4.5"]
+    _assert_all_pass(values)
+    p11 = [r for r in rows if r.check_id == "ode-p11-second-order"]
+    assert len(p11) == 1
+    _assert_all_pass(p11)
 
 
 @pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
@@ -331,7 +339,7 @@ def test_p_values_rows_call_real_order_j_once_and_catch_a_wrong_j(monkeypatch):
         return original(nu, u) * (1.0 + 1e-10 * (np.abs(nu) == 4))
 
     monkeypatch.setattr(special, "bessel_j", perturbed)
-    rows = drhp.check_p_values(30.0, [3.5, 7.5, -4.5])
+    rows = drhp.suite_drhp(30.0)
     # one call on the signed orders x - 1/2, -(x - 1/2), x + 1/2, -(x + 1/2)
     assert calls == [[3, -3, 4, -4, 7, -7, 8, -8, -5, 5, -4, 4]]
     failed = {r.point for r in rows if r.check_id == "p-values" and not r.passed}
@@ -379,34 +387,13 @@ def test_suite_drhp_runs_two_0f1_ladders(theta, monkeypatch):
     assert calls == [12 + 15 + 64 + 6 + 30, 512]
 
 
-@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
-def test_suite_drhp_rows_are_the_standalone_checks_rows(theta):
-    # the suite joins the checks' 0F1 arguments into one ladder, which is
-    # longer than a check's own ladder for three kinds of rows: the
-    # normalization rows (the residue circles reach further left) move by
-    # <= 6.6e-14 relative, the p-values rows, whose residuals are rounding
-    # of two routes (<= 5.6e-16), by <= 3.3e-4 of the tolerance, and the
-    # ODE rows, finite differences of n and J, by <= 1.2e-3 of the
-    # tolerance (p11 at theta = 100).  The residue circles run the same
-    # family of 64 elements in both, whose leftmost element sets the length
-    # of either ladder, and the m1 rows run fit_m1's own: both are bit for bit
-    suite = drhp.suite_drhp(theta)
-    alone = (drhp.check_p_values(theta, drhp._P_XS)
-             + drhp.check_m_residues(theta, drhp._RESIDUE_XS)
-             + drhp.check_m_normalization(theta)
-             + drhp.check_m1_symmetry(theta)
-             + drhp.ode_check_eta(theta))
-    assert ([(r.check_id, r.point, r.tolerance, r.passed) for r in suite]
-            == [(r.check_id, r.point, r.tolerance, r.passed) for r in alone])
-    for got, want in zip(suite, alone):
-        if got.check_id.startswith("m-normalization"):
-            assert got.residual == pytest.approx(want.residual, rel=1e-12, abs=0.0)
-        elif got.check_id == "p-values":
-            assert abs(got.residual - want.residual) <= 1e-3 * got.tolerance
-        elif got.check_id.startswith("ode-"):
-            assert abs(got.residual - want.residual) <= 1e-2 * got.tolerance, got.check_id
-        else:
-            assert got.residual == want.residual, got.check_id
+@pytest.mark.parametrize("theta, error", [
+    (-1.0, ParameterError), (0.0, ParameterError), (math.inf, ParameterError),
+    (math.nan, ParameterError), (1e-10, DomainError), (4e-6, DomainError)])
+def test_suite_drhp_rejects_theta_outside_its_range(theta, error):
+    # the p11 stencil eta +- 2e-3 reaches eta <= 0 at theta <= 4e-6
+    with pytest.raises(error):
+        drhp.suite_drhp(theta)
 
 
 def test_m_has_unit_determinant():
@@ -458,15 +445,11 @@ def test_residue_weight_is_minus_f_g_t_of_the_plancherel_l_kernel(theta, k):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_m_residue_conditions():
-    xs = [k + 0.5 for k in range(-11, 11)]
-    _assert_all_pass(drhp.check_m_residues(1.0, xs))
-
-
 def test_m_residue_conditions_at_theta_100():
     # the directly summed 0F1 series cancels here: it failed 19 of these
     # 20 rows (up to 4.3e-6) and passed x = 0.5 at 9.8e-10
-    rows = drhp.check_m_residues(100.0, [k + 0.5 for k in range(-10, 10)])
+    rows = _suite_rows(100.0, "m-residue")
+    assert [r.point for r in rows] == [f"x={k + 0.5}" for k in range(-10, 10)]
     _assert_all_pass(rows)
     assert all(r.residual <= 1e-11 for r in rows if r.point in ("x=-0.5", "x=0.5"))
 
@@ -483,15 +466,6 @@ def test_m_on_the_residue_circles_from_their_family_is_bessel_m(theta):
     want = drhp.bessel_m(theta)(zetas)
     assert got.shape == want.shape == (20, 32, 2, 2)
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
-
-
-def test_check_m_residues_needs_lattice_points():
-    with pytest.raises(DomainError):
-        drhp.check_m_residues(1.0, [0.5, 1.0])
-    rows = drhp.check_m_residues(1.0, [7.5, -2.5])
-    assert [r.point for r in rows] == ["x=7.5", "x=-2.5"]
-    _assert_all_pass(rows)
-    assert drhp.check_m_residues(1.0, []) == []
 
 
 @pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0])
@@ -522,13 +496,13 @@ def test_m_reflection_symmetry():
 
 
 def test_m_normalization_decreasing_and_remainder():
-    _assert_all_pass(drhp.check_m_normalization(1.0))
+    _assert_all_pass(_suite_rows(1.0, "m-normalization"))
 
 
 @pytest.mark.parametrize("theta", [30.0, 100.0, 400.0])
 def test_m_normalization_holds_at_large_theta(theta):
     # t grows with theta; at t = 10/20/40 theta = 100 read 2.55 against 1e-2
-    rows = drhp.check_m_normalization(theta)
+    rows = _suite_rows(theta, "m-normalization")
     _assert_all_pass(rows)
     t = max(10.0, 2.5 * theta)
     rate = [r.point for r in rows if r.check_id == "m-normalization-rate"]
@@ -540,7 +514,7 @@ def test_m_normalization_holds_at_large_theta(theta):
 @pytest.mark.parametrize("theta", [1.0, 4.0, 30.0, 100.0, 400.0, 1000.0])
 def test_m1_fit_matches_exact(theta):
     # radius 4 sqrt(theta) = 80 at theta = 400; at radius 40 the fit was 5.4e4 off
-    _assert_all_pass(drhp.check_m1_symmetry(theta))
+    _assert_all_pass(_suite_rows(theta, "m1-"))
     m1 = drhp.fit_m1(theta)
     bound = 8e-15 if theta <= 400.0 else 4e-13
     assert np.max(np.abs(m1 - drhp.bessel_m1_exact(theta))) <= bound * max(1.0, theta)
@@ -596,7 +570,7 @@ def test_m1_fit_raises_when_the_trapezoid_does_not_converge(monkeypatch):
 
 
 def test_ode_in_eta_and_beta_sign_selection():
-    rows = drhp.ode_check_eta(1.0)
+    rows = _suite_rows(1.0, "ode-")
     _assert_all_pass(rows)
     ids = {r.check_id for r in rows}
     assert "ode-eta-beta-minus" in ids
@@ -609,7 +583,7 @@ def test_ode_in_eta_holds_away_from_theta_one(theta):
     # the checked identity is eta dn/deta = [[zeta, -2 beta], [2 beta, -zeta]] n;
     # without the factor eta it failed by 3.7 / 2.6 / 11 at these theta,
     # where the two forms differ.  Richardson leaves <= 9.1e-11 here.
-    rows = {r.check_id: r for r in drhp.ode_check_eta(theta)}
+    rows = {r.check_id: r for r in _suite_rows(theta, "ode-")}
     _assert_all_pass(rows.values())
     assert rows["ode-eta-beta-minus"].residual < 1e-9
 
@@ -839,31 +813,44 @@ _MUTANTS = {
     "cd-trace": ("cd", _CD, "trace", _scale(1.0 + 1e-6)),
 }
 
+# each suite's argument: theta for drhp, z for psi, unused by the others
 _MUTATED_SUITES = {
     "drhp": drhp.suite_drhp,
-    "psi": lambda theta: drhp.suite_psi(0.25 + 0.6j),
-    "toys": lambda theta: drhp.suite_two_point() + drhp.suite_contour(),
-    "special-functions": lambda theta: drhp.suite_special_functions(),
-    "cd": lambda theta: drhp.suite_cd(),
+    "psi": drhp.suite_psi,
+    "toys": lambda arg: drhp.suite_two_point() + drhp.suite_contour(),
+    "special-functions": lambda arg: drhp.suite_special_functions(),
+    "cd": lambda arg: drhp.suite_cd(),
 }
 
-# a row that fails its mutant at theta = 1 can be slack at larger theta, so
-# the drhp mutants also run at theta = 100 and 400
+
+def _mutant_args(cid):
+    """(name, values) of the suite arguments a row's mutant runs at.  A row
+    that fails its mutant at one argument can be slack at another, so the
+    drhp mutants run at theta = 1, 100 and 400 and the psi mutants at the
+    benchmark's three z."""
+    if cid in _DRHP_IDS:
+        return "theta", (1.0, 100.0, 400.0)
+    if cid in _PSI_IDS:
+        return "z", (0.25 + 0.6j, -0.3 + 1.2j, 0.1 + 0.3j)
+    return "theta", (1.0,)
+
+
 _MUTANT_CASES = [
-    pytest.param(cid, theta, id=cid if theta == 1.0 else f"{cid}-theta={theta:g}")
+    pytest.param(cid, arg, id=cid if i == 0 else f"{cid}-{name}={arg:g}")
     for cid in sorted(set(_DRHP_IDS + _PSI_IDS + _SPECIAL_IDS)
                       | {cid for cid, _, _ in _TOY_ROWS + _CD_ROWS})
-    for theta in ((1.0, 100.0, 400.0) if cid in _DRHP_IDS else (1.0,))]
+    for name, args in [_mutant_args(cid)]
+    for i, arg in enumerate(args)]
 
 
-@pytest.mark.parametrize("check_id, theta", _MUTANT_CASES)
-def test_every_row_fails_under_its_mutant(check_id, theta, monkeypatch):
+@pytest.mark.parametrize("check_id, arg", _MUTANT_CASES)
+def test_every_row_fails_under_its_mutant(check_id, arg, monkeypatch):
     # the id lists are the layouts pinned above, so every emitted id is here
     assert check_id in _MUTANTS, f"row {check_id} has no mutant"
     suite, owner, name, change = _MUTANTS[check_id]
     original = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *args: change(original(*args), *args))
-    rows = [r for r in _MUTATED_SUITES[suite](theta) if r.check_id == check_id]
+    rows = [r for r in _MUTATED_SUITES[suite](arg) if r.check_id == check_id]
     assert rows and not drhp.all_pass(rows), check_id
 
 
