@@ -215,7 +215,9 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     rows = _SUITES[args.suite](args)
-    drhp.report_to_csv(rows, args.output)
+    _write_csv(args.output, ["check_id", "point", "residual", "tolerance", "pass"],
+               [[r.check_id, r.point, _fmt(r.residual), _fmt(r.tolerance),
+                 str(r.passed).lower()] for r in rows])
     if not drhp.all_pass(rows):
         failed = [r.check_id for r in rows if not r.passed]
         raise _CheckFailure(f"failed checks: {', '.join(failed)}")

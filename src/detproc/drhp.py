@@ -53,7 +53,6 @@ integer shifts of 64 elements c0 +- delta_j, one per node offset: those
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from math import pi, sqrt
@@ -75,7 +74,6 @@ from .special import _hyp0f1, _j_0f1_args, _j_from_0f1, bessel_j_complex_order
 
 __all__ = [
     "ResidualCheck",
-    "report_to_csv",
     "all_pass",
     "bessel_p",
     "bessel_m",
@@ -100,6 +98,8 @@ _REMAINDER_TOL, _RATE_TOL = 1e-2, 1.1
 _M1_START_NODES, _M1_MAX_NODES, _M1_REL_TOL = 128, 4096, 1e-12
 _ODE_ZETAS = (0.3 + 0.4j, 1.2 - 0.7j, 2.5j)
 _ODE_STEP, _P11_STEP, _ODE_TOL, _P11_TOL = 1e-4, 2e-3, 1e-6, 1e-5
+# p11's stencil truncation, ~(_P11_STEP/eta)^4, fails _P11_TOL below it (1.2x at 0.035)
+_MIN_THETA = 0.05
 # the five-point stencil in eta, in units of the step
 _STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 _DERIV_RADIUS, _DERIV_NODES = 0.25, 48
@@ -120,17 +120,6 @@ class ResidualCheck:
     @property
     def passed(self) -> bool:
         return self.residual < self.tolerance
-
-
-def report_to_csv(rows: Iterable[ResidualCheck], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check_id", "point", "residual", "tolerance", "pass"])
-        for row in rows:
-            writer.writerow(
-                [row.check_id, row.point, f"{row.residual:.17g}",
-                 f"{row.tolerance:.17g}", str(row.passed).lower()]
-            )
 
 
 def all_pass(rows: Iterable[ResidualCheck]) -> bool:
@@ -745,14 +734,15 @@ def suite_drhp(theta: float) -> list[ResidualCheck]:
     costs the p11 row digits at theta = 1.
 
     Raises ParameterError unless 0 < theta < inf, and DomainError for
-    theta <= _P11_STEP^2 = 4e-6, where the p11 stencil reaches eta <= 0.
+    theta < _MIN_THETA = 0.05, where the eta stencils' fixed steps fail
+    `ode-p11-second-order`.
     """
     if not 0.0 < theta < math.inf:
         raise ParameterError(f"suite_drhp needs a finite theta > 0, got {theta}")
+    if theta < _MIN_THETA:
+        raise DomainError(f"suite_drhp needs theta >= {_MIN_THETA:g}, where the eta "
+                          f"stencils' fixed steps meet the ODE tolerances, got {theta}")
     eta = sqrt(theta)
-    if eta <= _P11_STEP:
-        raise DomainError(f"suite_drhp needs theta > {_P11_STEP ** 2:g}, where the p11 "
-                          f"stencil eta +- {_P11_STEP:g} stays above 0, got {theta}")
     zs = np.array(_ODE_ZETAS, dtype=complex)
     n_theta = (eta + _ODE_STEP * _STENCIL)[:, None] ** 2
     p_points = _p_orders(_P_XS), 2.0 * eta

@@ -69,12 +69,6 @@ def _is_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real == round(z.real)
 
 
-def _per_point(fn: Callable[[float], tuple], points, width: int) -> np.ndarray:
-    """Rows of fn(x) over the points: fn returns `width` floats per point."""
-    values = [fn(x) for x in np.asarray(points, dtype=float).tolist()]
-    return np.array(values, dtype=float).reshape(-1, width).T
-
-
 def _quotient_matrix(pts: np.ndarray, f1, f2, g1, g2) -> np.ndarray:
     """(f1(x)g1(y) + f2(x)g2(y)) / (x - y) on all pairs of points.
 
@@ -163,14 +157,16 @@ class AssembledKernel:
 # L-kernels
 # ----------------------------------------------------------------------
 
-def _l_kernel(domain: str, plus, minus, name: str) -> IntegrableKernel:
-    """L-kernel with f1 = g2 = plus and f2 = g1 = minus.
-
-    Each scalar is called once per point, and each array serves twice.
-    """
+def _two_sided_l(domain: str, value, name: str) -> IntegrableKernel:
+    """L-kernel with f1 = g2 = value(x) for x > 0, f2 = g1 = value(x) for
+    x < 0 and zeros elsewhere, so that L vanishes on same-sign pairs.
+    `value` is an array function, called on the nonzero points only."""
     def fg(points):
-        p, m = _per_point(lambda x: (plus(x), minus(x)), points, 2)
-        return p, m, m, p
+        x = np.asarray(points, dtype=float)
+        v = np.zeros_like(x)
+        v[x != 0.0] = value(x[x != 0.0])
+        plus, minus = np.where(x > 0, v, 0.0), np.where(x < 0, v, 0.0)
+        return plus, minus, minus, plus
 
     return IntegrableKernel(domain, fg, name=name)
 
@@ -185,13 +181,11 @@ def plancherel_l(theta: float) -> IntegrableKernel:
         raise ParameterError(f"theta must be positive and finite, got {theta}")
     lt = log(theta)
 
-    def plus(x: float) -> float:
-        return exp(0.5 * x * lt - lgamma(x + 0.5)) if x > 0 else 0.0
+    def value(x: np.ndarray) -> np.ndarray:
+        # math.exp per point: np.exp can differ from it in the last bit
+        return np.array([exp(0.5 * t * lt - lgamma(t + 0.5)) for t in np.abs(x).tolist()])
 
-    def minus(x: float) -> float:
-        return exp(-0.5 * x * lt - lgamma(-x + 0.5)) if x < 0 else 0.0
-
-    return _l_kernel(LATTICE, plus, minus, f"plancherel-l(theta={theta})")
+    return _two_sided_l(LATTICE, value, f"plancherel-l(theta={theta})")
 
 
 def zw_l(z: complex, xi: float) -> IntegrableKernel:
@@ -211,22 +205,17 @@ def zw_l(z: complex, xi: float) -> IntegrableKernel:
     lg_zp1 = log_gamma(z + 1.0).real
     lg_mzp1 = log_gamma(-z + 1.0).real
 
-    def plus(x: float) -> float:
-        # sqrt|z| xi^(x/2) |(z+1)_(x-1/2)| / (x-1/2)!
-        if x <= 0:
-            return 0.0
-        return root_absz * exp(
-            log_gamma(z + 0.5 + x).real - lg_zp1 + 0.5 * x * lxi - lgamma(x + 0.5)
-        )
+    def value(x: np.ndarray) -> np.ndarray:
+        # sqrt|z| xi^(t/2) |(s+1)_(t-1/2)| / (t-1/2)! at t = |x|, with
+        # s = z for x > 0 and s = -z for x < 0
+        out = []
+        for v in x.tolist():
+            s, lg, t = (z, lg_zp1, v) if v > 0 else (-z, lg_mzp1, -v)
+            out.append(root_absz * exp(
+                log_gamma(s + 0.5 + t).real - lg + 0.5 * t * lxi - lgamma(t + 0.5)))
+        return np.array(out)
 
-    def minus(x: float) -> float:
-        if x >= 0:
-            return 0.0
-        return root_absz * exp(
-            log_gamma(-z + 0.5 - x).real - lg_mzp1 - 0.5 * x * lxi - lgamma(-x + 0.5)
-        )
-
-    return _l_kernel(LATTICE, plus, minus, f"zw-l(z={z}, xi={xi})")
+    return _two_sided_l(LATTICE, value, f"zw-l(z={z}, xi={xi})")
 
 
 def _require_whittaker_z(z: complex) -> complex:
@@ -248,24 +237,17 @@ def scaled_whittaker_l(z: complex) -> IntegrableKernel:
     """Scaling limit of the zw L-kernel on R \\ {0}, |Re z| < 1/2, z nonreal.
 
     f1 = g2 = c+ x^a e^(-x/2) for x > 0 and f2 = g1 = c- |x|^(-a) e^(x/2)
-    for x < 0 (a = Re z), each zero elsewhere: one array expression over
-    all points.
+    for x < 0 (a = Re z), each zero elsewhere.
     """
     z = _require_whittaker_z(z)
     a = z.real
     c_plus, c_minus = _whittaker_c(z)
 
-    def fg(points):
-        x = np.asarray(points, dtype=float)
-        # |x|, with 1 at x = 0 so that no power there overflows; the masks
-        # below zero that point anyway
-        t = np.where(x == 0.0, 1.0, np.abs(x))
-        decay = np.exp(-0.5 * t)
-        plus = np.where(x > 0, c_plus * t ** a * decay, 0.0)
-        minus = np.where(x < 0, c_minus * t ** -a * decay, 0.0)
-        return plus, minus, minus, plus
+    def value(x: np.ndarray) -> np.ndarray:
+        t = np.abs(x)
+        return np.where(x > 0, c_plus * t ** a, c_minus * t ** -a) * np.exp(-0.5 * t)
 
-    return IntegrableKernel(REAL_LINE, fg, name=f"scaled-whittaker-l(z={z})")
+    return _two_sided_l(REAL_LINE, value, f"scaled-whittaker-l(z={z})")
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +400,7 @@ def whittaker_kernel_k(z: complex) -> AssembledKernel:
     def w_data(points) -> tuple:
         # the W pair at every point, |x| and the mask x > 0
         x = np.asarray(points, dtype=float)
-        hi, lo = _per_point(w_pair, x, 2)
+        hi, lo = np.array([w_pair(v) for v in x.tolist()]).reshape(-1, 2).T
         return hi, lo, np.abs(x), x > 0
 
     def fg(points) -> tuple:

@@ -10,16 +10,16 @@ Bessel J strategy: two routes, split by the order.  Integer orders
 (reflected, J_(-n) = (-1)^n J_n) run Miller's backward recurrence toward
 the minimal solution, normalized by J_0 + 2 sum_k J_2k = 1; one run
 started at a point fixed by u serves every integer order up to a reach
-fixed by u.  Every other real order, and every complex order (the
-Riemann-Hilbert checks), takes
+fixed by u.  Every other real order, integer orders below u = 1e-40, and
+every complex order (the Riemann-Hilbert checks) take one formula,
 
     J_nu(u) = (u/2)^nu / Gamma(nu+1) 0F1(nu+1; -u^2/4),
 
 with 0F1 from `_hyp0f1`, which sums the series only where it does not
 cancel and runs the contiguous relation in c down from there (stable,
-since 0F1 is its minimal solution).  The complex-order form takes arrays
-of orders and reflects negative integer orders, J_(-n) = (-1)^n J_n; the
-relative error is ~1e-14.
+since 0F1 is its minimal solution), and the factor in front, with its
+overflow guard, from `_j_from_0f1`.  It takes arrays of orders and
+reflects negative integer orders, J_(-n) = (-1)^n J_n.
 
 Whittaker W strategy: the integral representation
 
@@ -246,10 +246,8 @@ def bessel_j(nu, u: float):
       runs its own recurrence.  Below u = 1e-40, where one step of the
       recurrence can overflow, they take the 0F1 route;
     * non-integer orders, either sign: (u/2)^nu / Gamma(nu+1) 0F1(nu+1;
-      -u^2/4) with 0F1 from `_hyp0f1`, the ladder under
-      `bessel_j_complex_order`, and the factor in front from the real
-      `lgamma` (the complex `log_gamma` is up to 1.4e-13 off at negative
-      arguments).
+      -u^2/4), the real part of `bessel_j_complex_order` at the order,
+      one ladder per order.
 
     `nu` may be a sequence of orders: the result is then an array, its
     entries bit for bit the scalar values, and the integer orders up to
@@ -268,14 +266,14 @@ def bessel_j(nu, u: float):
     absolute (2.2e-16 measured, at theta = 1000), and integer orders
     0..120 at ten u in [0.05, 10] likewise (2.2e-16).  Against 30-digit
     mpmath, random real orders |nu| <= 60 at u <= 40 are within
-    4e-13 max(1, |J|) (1.0e-13 measured on 3 300 draws off the corner
-    below).  The one weaker corner is a negative non-integer order at
-    distance delta < 1e-3 from a negative integer -n with n > u: the 0F1
-    ladder for c = nu + 1 steps through c + n - 1 = delta and cancels on
-    the way down, so the error grows like 1e-15/delta max(1, |J|)
-    (measured up to 3.5e-16/delta for u in [0.5, 40], n - u in [1, 40];
-    1e-10 at delta = 1e-6, 1e-7 at delta = 1e-9).  No caller in the
-    package uses such orders.
+    4e-13 max(1, |J|) (1.3e-13 measured on 3 300 draws off the corner
+    below, the largest at nu ~ -60).  The one weaker corner is a negative
+    non-integer order at distance delta < 1e-3 from a negative integer -n
+    with n > u: the 0F1 ladder for c = nu + 1 steps through
+    c + n - 1 = delta and cancels on the way down, so the error grows like
+    1e-15/delta max(1, |J|) (measured up to 3.6e-16/delta for u in
+    [0.5, 40], n - u in [1, 40]: up to 3.6e-10 at delta = 1e-6, 2.2e-7
+    at delta = 1e-9).  No caller in the package uses such orders.
     """
     u = float(u)
     if u < 0.0:
@@ -301,17 +299,7 @@ def _bessel_j(nu: float, u: float, run) -> float:
         if nu < 0.0:
             raise DomainError("bessel_j at u=0 needs a nonnegative or integer order")
         return 0.0
-    # log |(u/2)^nu / Gamma(nu+1)|, the factor in front of 0F1 that carries
-    # the growth, checked before anything is formed in floating point
-    c = nu + 1.0
-    log_half = log(0.5 * u) if 0.5 * u >= sys.float_info.min else log(u) - log(2.0)
-    scale = nu * log_half - lgamma(c)
-    if scale > 705.0:
-        raise BesselOverflowError(f"J_({nu})({u}) exceeds double range")
-    f0, _ = _hyp0f1(c, -0.25 * u * u)
-    # Gamma(c) < 0 exactly where sin(pi c) < 0 on c < 0
-    sign = -1.0 if c < 0.0 and _sinpi(c) < 0.0 else 1.0
-    return sign * exp(scale) * float(f0.real)
+    return float(bessel_j_complex_order(nu, u).real)
 
 
 def bessel_j_dorder(nu: float, u: float) -> float:
@@ -437,12 +425,19 @@ def _j_0f1_args(nu, u) -> tuple:
 
 
 def _j_from_0f1(nu, u, f0):
-    """J_nu(u) from f0 = 0F1(c; w) at `_j_0f1_args(nu, u)`."""
+    """J_nu(u) from f0 = 0F1(c; w) at `_j_0f1_args(nu, u)`; raises
+    BesselOverflowError where (u/2)^nu / Gamma(nu+1) leaves the double range."""
     order, sign, u = _j_reflected(nu, u)
     lg = np.array([log_gamma(s) for s in (order + 1.0).ravel().tolist()]).reshape(order.shape)
-    # math.log at one u: np.log can differ from it by an ulp
-    log_half = np.log(0.5 * u) if np.ndim(u) else log(0.5 * u)
-    return (sign * np.exp(order * log_half - lg) * f0)[()]
+    # log(u/2), by math.log at one u (np.log can differ from it by an ulp);
+    # u/2 rounds at subnormal u (to 0 at the least one): log u - log 2 there
+    tiny = 0.5 * u < sys.float_info.min
+    log_half = ((np.log if np.ndim(u) else log)(np.where(tiny, u, 0.5 * u))
+                - np.where(tiny, log(2.0), 0.0))
+    scale = order * log_half - lg
+    if np.any(scale.real > 705.0):
+        raise BesselOverflowError(f"J_nu(u) exceeds double range at nu={nu}, u={u}")
+    return (sign * np.exp(scale) * f0)[()]
 
 
 def bessel_j_complex_order(nu, u):
@@ -457,10 +452,13 @@ def bessel_j_complex_order(nu, u):
     there.  1/Gamma(nu+1) is exp(-log_gamma), one scalar call per order.
     Against 40-digit mpmath at u in {2, 11, 20, 40}, the error is at most
     2e-14 max(1, |J|) on complex orders with |Re nu|, |Im nu| <= 12,
-    half-integer orders and integer orders -12..12, and at most 7e-14
-    relative on real orders up to |nu| = 40.  Digits are lost only within
-    ~1e-6 of a negative integer -n with n > u, where the ladder runs down
-    next to the pole (4e-11 relative at nu = -11 + 1e-6, u = 2).
+    half-integer orders and integer orders -12..12 (1.8e-14 measured).
+    Real orders are `bessel_j`'s non-integer route, with its bounds, its
+    subnormal u and its BesselOverflowError (2.0e-13 relative measured on
+    1 600 orders |nu| <= 40, next to zeros of J).  Digits are lost only
+    within ~1e-6 of a negative integer -n with n > u, where the ladder
+    runs down next to the pole (5.1e-11 relative at nu = -11 + 1e-6,
+    u = 2).
 
     The work splits in two halves, `_j_0f1_args` and `_j_from_0f1`, so
     that a caller can run the 0F1 of several subjects in one ladder.

@@ -148,6 +148,7 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     ["verify", "--suite", "drhp", "--theta", "0"],
     ["verify", "--suite", "drhp", "--theta", "nan"],
     ["verify", "--suite", "drhp", "--theta", "1e-10"],
+    ["verify", "--suite", "drhp", "--theta", "0.01"],
     ["fredholm", "--theta", "inf"],
     ["prob", "--theta", "inf"],
     ["kernel", "--family", "bessel", "--theta", "inf"],
@@ -244,9 +245,45 @@ def test_typed_error_exit_code(error, tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "raised inside the suite" in err
 
 
-def test_io_error_exit_code():
-    assert run(["fredholm", "--theta", "1", "--window", "5",
-                "-o", "/nonexistent-dir/f.csv"]) == 3
+# one cheap invocation of every subcommand
+_SUBCOMMANDS = {
+    "kernel": ["kernel", "--family", "bessel", "--window", "4"],
+    "oracle-compare": ["oracle-compare", "--family", "bessel", "--window", "8"],
+    "fredholm": ["fredholm", "--theta", "1", "--window", "5"],
+    "prob": ["prob", "--window", "10"],
+    "sample": ["sample", "--n", "3"],
+    "correlation": ["correlation", "--n", "100", "--window", "10"],
+    "verify": ["verify", "--suite", "cd"],
+    "limits": ["limits", "--study", "zw-degeneration"],
+}
+
+
+def test_subcommand_table_covers_the_parser():
+    actions = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    assert set(actions[0].choices) == set(_SUBCOMMANDS)
+
+
+def test_io_error_exit_code(capsys):
+    # every subcommand's writer maps OSError to exit 3; verify's own writer
+    # once ended in a FileNotFoundError traceback
+    for command, args in _SUBCOMMANDS.items():
+        assert run([*args, "-o", "/nonexistent-dir/out.csv"]) == 3, command
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("detproc: i/o error:"), command
+
+
+def test_verify_writes_one_row_per_check(tmp_path, monkeypatch):
+    # 17 significant digits and the pass column as true / false
+    rows = [drhp.ResidualCheck("alpha", "x=1", 1e-12, 1e-9),
+            drhp.ResidualCheck("beta", "x=2", 1.0, 1e-9)]
+    monkeypatch.setattr(drhp, "suite_cd", lambda: rows)
+    out = tmp_path / "report.csv"
+    assert run(["verify", "--suite", "cd", "-o", str(out)]) == 1
+    assert out.read_text().splitlines() == [
+        "check_id,point,residual,tolerance,pass",
+        "alpha,x=1,9.9999999999999998e-13,1.0000000000000001e-09,true",
+        "beta,x=2,1,1.0000000000000001e-09,false",
+    ]
 
 
 def test_console_entry_point(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detproc import drhp, kernels, special
-from detproc.drhp import ResidualCheck
 from detproc.errors import ConvergenceError, DomainError, ParameterError, PoleError
 
 
@@ -391,9 +390,22 @@ def test_suite_drhp_runs_two_0f1_ladders(theta, monkeypatch):
     (-1.0, ParameterError), (0.0, ParameterError), (math.inf, ParameterError),
     (math.nan, ParameterError), (1e-10, DomainError), (4e-6, DomainError)])
 def test_suite_drhp_rejects_theta_outside_its_range(theta, error):
-    # the p11 stencil eta +- 2e-3 reaches eta <= 0 at theta <= 4e-6
+    # below theta = 0.05 the eta stencils' fixed steps fail the p11 ODE row
     with pytest.raises(error):
         drhp.suite_drhp(theta)
+
+
+@pytest.mark.parametrize("theta", np.geomspace(1e-5, 1.0, 16).tolist() + [0.0499, 0.05],
+                         ids=lambda theta: f"{theta:.3g}")
+def test_suite_drhp_passes_every_row_or_raises_domain_error(theta):
+    # no theta inside the guard gives a failed row: at theta = 0.01 the p11
+    # row read 50x its tolerance; at 0.05 it reads 0.40 of it
+    try:
+        rows = drhp.suite_drhp(theta)
+    except DomainError:
+        assert theta < 0.05
+        return
+    assert [r.check_id for r in rows if not r.passed] == []
 
 
 def test_m_has_unit_determinant():
@@ -852,17 +864,3 @@ def test_every_row_fails_under_its_mutant(check_id, arg, monkeypatch):
     monkeypatch.setattr(owner, name, lambda *args: change(original(*args), *args))
     rows = [r for r in _MUTATED_SUITES[suite](arg) if r.check_id == check_id]
     assert rows and not drhp.all_pass(rows), check_id
-
-
-# ---------------------------------------------------------------- reports
-
-def test_report_csv_roundtrip(tmp_path):
-    rows = [ResidualCheck("alpha", "x=1", 1e-12, 1e-9),
-            ResidualCheck("beta", "x=2", 1.0, 1e-9)]
-    path = tmp_path / "report.csv"
-    drhp.report_to_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "check_id,point,residual,tolerance,pass"
-    assert lines[1].startswith("alpha,x=1,") and lines[1].endswith("true")
-    assert lines[2].startswith("beta,x=2,") and lines[2].endswith("false")
-    assert not drhp.all_pass(rows)

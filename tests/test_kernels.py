@@ -44,6 +44,19 @@ def test_plancherel_l_skew_symmetric():
         assert lk(x, y) == pytest.approx(-lk(y, x), abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1.0, 4.0, 30.0, 100.0, 400.0, 1000.0])
+def test_plancherel_l_fg_is_the_printed_libm_formula(theta):
+    # bit for bit: theta^(|x|/2) / (|x|-1/2)! by math.exp and math.lgamma
+    # at each point, each side with its own printed formula, zero elsewhere
+    pts = (np.arange(-80, 80) + 0.5).tolist()
+    lt = math.log(theta)
+    plus = [math.exp(0.5 * x * lt - math.lgamma(x + 0.5)) if x > 0 else 0.0 for x in pts]
+    minus = [math.exp(-0.5 * x * lt - math.lgamma(-x + 0.5)) if x < 0 else 0.0 for x in pts]
+    f1, f2, g1, g2 = kernels.plancherel_l(theta).fg(pts)
+    assert f1.tobytes() == g2.tobytes() == np.array(plus).tobytes()
+    assert f2.tobytes() == g1.tobytes() == np.array(minus).tobytes()
+
+
 def test_integrable_numerator_vanishes_on_diagonal():
     for kern in (kernels.plancherel_l(1.0),
                  kernels.zw_l(0.3 + 0.8j, 0.5),
@@ -84,6 +97,31 @@ def test_zw_l_matches_exact_pochhammer_products():
         assert lk(x, y) == pytest.approx(direct, rel=1e-13)
         # mirrored case goes through the other branch of the formula
         assert lk(y, x) == pytest.approx(-direct, rel=1e-13)
+
+
+@pytest.mark.parametrize("z, xi", [(0.3 + 0.8j, 0.5), (0.5, 0.3), (1.5 + 2j, 0.9),
+                                   (-2.7 + 0.1j, 0.1)])
+def test_zw_l_fg_is_the_printed_formula(z, xi):
+    # bit for bit against the per-point formula of each side
+    pts = (np.arange(-40, 40) + 0.5).tolist()
+    lg = special.log_gamma
+    c = math.sqrt(abs(z))
+    lxi = math.log(xi)
+    plus = [c * math.exp(lg(z + 0.5 + x).real - lg(z + 1.0).real + 0.5 * x * lxi
+                         - math.lgamma(x + 0.5)) if x > 0 else 0.0 for x in pts]
+    minus = [c * math.exp(lg(-z + 0.5 - x).real - lg(-z + 1.0).real - 0.5 * x * lxi
+                          - math.lgamma(-x + 0.5)) if x < 0 else 0.0 for x in pts]
+    f1, f2, g1, g2 = kernels.zw_l(z, xi).fg(pts)
+    assert f1.tobytes() == g2.tobytes() == np.array(plus).tobytes()
+    assert f2.tobytes() == g1.tobytes() == np.array(minus).tobytes()
+
+
+@pytest.mark.parametrize("z", [0.5, 0.3 + 0.8j])
+def test_zw_l_is_zero_at_the_origin(z):
+    # the x < 0 formula has a pole at x = 0 when z = 1/2 (Gamma(-z + 1/2 - x))
+    fg = kernels.zw_l(z, 0.4).fg([0.0, 0.5, -0.5])
+    assert all(a[0] == 0.0 for a in fg)
+    assert np.all(np.isfinite(fg)) and fg[0][1] > 0.0 and fg[1][2] > 0.0
 
 
 def test_zw_l_skew_symmetric():
@@ -273,6 +311,21 @@ def test_discrete_bessel_memo_is_bitwise_the_uncached_kernel(theta, m):
     khat = kernels.discrete_bessel_khat(theta).matrix(pts)
     assert k.tobytes() == _entry_by_entry(ref_k, pts).tobytes()
     assert khat.tobytes() == _entry_by_entry(ref_khat, pts).tobytes()
+
+
+@pytest.mark.parametrize("theta, m", _BESSEL_WINDOWS)
+def test_khat_is_k_conjugated_by_the_sign_matrix(theta, m):
+    # L vanishes on same-sign pairs, so D L D = -L for D = diag(sgn x) and
+    # K^ = L (L-1)^(-1) = D K D: bit for bit in closed form and in the oracle
+    window = oracle.lattice_window(m)
+    d = np.sign(window.points)
+    sign = np.outer(d, d)
+    k = kernels.discrete_bessel_k(theta).matrix(window.points)
+    khat = kernels.discrete_bessel_khat(theta).matrix(window.points)
+    assert khat.tobytes() == (sign * k).tobytes()
+    l_op = oracle.materialize(kernels.plancherel_l(theta), window)
+    assert (oracle.khat_from_l(l_op).entries.tobytes()
+            == (sign * oracle.k_from_l(l_op).entries).tobytes())
 
 
 @pytest.mark.parametrize("build", [kernels.discrete_bessel_k,

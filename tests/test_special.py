@@ -127,15 +127,25 @@ def test_bessel_trivial_at_zero():
     assert special.bessel_j([0.5, 2.0, 0.0], 0.0).tolist() == [0.0, 0.0, 1.0]
 
 
+def _complex_order_real(nu, u):
+    return special.bessel_j_complex_order(nu, u).real
+
+
+# the real-order and the complex-order J: both form (u/2)^nu / Gamma(nu+1)
+# in `_j_from_0f1`, so each guard there holds on both
+_J_ROUTES = (special.bessel_j, _complex_order_real)
+
+
 @pytest.mark.parametrize("u", [5e-324, 1.5e-323, 1e-320, 1e-310])
 def test_bessel_at_subnormal_u(u):
     # u/2 rounds at subnormal u and underflows to 0 at the least one;
     # (u/2)^nu carries the relative error of log(u/2) times |nu log(u/2)|
     # ~ 745 |nu| (4.4e-14 measured at nu = 0.5)
-    assert special.bessel_j(0.0, u) == 1.0
-    for nu in (0.001, 0.5, 1.0, -0.5, 2.5, -3.0):
-        ref = float(mpmath.besselj(nu, mpmath.mpf(u)))
-        assert special.bessel_j(nu, u) == pytest.approx(ref, rel=1e-12, abs=5e-324), nu
+    for j in _J_ROUTES:
+        assert j(0.0, u) == 1.0, j
+        for nu in (0.001, 0.5, 1.0, -0.5, 2.5, -3.0):
+            ref = float(mpmath.besselj(nu, mpmath.mpf(u)))
+            assert j(nu, u) == pytest.approx(ref, rel=1e-12, abs=5e-324), (j, nu)
 
 
 def test_bessel_integer_orders_take_miller_from_1e_40(monkeypatch):
@@ -287,16 +297,18 @@ def test_bessel_integer_orders_below_miller_range(u):
 
 
 def test_bessel_domain_and_overflow():
-    with pytest.raises(DomainError):
-        special.bessel_j(0.5, -1.0)
-    with pytest.raises(DomainError):
-        special.bessel_j(-0.5, 0.0)
-    with pytest.raises(BesselOverflowError):
-        special.bessel_j(-59.5, 1e-4)   # reflection growth beyond doubles
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BesselOverflowError):
-            special.bessel_j(-400.5, 11.0)   # the same above the series range
+    for j in _J_ROUTES:
+        with pytest.raises(DomainError):
+            j(0.5, -1.0)
+        with pytest.raises(DomainError):
+            j(-0.5, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # reflection growth beyond doubles, at small u and above the
+            # series range
+            for nu, u in ((-59.5, 1e-4), (-5.5, 1e-300), (-400.5, 11.0)):
+                with pytest.raises(BesselOverflowError):
+                    j(nu, u)
 
 
 def test_bessel_complex_order_matches_real():
