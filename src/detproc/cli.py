@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import sys
 
 import numpy as np
 
 from . import drhp, errors, kernels, oracle, sampler
-from .partitions import YoungDiagram, fr_config, plancherel_weight
+from .partitions import YoungDiagram, fr_config, half, plancherel_weight
 
 FMT = "%.17g"
 
@@ -76,32 +75,32 @@ _LATTICE_KERNELS = {
 }
 
 
+def _pair_rows(labels: list, *matrices) -> list:
+    """One row per ordered pair of points: their labels, then each matrix's entry."""
+    entries = [m.tolist() for m in matrices]
+    return [[x, y, *(_fmt(m[i][j]) for m in entries)]
+            for i, x in enumerate(labels) for j, y in enumerate(labels)]
+
+
 def cmd_kernel(args) -> int:
-    rows = []
     if args.family in _LATTICE_KERNELS:
         kern = _LATTICE_KERNELS[args.family](args)
         pts = oracle.lattice_window(args.window).points
-        header = ["x_doubled", "y_doubled", "value"]
-        for x, row in zip(pts, kern.matrix(pts).tolist()):
-            for y, v in zip(pts, row):
-                rows.append([int(round(2 * x)), int(round(2 * y)), _fmt(v)])
+        header, labels = ["x_doubled", "y_doubled"], (2 * pts).round().astype(int).tolist()
     else:
         kern = (kernels.scaled_whittaker_l(_parse_z(args))
                 if args.family == "whittaker-l"
                 else kernels.whittaker_kernel_k(_parse_z(args)))
         pts = _parse_list(args.points, float, "--points")
-        header = ["x", "y", "value"]
-        for x in pts:
-            for y in pts:
-                rows.append([_fmt(x), _fmt(y), _fmt(kern(x, y))])
-    _write_csv(args.output, header, rows)
+        header, labels = ["x", "y"], [_fmt(x) for x in pts]
+    _write_csv(args.output, [*header, "value"], _pair_rows(labels, kern.matrix(pts)))
     return 0
 
 
 def cmd_oracle_compare(args) -> int:
-    rows = []
-    if args.family in ("bessel", "bessel-hat"):
-        tol = args.tol if args.tol is not None else 1e-8
+    lattice = args.family in _LATTICE_KERNELS
+    tol = args.tol if args.tol is not None else (1e-8 if lattice else 1e-10)
+    if lattice:
         if args.window <= oracle.LATTICE_MARGIN:
             raise errors.WindowError(
                 f"--window must exceed the margin {oracle.LATTICE_MARGIN} that "
@@ -111,46 +110,37 @@ def cmd_oracle_compare(args) -> int:
                                  oracle.lattice_window(args.window))
         ref = (oracle.k_from_l(lop) if args.family == "bessel"
                else oracle.khat_from_l(lop))
-        pts = ref.window.points
-        inner = np.abs(pts) <= args.window - oracle.LATTICE_MARGIN - 0.5
-        sub = pts[inner]
-        analytic = kern.matrix(sub).tolist()
-        exact = ref.entries[np.ix_(inner, inner)].tolist()
-        worst = 0.0
-        for x, arow, brow in zip(sub, analytic, exact):
-            for y, a, b in zip(sub, arow, brow):
-                d = abs(a - b)
-                worst = max(worst, d)
-                rows.append([int(round(2 * x)), int(round(2 * y)),
-                             _fmt(a), _fmt(b), _fmt(d)])
-        header = ["x_doubled", "y_doubled", "analytic", "oracle", "abs_diff"]
+        inner = np.abs(ref.window.points) <= args.window - oracle.LATTICE_MARGIN - 0.5
+        pts = ref.window.points[inner]
+        exact = ref.entries[np.ix_(inner, inner)]
+        header, labels = ["x_doubled", "y_doubled"], (2 * pts).round().astype(int).tolist()
     else:
-        tol = args.tol if args.tol is not None else 1e-10
         z = _parse_z(args)
         kern = kernels.whittaker_kernel_k(z)
         ny = oracle.NystromResolvent(
             kernels.scaled_whittaker_l(z),
             oracle.quadrature_window(args.radius, args.eps, args.step))
         pts = _parse_list(args.points, float, "--points")
-        worst = 0.0
-        for x, y in itertools.product(pts, pts):
-            a = kern(x, y)
-            b = ny.k_at(x, y)
-            d = abs(a - b)
-            worst = max(worst, d)
-            rows.append([_fmt(x), _fmt(y), _fmt(a), _fmt(b), _fmt(d)])
-        header = ["x", "y", "analytic", "oracle", "abs_diff"]
-    _write_csv(args.output, header, rows)
+        exact = np.array([[ny.k_at(x, y) for y in pts] for x in pts])
+        header, labels = ["x", "y"], [_fmt(x) for x in pts]
+    analytic = kern.matrix(pts)
+    diff = np.abs(analytic - exact)
+    _write_csv(args.output, [*header, "analytic", "oracle", "abs_diff"],
+               _pair_rows(labels, analytic, exact, diff))
+    worst = np.max(diff)
     if worst >= tol:
         raise _CheckFailure(f"max |analytic - oracle| = {worst:.3e} >= {tol:.1e}")
     return 0
 
 
 def cmd_fredholm(args) -> int:
+    try:
+        target = math.exp(args.theta)
+    except OverflowError as err:
+        raise errors.ParameterError(f"e^theta overflows a double at theta = {args.theta}") from err
     lop = oracle.materialize(kernels.plancherel_l(args.theta),
                              oracle.lattice_window(args.window))
     det = oracle.fredholm_det(lop)
-    target = math.exp(args.theta)
     rel = abs(det - target) / target
     _write_csv(args.output, ["det_one_plus_l", "e_theta", "rel_err"],
                [[_fmt(det), _fmt(target), _fmt(rel)]])
@@ -161,9 +151,12 @@ def cmd_fredholm(args) -> int:
 
 def cmd_prob(args) -> int:
     diagram = YoungDiagram([] if not args.rows else _parse_list(args.rows, int, "--rows"))
+    weight = plancherel_weight(diagram, args.theta)
+    if weight == 0.0:
+        raise errors.ParameterError(
+            f"the Plancherel weight of {diagram} underflows to 0 at theta = {args.theta}")
     lop = oracle.materialize(kernels.plancherel_l(args.theta),
                              oracle.lattice_window(args.window))
-    weight = plancherel_weight(diagram, args.theta)
     prob = oracle.prob_of_configuration(lop, sorted(fr_config(diagram)))
     rel = abs(prob - weight) / weight
     _write_csv(args.output,
@@ -176,11 +169,8 @@ def cmd_prob(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    gen = sampler.SeededGenerator(args.seed)
-    try:
-        sampler.write_samples_csv(args.output, args.theta, args.n, gen)
-    except OSError as err:
-        raise _IOFailure(str(err)) from err
+    _write_csv(args.output, ["sample_index", "size", "d", "fr_points_doubled"],
+               sampler.sample_rows(args.theta, args.n, sampler.SeededGenerator(args.seed)))
     return 0
 
 
@@ -190,8 +180,7 @@ def cmd_correlation(args) -> int:
     est = sampler.empirical_correlation(args.theta, points, args.n, gen,
                                         n_substreams=args.substreams)
     kern = kernels.discrete_bessel_k(args.theta)
-    kop = oracle.materialize(kern, oracle.lattice_window(args.window))
-    pred = oracle.correlation_from_k(kop, points)
+    pred = float(np.linalg.det(kern.matrix([half(p) for p in points])))
     sigmas = (abs(est.estimate - pred) / est.stderr
               if est.stderr > 0 else math.inf)
     _write_csv(args.output,
@@ -346,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--substreams", type=int, default=1)
-    p.add_argument("--window", type=int, default=30)
     p.add_argument("--sigma-band", type=float, default=4.0)
     add_common(p, theta=True)
     p.set_defaults(func=cmd_correlation)

@@ -130,6 +130,12 @@ def all_pass(rows: Iterable[ResidualCheck]) -> bool:
 # Bessel-side matrix functions
 # ----------------------------------------------------------------------
 
+def _require_theta(theta, who: str) -> None:
+    """ParameterError unless theta (a number or an array) is finite and > 0."""
+    if not (np.all(0.0 < theta) and np.all(theta < math.inf)):
+        raise ParameterError(f"{who} needs a finite theta > 0, got {theta}")
+
+
 def _p_orders(zeta) -> np.ndarray:
     """The orders of J in p at every zeta, along a leading axis of 4."""
     z = np.asarray(zeta, dtype=complex)
@@ -149,6 +155,7 @@ def bessel_p(theta: float):
     from one `bessel_j_complex_order` call on all four orders of every
     point.
     """
+    _require_theta(theta, "bessel_p")
     u = 2.0 * sqrt(theta)
     return lambda zeta: _p_from_j(theta, bessel_j_complex_order(_p_orders(zeta), u))
 
@@ -197,6 +204,7 @@ def bessel_m(theta: float):
     on their circles (`_residue_m`); they agree with this function at the
     same nodes to 3.6e-12 max(1, |m|).
     """
+    _require_theta(theta, "bessel_m")
     return lambda zeta: _m_from_0f1(theta, zeta, *_hyp0f1(*_m_0f1_args(theta, zeta)))
 
 
@@ -213,6 +221,7 @@ def _n_from_0f1(theta, zeta, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def bessel_n(theta: float):
     """n(zeta) = m(zeta) diag(eta^zeta, eta^-zeta); zeta and theta may be
     arrays, broadcast as in `bessel_m`."""
+    _require_theta(theta, "bessel_n")
     return lambda zeta: _n_from_0f1(theta, zeta, *_hyp0f1(*_m_0f1_args(theta, zeta)))
 
 
@@ -494,6 +503,7 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
     `_hyp0f1` call on c = |x| + 1/2, and F' from one call over every
     point's derivative circle; the weight is `plancherel_l`'s f.
     """
+    _require_theta(theta, "bessel_kernel_from_m")
     eta = sqrt(theta)
     w = -theta
     l_fg = plancherel_l(theta).fg
@@ -737,8 +747,7 @@ def suite_drhp(theta: float) -> list[ResidualCheck]:
     theta < _MIN_THETA = 0.05, where the eta stencils' fixed steps fail
     `ode-p11-second-order`.
     """
-    if not 0.0 < theta < math.inf:
-        raise ParameterError(f"suite_drhp needs a finite theta > 0, got {theta}")
+    _require_theta(theta, "suite_drhp")
     if theta < _MIN_THETA:
         raise DomainError(f"suite_drhp needs theta >= {_MIN_THETA:g}, where the eta "
                           f"stencils' fixed steps meet the ODE tolerances, got {theta}")

@@ -16,13 +16,13 @@ dJ/dnu, the Whittaker kernel from the contiguous relations of W, in
 closed form from the W pair its F and G already use (and
 `drhp.bessel_kernel_from_m` by a Cauchy integral of m).
 
-`matrix` makes one `fg` call for the whole point set and assembles the
-window as outer products.  Scalar `kernel(x, y)` wraps one `fg` call on its
-two points: it gives the matrix's entries bit for bit but pays numpy's
-per-call overhead, so pass all points to `matrix` at once.  The Whittaker
-kernel keeps both W orders of a point (one `whittaker_w` call) and the
-discrete Bessel kernels keep J_n and dJ/dnu per order, for the kernel's
-lifetime.
+`matrix` makes one `fg` call for distinct points (a repeat raises
+DomainError) and assembles the window as outer products.  Scalar
+`kernel(x, y)` wraps one `fg` call on its two points: it gives the matrix's
+entries bit for bit but pays numpy's per-call overhead, so pass all points
+to `matrix` at once.  The Whittaker kernel keeps both W orders of a point
+(one `whittaker_w` call) and the discrete Bessel kernels keep J_n and
+dJ/dnu per order, for the kernel's lifetime.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateGridError, ParameterError, SingularOperatorError
+from .errors import DegenerateGridError, DomainError, ParameterError, SingularOperatorError
 from .special import (
     bessel_j,
     bessel_j_dorder,
@@ -73,7 +73,7 @@ def _quotient_matrix(pts: np.ndarray, f1, f2, g1, g2) -> np.ndarray:
     """(f1(x)g1(y) + f2(x)g2(y)) / (x - y) on all pairs of points.
 
     The diagonal holds the bare numerator, for the kernel's diagonal rule
-    to overwrite.
+    to overwrite.  A repeated point has no quotient and raises DomainError.
     """
     # in place, with one scratch matrix: at window sizes, faulting in a
     # fresh n x n array costs more than an arithmetic pass over it
@@ -82,6 +82,9 @@ def _quotient_matrix(pts: np.ndarray, f1, f2, g1, g2) -> np.ndarray:
     out += scratch
     dx = np.subtract.outer(pts, pts, out=scratch)
     np.fill_diagonal(dx, 1.0)
+    if not dx.all():
+        raise DomainError(
+            f"kernel matrix needs distinct points; {pts[np.nonzero(dx == 0.0)[0][0]]} repeats")
     out /= dx
     return out
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularOperatorError, WindowError
 from .kernels import LATTICE, REAL_LINE, IntegrableKernel
+from .partitions import half
 
 __all__ = [
     "Window",
@@ -194,30 +195,20 @@ def fredholm_det(l_op: WindowedOperator) -> float:
 
 
 def _minor(op: WindowedOperator, points) -> np.ndarray:
-    idx = [op.window.index_of(_as_point(p)) for p in points]
+    idx = [op.window.index_of(half(p)) for p in points]
     return op.entries[np.ix_(idx, idx)]
 
 
-def _as_point(p) -> float:
-    # configurations carry half-integers as doubled ints; accept both
-    if isinstance(p, (int, np.integer)):
-        return p / 2.0
-    return float(p)
-
-
 def prob_of_configuration(l_op: WindowedOperator, subset) -> float:
-    """L-ensemble probability of exactly this configuration.
-
-    Points may be doubled integers (2x, the configuration convention) or
-    the half-integers themselves.
-    """
+    """L-ensemble probability of exactly this configuration of doubled
+    integers 2x (the convention of `partitions.fr_config`)."""
     pts = list(subset)
     det_minor = 1.0 if not pts else float(np.linalg.det(_minor(l_op, pts)))
     return det_minor / fredholm_det(l_op)
 
 
 def correlation_from_k(k_op: WindowedOperator, points) -> float:
-    """rho_n = det of the indicated minor of the correlation kernel."""
+    """rho_n = det of the correlation kernel's minor at doubled integers 2x."""
     pts = list(points)
     if not pts:
         return 1.0

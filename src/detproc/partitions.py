@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import DomainError
 
@@ -39,9 +40,9 @@ __all__ = [
 
 
 def half(doubled: int) -> float:
-    """The half-integer encoded by the doubled integer 2x."""
-    if doubled % 2 == 0:
-        raise DomainError(f"{doubled} does not encode a point of Z+1/2")
+    """The half-integer encoded by the doubled integer 2x, an odd integer."""
+    if not isinstance(doubled, Integral) or doubled % 2 == 0:
+        raise DomainError(f"{doubled!r} does not encode a point of Z+1/2")
     return doubled / 2.0
 
 
@@ -160,8 +161,8 @@ def dim_hook(diagram: YoungDiagram) -> int:
 
 def plancherel_weight(diagram: YoungDiagram, theta: float) -> float:
     """Probability of lambda under the poissonized Plancherel measure."""
-    if not theta > 0.0:
-        raise DomainError(f"plancherel_weight needs theta > 0, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise DomainError(f"plancherel_weight needs a finite theta > 0, got {theta}")
     n = diagram.size
     log_dim = math.log(dim_hook(diagram)) if n else 0.0
     return math.exp(-theta + n * math.log(theta) + 2.0 * (log_dim - math.lgamma(n + 1)))

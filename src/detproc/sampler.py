@@ -24,7 +24,6 @@ mapping from (seed, path) to samples.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
@@ -44,7 +43,7 @@ __all__ = [
     "sample_poissonized",
     "empirical_correlation",
     "empirical_correlations",
-    "write_samples_csv",
+    "sample_rows",
 ]
 
 # Bumped whenever a seed yields different samples.  1: Philox keyed
@@ -237,18 +236,12 @@ def empirical_correlation(theta: float, points, n_samples: int,
     return empirical_correlations(theta, [points], n_samples, gen, n_substreams)[0]
 
 
-def write_samples_csv(path, theta: float, n_samples: int,
-                      gen: SeededGenerator) -> None:
-    """Dump samples: one row (sample_index, size, d, doubled Fr points)."""
+def sample_rows(theta: float, n_samples: int, gen: SeededGenerator):
+    """Rows (sample_index, size, d, doubled Fr points) of n_samples samples;
+    theta and n_samples are checked at the call, before any row is drawn."""
     theta = _checked_theta(theta)
     if n_samples < 0:
         raise DomainError(f"need n_samples >= 0, got {n_samples}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "size", "d", "fr_points_doubled"])
-        for i in range(n_samples):
-            diagram = sample_poissonized(theta, gen)
-            coords = frobenius(diagram)
-            pts = sorted(fr_config(diagram))
-            writer.writerow([i, diagram.size, coords.d,
-                             " ".join(str(p) for p in pts)])
+    diagrams = (sample_poissonized(theta, gen) for _ in range(n_samples))
+    return ([i, d.size, frobenius(d).d, " ".join(str(p) for p in sorted(fr_config(d)))]
+            for i, d in enumerate(diagrams))

@@ -21,3 +21,26 @@ def test_every_benchmark_hook_resolves(monkeypatch):
         undo()
     assert absent == []
     assert vars(kernels.AssembledKernel)["matrix"] is matrix
+
+
+def _readme_commands() -> list:
+    """The `detproc ...` lines of README's CLI block, without `detproc `."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split(" ", 1)[1] for line in block.splitlines()
+            if line.startswith("detproc ")]
+
+
+def test_benchmark_cli_commands_are_the_readme_commands_and_parse(monkeypatch):
+    # the benchmark runs every CLI_COMMANDS line and counts a nonzero exit
+    # as a failed operation; an option removed from the parser fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    from detproc import cli
+
+    commands = [command for _, command in run.CLI_COMMANDS]
+    assert commands == _readme_commands()
+    parser = cli._build_parser()
+    for command in commands:
+        parser.parse_args(command.split())

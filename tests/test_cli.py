@@ -76,6 +76,16 @@ def test_oracle_compare_bessel(tmp_path):
     assert max(float(r[4]) for r in rows[1:]) < 1e-8
 
 
+def test_oracle_compare_bessel_hat(tmp_path):
+    # the command line's one route to khat_from_l
+    out = tmp_path / "oc.csv"
+    assert run(["oracle-compare", "--family", "bessel-hat", "--theta", "1",
+                "--window", "15", "-o", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 1 + 20 * 20    # |x| <= 19/2, 5 steps inside the edge
+    assert max(float(r[4]) for r in rows[1:]) < 1e-8
+
+
 def test_oracle_compare_whittaker_includes_the_diagonal(tmp_path):
     out = tmp_path / "wc.csv"
     assert run(["oracle-compare", "--family", "whittaker", "--z-re", "0.25",
@@ -108,6 +118,20 @@ def test_sample_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sample_csv(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--theta", "1.5", "--n", "50", "--seed", "1",
+                "-o", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["sample_index", "size", "d", "fr_points_doubled"]
+    assert len(rows) == 51
+    for idx, row in enumerate(rows[1:]):
+        assert int(row[0]) == idx
+        pts = [int(t) for t in row[3].split()] if row[3] else []
+        assert len(pts) == 2 * int(row[2])
+        assert all(p % 2 != 0 for p in pts)
+
+
 def test_correlation_command(tmp_path):
     out = tmp_path / "c.csv"
     assert run(["correlation", "--theta", "1", "--points", "1",
@@ -117,6 +141,23 @@ def test_correlation_command(tmp_path):
     assert rows[0] == ["points_doubled", "estimate", "stderr",
                        "prediction", "sigmas"]
     assert float(rows[1][4]) < 4.0
+
+
+@pytest.mark.parametrize("args", [
+    ["prob", "--theta", "1", "--tol", "1e-30"],
+    ["correlation", "--theta", "1", "--n", "1000", "--sigma-band", "0"],
+    ["limits", "--study", "zw-degeneration"],
+], ids=" ".join)
+def test_failed_check_exits_1_with_one_line_after_the_table(args, tmp_path, capsys,
+                                                             monkeypatch):
+    # the limit studies converge at every valid input, so theirs fails by a stub
+    monkeypatch.setitem(cli._STUDIES, "zw-degeneration",
+                        lambda args: (["abs_z", "max_rel_err"], [["20", "1"]], False))
+    out = tmp_path / "out.csv"
+    assert run([*args, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("detproc: check failed:")
+    assert len(read_csv(out)) == 2
 
 
 def test_malformed_point_list_exits_2_with_one_line(tmp_path, capsys):
@@ -156,6 +197,10 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     ["kernel", "--family", "zw-l", "--z-re", "nan"],
     ["oracle-compare", "--family", "bessel", "--window", "3"],
     ["oracle-compare", "--family", "bessel-hat", "--window", "5"],
+    ["fredholm", "--theta", "800"],
+    ["prob", "--theta", "800", "--rows", "1"],
+    ["kernel", "--family", "whittaker", "--points", "1,1"],
+    ["oracle-compare", "--family", "whittaker", "--points", "1,1"],
 ], ids=" ".join)
 def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsys):
     # each ended in a traceback, printed a numpy array over several lines,
@@ -252,7 +297,7 @@ _SUBCOMMANDS = {
     "fredholm": ["fredholm", "--theta", "1", "--window", "5"],
     "prob": ["prob", "--window", "10"],
     "sample": ["sample", "--n", "3"],
-    "correlation": ["correlation", "--n", "100", "--window", "10"],
+    "correlation": ["correlation", "--n", "100"],
     "verify": ["verify", "--suite", "cd"],
     "limits": ["limits", "--study", "zw-degeneration"],
 }

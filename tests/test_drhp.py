@@ -395,6 +395,17 @@ def test_suite_drhp_rejects_theta_outside_its_range(theta, error):
         drhp.suite_drhp(theta)
 
 
+@pytest.mark.parametrize("build", [drhp.bessel_p, drhp.bessel_m, drhp.bessel_n,
+                                   drhp.fit_m1, drhp.bessel_kernel_from_m],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("theta", [-1.0, 0.0, math.inf, math.nan])
+def test_bessel_side_functions_reject_theta_outside_their_range(build, theta):
+    # bessel_m(-1) gave nan entries and bessel_m(inf) an OverflowError; the
+    # others ended in a bare math domain error at theta = -1
+    with pytest.raises(ParameterError, match="finite theta > 0"):
+        build(theta)
+
+
 @pytest.mark.parametrize("theta", np.geomspace(1e-5, 1.0, 16).tolist() + [0.0499, 0.05],
                          ids=lambda theta: f"{theta:.3g}")
 def test_suite_drhp_passes_every_row_or_raises_domain_error(theta):

@@ -526,6 +526,15 @@ def test_matrix_entries_are_bitwise_the_scalar_kernel(family, data):
     assert mat.tobytes() == scalar.tobytes()
 
 
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_matrix_rejects_a_repeated_point(family):
+    # x - y vanishes off the diagonal, where the entry read NaN; the points
+    # lie on the lattice and on the real line alike
+    build, _ = _FAMILIES[family]
+    with pytest.raises(DomainError, match="repeats"):
+        build().matrix([0.5, -1.5, 0.5])
+
+
 # ---------------------------------------------------------------- christoffel-darboux
 
 def test_cd_two_point_grid_constant():
@@ -556,6 +565,16 @@ def test_cd_degeneracy_error():
         kernels.christoffel_darboux_k([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], 3)
     with pytest.raises(DegenerateGridError):
         kernels.christoffel_darboux_k([0.0, 1.0], [1.0, -1.0], 1)
+
+
+@pytest.mark.parametrize("grid, weights, n", [
+    ([0.0, 1.0, 2.0], [1.0, 1.0], 1),                  # unequal lengths
+    ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], 4),             # N above the grid size
+    ([0.0, 1e-100, 2e-100], [1e-300] * 3, 2),          # h_1 underflows to 0
+])
+def test_cd_rejects_a_degenerate_grid(grid, weights, n):
+    with pytest.raises(DegenerateGridError):
+        kernels.christoffel_darboux_k(grid, weights, n)
 
 
 def _cd_by_recurrence(grid, weights, n):

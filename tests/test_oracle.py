@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detproc import kernels, oracle, partitions
-from detproc.errors import ParameterError, SingularOperatorError, WindowError
+from detproc.errors import DomainError, ParameterError, SingularOperatorError, WindowError
 
 
 def _from_matrix(points, entries) -> oracle.WindowedOperator:
@@ -140,6 +140,28 @@ def test_correlation_from_k():
     for pts in ([1], [1, -1], [1, 3, -1]):
         rho = oracle.correlation_from_k(k, pts)
         assert -1e-12 <= rho <= 1.0 + 1e-12
+
+
+def test_correlation_from_k_on_no_points_is_one():
+    k = oracle.k_from_l(oracle.materialize(kernels.plancherel_l(1.0),
+                                           oracle.lattice_window(10)))
+    assert oracle.correlation_from_k(k, []) == 1.0
+
+
+@pytest.mark.parametrize("points", [[2], [1.0], [0.5]])
+def test_minors_take_odd_doubled_integers(points):
+    # a float or an even point decoded to a half-integer or failed as "not
+    # in the window"; both raise DomainError at the decoder now
+    lop = oracle.materialize(kernels.plancherel_l(1.0), oracle.lattice_window(10))
+    with pytest.raises(DomainError):
+        oracle.prob_of_configuration(lop, points)
+    with pytest.raises(DomainError):
+        oracle.correlation_from_k(oracle.k_from_l(lop), points)
+
+
+def test_nystrom_needs_a_quadrature_window():
+    with pytest.raises(WindowError, match="quadrature window"):
+        oracle.NystromResolvent(kernels.plancherel_l(1.0), oracle.lattice_window(5))
 
 
 def test_index_of_finds_every_point_and_rejects_others():

@@ -150,3 +150,30 @@ def test_half_encoding():
     assert pt.half(-5) == -2.5
     with pytest.raises(DomainError):
         pt.half(2)
+
+
+@pytest.mark.parametrize("value", [0, -4, 1.0, 0.5, "1"])
+def test_half_rejects_what_is_not_an_odd_integer(value):
+    # a float or an even value once decoded and failed later as "not in
+    # the window"
+    with pytest.raises(DomainError):
+        pt.half(value)
+
+
+@pytest.mark.parametrize("p, q", [((1,), ()), ((1, 2), (1, 0)), ((0,), (-1,))],
+                         ids=["unequal-lengths", "not-decreasing", "negative"])
+def test_frobenius_coords_validation(p, q):
+    with pytest.raises(DomainError):
+        pt.FrobeniusCoords(p, q)
+
+
+def test_dim_hook_limit():
+    with pytest.raises(DomainError, match="170"):
+        pt.dim_hook(pt.YoungDiagram([171]))
+
+
+@pytest.mark.parametrize("theta", [math.inf, math.nan, -1.0])
+def test_plancherel_weight_needs_a_finite_positive_theta(theta):
+    # theta = inf returned nan
+    with pytest.raises(DomainError):
+        pt.plancherel_weight(pt.YoungDiagram([1]), theta)

@@ -1,6 +1,5 @@
 """RSK sampling: exactness, determinism, substream semantics."""
 
-import csv
 import math
 
 import numpy as np
@@ -255,25 +254,16 @@ def test_expected_point_count_matches_kernel_trace():
     assert abs(mean - trace) < 4 * math.sqrt(2 * trace / n)
 
 
-def test_samples_csv_rejects_a_negative_count(tmp_path):
-    path = tmp_path / "samples.csv"
+def test_sample_plancherel_n_rejects_a_negative_size():
     with pytest.raises(DomainError):
-        sampler.write_samples_csv(path, 1.5, -5, sampler.SeededGenerator(1))
-    assert not path.exists()
+        sampler.sample_plancherel_n(-1, sampler.SeededGenerator(1))
 
 
-def test_samples_csv(tmp_path):
-    path = tmp_path / "samples.csv"
-    sampler.write_samples_csv(path, 1.5, 50, sampler.SeededGenerator(1))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["sample_index", "size", "d", "fr_points_doubled"]
-    assert len(rows) == 51
-    for idx, row in enumerate(rows[1:]):
-        assert int(row[0]) == idx
-        pts = [int(t) for t in row[3].split()] if row[3] else []
-        assert len(pts) == 2 * int(row[2])
-        assert all(p % 2 != 0 for p in pts)
+def test_sample_rows_rejects_a_negative_count_at_the_call():
+    # raised by the call itself, not by the first row, so the CLI's writer
+    # never opens its file (tests/test_cli.py checks that no file appears)
+    with pytest.raises(DomainError):
+        sampler.sample_rows(1.5, -5, sampler.SeededGenerator(1))
 
 
 permutations = st.integers(0, 60).flatmap(

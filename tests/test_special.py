@@ -16,7 +16,7 @@ import pytest
 from scipy.special import jv as scipy_jv
 
 from detproc import special
-from detproc.errors import BesselOverflowError, DomainError, PoleError
+from detproc.errors import BesselOverflowError, DomainError, ParameterError, PoleError
 
 mpmath.mp.dps = 30
 
@@ -470,6 +470,13 @@ def test_whittaker_domain():
         special.whittaker_w(0.3, 0.5, 0.0)
     with pytest.raises(DomainError):
         special.whittaker_w_complex(0.3, 0.5, -2.0 + 0j)
+
+
+def test_whittaker_near_the_cut_needs_a_nonzero_imaginary_index():
+    # |arg zeta| > 3 pi/4 takes the Kummer connection, whose Gamma(+-2 mu)
+    # has its pole at mu = 0
+    with pytest.raises(ParameterError, match="nonzero imaginary index"):
+        special.whittaker_w_complex(0.3, 0.0, -1.0 + 0.1j)
 
 
 def test_whittaker_imaginary_residue_is_tiny():
