@@ -13,12 +13,10 @@ Subpackages by role:
 
 from . import drhp, errors, kernels, oracle, partitions, sampler, special
 from .kernels import (
-    christoffel_darboux_k,
     discrete_bessel_k,
     discrete_bessel_khat,
     plancherel_l,
     scaled_whittaker_l,
-    two_point_k,
     whittaker_kernel_k,
     zw_l,
 )
@@ -37,10 +35,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "drhp", "errors", "kernels", "oracle", "partitions", "sampler", "special",
-    "christoffel_darboux_k", "discrete_bessel_k", "discrete_bessel_khat",
-    "plancherel_l", "scaled_whittaker_l", "two_point_k", "whittaker_kernel_k",
-    "zw_l", "fredholm_det", "k_from_l", "khat_from_l", "lattice_window",
-    "materialize", "quadrature_window", "YoungDiagram", "fr_config",
-    "frobenius", "plancherel_weight", "SeededGenerator",
-    "empirical_correlation", "sample_poissonized",
+    "discrete_bessel_k", "discrete_bessel_khat", "plancherel_l",
+    "scaled_whittaker_l", "whittaker_kernel_k", "zw_l", "fredholm_det",
+    "k_from_l", "khat_from_l", "lattice_window", "materialize",
+    "quadrature_window", "YoungDiagram", "fr_config", "frobenius",
+    "plancherel_weight", "SeededGenerator", "empirical_correlation",
+    "sample_poissonized",
 ]

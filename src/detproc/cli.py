@@ -55,12 +55,15 @@ def _parse_z(args) -> complex:
 
 
 def _parse_list(text: str, convert, option: str) -> list:
-    """The comma-separated values of an option, each through convert."""
+    """The comma-separated finite values of an option, each through convert."""
     try:
-        return [convert(t) for t in text.split(",")]
+        values = [convert(t) for t in text.split(",")]
     except ValueError as err:
         raise errors.DomainError(
             f"{option} needs comma-separated {convert.__name__}s, got {text!r}") from err
+    if convert is float and not all(map(math.isfinite, values)):
+        raise errors.DomainError(f"{option} needs finite values, got {text!r}")
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +122,7 @@ def cmd_oracle_compare(args) -> int:
         kern = kernels.whittaker_kernel_k(z)
         ny = oracle.NystromResolvent(
             kernels.scaled_whittaker_l(z),
-            oracle.quadrature_window(args.radius, args.eps, args.step))
+            oracle.quadrature_window(h=args.step))
         pts = _parse_list(args.points, float, "--points")
         exact = np.array([[ny.k_at(x, y) for y in pts] for x in pts])
         header, labels = ["x", "y"], [_fmt(x) for x in pts]
@@ -174,6 +177,15 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _sigmas(estimate: float, stderr: float, prediction: float, n: int) -> float:
+    """|estimate - prediction| in sigmas: the stderr, or where that is 0 (an
+    estimate of 0 or 1) the binomial sqrt(p(1 - p)/n) of the prediction p;
+    where both are 0, 0 sigmas at equality and inf otherwise."""
+    diff = abs(estimate - prediction)
+    sigma = stderr or math.sqrt(max(prediction * (1.0 - prediction), 0.0) / n)
+    return diff / sigma if sigma else (0.0 if diff == 0 else math.inf)
+
+
 def cmd_correlation(args) -> int:
     points = tuple(_parse_list(args.points, int, "--points"))
     gen = sampler.SeededGenerator(args.seed)
@@ -181,8 +193,7 @@ def cmd_correlation(args) -> int:
                                         n_substreams=args.substreams)
     kern = kernels.discrete_bessel_k(args.theta)
     pred = float(np.linalg.det(kern.matrix([half(p) for p in points])))
-    sigmas = (abs(est.estimate - pred) / est.stderr
-              if est.stderr > 0 else math.inf)
+    sigmas = _sigmas(est.estimate, est.stderr, pred, est.n_samples)
     _write_csv(args.output,
                ["points_doubled", "estimate", "stderr", "prediction", "sigmas"],
                [[" ".join(str(p) for p in points), _fmt(est.estimate),
@@ -195,7 +206,7 @@ def cmd_correlation(args) -> int:
 _SUITES = {
     "drhp": lambda args: drhp.suite_drhp(args.theta),
     "psi": lambda args: drhp.suite_psi(_parse_z(args)),
-    "two-point": lambda args: drhp.suite_two_point(args.mu, args.nu),
+    "two-point": lambda args: drhp.suite_two_point(),
     "contour": lambda args: drhp.suite_contour(),
     "special-functions": lambda args: drhp.suite_special_functions(),
     "cd": lambda args: drhp.suite_cd(),
@@ -298,11 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["bessel", "bessel-hat", "whittaker"])
     p.add_argument("--window", type=int, default=25)
-    p.add_argument("--radius", type=float, default=math.exp(4.5),
-                   help="quadrature window [-R,-eps] u [eps,R] (whittaker)")
-    p.add_argument("--eps", type=float, default=math.exp(-45.0))
     p.add_argument("--step", type=float, default=0.35,
-                   help="trapezoid step h in s, nodes +-e^s (whittaker)")
+                   help="trapezoid step h in s, nodes +-e^s on [e^-45, e^4.5] (whittaker)")
     p.add_argument("--points", default="0.5,-0.5,1,-1,2,-2")
     p.add_argument("--tol", type=float, default=None)
     add_common(p, theta=True, z=True)
@@ -341,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=list(_SUITES))
-    p.add_argument("--mu", type=float, default=0.3)
-    p.add_argument("--nu", type=float, default=0.5)
     add_common(p, theta=True, z=True)
     p.set_defaults(func=cmd_verify)
 

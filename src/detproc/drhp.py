@@ -61,12 +61,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import special
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError
 from .kernels import (
     AssembledKernel,
+    ChristoffelDarbouxKernel,
     TwoPointModel,
+    _require_theta,
     _whittaker_c,
-    christoffel_darboux_k,
     plancherel_l,
     psi_matrix,
 )
@@ -129,12 +130,6 @@ def all_pass(rows: Iterable[ResidualCheck]) -> bool:
 # ----------------------------------------------------------------------
 # Bessel-side matrix functions
 # ----------------------------------------------------------------------
-
-def _require_theta(theta, who: str) -> None:
-    """ParameterError unless theta (a number or an array) is finite and > 0."""
-    if not (np.all(0.0 < theta) and np.all(theta < math.inf)):
-        raise ParameterError(f"{who} needs a finite theta > 0, got {theta}")
-
 
 def _p_orders(zeta) -> np.ndarray:
     """The orders of J in p at every zeta, along a leading axis of 4."""
@@ -231,9 +226,9 @@ def bessel_m1_exact(theta: float) -> np.ndarray:
     return np.array([[-theta, -eta], [-eta, theta]])
 
 
-# contour helpers ------------------------------------------------------
+# circle trapezoids ----------------------------------------------------
 #
-# values holds one entry per trapezoid node of a circle along axis 0.
+# values holds one entry per trapezoid node of a circle along `axis`.
 
 def _circle(center: complex, radius: float, nodes: int):
     """Unit phases e^(i th_j) and points center + radius e^(i th_j)."""
@@ -241,17 +236,25 @@ def _circle(center: complex, radius: float, nodes: int):
     return phases, center + radius * phases
 
 
-def _weighted(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return values * weights.reshape(weights.shape + (1,) * (values.ndim - 1))
+def _weighted(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    return values * weights.reshape(weights.shape + (1,) * (values.ndim - axis - 1))
 
 
-def _residue(values: np.ndarray, phases: np.ndarray, radius: float) -> np.ndarray:
-    """(1/2pi i) contour integral (trapezoid) from the values at the nodes."""
-    return _weighted(values, phases).sum(axis=0) * (radius / phases.size)
+def _residue(values: np.ndarray, phases: np.ndarray, radius: float,
+             axis: int = 0) -> np.ndarray:
+    """(1/2pi i) contour integral of the values, Res at the circle's center."""
+    return _weighted(values, phases, axis).sum(axis=axis) * (radius / phases.size)
 
 
-def _average(values: np.ndarray) -> np.ndarray:
-    return values.sum(axis=0) / values.shape[0]
+def _derivative(values: np.ndarray, phases: np.ndarray, radius: float,
+                axis: int = 0) -> np.ndarray:
+    """Cauchy's integral of the values / (zeta - center)^2: their derivative there."""
+    return _weighted(values, phases.conj(), axis).sum(axis=axis) / (phases.size * radius)
+
+
+def _average(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The circle average of the values: their value at the center."""
+    return values.sum(axis=axis) / values.shape[axis]
 
 
 # ----------------------------------------------------------------------
@@ -337,9 +340,9 @@ def _residue_rows(theta: float, xs: Sequence[float], values: np.ndarray) -> list
     """
     f1, f2, g1, g2 = plancherel_l(theta).fg(np.asarray(xs, dtype=float))
     weights = -np.stack([f1, f2], -1)[:, None, :, None] * np.stack([g1, g2], -1)[:, None, None, :]
-    phases = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[0][:, None, None]
-    res = (values * phases).sum(axis=1) * (_RESIDUE_RADIUS / _RESIDUE_NODES)
-    residual = np.max(np.abs(res - (values @ weights).sum(axis=1) / _RESIDUE_NODES), axis=(1, 2))
+    phases = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[0]
+    res = _residue(values, phases, _RESIDUE_RADIUS, axis=1)
+    residual = np.max(np.abs(res - _average(values @ weights, axis=1)), axis=(1, 2))
     tol = _RESIDUE_REL_TOL * np.maximum(1.0, np.max(np.abs(res), axis=(1, 2)))
     return [ResidualCheck("m-residue", f"x={x}", r, t)
             for x, r, t in zip(xs, residual.tolist(), tol.tolist())]
@@ -503,10 +506,9 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
     `_hyp0f1` call on c = |x| + 1/2, and F' from one call over every
     point's derivative circle; the weight is `plancherel_l`'s f.
     """
-    _require_theta(theta, "bessel_kernel_from_m")
+    l_fg = plancherel_l(theta).fg   # checks theta
     eta = sqrt(theta)
     w = -theta
-    l_fg = plancherel_l(theta).fg
     phases, circle = _circle(0j, _DERIV_RADIUS, _DERIV_NODES)
     # every c below is >= 1 - _DERIV_RADIUS on the lattice; passing that
     # floor along fixes where the 0F1 ladder starts, so a point's values do
@@ -540,9 +542,9 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
         x = np.asarray(points, dtype=float)[:, None]
         zs = x + circle
         top, bottom = column(x, np.where(x > 0, zs + 0.5, 0.5 - zs))
-        wt = weight(x[:, 0]) / (_DERIV_NODES * _DERIV_RADIUS)
-        return (wt * (top * phases.conj()).sum(axis=1).real,
-                wt * (bottom * phases.conj()).sum(axis=1).real)
+        wt = weight(x[:, 0])
+        return (wt * _derivative(top, phases, _DERIV_RADIUS, axis=1).real,
+                wt * _derivative(bottom, phases, _DERIV_RADIUS, axis=1).real)
 
     return AssembledKernel("lattice", fg, dfg, name=f"bessel-k-from-m(theta={theta})")
 
@@ -650,10 +652,9 @@ def suite_two_point(mu: float = 0.3, nu: float = 0.5, a: complex = 0.0,
             "two-point-resolvent-g", f"point={point}",
             float(np.max(np.abs(_average(inv_t_at[i] @ g[i]) - big_g[i]))),
             _TWO_POINT_TOL))
-        derivative = _weighted(mf, phases.conj()).sum(axis=0) / (phases.size * radius)
         rows.append(ResidualCheck(
             "two-point-m-prime-limit", f"point={point}",
-            float(np.max(np.abs(derivative - mp[i]))), 1e-10))
+            float(np.max(np.abs(_derivative(mf, phases, radius) - mp[i]))), 1e-10))
 
     # assemble K by the resolvent formulas and compare with the printed
     # matrix and the direct 2x2 inversion
@@ -818,7 +819,7 @@ def suite_cd() -> list[ResidualCheck]:
     """The two printed forms of a Christoffel-Darboux kernel, and K a projection."""
     grid = np.linspace(-2.5, 2.5, 30)
     weights = np.exp(-grid ** 2)
-    kern = christoffel_darboux_k(grid, weights, 5)
+    kern = ChristoffelDarbouxKernel(grid, weights, 5)
     mat = kern.matrix()
     off = np.not_equal.outer(grid, grid)
     rows = [ResidualCheck("cd-two-forms-agree", "30-point grid, N=5",

@@ -16,8 +16,8 @@ dJ/dnu, the Whittaker kernel from the contiguous relations of W, in
 closed form from the W pair its F and G already use (and
 `drhp.bessel_kernel_from_m` by a Cauchy integral of m).
 
-`matrix` makes one `fg` call for distinct points (a repeat raises
-DomainError) and assembles the window as outer products.  Scalar
+`matrix` makes one `fg` call for distinct finite points (DomainError
+otherwise) and assembles the window as outer products.  Scalar
 `kernel(x, y)` wraps one `fg` call on its two points: it gives the matrix's
 entries bit for bit but pays numpy's per-call overhead, so pass all points
 to `matrix` at once.  The Whittaker kernel keeps both W orders of a point
@@ -54,9 +54,7 @@ __all__ = [
     "discrete_bessel_khat",
     "whittaker_kernel_k",
     "psi_matrix",
-    "christoffel_darboux_k",
     "ChristoffelDarbouxKernel",
-    "two_point_k",
     "TwoPointModel",
     "LATTICE",
     "REAL_LINE",
@@ -69,12 +67,22 @@ def _is_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real == round(z.real)
 
 
-def _quotient_matrix(pts: np.ndarray, f1, f2, g1, g2) -> np.ndarray:
+def _require_theta(theta, who: str) -> None:
+    """ParameterError unless theta (a number or an array) is finite and > 0."""
+    if not (np.all(0.0 < theta) and np.all(theta < inf)):
+        raise ParameterError(f"{who} needs a finite theta > 0, got {theta}")
+
+
+def _quotient_matrix(pts: np.ndarray, fg) -> np.ndarray:
     """(f1(x)g1(y) + f2(x)g2(y)) / (x - y) on all pairs of points.
 
     The diagonal holds the bare numerator, for the kernel's diagonal rule
-    to overwrite.  A repeated point has no quotient and raises DomainError.
+    to overwrite.  A non-finite point (checked before `fg` runs) or a
+    repeated one has no quotient and raises DomainError.
     """
+    if not np.isfinite(pts).all():
+        raise DomainError(f"kernel matrix needs finite points, got {pts}")
+    f1, f2, g1, g2 = fg(pts)
     # in place, with one scratch matrix: at window sizes, faulting in a
     # fresh n x n array costs more than an arithmetic pass over it
     out = np.outer(f1, g1)
@@ -109,7 +117,7 @@ class IntegrableKernel:
     def matrix(self, points) -> np.ndarray:
         """Dense kernel matrix on a point set, zero on the diagonal."""
         pts = np.asarray(points, dtype=float)
-        out = _quotient_matrix(pts, *self.fg(pts))
+        out = _quotient_matrix(pts, self.fg)
         np.fill_diagonal(out, 0.0)
         return out
 
@@ -151,7 +159,7 @@ class AssembledKernel:
     def matrix(self, points) -> np.ndarray:
         """Dense kernel matrix on a point set, diagonal by the kernel's rule."""
         pts = np.asarray(points, dtype=float)
-        out = _quotient_matrix(pts, *self.fg(pts))
+        out = _quotient_matrix(pts, self.fg)
         np.fill_diagonal(out, self.diagonal(pts))
         return out
 
@@ -180,8 +188,7 @@ def plancherel_l(theta: float) -> IntegrableKernel:
     L(x,y) = 0 for xy > 0 and theta^((|x|+|y|)/2) / ((|x|-1/2)! (|y|-1/2)!
     (x-y)) for xy < 0; half-integer factorials are Gamma(|x|+1/2).
     """
-    if not 0.0 < theta < inf:
-        raise ParameterError(f"theta must be positive and finite, got {theta}")
+    _require_theta(theta, "plancherel_l")
     lt = log(theta)
 
     def value(x: np.ndarray) -> np.ndarray:
@@ -257,16 +264,25 @@ def scaled_whittaker_l(z: complex) -> IntegrableKernel:
 # correlation kernels
 # ----------------------------------------------------------------------
 
-def _discrete_bessel(theta: float, sign: float, name: str) -> AssembledKernel:
-    """K (sign = +1) or K^ (sign = -1); they differ only in entry signs.
+def discrete_bessel_k(theta: float) -> AssembledKernel:
+    """Correlation kernel of the poissonized Plancherel process on Z'.
 
-    With a = J_(|x|-1/2) and b = J_(|x|+1/2) (times theta^(1/4)) and their
-    order derivatives a', b' at each point: for x > 0, F = (sign a, -b),
-    G = (sign b, a) and F' = (sign a', -b'); for x < 0, F = (b, sign a),
-    G = (a, -sign b) and F' = (-b', -sign a').
+    Resolvent data comes from the Bessel matrix of the associated discrete
+    Riemann-Hilbert problem; for x, y > 0 it collapses to
+
+        K(x,y) = sqrt(theta) (J_(x-1/2) J_(y+1/2) - J_(x+1/2) J_(y-1/2))(2 sqrt(theta)) / (x-y)
+
+    and the diagonal is K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) with the order
+    derivative of J.  Each J_n(2 sqrt(theta)) and dJ/dnu is computed once
+    per kernel: an M-window costs one `bessel_j` call on its M + 1 orders
+    (at any theta one Miller run, for every order up to its reach R(u))
+    and M + 1 dJ/dnu calls.  The diagonal needs dJ/dnu at u = 2 sqrt(theta) <= 20, so
+    theta <= 100; beyond that it raises DomainError.  Against the tail sum
+    K(x,x) = sum_(n >= |x|+1/2) J_n(2 sqrt(theta))^2 the diagonal is within
+    3.9e-16, 1.9e-12 and 1.8e-8 on |x| <= M - 1/2 at (theta, M) = (1, 15),
+    (30, 30) and (100, 40): dJ/dnu loses digits as u grows.
     """
-    if not 0.0 < theta < inf:
-        raise ParameterError(f"theta must be positive and finite, got {theta}")
+    _require_theta(theta, "discrete_bessel_k")
     eta = sqrt(theta)
     u = 2.0 * eta
     s = sqrt(eta)
@@ -297,47 +313,33 @@ def _discrete_bessel(theta: float, sign: float, name: str) -> AssembledKernel:
                 x > 0)
 
     def fg(points) -> tuple:
+        # with a = J_(|x|-1/2), b = J_(|x|+1/2): F = (a, -b), G = (b, a) for
+        # x > 0 and F = (b, a), G = (a, -b) for x < 0
         a, b, pos = ladder(j, points)
-        return (np.where(pos, sign * a, b), np.where(pos, -b, sign * a),
-                np.where(pos, sign * b, a), np.where(pos, a, -sign * b))
+        return (np.where(pos, a, b), np.where(pos, -b, a),
+                np.where(pos, b, a), np.where(pos, a, -b))
 
     def dfg(points) -> tuple:
         da, db, pos = ladder(dj, points)
-        return np.where(pos, sign * da, -db), np.where(pos, -db, -sign * da)
+        return np.where(pos, da, -db), np.where(pos, -db, -da)
 
-    return AssembledKernel(LATTICE, fg, dfg, name=f"{name}(theta={theta})")
-
-
-def discrete_bessel_k(theta: float) -> AssembledKernel:
-    """Correlation kernel of the poissonized Plancherel process on Z'.
-
-    Resolvent data comes from the Bessel matrix of the associated discrete
-    Riemann-Hilbert problem; for x, y > 0 it collapses to
-
-        K(x,y) = sqrt(theta) (J_(x-1/2) J_(y+1/2) - J_(x+1/2) J_(y-1/2))(2 sqrt(theta)) / (x-y)
-
-    and the diagonal is K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) with the order
-    derivative of J.  Each J_n(2 sqrt(theta)) and dJ/dnu is computed once
-    per kernel: an M-window costs one `bessel_j` call on its M + 1 orders
-    (at any theta one Miller run, for every order up to its reach R(u))
-    and M + 1 dJ/dnu calls.  The diagonal needs dJ/dnu at u = 2 sqrt(theta) <= 20, so
-    theta <= 100; beyond that it raises DomainError.  Against the tail sum
-    K(x,x) = sum_(n >= |x|+1/2) J_n(2 sqrt(theta))^2 the diagonal is within
-    3.9e-16, 1.9e-12 and 1.8e-8 on |x| <= M - 1/2 at (theta, M) = (1, 15),
-    (30, 30) and (100, 40): dJ/dnu loses digits as u grows.
-    """
-    return _discrete_bessel(theta, 1.0, "discrete-bessel-k")
+    return AssembledKernel(LATTICE, fg, dfg, name=f"discrete-bessel-k(theta={theta})")
 
 
 def discrete_bessel_khat(theta: float) -> AssembledKernel:
     """Complement kernel K^ = L (L-1)^(-1) of the Plancherel process.
 
-    Built from the sign-flipped Bessel matrix; relative to the plain
-    substitution into the resolvent formulas the F column carries one
-    global minus, which is what matches the operator L(L-1)^(-1) (the bare
-    substitution produces its negative).
+    L vanishes on same-sign pairs, so D L D = -L for D = diag(sgn x), and
+    K^, which is K = L (1+L)^(-1) taken at -L, is D K D: the F, G and F' of
+    `discrete_bessel_k`, each times sgn x, from a kernel of its own.
     """
-    return _discrete_bessel(theta, -1.0, "discrete-bessel-khat")
+    k = discrete_bessel_k(theta)
+
+    def signed(data):
+        return lambda points: tuple(np.sign(points) * v for v in data(points))
+
+    return AssembledKernel(LATTICE, signed(k.fg), signed(k.dfg),
+                           name=f"discrete-bessel-khat(theta={theta})")
 
 
 def _reflected_branch_factor(a: float, zeta: complex) -> complex:
@@ -491,10 +493,6 @@ class ChristoffelDarbouxKernel:
         return float(np.sum(np.diag(self._sum)))
 
 
-def christoffel_darboux_k(grid, weights, n: int) -> ChristoffelDarbouxKernel:
-    return ChristoffelDarbouxKernel(grid, weights, n)
-
-
 # ----------------------------------------------------------------------
 # two-point toy model
 # ----------------------------------------------------------------------
@@ -545,8 +543,8 @@ class TwoPointModel:
         return np.array([[-mn, self.mu], [self.nu, -mn]]) / self._den
 
     def khat_matrix(self) -> np.ndarray:
-        mn = self.mu * self.nu
-        return np.array([[mn, self.mu], [self.nu, mn]]) / (mn - 1.0)
+        """K^ = L(L-1)^(-1), which is K at -L."""
+        return TwoPointModel(-self.mu, -self.nu, self.a, self.b).k_matrix()
 
     def f(self) -> np.ndarray:
         return np.array([[0.0, self.mu * (self.a - self.b)],
@@ -598,7 +596,3 @@ class TwoPointModel:
         return np.array([[-mn / d, -self.mu * mn / d], [-self.nu * mn / d, -mn / d]],
                         dtype=complex)
 
-
-def two_point_k(mu: float, nu: float, a: complex = 0.0, b: complex = 1.0) -> np.ndarray:
-    """Closed-form K = L(1+L)^(-1) of the two-point ensemble."""
-    return TwoPointModel(mu, nu, a, b).k_matrix()

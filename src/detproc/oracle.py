@@ -7,15 +7,15 @@ evaluated by LU with partial pivoting.  Windows come in two kinds:
 
 * lattice  -- the symmetric block {-M+1/2, ..., M-1/2} of Z'; truncation
   error is controlled by the factorial decay of the L entries.
-* quadrature -- the trapezoid rule in s on x = +-e^s over [-R,-eps] u
+* real-line -- the trapezoid rule in s on x = +-e^s over [-R,-eps] u
   [eps,R]; entries are pre/post-scaled by sqrt(weight) so that matrix
   algebra represents operator algebra (Nystrom).
 
-Kernels are materialized through their array-valued `matrix` (one `fg`
-call for the whole window); K and K^ come from one sign-parameterised
-solve.  On a quadrature window `NystromResolvent` evaluates K off the
-nodes without a dense solve.  The paper's L-kernels vanish for xy > 0
-and are antisymmetric, so 1 + L~ = [[I, B], [-B^T, I]] with B the
+A window takes the kernels whose domain is its kind ('finite': any), by
+their array-valued `matrix` (one `fg` call for the whole window); K and
+K^ (K at -L) come from one solve.  On a real-line window
+`NystromResolvent` evaluates K off the nodes without a dense solve.  The
+paper's L-kernels vanish for xy > 0 and are antisymmetric, so 1 + L~ = [[I, B], [-B^T, I]] with B the
 negative-by-positive block; each new column y costs one solve of the
 half-size SPD Schur complement I + B B^T, checked by the backward error
 of the full system.  It agrees with the dense solve to ~1e-14.
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+_LOG_MAX = math.log(np.finfo(float).max)     # e^x overflows beyond it
 # lattice steps between a compared block and the window edge, where the
 # truncation error of the window is below the comparison tolerance
 LATTICE_MARGIN = 5
@@ -59,7 +60,7 @@ LATTICE_MARGIN = 5
 class Window:
     """A finite evaluation window: ordered points plus quadrature weights."""
 
-    kind: str                      # 'lattice', 'quadrature', or 'finite'
+    kind: str                      # a kernel domain, or 'finite' for any
     points: np.ndarray
     weights: Optional[np.ndarray] = None
 
@@ -110,7 +111,7 @@ def quadrature_window(r: float = math.exp(4.5), eps: float = math.exp(-45.0),
     s_lo = math.log(eps)
     pos = np.exp(s_lo + h * np.arange(math.floor((math.log(r) - s_lo) / h) + 1))
     pts = np.concatenate([-pos[::-1], pos])
-    return Window("quadrature", pts, h * np.abs(pts))
+    return Window(REAL_LINE, pts, h * np.abs(pts))
 
 
 @dataclass(frozen=True)
@@ -134,11 +135,9 @@ class WindowedOperator:
 
 
 def _check_domain(kernel, window: Window) -> None:
-    domain = kernel.domain
-    if window.kind == LATTICE and domain != LATTICE:
-        raise WindowError(f"kernel domain {domain!r} does not fit a lattice window")
-    if window.kind == "quadrature" and domain != REAL_LINE:
-        raise WindowError(f"kernel domain {domain!r} does not fit a quadrature window")
+    if window.kind not in ("finite", kernel.domain):
+        raise WindowError(f"kernel domain {kernel.domain!r} does not fit a "
+                          f"{window.kind} window")
 
 
 def materialize(kernel, window: Window) -> WindowedOperator:
@@ -162,36 +161,41 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _resolvent(l_op: WindowedOperator, sign: float) -> WindowedOperator:
-    """Solve (L + sign 1)K = L by LU with partial pivoting; check the residual."""
-    ln = l_op.entries
-    a = ln + sign * np.eye(ln.shape[0])
-    op = "L+1" if sign > 0 else "L-1"
-    k = _solve(a, ln, f"{op} is singular")
+def _resolvent(window: Window, ln: np.ndarray) -> WindowedOperator:
+    """Solve (1+L)K = L by LU with partial pivoting; check the residual."""
+    a = ln + np.eye(ln.shape[0])
+    k = _solve(a, ln, "1+L is singular")
     scale = max(np.max(np.abs(ln)), 1e-300)
     resid = np.max(np.abs(a @ k - ln))
     if resid > _RESIDUAL_TOL * scale:
         raise SingularOperatorError(
-            f"({op})K = L residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e}*|L|; "
+            f"(1+L)K = L residual {resid:.3e} exceeds {_RESIDUAL_TOL:.0e}*|L|; "
             f"condition estimate {np.linalg.cond(a):.3e}"
         )
-    return WindowedOperator(l_op.window, k)
+    return WindowedOperator(window, k)
 
 
 def k_from_l(l_op: WindowedOperator) -> WindowedOperator:
     """K = L(1+L)^(-1)."""
-    return _resolvent(l_op, 1.0)
+    return _resolvent(l_op.window, l_op.entries)
 
 
 def khat_from_l(l_op: WindowedOperator) -> WindowedOperator:
-    """K^ = L(L-1)^(-1)."""
-    return _resolvent(l_op, -1.0)
+    """K^ = L(L-1)^(-1), which is K = L(1+L)^(-1) taken at -L."""
+    return _resolvent(l_op.window, -l_op.entries)
+
+
+def _det(a: np.ndarray) -> float:
+    """det a by LU; SingularOperatorError where it leaves the double range."""
+    sign, logdet = np.linalg.slogdet(a)
+    if logdet > _LOG_MAX:
+        raise SingularOperatorError(f"determinant e^{logdet:.6g} overflows a double")
+    return float(sign * np.exp(logdet))
 
 
 def fredholm_det(l_op: WindowedOperator) -> float:
     """det(1 + L) on the window (the L-ensemble normalizing constant)."""
-    sign, logdet = np.linalg.slogdet(np.eye(l_op.size) + l_op.entries)
-    return float(sign * np.exp(logdet))
+    return _det(np.eye(l_op.size) + l_op.entries)
 
 
 def _minor(op: WindowedOperator, points) -> np.ndarray:
@@ -327,5 +331,4 @@ class NystromResolvent:
         0.1+0.3i it is within 6.1e-13 relative of the dense `fredholm_det`
         of the same nodes.
         """
-        sign, logdet = np.linalg.slogdet(self._s)
-        return float(sign * np.exp(logdet))
+        return _det(self._s)

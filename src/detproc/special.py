@@ -497,6 +497,8 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex) -> tuple[list, list]:
     """
     mu = 1j * mu_im
     h = abs(zeta) * 2.0 ** -20
+    if not h < 80.0:
+        raise DomainError(f"W needs |zeta| < {80.0 * 2.0 ** 20:.6g}, got {abs(zeta):.6g}")
     lh = log(h)
     edges = [h]
     while edges[-1] < 80.0:

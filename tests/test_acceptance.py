@@ -88,7 +88,7 @@ def test_criterion_05_two_point_closed_form():
     assembly = keyed["two-point-assembly-vs-printed"].residual
     oracle_diff = keyed["two-point-printed-vs-oracle"].residual
     try:
-        kernels.two_point_k(2.0, 0.5)
+        kernels.TwoPointModel(2.0, 0.5).k_matrix()
         singular_raised = False
     except SingularOperatorError:
         singular_raised = True

@@ -1,5 +1,6 @@
 """The benchmark's layer wrappers find every detproc attribute they wrap."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -44,3 +45,18 @@ def test_benchmark_cli_commands_are_the_readme_commands_and_parse(monkeypatch):
     parser = cli._build_parser()
     for command in commands:
         parser.parse_args(command.split())
+
+
+def test_readme_cli_section_names_exactly_the_parser_options():
+    # an option deleted from the parser stayed in README, and options the
+    # parser takes went undocumented
+    from detproc import cli
+
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    options = {option for sub in subparsers.values() for action in sub._actions
+               for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", section)) == options

@@ -201,6 +201,10 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     ["prob", "--theta", "800", "--rows", "1"],
     ["kernel", "--family", "whittaker", "--points", "1,1"],
     ["oracle-compare", "--family", "whittaker", "--points", "1,1"],
+    ["kernel", "--family", "whittaker", "--points", "1e300,1"],
+    ["oracle-compare", "--family", "whittaker", "--points", "1e300,1"],
+    ["kernel", "--family", "whittaker", "--points", "inf,1"],
+    ["kernel", "--family", "whittaker-l", "--points", "nan,1"],
 ], ids=" ".join)
 def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsys):
     # each ended in a traceback, printed a numpy array over several lines,
@@ -209,6 +213,43 @@ def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsy
     assert run([*args, "-o", str(out)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fredholm", "--theta", "700"],
+    ["prob", "--theta", "700", "--rows", "1"],
+], ids=" ".join)
+def test_overflowing_determinant_exits_1_with_one_line(args, tmp_path, capsys):
+    # det(1+L) overflowed to inf with a numpy warning, and the check then
+    # failed at rel_err inf or 1.0
+    out = tmp_path / "out.csv"
+    assert run([*args, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflows a double" in err
+    assert not out.exists()
+
+
+def test_correlation_of_an_unseen_configuration_passes(tmp_path):
+    # no sample holds 21/2 at theta = 4, so the estimate and its stderr
+    # are 0; the prediction 1.38e-9 is 1.2e-3 binomial sigmas away
+    out = tmp_path / "c.csv"
+    assert run(["correlation", "--theta", "4", "--points", "21", "--n", "1000",
+                "-o", str(out)]) == 0
+    assert float(read_csv(out)[1][4]) < 0.01
+
+
+@pytest.mark.parametrize("estimate, prediction, n, passes", [
+    (0.0, 0.0, 1000, True),
+    (0.0, 1.38e-9, 1000, True),
+    (0.0, 0.5, 1000, False),
+    (1.0, 1.0, 1000, True),
+])
+def test_zero_stderr_is_judged_by_the_binomial_sigma(estimate, prediction, n, passes):
+    assert (cli._sigmas(estimate, 0.0, prediction, n) < 4.0) == passes
+
+
+def test_positive_stderr_is_the_sigma():
+    assert cli._sigmas(0.3, 0.01, 0.25, 1000) == abs(0.3 - 0.25) / 0.01
 
 
 def test_verify_suites(tmp_path):

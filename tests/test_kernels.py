@@ -535,16 +535,26 @@ def test_matrix_rejects_a_repeated_point(family):
         build().matrix([0.5, -1.5, 0.5])
 
 
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=str)
+def test_matrix_rejects_a_non_finite_point(family, bad):
+    # W at inf ended in a math domain error and nan gave NaN entries; the
+    # check comes before the kernel's data is evaluated
+    build, _ = _FAMILIES[family]
+    with pytest.raises(DomainError, match="finite points"):
+        build().matrix([0.5, bad, -1.5])
+
+
 # ---------------------------------------------------------------- christoffel-darboux
 
 def test_cd_two_point_grid_constant():
-    kern = kernels.christoffel_darboux_k([0.0, 1.0], [1.0, 1.0], 1)
+    kern = kernels.ChristoffelDarbouxKernel([0.0, 1.0], [1.0, 1.0], 1)
     assert kern.matrix() == pytest.approx(np.full((2, 2), 0.5), rel=1e-14)
 
 
 def test_cd_two_forms_agree():
     grid = np.linspace(-2.5, 2.5, 30)
-    kern = kernels.christoffel_darboux_k(grid, np.exp(-grid ** 2), 5)
+    kern = kernels.ChristoffelDarbouxKernel(grid, np.exp(-grid ** 2), 5)
     every_fourth = np.ix_(range(0, 30, 4), range(0, 30, 4))
     sum_form, cd_form = kern.matrix()[every_fourth], kern.cd_matrix()[every_fourth]
     off = ~np.eye(sum_form.shape[0], dtype=bool)
@@ -553,7 +563,7 @@ def test_cd_two_forms_agree():
 
 def test_cd_projection_and_trace():
     grid = np.linspace(-2.5, 2.5, 30)
-    kern = kernels.christoffel_darboux_k(grid, np.exp(-grid ** 2), 5)
+    kern = kernels.ChristoffelDarbouxKernel(grid, np.exp(-grid ** 2), 5)
     mat = kern.matrix()
     assert np.max(np.abs(mat @ mat - mat)) < 1e-10
     assert kern.trace() == pytest.approx(5.0, abs=1e-10)
@@ -562,9 +572,9 @@ def test_cd_projection_and_trace():
 
 def test_cd_degeneracy_error():
     with pytest.raises(DegenerateGridError):
-        kernels.christoffel_darboux_k([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], 3)
+        kernels.ChristoffelDarbouxKernel([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], 3)
     with pytest.raises(DegenerateGridError):
-        kernels.christoffel_darboux_k([0.0, 1.0], [1.0, -1.0], 1)
+        kernels.ChristoffelDarbouxKernel([0.0, 1.0], [1.0, -1.0], 1)
 
 
 @pytest.mark.parametrize("grid, weights, n", [
@@ -574,7 +584,7 @@ def test_cd_degeneracy_error():
 ])
 def test_cd_rejects_a_degenerate_grid(grid, weights, n):
     with pytest.raises(DegenerateGridError):
-        kernels.christoffel_darboux_k(grid, weights, n)
+        kernels.ChristoffelDarbouxKernel(grid, weights, n)
 
 
 def _cd_by_recurrence(grid, weights, n):
@@ -618,7 +628,7 @@ def test_cd_grid_matrices_are_the_per_entry_recurrence(case):
         rng = np.random.default_rng(7)
         grid = np.sort(rng.uniform(-1.0, 3.0, 17))
         weights, n = rng.uniform(0.2, 2.0, 17), 8
-    kern = kernels.christoffel_darboux_k(grid, weights, n)
+    kern = kernels.ChristoffelDarbouxKernel(grid, weights, n)
     sum_ref, cd_ref = _cd_by_recurrence(grid, weights, n)
     off = ~np.isnan(cd_ref)
     assert np.max(np.abs(kern.matrix() - sum_ref)) < 1e-14
@@ -628,7 +638,7 @@ def test_cd_grid_matrices_are_the_per_entry_recurrence(case):
 
 def test_cd_matrix_with_a_repeated_node_is_a_projection():
     # each node keeps its own weight, so K is a projection on the nodes
-    kern = kernels.christoffel_darboux_k([0.0, 0.0, 1.0, 2.0], [1.0, 3.0, 1.0, 2.0], 2)
+    kern = kernels.ChristoffelDarbouxKernel([0.0, 0.0, 1.0, 2.0], [1.0, 3.0, 1.0, 2.0], 2)
     mat = kern.matrix()
     assert np.max(np.abs(mat @ mat - mat)) < 1e-14
     assert kern.trace() == pytest.approx(2.0, abs=1e-14)
@@ -637,12 +647,12 @@ def test_cd_matrix_with_a_repeated_node_is_a_projection():
 # ---------------------------------------------------------------- two point
 
 def test_two_point_zero_case():
-    assert np.max(np.abs(kernels.two_point_k(0.0, 0.0))) == 0.0
+    assert np.max(np.abs(kernels.TwoPointModel(0.0, 0.0).k_matrix())) == 0.0
 
 
 def test_two_point_closed_form():
     mu, nu = 0.3, 0.5
-    k = kernels.two_point_k(mu, nu)
+    k = kernels.TwoPointModel(mu, nu).k_matrix()
     expected = np.array([[-mu * nu, mu], [nu, -mu * nu]]) / (1 - mu * nu)
     assert np.max(np.abs(k - expected)) < 1e-15
 
@@ -651,12 +661,12 @@ def test_two_point_matches_matrix_oracle():
     mu, nu = 0.3, 0.5
     l = np.array([[0.0, mu], [nu, 0.0]])
     direct = np.linalg.solve(np.eye(2) + l, l)
-    assert np.max(np.abs(kernels.two_point_k(mu, nu) - direct)) < 1e-15
+    assert np.max(np.abs(kernels.TwoPointModel(mu, nu).k_matrix() - direct)) < 1e-15
 
 
 def test_two_point_singularity():
     with pytest.raises(SingularOperatorError):
-        kernels.two_point_k(2.0, 0.5)
+        kernels.TwoPointModel(2.0, 0.5).k_matrix()
     with pytest.raises(ParameterError):
         kernels.TwoPointModel(0.1, 0.2, 1.0, 1.0)
 

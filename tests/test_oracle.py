@@ -53,7 +53,7 @@ def test_k_from_l_two_point_closed_form():
     mu, nu = 0.3, 0.5
     op = _from_matrix([0.0, 1.0], np.array([[0.0, mu], [nu, 0.0]]))
     k = oracle.k_from_l(op)
-    assert np.max(np.abs(k.entries - kernels.two_point_k(mu, nu))) < 1e-15
+    assert np.max(np.abs(k.entries - kernels.TwoPointModel(mu, nu).k_matrix())) < 1e-15
     khat = oracle.khat_from_l(op)
     expected = np.array([[mu * nu, mu], [nu, mu * nu]]) / (mu * nu - 1.0)
     assert np.max(np.abs(khat.entries - expected)) < 1e-15
@@ -87,6 +87,30 @@ def test_fredholm_det_identities():
                                  oracle.lattice_window(30))
         assert oracle.fredholm_det(lop) == pytest.approx(
             math.exp(theta), rel=1e-12)
+
+
+def test_fredholm_det_beyond_the_double_range_raises():
+    # det(1 + 2I) = 3^700 = e^769: it was returned as inf with a numpy warning
+    big = _from_matrix(np.arange(700.0), 2.0 * np.eye(700))
+    with pytest.raises(SingularOperatorError, match="overflows a double"):
+        oracle.fredholm_det(big)
+    # just inside the range the value is exp(logdet)
+    edge = _from_matrix([0.0], [[math.exp(709.0) - 1.0]])
+    assert oracle.fredholm_det(edge) == pytest.approx(math.exp(709.0), rel=1e-13)
+
+
+def test_window_kinds_are_kernel_domains():
+    # a window takes the kernels of its own domain; a finite window any
+    assert oracle.quadrature_window().kind == kernels.REAL_LINE
+    assert oracle.lattice_window(2).kind == kernels.LATTICE
+    real = kernels.scaled_whittaker_l(0.25 + 0.6j)
+    with pytest.raises(WindowError, match="real-line window"):
+        oracle.materialize(kernels.plancherel_l(1.0), _small_window())
+    with pytest.raises(WindowError, match="lattice window"):
+        oracle.materialize(real, oracle.lattice_window(2))
+    finite = oracle.Window("finite", np.array([0.5, -1.5]))
+    for kern in (real, kernels.plancherel_l(1.0)):
+        assert oracle.materialize(kern, finite).entries.shape == (2, 2)
 
 
 def test_fredholm_det_window_stable():

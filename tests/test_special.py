@@ -472,6 +472,14 @@ def test_whittaker_domain():
         special.whittaker_w_complex(0.3, 0.5, -2.0 + 0j)
 
 
+@pytest.mark.parametrize("x", [80.0 * 2.0 ** 20, 1e9, 1e300])
+def test_whittaker_beyond_the_panel_cap_raises(x):
+    # the leading panel [0, 2^-20 x] reaches the integral's cap 80 there:
+    # 1e300 overflowed in complex exponentiation, 1e9 had no panel at all
+    with pytest.raises(DomainError, match="W needs"):
+        special.whittaker_w((0.75, -0.25), 0.6, x)
+
+
 def test_whittaker_near_the_cut_needs_a_nonzero_imaginary_index():
     # |arg zeta| > 3 pi/4 takes the Kummer connection, whose Gamma(+-2 mu)
     # has its pole at mu = 0
