@@ -504,9 +504,9 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
     c = zeta + 1/2, resp. 1/2 - zeta, it is (Phi(c), -eta/c Phi(c+1)),
     resp. (eta/c Phi(c+1), Phi(c)), so F and G at all points come from one
     `_hyp0f1` call on c = |x| + 1/2, and F' from one call over every
-    point's derivative circle; the weight is `plancherel_l`'s f.
+    point's derivative circle; the weight is `plancherel_l`'s d.
     """
-    l_fg = plancherel_l(theta).fg   # checks theta
+    weight = plancherel_l(theta).d   # checks theta
     eta = sqrt(theta)
     w = -theta
     phases, circle = _circle(0j, _DERIV_RADIUS, _DERIV_NODES)
@@ -522,10 +522,6 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
         off = eta / c * hi[:-1].reshape(c.shape)
         pos = x > 0
         return np.where(pos, phi, off), np.where(pos, -off, phi)
-
-    def weight(x: np.ndarray) -> np.ndarray:
-        f1, f2, _, _ = l_fg(x)
-        return f1 + f2
 
     def fg(points) -> tuple:
         # f = (f1, 0), g = (0, g2) for x > 0 and the mirror for x < 0:

@@ -1,20 +1,18 @@
 """The concrete correlation and L-kernels, in integrable (f,g) form.
 
 Discrete kernels live on the half-integer lattice Z' = Z + 1/2, continuous
-ones on R \\ {0}.  Every kernel is one array function
-`fg(points) -> (f1, f2, g1, g2)` of its integrable data: an L-kernel is
-
-    L(x,y) = (f1(x) g1(y) + f2(x) g2(y)) / (x - y),
-    f1 g1 + f2 g2 = 0  on the diagonal,
-
-and a correlation kernel has the same quotient form in its resolvent data
-(F1, F2, G1, G2).  Diagonal rules act on arrays: zero for the L-kernels
-(their numerator vanishes at equal arguments) and the L'Hospital formula
-K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) for a correlation kernel, which always
-supplies `dfg(points) -> (F1', F2')`: the discrete Bessel kernels from
-dJ/dnu, the Whittaker kernel from the contiguous relations of W, in
-closed form from the W pair its F and G already use (and
-`drhp.bessel_kernel_from_m` by a Cauchy integral of m).
+ones on R \\ {0}.  Every kernel has an array function
+`fg(points) -> (f1, f2, g1, g2)` of its integrable data.  An L-kernel is
+its one factor `d`: L(x,y) = d(x) d(y) / (x - y) for xy < 0 and 0 for
+xy > 0, the quotient (f1(x) g1(y) + f2(x) g2(y)) / (x - y) with f1 = g2 = d
+on x > 0 and f2 = g1 = d on x < 0.  A correlation kernel has the same
+quotient form in its resolvent data (F1, F2, G1, G2).  Diagonal rules act
+on arrays: zero for the L-kernels (their numerator vanishes at equal
+arguments) and the L'Hospital formula K(x,x) = F1'(x)G1(x) + F2'(x)G2(x)
+for a correlation kernel, which always supplies `dfg(points) -> (F1', F2')`:
+the discrete Bessel kernels from dJ/dnu, the Whittaker kernel from the
+contiguous relations of W, in closed form from the W pair its F and G
+already use (and `drhp.bessel_kernel_from_m` by a Cauchy integral of m).
 
 `matrix` makes one `fg` call for distinct finite points (DomainError
 otherwise) and assembles the window as outer products.  Scalar
@@ -99,14 +97,24 @@ def _quotient_matrix(pts: np.ndarray, fg) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegrableKernel:
-    """L-kernel (f1(x)g1(y)+f2(x)g2(y))/(x-y) with vanishing diagonal numerator.
+    """Two-sided L-kernel: L(x,y) = d(x) d(y) / (x-y) for xy < 0, else 0.
 
-    `fg(points)` returns the arrays f1, f2, g1, g2 at the points.
+    `d` is an array function, called on the nonzero points only.  `fg`
+    derives the integrable data from it: f1 = g2 = d on x > 0, f2 = g1 = d
+    on x < 0 and zeros elsewhere, so f1 g1 + f2 g2 = 0 on the diagonal.
     """
 
     domain: str
-    fg: Callable[[np.ndarray], tuple]
+    d: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+
+    def fg(self, points) -> tuple:
+        """The arrays f1, f2, g1, g2 at the points: d placed by sign."""
+        x = np.asarray(points, dtype=float)
+        v = np.zeros_like(x)
+        v[x != 0.0] = self.d(x[x != 0.0])
+        plus, minus = np.where(x > 0, v, 0.0), np.where(x < 0, v, 0.0)
+        return plus, minus, minus, plus
 
     def __call__(self, x: float, y: float) -> float:
         if x == y:
@@ -168,20 +176,6 @@ class AssembledKernel:
 # L-kernels
 # ----------------------------------------------------------------------
 
-def _two_sided_l(domain: str, value, name: str) -> IntegrableKernel:
-    """L-kernel with f1 = g2 = value(x) for x > 0, f2 = g1 = value(x) for
-    x < 0 and zeros elsewhere, so that L vanishes on same-sign pairs.
-    `value` is an array function, called on the nonzero points only."""
-    def fg(points):
-        x = np.asarray(points, dtype=float)
-        v = np.zeros_like(x)
-        v[x != 0.0] = value(x[x != 0.0])
-        plus, minus = np.where(x > 0, v, 0.0), np.where(x < 0, v, 0.0)
-        return plus, minus, minus, plus
-
-    return IntegrableKernel(domain, fg, name=name)
-
-
 def plancherel_l(theta: float) -> IntegrableKernel:
     """L-kernel of the poissonized Plancherel measure on Z'.
 
@@ -195,7 +189,7 @@ def plancherel_l(theta: float) -> IntegrableKernel:
         # math.exp per point: np.exp can differ from it in the last bit
         return np.array([exp(0.5 * t * lt - lgamma(t + 0.5)) for t in np.abs(x).tolist()])
 
-    return _two_sided_l(LATTICE, value, f"plancherel-l(theta={theta})")
+    return IntegrableKernel(LATTICE, value, f"plancherel-l(theta={theta})")
 
 
 def zw_l(z: complex, xi: float) -> IntegrableKernel:
@@ -225,7 +219,7 @@ def zw_l(z: complex, xi: float) -> IntegrableKernel:
                 log_gamma(s + 0.5 + t).real - lg + 0.5 * t * lxi - lgamma(t + 0.5)))
         return np.array(out)
 
-    return _two_sided_l(LATTICE, value, f"zw-l(z={z}, xi={xi})")
+    return IntegrableKernel(LATTICE, value, f"zw-l(z={z}, xi={xi})")
 
 
 def _require_whittaker_z(z: complex) -> complex:
@@ -246,8 +240,8 @@ def _whittaker_c(z: complex) -> tuple[float, float]:
 def scaled_whittaker_l(z: complex) -> IntegrableKernel:
     """Scaling limit of the zw L-kernel on R \\ {0}, |Re z| < 1/2, z nonreal.
 
-    f1 = g2 = c+ x^a e^(-x/2) for x > 0 and f2 = g1 = c- |x|^(-a) e^(x/2)
-    for x < 0 (a = Re z), each zero elsewhere.
+    d(x) = c+ x^a e^(-x/2) for x > 0 and c- |x|^(-a) e^(x/2) for x < 0,
+    with a = Re z.
     """
     z = _require_whittaker_z(z)
     a = z.real
@@ -257,7 +251,7 @@ def scaled_whittaker_l(z: complex) -> IntegrableKernel:
         t = np.abs(x)
         return np.where(x > 0, c_plus * t ** a, c_minus * t ** -a) * np.exp(-0.5 * t)
 
-    return _two_sided_l(REAL_LINE, value, f"scaled-whittaker-l(z={z})")
+    return IntegrableKernel(REAL_LINE, value, f"scaled-whittaker-l(z={z})")
 
 
 # ----------------------------------------------------------------------

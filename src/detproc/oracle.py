@@ -14,11 +14,12 @@ evaluated by LU with partial pivoting.  Windows come in two kinds:
 A window takes the kernels whose domain is its kind ('finite': any), by
 their array-valued `matrix` (one `fg` call for the whole window); K and
 K^ (K at -L) come from one solve.  On a real-line window
-`NystromResolvent` evaluates K off the nodes without a dense solve.  The
-paper's L-kernels vanish for xy > 0 and are antisymmetric, so 1 + L~ = [[I, B], [-B^T, I]] with B the
-negative-by-positive block; each new column y costs one solve of the
-half-size SPD Schur complement I + B B^T, checked by the backward error
-of the full system.  It agrees with the dense solve to ~1e-14.
+`NystromResolvent` evaluates K off the nodes without a dense solve.  An
+`IntegrableKernel` vanishes for xy > 0 and is antisymmetric by type, so
+1 + L~ = [[I, B], [-B^T, I]] with B the negative-by-positive block; each
+new column y costs one solve of the half-size SPD Schur complement
+I + B B^T, checked by the backward error of the full system.  It agrees
+with the dense solve to ~1e-14.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ _LOG_MAX = math.log(np.finfo(float).max)     # e^x overflows beyond it
 # lattice steps between a compared block and the window edge, where the
 # truncation error of the window is below the comparison tolerance
 LATTICE_MARGIN = 5
+# points per window, so that one dense n x n matrix stays <= 512 MiB
+_MAX_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ def lattice_window(m: int) -> Window:
     """The symmetric lattice block {-M+1/2, ..., M-1/2}, ascending."""
     if m < 1:
         raise WindowError(f"window radius must be >= 1, got {m}")
+    if 2 * m > _MAX_POINTS:
+        raise WindowError(f"window radius must be <= {_MAX_POINTS // 2}, got {m}")
     pts = np.array([k + 0.5 for k in range(-m, m)])
     return Window(LATTICE, pts)
 
@@ -103,13 +108,17 @@ def quadrature_window(r: float = math.exp(4.5), eps: float = math.exp(-45.0),
     (Bornemann, Math. Comp. 79, 2010; Trefethen-Weideman, SIAM Rev. 56,
     2014).  The defaults (eps = e^-45 ~ 3e-20, R = e^4.5 ~ 90, h = 0.35)
     give 284 nodes; `h` is the refinement knob for convergence studies.
+    A rule of more than 8192 nodes raises WindowError before it is built.
     """
     if not 0.0 < eps < r < math.inf:
         raise WindowError(f"need 0 < eps < R < inf, got eps={eps}, R={r}")
-    if not h > 0.0:
-        raise WindowError(f"need a step h > 0, got h={h}")
+    if not 0.0 < h < math.inf:
+        raise WindowError(f"need a finite step h > 0, got h={h}")
     s_lo = math.log(eps)
-    pos = np.exp(s_lo + h * np.arange(math.floor((math.log(r) - s_lo) / h) + 1))
+    steps = (math.log(r) - s_lo) / h
+    if not steps < _MAX_POINTS // 2:
+        raise WindowError(f"h={h} on [eps, R] gives more than {_MAX_POINTS} nodes")
+    pos = np.exp(s_lo + h * np.arange(math.floor(steps) + 1))
     pts = np.concatenate([-pos[::-1], pos])
     return Window(REAL_LINE, pts, h * np.abs(pts))
 
@@ -229,11 +238,11 @@ class NystromResolvent:
 
     `k_at` extends the node solution to arbitrary points through the
     Nystrom identity K(x,y) = L(x,y) - sum_i w_i L(x,t_i) K(t_i,y).  The
-    kernel must have the paper's two-sided form: f1 = g2 vanishes on the
-    negative nodes and f2 = g1 on the positive ones, so L(x,y) = 0 for
-    xy > 0 and L(y,x) = -L(x,y); any other kernel raises `ParameterError`.
-    With the nodes split by sign the scaled system is 1 + L~ =
-    [[I, B], [-B^T, I]], and the build forms only B = L~(negative,
+    kernel must be an `IntegrableKernel`, whose type carries the paper's
+    two-sided form: L(x,y) = 0 for xy > 0 and L(y,x) = -L(x,y), so the row
+    L(x, t_i) is minus the column at x.  Any other kernel raises
+    `ParameterError`.  With the nodes split by sign the scaled system is
+    1 + L~ = [[I, B], [-B^T, I]], and the build forms only B = L~(negative,
     positive) and the SPD Schur complement S = I + B B^T.  The node values
     of each new y solve S u1 = b1 - B b2, then u2 = b2 + B^T u1; they are
     checked by the backward error of the full system, computed from the
@@ -242,24 +251,21 @@ class NystromResolvent:
     z on the default window).  At those z and 64 point pairs, k_at agrees
     with the dense 284-node solve to 3.4e-14 of max(1, |K|).  The
     integrable data on the nodes is evaluated once, by one `fg` call, and
-    every column L(t_i, y) and row L(x, t_i) is one array expression over
-    it.
+    every column L(t_i, y) is one array expression over it.
     """
 
     def __init__(self, kernel: IntegrableKernel, window: Window):
+        if not isinstance(kernel, IntegrableKernel):
+            raise ParameterError(f"NystromResolvent needs a two-sided L-kernel, "
+                                 f"got a {type(kernel).__name__}")
         if window.weights is None:
             raise WindowError("NystromResolvent needs a quadrature window")
         _check_domain(kernel, window)
         self.kernel = kernel
         self.window = window
-        self._fg = f1, f2, g1, g2 = kernel.fg(window.points)
+        self._fg = f1, f2, _, _ = kernel.fg(window.points)
         self._neg = window.points < 0.0
         self._pos = ~self._neg
-        if not (np.array_equal(f1, g2) and np.array_equal(f2, g1)
-                and not np.any(f1[self._neg]) and not np.any(f2[self._pos])):
-            raise ParameterError(
-                f"NystromResolvent needs f1 = g2 zero on the negative nodes and "
-                f"f2 = g1 zero on the positive ones; {kernel.name!r} is not so")
         self._sqrtw = np.sqrt(window.weights)
         t, sf1, sf2 = window.points, self._sqrtw * f1, self._sqrtw * f2
         self._b = np.outer(sf2[self._neg], sf1[self._pos])
@@ -277,13 +283,6 @@ class NystromResolvent:
         _, _, g1, g2 = self.kernel.fg((y,))
         num = f1 * g1 + f2 * g2
         return _quotient(num, self.window.points - y)
-
-    def row(self, x: float) -> np.ndarray:
-        """L(x, t_i) at every node t_i."""
-        _, _, g1, g2 = self._fg
-        f1, f2, _, _ = self.kernel.fg((x,))
-        num = f1 * g1 + f2 * g2
-        return _quotient(num, x - self.window.points)
 
     def _k_column(self, y: float) -> np.ndarray:
         # scaled node values sqrt(w_i) K(t_i, y), solved once per y
@@ -322,7 +321,7 @@ class NystromResolvent:
         """
         x, y = float(x), float(y)
         v = self._k_column(y)
-        return float(self.kernel(x, y) - np.sum(self._sqrtw * self.row(x) * v))
+        return float(self.kernel(x, y) + np.sum(self._sqrtw * self.column(x) * v))
 
     def fredholm_det(self) -> float:
         """det(1 + L~) on the nodes, which is det S.

@@ -145,8 +145,6 @@ def fr_config(diagram: YoungDiagram) -> frozenset:
 def dim_hook(diagram: YoungDiagram) -> int:
     """Number of standard Young tableaux of this shape (hook formula, exact)."""
     n = diagram.size
-    if n > 170:
-        raise DomainError(f"dim_hook limited to |lambda| <= 170, got {n}")
     if n == 0:
         return 1
     rows = diagram.rows

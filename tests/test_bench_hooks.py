@@ -1,5 +1,6 @@
 """The benchmark's layer wrappers find every detproc attribute they wrap."""
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -60,3 +61,24 @@ def test_readme_cli_section_names_exactly_the_parser_options():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", section)) == options
+
+
+def _has(owner, dotted: str) -> bool:
+    """Whether owner.a.b... exists; a dataclass field without a default counts."""
+    *path, last = dotted.split(".")
+    for part in path:
+        owner = getattr(owner, part, None)
+    return hasattr(owner, last) or last in getattr(owner, "__dataclass_fields__", {})
+
+
+def test_readme_layout_table_names_only_real_attributes():
+    # a renamed or deleted attribute stayed in README's module table
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `detproc.")]
+    assert rows
+    for module, contents in rows:
+        owner = importlib.import_module(module.strip().strip("`"))
+        for name in re.findall(r"`([A-Za-z_][\w.]*)`", contents):
+            assert _has(owner, name), f"{owner.__name__} has no {name}"

@@ -205,6 +205,8 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     ["oracle-compare", "--family", "whittaker", "--points", "1e300,1"],
     ["kernel", "--family", "whittaker", "--points", "inf,1"],
     ["kernel", "--family", "whittaker-l", "--points", "nan,1"],
+    ["kernel", "--family", "bessel", "--window", "100000"],
+    ["oracle-compare", "--family", "whittaker", "--step", "1e-4"],
 ], ids=" ".join)
 def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsys):
     # each ended in a traceback, printed a numpy array over several lines,

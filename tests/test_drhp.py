@@ -773,13 +773,11 @@ def _m1_off(entries):
     return _m_plus(lambda z: 1e-4 / z[..., None, None] * e)
 
 
-def _f_scaled(factor):
-    """The L-kernel with f scaled by factor and g kept: w = -f g^t scales too."""
+def _d_scaled(factor):
+    """The L-kernel with d scaled by factor: w = -f g^t by its square."""
     def change(kernel, *args):
-        def fg(points):
-            f1, f2, g1, g2 = kernel.fg(points)
-            return factor * f1, factor * f2, g1, g2
-        return kernels.IntegrableKernel(kernel.domain, fg, kernel.name)
+        return kernels.IntegrableKernel(kernel.domain, lambda x: factor * kernel.d(x),
+                                        kernel.name)
     return change
 
 
@@ -794,7 +792,7 @@ _MUTANTS = {
     # change the values-from-0F1 halves `_j_from_0f1`, `_m_from_0f1` and
     # `_n_from_0f1`
     "p-values": ("drhp", drhp, "_j_from_0f1", _scale(1.0 + 1e-10)),
-    "m-residue": ("drhp", drhp, "plancherel_l", _f_scaled(1.0 + 1e-6)),
+    "m-residue": ("drhp", drhp, "plancherel_l", _d_scaled(1.0 + 1e-6)),
     # m - I growing like 1e-2 zeta instead of decaying
     "m-normalization-rate": ("drhp", drhp, "_m_from_0f1", _M_GROWS),
     "m-normalization-remainder": ("drhp", drhp, "_m_from_0f1", _M_GROWS),

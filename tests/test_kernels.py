@@ -37,11 +37,38 @@ def test_plancherel_l_value():
     assert lk3(1.5, -0.5) == pytest.approx(expected, rel=1e-14)
 
 
-def test_plancherel_l_skew_symmetric():
-    lk = kernels.plancherel_l(2.0)
-    pts = [k + 0.5 for k in range(-5, 5)]
-    for x, y in itertools.product(pts, pts):
-        assert lk(x, y) == pytest.approx(-lk(y, x), abs=1e-12)
+_LATTICE_SET = st.lists(st.integers(-40, 39), min_size=1, max_size=30, unique=True).map(
+    lambda ks: np.array(ks) + 0.5)
+# |x| >= 1e-20 reaches past the default quadrature window's 3e-20; nearer 0
+# the quotient d(x) d(y) / (x - y) can leave the double range
+_REAL_SET = st.lists(
+    st.one_of(st.floats(-60.0, 60.0), st.floats(-1e-6, 1e-6)).filter(lambda v: abs(v) >= 1e-20),
+    max_size=30, unique=True).map(lambda xs: np.array([0.0, *xs]))
+_L_KERNELS = st.one_of(
+    st.tuples(st.builds(kernels.plancherel_l, st.floats(0.01, 400.0)), _LATTICE_SET),
+    st.tuples(st.builds(kernels.zw_l, st.builds(complex, st.floats(-3.0, 3.0),
+                                                st.floats(0.05, 3.0)),
+                        st.floats(0.01, 0.99)), _LATTICE_SET),
+    st.tuples(st.builds(kernels.scaled_whittaker_l, st.builds(complex, st.floats(-0.49, 0.49),
+                                                              st.floats(0.05, 2.5))),
+              _REAL_SET))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_L_KERNELS)
+def test_l_kernels_are_two_sided_and_exactly_antisymmetric(kernel_points):
+    # the type guarantees the paper's shape: d placed by sign, L = 0 on
+    # same-sign pairs and L(y, x) = -L(x, y), bit for bit
+    lk, x = kernel_points
+    m = lk.matrix(x)
+    assert np.array_equal(m, -m.T)
+    assert not m[np.multiply.outer(np.sign(x), np.sign(x)) >= 0.0].any()
+    d = [lk.d(np.array([p]))[0] if p != 0.0 else 0.0 for p in x.tolist()]
+    plus = np.where(x > 0, d, 0.0)
+    minus = np.where(x < 0, d, 0.0)
+    f1, f2, g1, g2 = lk.fg(x)
+    assert f1.tobytes() == g2.tobytes() == plus.tobytes()
+    assert f2.tobytes() == g1.tobytes() == minus.tobytes()
 
 
 @pytest.mark.parametrize("theta", [1.0, 4.0, 30.0, 100.0, 400.0, 1000.0])

@@ -1,6 +1,7 @@
 """Dense-window oracle: materialization, resolvents, determinants, minors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,26 @@ def test_quadrature_window_shape():
             oracle.quadrature_window(r, eps, h)
 
 
+def test_window_size_is_bounded_before_the_window_is_built():
+    # 8192 points keep one dense n x n matrix <= 512 MiB.  M = 10^5 once
+    # ran 99 982 Miller recurrences before asking for a 200 000^2 matrix,
+    # and h = 1e-4 asked numpy for a 495 001^2 block
+    assert oracle.lattice_window(4096).size == 8192
+    assert oracle.quadrature_window(h=49.5 / 4095.5).size == 8192
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowError, match="4096"):
+            oracle.lattice_window(10 ** 5)
+        for h in (1e-4, 5e-324, math.inf):
+            with pytest.raises(WindowError):
+                oracle.quadrature_window(h=h)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(WindowError, match="8192"):
+        oracle.quadrature_window(h=49.5 / 4096.5)
+
+
 def test_nystrom_self_convergence():
     # halving h from the default 0.35 moves no entry by more than rounding
     z = 0.25 + 0.6j
@@ -244,12 +265,13 @@ def _small_nystrom():
 
 
 def test_nystrom_rows_and_columns_are_the_scalar_kernel():
+    # the row L(x, t_i) that k_at reads is minus the column at x
     ny = _small_nystrom()
     lk, pts = ny.kernel, ny.window.points
     for p in (0.5, -1.0, 2.0, pts[3], pts[-7]):
-        assert ny.row(p).tolist() == [lk(p, float(t)) for t in pts]
+        assert (-ny.column(p)).tolist() == [lk(p, float(t)) for t in pts]
         assert ny.column(p).tolist() == [lk(float(t), p) for t in pts]
-    assert ny.row(pts[3])[3] == 0.0 and ny.column(pts[-7])[-7] == 0.0
+    assert ny.column(pts[3])[3] == 0.0 and ny.column(pts[-7])[-7] == 0.0
 
 
 def test_nystrom_k_at_nodes_is_the_full_resolvent():
@@ -271,11 +293,10 @@ def test_nystrom_column_solve_failures_raise(monkeypatch):
         ny.k_at(0.5, 1.0)
     lk = kernels.scaled_whittaker_l(0.25 + 0.6j)
 
-    def broken_fg(points):
-        f1, f2, g1, g2 = lk.fg(points)
-        return f1, f2, np.where(np.asarray(points) == 1.0, math.nan, g1), g2
+    def broken_d(x):
+        return np.where(x == 1.0, math.nan, lk.d(x))
 
-    broken = kernels.IntegrableKernel(lk.domain, broken_fg)
+    broken = kernels.IntegrableKernel(lk.domain, broken_d)
     ny = oracle.NystromResolvent(broken, _small_window())
     with pytest.raises(SingularOperatorError, match="non-finite"):
         ny.k_at(0.5, 1.0)
@@ -297,7 +318,8 @@ def test_nystrom_schur_solve_matches_the_dense_solve(z):
         # the Nystrom identity with node values from one dense solve of 1 + L~
         v = np.linalg.solve(a, sqrtw * ny.column(y))
         for x in pts:
-            ref = ny.kernel(x, y) - np.sum(sqrtw * ny.row(x) * v)
+            # the row L(x, t_i) is minus the column at x
+            ref = ny.kernel(x, y) + np.sum(sqrtw * ny.column(x) * v)
             assert abs(ny.k_at(x, y) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
@@ -315,24 +337,13 @@ def test_nystrom_meets_the_whittaker_kernel_on_the_default_window(z):
             assert abs(kk(x, y) - ny.k_at(x, y)) <= 1e-12
 
 
-def test_nystrom_rejects_a_kernel_without_the_two_sided_form():
-    lk = kernels.scaled_whittaker_l(0.25 + 0.6j)
-
-    def leaky_fg(points):
-        # f1 = g2 no longer vanishes on the negative nodes
-        p, m, _, _ = lk.fg(points)
-        return p + m, m, m, p + m
-
-    def unpaired_fg(points):
-        p, m, _, _ = lk.fg(points)
-        return p, m, m, 2.0 * p
-
+def test_nystrom_rejects_a_kernel_that_is_not_an_l_kernel():
+    # the correlation kernel has the quotient form but not the two-sided type
     window = _small_window()
     with pytest.raises(WindowError):
         oracle.NystromResolvent(kernels.plancherel_l(1.0), window)
-    for fg in (leaky_fg, unpaired_fg):
-        with pytest.raises(ParameterError, match="f1 = g2"):
-            oracle.NystromResolvent(kernels.IntegrableKernel(lk.domain, fg), window)
+    with pytest.raises(ParameterError, match="two-sided L-kernel"):
+        oracle.NystromResolvent(kernels.whittaker_kernel_k(0.25 + 0.6j), window)
 
 
 # Margins, measured on 3 020 z (the 20 corners of the range, then uniform

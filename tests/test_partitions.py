@@ -53,6 +53,10 @@ def test_dim_hook_single_row_and_column():
     for n in range(1, 8):
         assert pt.dim_hook(pt.YoungDiagram([n])) == 1
         assert pt.dim_hook(pt.YoungDiagram([1] * n)) == 1
+    # the hook (n-k, 1^k): a tableau is the choice of the k entries of its
+    # column from 2..n, in exact integers past |lambda| = 170
+    for n, k in ((200, 50), (1000, 300)):
+        assert pt.dim_hook(pt.YoungDiagram([n - k] + [1] * k)) == math.comb(n - 1, k)
 
 
 def test_dim_hook_21():
@@ -167,9 +171,15 @@ def test_frobenius_coords_validation(p, q):
         pt.FrobeniusCoords(p, q)
 
 
-def test_dim_hook_limit():
-    with pytest.raises(DomainError, match="170"):
-        pt.dim_hook(pt.YoungDiagram([171]))
+@pytest.mark.parametrize("k", [50, 100, 149])
+def test_plancherel_weight_of_a_hook_past_170_boxes(k):
+    # e^-theta theta^n C(n-1, k)^2 / n!^2, in logs: dim_hook stays exact
+    # and math.log takes its big integer
+    n, theta = 200, 200.0
+    log_dim = math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
+    ref = math.exp(-theta + n * math.log(theta) + 2.0 * (log_dim - math.lgamma(n + 1)))
+    weight = pt.plancherel_weight(pt.YoungDiagram([n - k] + [1] * k), theta)
+    assert weight == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [math.inf, math.nan, -1.0])
