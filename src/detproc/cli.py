@@ -1,11 +1,15 @@
 """CSV-emitting command line front end.
 
-Each subcommand writes exactly one CSV artifact (header row mandatory,
-numbers at 17 significant digits, lattice points on the wire as doubled
-integers so that x = 1 means the half-integer 1/2).  Exit status: 0 when
-every invoked numerical check meets its tolerance, 1 on a failed check or
-a numerical failure, 2 on usage errors and invalid input, 3 on I/O errors;
-each typed error of `detproc.errors` exits with one line on stderr.
+Each subcommand is a function from its parsed arguments to one table and a
+verdict, `(header, rows, failure)`: `failure` is None when every invoked
+numerical check meets its tolerance (a NaN meets none) and otherwise a
+one-line message.  `main` alone turns that into the one CSV artifact
+(header row mandatory, every float cell at 17 significant digits, lattice
+points on the wire as doubled integers so that x = 1 means the
+half-integer 1/2) and the exit status: 0 when the checks pass, 1 on a
+failed check (after the table is written) or a numerical failure, 2 on
+usage errors and invalid input, 3 on I/O errors; each typed error of
+`detproc.errors` exits with one line on stderr.
 
 Subcommands: kernel, oracle-compare, fredholm, prob, sample, correlation,
 verify (suites drhp | psi | two-point | contour | special-functions | cd),
@@ -27,27 +31,13 @@ from .partitions import YoungDiagram, fr_config, half, plancherel_weight
 FMT = "%.17g"
 
 
-def _fmt(x) -> str:
-    return FMT % float(x)
-
-
 def _write_csv(path: str, header, rows) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(row)
-    except OSError as err:
-        raise _IOFailure(str(err)) from err
-
-
-class _IOFailure(Exception):
-    pass
-
-
-class _CheckFailure(Exception):
-    pass
+    """The table as CSV, each float cell formatted by FMT."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([FMT % c if isinstance(c, float) else c for c in row]
+                         for row in rows)
 
 
 def _parse_z(args) -> complex:
@@ -70,111 +60,98 @@ def _parse_list(text: str, convert, option: str) -> list:
 # subcommands
 # ----------------------------------------------------------------------
 
-_LATTICE_KERNELS = {
+_KERNELS = {
     "plancherel-l": lambda args: kernels.plancherel_l(args.theta),
     "zw-l": lambda args: kernels.zw_l(_parse_z(args), args.xi),
     "bessel": lambda args: kernels.discrete_bessel_k(args.theta),
     "bessel-hat": lambda args: kernels.discrete_bessel_khat(args.theta),
+    "whittaker-l": lambda args: kernels.scaled_whittaker_l(_parse_z(args)),
+    "whittaker": lambda args: kernels.whittaker_kernel_k(_parse_z(args)),
 }
 
 
-def _pair_rows(labels: list, *matrices) -> list:
-    """One row per ordered pair of points: their labels, then each matrix's entry."""
-    entries = [m.tolist() for m in matrices]
-    return [[x, y, *(_fmt(m[i][j]) for m in entries)]
-            for i, x in enumerate(labels) for j, y in enumerate(labels)]
+def _plancherel_window(args) -> oracle.WindowedOperator:
+    """plancherel_l(--theta) on the lattice window of radius --window."""
+    return oracle.materialize(kernels.plancherel_l(args.theta),
+                              oracle.lattice_window(args.window))
 
 
-def cmd_kernel(args) -> int:
-    if args.family in _LATTICE_KERNELS:
-        kern = _LATTICE_KERNELS[args.family](args)
-        pts = oracle.lattice_window(args.window).points
+def _pair_table(domain: str, pts, columns: dict) -> tuple:
+    """Header and rows of a table over the ordered pairs of points: the two
+    points (doubled integers on the lattice), then each column's matrix entry."""
+    if domain == kernels.LATTICE:
         header, labels = ["x_doubled", "y_doubled"], (2 * pts).round().astype(int).tolist()
     else:
-        kern = (kernels.scaled_whittaker_l(_parse_z(args))
-                if args.family == "whittaker-l"
-                else kernels.whittaker_kernel_k(_parse_z(args)))
-        pts = _parse_list(args.points, float, "--points")
-        header, labels = ["x", "y"], [_fmt(x) for x in pts]
-    _write_csv(args.output, [*header, "value"], _pair_rows(labels, kern.matrix(pts)))
-    return 0
+        header, labels = ["x", "y"], pts
+    entries = [m.tolist() for m in columns.values()]
+    return [*header, *columns], [[x, y, *(m[i][j] for m in entries)]
+                                 for i, x in enumerate(labels) for j, y in enumerate(labels)]
 
 
-def cmd_oracle_compare(args) -> int:
-    lattice = args.family in _LATTICE_KERNELS
-    tol = args.tol if args.tol is not None else (1e-8 if lattice else 1e-10)
+def cmd_kernel(args) -> tuple:
+    kern = _KERNELS[args.family](args)
+    pts = (oracle.lattice_window(args.window).points if kern.domain == kernels.LATTICE
+           else _parse_list(args.points, float, "--points"))
+    return (*_pair_table(kern.domain, pts, {"value": kern.matrix(pts)}), None)
+
+
+def cmd_oracle_compare(args) -> tuple:
+    # ahead of the kernel, so that a bad --window is reported before a bad --theta
+    if args.family != "whittaker" and args.window <= oracle.LATTICE_MARGIN:
+        raise errors.WindowError(
+            f"--window must exceed the margin {oracle.LATTICE_MARGIN} that "
+            f"the compared block keeps from the edge, got {args.window}")
+    kern = _KERNELS[args.family](args)
+    lattice = kern.domain == kernels.LATTICE
     if lattice:
-        if args.window <= oracle.LATTICE_MARGIN:
-            raise errors.WindowError(
-                f"--window must exceed the margin {oracle.LATTICE_MARGIN} that "
-                f"the compared block keeps from the edge, got {args.window}")
-        kern = _LATTICE_KERNELS[args.family](args)
-        lop = oracle.materialize(kernels.plancherel_l(args.theta),
-                                 oracle.lattice_window(args.window))
+        lop = _plancherel_window(args)
         ref = (oracle.k_from_l(lop) if args.family == "bessel"
                else oracle.khat_from_l(lop))
         inner = np.abs(ref.window.points) <= args.window - oracle.LATTICE_MARGIN - 0.5
-        pts = ref.window.points[inner]
-        exact = ref.entries[np.ix_(inner, inner)]
-        header, labels = ["x_doubled", "y_doubled"], (2 * pts).round().astype(int).tolist()
+        pts, exact = ref.window.points[inner], ref.entries[np.ix_(inner, inner)]
     else:
-        z = _parse_z(args)
-        kern = kernels.whittaker_kernel_k(z)
         ny = oracle.NystromResolvent(
-            kernels.scaled_whittaker_l(z),
+            kernels.scaled_whittaker_l(_parse_z(args)),
             oracle.quadrature_window(h=args.step))
         pts = _parse_list(args.points, float, "--points")
         exact = np.array([[ny.k_at(x, y) for y in pts] for x in pts])
-        header, labels = ["x", "y"], [_fmt(x) for x in pts]
     analytic = kern.matrix(pts)
     diff = np.abs(analytic - exact)
-    _write_csv(args.output, [*header, "analytic", "oracle", "abs_diff"],
-               _pair_rows(labels, analytic, exact, diff))
+    tol = args.tol if args.tol is not None else (1e-8 if lattice else 1e-10)
     worst = np.max(diff)
-    if worst >= tol:
-        raise _CheckFailure(f"max |analytic - oracle| = {worst:.3e} >= {tol:.1e}")
-    return 0
+    return (*_pair_table(kern.domain, pts,
+                         {"analytic": analytic, "oracle": exact, "abs_diff": diff}),
+            None if worst < tol else f"max |analytic - oracle| = {worst:.3e} >= {tol:.1e}")
 
 
-def cmd_fredholm(args) -> int:
+def cmd_fredholm(args) -> tuple:
     try:
         target = math.exp(args.theta)
     except OverflowError as err:
         raise errors.ParameterError(f"e^theta overflows a double at theta = {args.theta}") from err
-    lop = oracle.materialize(kernels.plancherel_l(args.theta),
-                             oracle.lattice_window(args.window))
-    det = oracle.fredholm_det(lop)
+    det = oracle.fredholm_det(_plancherel_window(args))
     rel = abs(det - target) / target
-    _write_csv(args.output, ["det_one_plus_l", "e_theta", "rel_err"],
-               [[_fmt(det), _fmt(target), _fmt(rel)]])
-    if rel >= args.tol:
-        raise _CheckFailure(f"relative error {rel:.3e} >= {args.tol:.1e}")
-    return 0
+    return (["det_one_plus_l", "e_theta", "rel_err"], [[det, target, rel]],
+            None if rel < args.tol else f"relative error {rel:.3e} >= {args.tol:.1e}")
 
 
-def cmd_prob(args) -> int:
+def cmd_prob(args) -> tuple:
     diagram = YoungDiagram([] if not args.rows else _parse_list(args.rows, int, "--rows"))
     weight = plancherel_weight(diagram, args.theta)
     if weight == 0.0:
         raise errors.ParameterError(
             f"the Plancherel weight of {diagram} underflows to 0 at theta = {args.theta}")
-    lop = oracle.materialize(kernels.plancherel_l(args.theta),
-                             oracle.lattice_window(args.window))
-    prob = oracle.prob_of_configuration(lop, sorted(fr_config(diagram)))
+    prob = oracle.prob_of_configuration(_plancherel_window(args), sorted(fr_config(diagram)))
     rel = abs(prob - weight) / weight
-    _write_csv(args.output,
-               ["partition", "weight_formula", "prob_oracle", "rel_err"],
-               [["|".join(str(r) for r in diagram.rows), _fmt(weight),
-                 _fmt(prob), _fmt(rel)]])
-    if rel >= args.tol:
-        raise _CheckFailure(f"relative error {rel:.3e} >= {args.tol:.1e}")
-    return 0
+    return (["partition", "weight_formula", "prob_oracle", "rel_err"],
+            [["|".join(str(r) for r in diagram.rows), weight, prob, rel]],
+            None if rel < args.tol else f"relative error {rel:.3e} >= {args.tol:.1e}")
 
 
-def cmd_sample(args) -> int:
-    _write_csv(args.output, ["sample_index", "size", "d", "fr_points_doubled"],
-               sampler.sample_rows(args.theta, args.n, sampler.SeededGenerator(args.seed)))
-    return 0
+def cmd_sample(args) -> tuple:
+    return (["sample_index", "size", "d", "fr_points_doubled"],
+            sampler.sample_rows(args.theta, args.n, sampler.SeededGenerator(args.seed)),
+            None)
 
 
 def _sigmas(estimate: float, stderr: float, prediction: float, n: int) -> float:
@@ -186,7 +163,7 @@ def _sigmas(estimate: float, stderr: float, prediction: float, n: int) -> float:
     return diff / sigma if sigma else (0.0 if diff == 0 else math.inf)
 
 
-def cmd_correlation(args) -> int:
+def cmd_correlation(args) -> tuple:
     points = tuple(_parse_list(args.points, int, "--points"))
     gen = sampler.SeededGenerator(args.seed)
     est = sampler.empirical_correlation(args.theta, points, args.n, gen,
@@ -194,13 +171,9 @@ def cmd_correlation(args) -> int:
     kern = kernels.discrete_bessel_k(args.theta)
     pred = float(np.linalg.det(kern.matrix([half(p) for p in points])))
     sigmas = _sigmas(est.estimate, est.stderr, pred, est.n_samples)
-    _write_csv(args.output,
-               ["points_doubled", "estimate", "stderr", "prediction", "sigmas"],
-               [[" ".join(str(p) for p in points), _fmt(est.estimate),
-                 _fmt(est.stderr), _fmt(pred), _fmt(sigmas)]])
-    if sigmas >= args.sigma_band:
-        raise _CheckFailure(f"estimate {sigmas:.2f} sigma from prediction")
-    return 0
+    return (["points_doubled", "estimate", "stderr", "prediction", "sigmas"],
+            [[" ".join(str(p) for p in points), est.estimate, est.stderr, pred, sigmas]],
+            None if sigmas < args.sigma_band else f"estimate {sigmas:.2f} sigma from prediction")
 
 
 _SUITES = {
@@ -213,15 +186,13 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     rows = _SUITES[args.suite](args)
-    _write_csv(args.output, ["check_id", "point", "residual", "tolerance", "pass"],
-               [[r.check_id, r.point, _fmt(r.residual), _fmt(r.tolerance),
-                 str(r.passed).lower()] for r in rows])
-    if not drhp.all_pass(rows):
-        failed = [r.check_id for r in rows if not r.passed]
-        raise _CheckFailure(f"failed checks: {', '.join(failed)}")
-    return 0
+    failed = [r.check_id for r in rows if not r.passed]
+    return (["check_id", "point", "residual", "tolerance", "pass"],
+            [[r.check_id, r.point, r.residual, r.tolerance, str(r.passed).lower()]
+             for r in rows],
+            f"failed checks: {', '.join(failed)}" if failed else None)
 
 
 def _zw_degeneration(args) -> tuple:
@@ -235,7 +206,7 @@ def _zw_degeneration(args) -> tuple:
         worst = np.max(np.abs(kern[nonzero] - ref[nonzero]) / np.abs(ref[nonzero]),
                        initial=0.0)
         errs.append(worst)
-        rows.append([_fmt(absz), _fmt(worst)])
+        rows.append([absz, worst])
     ok = errs[1] < 0.05 and errs[0] > errs[1] > errs[2]
     return ["abs_z", "max_rel_err"], rows, ok
 
@@ -254,7 +225,7 @@ def _whittaker_scaling(args) -> tuple:
         kern = kernels.zw_l(z, xi).matrix(lattice)
         worst = np.max(np.abs(kern / scale - target)[opposite])
         errs.append(worst)
-        rows.append([_fmt(xi), _fmt(worst)])
+        rows.append([xi, worst])
     return ["xi", "max_abs_err"], rows, errs[1] < errs[0]
 
 
@@ -264,12 +235,9 @@ _STUDIES = {
 }
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args) -> tuple:
     header, rows, ok = _STUDIES[args.study](args)
-    _write_csv(args.output, header, rows)
-    if not ok:
-        raise _CheckFailure(f"limit study {args.study} not converging")
-    return 0
+    return header, rows, None if ok else f"limit study {args.study} not converging"
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--xi", type=float, default=0.5)
 
     p = sub.add_parser("kernel", help="tabulate a kernel")
-    p.add_argument("--family", required=True,
-                   choices=[*_LATTICE_KERNELS, "whittaker-l", "whittaker"])
+    p.add_argument("--family", required=True, choices=list(_KERNELS))
     p.add_argument("--window", type=int, default=10,
                    help="lattice radius M (lattice families)")
     p.add_argument("--points", default="0.5,-0.5,1,-1,2,-2",
@@ -361,13 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _CheckFailure as err:
-        print(f"detproc: check failed: {err}", file=sys.stderr)
-        return 1
+        header, rows, failure = args.func(args)
+        _write_csv(args.output, header, rows)
     except (errors.ConvergenceError, errors.SingularOperatorError,
             errors.BesselOverflowError) as err:
         print(f"detproc: numerical failure: {type(err).__name__}: {err}", file=sys.stderr)
@@ -376,9 +340,13 @@ def main(argv=None) -> int:
             errors.DegenerateGridError) as err:
         print(f"detproc: invalid arguments: {err}", file=sys.stderr)
         return 2
-    except _IOFailure as err:
+    except OSError as err:
         print(f"detproc: i/o error: {err}", file=sys.stderr)
         return 3
+    if failure is not None:
+        print(f"detproc: check failed: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

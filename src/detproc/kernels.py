@@ -14,13 +14,14 @@ the discrete Bessel kernels from dJ/dnu, the Whittaker kernel from the
 contiguous relations of W, in closed form from the W pair its F and G
 already use (and `drhp.bessel_kernel_from_m` by a Cauchy integral of m).
 
-`matrix` makes one `fg` call for distinct finite points (DomainError
-otherwise) and assembles the window as outer products.  Scalar
-`kernel(x, y)` wraps one `fg` call on its two points: it gives the matrix's
-entries bit for bit but pays numpy's per-call overhead, so pass all points
-to `matrix` at once.  The Whittaker kernel keeps both W orders of a point
-(one `whittaker_w` call) and the discrete Bessel kernels keep J_n and
-dJ/dnu per order, for the kernel's lifetime.
+`matrix` makes one `fg` call for distinct finite points and assembles the
+window as outer products; other points, or an entry that is not a finite
+double, raise DomainError.  Scalar `kernel(x, y)` wraps one `fg` call on
+its two points: it gives the matrix's entries bit for bit but pays numpy's
+per-call overhead, so pass all points to `matrix` at once.  The Whittaker
+kernel keeps both W orders of a point (one `whittaker_w` call) and the
+discrete Bessel kernels keep J_n and dJ/dnu per order, for the kernel's
+lifetime.
 """
 
 from __future__ import annotations
@@ -71,27 +72,33 @@ def _require_theta(theta, who: str) -> None:
         raise ParameterError(f"{who} needs a finite theta > 0, got {theta}")
 
 
-def _quotient_matrix(pts: np.ndarray, fg) -> np.ndarray:
-    """(f1(x)g1(y) + f2(x)g2(y)) / (x - y) on all pairs of points.
+def _quotient_matrix(pts: np.ndarray, fg, diagonal) -> np.ndarray:
+    """(f1(x)g1(y) + f2(x)g2(y)) / (x - y) on all pairs of points, with
+    diagonal(pts) on the diagonal.
 
-    The diagonal holds the bare numerator, for the kernel's diagonal rule
-    to overwrite.  A non-finite point (checked before `fg` runs) or a
-    repeated one has no quotient and raises DomainError.
+    A non-finite point (checked before `fg` runs), a repeated one, or an
+    entry that is not a finite double raises DomainError.
     """
     if not np.isfinite(pts).all():
         raise DomainError(f"kernel matrix needs finite points, got {pts}")
     f1, f2, g1, g2 = fg(pts)
     # in place, with one scratch matrix: at window sizes, faulting in a
     # fresh n x n array costs more than an arithmetic pass over it
-    out = np.outer(f1, g1)
-    scratch = np.outer(f2, g2)
-    out += scratch
-    dx = np.subtract.outer(pts, pts, out=scratch)
-    np.fill_diagonal(dx, 1.0)
-    if not dx.all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.outer(f1, g1)
+        scratch = np.outer(f2, g2)
+        out += scratch
+        dx = np.subtract.outer(pts, pts, out=scratch)
+        np.fill_diagonal(dx, 1.0)
+        if not dx.all():
+            raise DomainError(
+                f"kernel matrix needs distinct points; {pts[np.nonzero(dx == 0.0)[0][0]]} repeats")
+        out /= dx
+    np.fill_diagonal(out, diagonal(pts))
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
         raise DomainError(
-            f"kernel matrix needs distinct points; {pts[np.nonzero(dx == 0.0)[0][0]]} repeats")
-    out /= dx
+            f"kernel matrix entry at ({pts[i]}, {pts[j]}) is {out[i, j]}, not a finite double")
     return out
 
 
@@ -124,10 +131,7 @@ class IntegrableKernel:
 
     def matrix(self, points) -> np.ndarray:
         """Dense kernel matrix on a point set, zero on the diagonal."""
-        pts = np.asarray(points, dtype=float)
-        out = _quotient_matrix(pts, self.fg)
-        np.fill_diagonal(out, 0.0)
-        return out
+        return _quotient_matrix(np.asarray(points, dtype=float), self.fg, np.zeros_like)
 
 
 @dataclass(frozen=True)
@@ -166,10 +170,7 @@ class AssembledKernel:
 
     def matrix(self, points) -> np.ndarray:
         """Dense kernel matrix on a point set, diagonal by the kernel's rule."""
-        pts = np.asarray(points, dtype=float)
-        out = _quotient_matrix(pts, self.fg)
-        np.fill_diagonal(out, self.diagonal(pts))
-        return out
+        return _quotient_matrix(np.asarray(points, dtype=float), self.fg, self.diagonal)
 
 
 # ----------------------------------------------------------------------

@@ -485,7 +485,10 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex) -> tuple[list, list]:
     2^-20 |zeta| up to 80; the leading panel [0, 2^-20 |zeta|] is integrated
     analytically from a third-order Taylor expansion of the smooth factor,
     which removes the algebraic endpoint singularity t^(mu-kappa-1/2) from
-    the quadrature's job.  The integrand is one base x panel x node array:
+    the quadrature's job.  Its zeta^-3 term overflows below |zeta| ~ 1e-103
+    (NaN, then a ZeroDivisionError once zeta^3 underflows), so |zeta| <
+    1e-100 raises DomainError, as does |zeta| >= 80 * 2^20, where no panel
+    is left.  The integrand is one base x panel x node array:
     log t and log(1 + t/zeta) are shared by every base, and the 24-point
     check rule's nodes sit beside the 32-point rule's along the node axis.
     Each rule's panel sums are added one by one in Python, so every value
@@ -496,9 +499,10 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex) -> tuple[list, list]:
     was added up, against which rounding in W is measured.
     """
     mu = 1j * mu_im
+    if not 1e-100 <= abs(zeta) < 80.0 * 2.0 ** 20:
+        raise DomainError(
+            f"W needs 1e-100 <= |zeta| < {80.0 * 2.0 ** 20:.6g}, got {abs(zeta):.6g}")
     h = abs(zeta) * 2.0 ** -20
-    if not h < 80.0:
-        raise DomainError(f"W needs |zeta| < {80.0 * 2.0 ** 20:.6g}, got {abs(zeta):.6g}")
     lh = log(h)
     edges = [h]
     while edges[-1] < 80.0:

@@ -63,6 +63,25 @@ def test_readme_cli_section_names_exactly_the_parser_options():
     assert set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", section)) == options
 
 
+def test_readme_cli_section_names_exactly_the_parser_choices():
+    # the kernel families plancherel-l and whittaker-l went unnamed; each
+    # choice option's bullet lists them as `subcommand` (`choice`, ...)
+    from detproc import cli
+
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if a.dest == "command").choices
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    for option in ("--family", "--suite", "--study"):
+        parser = {name: set(action.choices) for name, sub in subparsers.items()
+                  for action in sub._actions if option in action.option_strings}
+        line = next(line for line in section.splitlines()
+                    if line.startswith(f"* `{option}`"))
+        readme = {name: set(re.findall(r"`([\w-]+)`", choices))
+                  for name, choices in re.findall(r"`([\w-]+)` \(([^)]*)\)", line)}
+        assert readme == parser, option
+
+
 def _has(owner, dotted: str) -> bool:
     """Whether owner.a.b... exists; a dataclass field without a default counts."""
     *path, last = dotted.split(".")

@@ -1,13 +1,14 @@
 """Command-line front end: artifacts, determinism, exit codes."""
 
 import csv
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from detproc import cli, drhp, errors
+from detproc import cli, drhp, errors, oracle
 
 
 def run(args):
@@ -207,6 +208,9 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     ["kernel", "--family", "whittaker-l", "--points", "nan,1"],
     ["kernel", "--family", "bessel", "--window", "100000"],
     ["oracle-compare", "--family", "whittaker", "--step", "1e-4"],
+    ["kernel", "--family", "whittaker", "--points", "1e-300,-1e-300"],
+    ["kernel", "--family", "whittaker", "--points", "1e-103,1"],
+    ["kernel", "--family", "whittaker-l", "--points", "1e-313,-5e-324"],
 ], ids=" ".join)
 def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsys):
     # each ended in a traceback, printed a numpy array over several lines,
@@ -229,6 +233,16 @@ def test_overflowing_determinant_exits_1_with_one_line(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "overflows a double" in err
     assert not out.exists()
+
+
+def test_nan_fails_the_check(tmp_path, capsys, monkeypatch):
+    # rel >= tol is False for NaN, so a NaN determinant exited 0
+    monkeypatch.setattr(oracle, "fredholm_det", lambda lop: math.nan)
+    out = tmp_path / "f.csv"
+    assert run(["fredholm", "--theta", "1", "--window", "5", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("detproc: check failed: relative error nan")
+    assert read_csv(out)[1] == ["nan", "2.7182818284590451", "nan"]
 
 
 def test_correlation_of_an_unseen_configuration_passes(tmp_path):
@@ -349,6 +363,18 @@ _SUBCOMMANDS = {
 def test_subcommand_table_covers_the_parser():
     actions = [a for a in cli._build_parser()._actions if a.dest == "command"]
     assert set(actions[0].choices) == set(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_subcommand_returns_a_table_and_writes_no_file(command, tmp_path):
+    # main alone writes the CSV and sets the exit code
+    out = tmp_path / "out.csv"
+    args = cli._build_parser().parse_args([*_SUBCOMMANDS[command], "-o", str(out)])
+    header, rows, failure = args.func(args)
+    rows = list(rows)
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert failure is None or isinstance(failure, str)
+    assert not out.exists()
 
 
 def test_io_error_exit_code(capsys):

@@ -572,6 +572,13 @@ def test_matrix_rejects_a_non_finite_point(family, bad):
         build().matrix([0.5, bad, -1.5])
 
 
+def test_matrix_rejects_an_entry_that_is_not_a_finite_double():
+    # d(x) d(y) / (x - y) overflows at two subnormal-scale points: the
+    # entries read +-inf after a numpy RuntimeWarning
+    with pytest.raises(DomainError, match=r"\(1e-313, -5e-324\) is inf, not a finite double"):
+        kernels.scaled_whittaker_l(0.25 + 0.6j).matrix([1e-313, -5e-324])
+
+
 # ---------------------------------------------------------------- christoffel-darboux
 
 def test_cd_two_point_grid_constant():

@@ -480,6 +480,21 @@ def test_whittaker_beyond_the_panel_cap_raises(x):
         special.whittaker_w((0.75, -0.25), 0.6, x)
 
 
+@pytest.mark.parametrize("x", [1e-100 * (1 - 2.0 ** -52), 1e-103, 1e-150, 1e-300])
+def test_whittaker_below_the_taylor_floor_raises(x):
+    # the leading panel's zeta^-3 Taylor term overflowed: NaN at 1e-103,
+    # a ZeroDivisionError traceback from 1e-150 down
+    with pytest.raises(DomainError, match="W needs 1e-100 <= "):
+        special.whittaker_w((0.75, -0.25), 0.6, x)
+
+
+def test_whittaker_at_the_taylor_floor_meets_mpmath():
+    # 6.6e-14 relative at kappa = 3/4, the worst of the two orders
+    for kappa, mine in zip((0.75, -0.25), special.whittaker_w((0.75, -0.25), 0.6, 1e-100)):
+        ref = complex(mpmath.whitw(kappa, 0.6j, 1e-100)).real
+        assert mine == pytest.approx(ref, rel=1e-13)
+
+
 def test_whittaker_near_the_cut_needs_a_nonzero_imaginary_index():
     # |arg zeta| > 3 pi/4 takes the Kummer connection, whose Gamma(+-2 mu)
     # has its pole at mu = 0
