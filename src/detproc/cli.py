@@ -30,6 +30,13 @@ from .partitions import YoungDiagram, fr_config, half, plancherel_weight
 
 FMT = "%.17g"
 
+# each verdict's tolerance, pinned: no option moves it
+LATTICE_TOL = 1e-8        # oracle-compare, lattice families: max |analytic - oracle|
+QUADRATURE_TOL = 1e-10    # oracle-compare --family whittaker: max |analytic - oracle|
+FREDHOLM_TOL = 1e-10      # fredholm: relative error of det(1+L) against e^theta
+PROB_TOL = 1e-12          # prob: relative error against the Plancherel weight
+SIGMA_BAND = 4.0          # correlation: |estimate - prediction| in standard errors
+
 
 def _write_csv(path: str, header, rows) -> None:
     """The table as CSV, each float cell formatted by FMT."""
@@ -110,14 +117,13 @@ def cmd_oracle_compare(args) -> tuple:
         inner = np.abs(ref.window.points) <= args.window - oracle.LATTICE_MARGIN - 0.5
         pts, exact = ref.window.points[inner], ref.entries[np.ix_(inner, inner)]
     else:
-        ny = oracle.NystromResolvent(
-            kernels.scaled_whittaker_l(_parse_z(args)),
-            oracle.quadrature_window(h=args.step))
+        ny = oracle.NystromResolvent(kernels.scaled_whittaker_l(_parse_z(args)),
+                                     oracle.quadrature_window())
         pts = _parse_list(args.points, float, "--points")
         exact = np.array([[ny.k_at(x, y) for y in pts] for x in pts])
     analytic = kern.matrix(pts)
     diff = np.abs(analytic - exact)
-    tol = args.tol if args.tol is not None else (1e-8 if lattice else 1e-10)
+    tol = LATTICE_TOL if lattice else QUADRATURE_TOL
     worst = np.max(diff)
     return (*_pair_table(kern.domain, pts,
                          {"analytic": analytic, "oracle": exact, "abs_diff": diff}),
@@ -132,7 +138,7 @@ def cmd_fredholm(args) -> tuple:
     det = oracle.fredholm_det(_plancherel_window(args))
     rel = abs(det - target) / target
     return (["det_one_plus_l", "e_theta", "rel_err"], [[det, target, rel]],
-            None if rel < args.tol else f"relative error {rel:.3e} >= {args.tol:.1e}")
+            None if rel < FREDHOLM_TOL else f"relative error {rel:.3e} >= {FREDHOLM_TOL:.1e}")
 
 
 def cmd_prob(args) -> tuple:
@@ -145,7 +151,7 @@ def cmd_prob(args) -> tuple:
     rel = abs(prob - weight) / weight
     return (["partition", "weight_formula", "prob_oracle", "rel_err"],
             [["|".join(str(r) for r in diagram.rows), weight, prob, rel]],
-            None if rel < args.tol else f"relative error {rel:.3e} >= {args.tol:.1e}")
+            None if rel < PROB_TOL else f"relative error {rel:.3e} >= {PROB_TOL:.1e}")
 
 
 def cmd_sample(args) -> tuple:
@@ -173,7 +179,7 @@ def cmd_correlation(args) -> tuple:
     sigmas = _sigmas(est.estimate, est.stderr, pred, est.n_samples)
     return (["points_doubled", "estimate", "stderr", "prediction", "sigmas"],
             [[" ".join(str(p) for p in points), est.estimate, est.stderr, pred, sigmas]],
-            None if sigmas < args.sigma_band else f"estimate {sigmas:.2f} sigma from prediction")
+            None if sigmas < SIGMA_BAND else f"estimate {sigmas:.2f} sigma from prediction")
 
 
 _SUITES = {
@@ -276,16 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=["bessel", "bessel-hat", "whittaker"])
     p.add_argument("--window", type=int, default=25)
-    p.add_argument("--step", type=float, default=0.35,
-                   help="trapezoid step h in s, nodes +-e^s on [e^-45, e^4.5] (whittaker)")
     p.add_argument("--points", default="0.5,-0.5,1,-1,2,-2")
-    p.add_argument("--tol", type=float, default=None)
     add_common(p, theta=True, z=True)
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("fredholm", help="det(1+L) against e^theta")
     p.add_argument("--window", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-10)
     add_common(p, theta=True)
     p.set_defaults(func=cmd_fredholm)
 
@@ -293,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", default="3,3,1",
                    help="partition rows, comma separated ('' = empty)")
     p.add_argument("--window", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-12)
     add_common(p, theta=True)
     p.set_defaults(func=cmd_prob)
 
@@ -310,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--substreams", type=int, default=1)
-    p.add_argument("--sigma-band", type=float, default=4.0)
     add_common(p, theta=True)
     p.set_defaults(func=cmd_correlation)
 

@@ -3,11 +3,10 @@
 The closed-form kernel ingredients are taken as given and every condition
 that characterizes them is checked numerically:
 
-* the Bessel matrix p agrees at lattice points with p assembled from the
-  real-order Bessel J.  There its orders are integers, so the
-  half-integer reflection condition p(x) = (-1)^(x-1/2) p(x) [[0,1],[1,0]]
-  holds by construction (J_(-n) = (-1)^n J_n, DLMF 10.4.1) and is not
-  checked;
+* the Bessel matrix p agrees at lattice points with the F that
+  `kernels.discrete_bessel_k` serves, p's column analytic at x, and with
+  (-1)^(x-1/2) F in the other column: J_(-n) = (-1)^n J_n at integer
+  orders (DLMF 10.4.1), so that reflection has no check of its own;
 * m(zeta) = p(zeta) diag(eta^-zeta Gamma(zeta+1/2), eta^zeta Gamma(1/2-zeta))
   has simple poles exactly on Z + 1/2 with Res m = lim m(zeta) w(x), tends
   to I at infinity, and its 1/zeta coefficient has the symmetry gamma=beta,
@@ -34,8 +33,8 @@ is evaluated through 0F1 ratios (the Gamma factors are cancelled
 analytically), a code path disjoint from the real-order Bessel kernel
 assembly it is checked against.  p goes through the same 0F1, as
 `special.bessel_j_complex_order`; its values at lattice points are checked
-against the real-order `special.bessel_j` (at integer orders Miller's
-recurrence at every u, no 0F1), and pinned against mpmath in the tests.
+against the kernel's F (the real-order `special.bessel_j`: Miller's
+recurrence at integer orders, no 0F1), and pinned against mpmath in tests.
 
 p, m and n are array-valued, m and n in theta as well as in zeta.  Each
 call runs one `_hyp0f1` ladder, the stable downward recurrence of 0F1 on
@@ -56,18 +55,20 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import pi, sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import special
 from .errors import ConvergenceError, DomainError
 from .kernels import (
+    LATTICE,
     AssembledKernel,
     ChristoffelDarbouxKernel,
     TwoPointModel,
     _require_theta,
     _whittaker_c,
+    discrete_bessel_k,
     plancherel_l,
     psi_matrix,
 )
@@ -75,7 +76,6 @@ from .special import _hyp0f1, _j_0f1_args, _j_from_0f1, bessel_j_complex_order
 
 __all__ = [
     "ResidualCheck",
-    "all_pass",
     "bessel_p",
     "bessel_m",
     "bessel_n",
@@ -121,10 +121,6 @@ class ResidualCheck:
     @property
     def passed(self) -> bool:
         return self.residual < self.tolerance
-
-
-def all_pass(rows: Iterable[ResidualCheck]) -> bool:
-    return all(r.passed for r in rows)
 
 
 # ----------------------------------------------------------------------
@@ -264,34 +260,29 @@ def _average(values: np.ndarray, axis: int = 0) -> np.ndarray:
 # Each kind of `suite_drhp` row, formed from the values of J, m and n that
 # the suite takes from its joined 0F1 ladder.
 
-def _p_from_real_order(theta: float, xs: Sequence[float]) -> np.ndarray:
-    """p at lattice points from the real-order `special.bessel_j`.
-
-    The orders +-(x -+ 1/2) are integers, where `bessel_j` reflects
-    J_(-n) = (-1)^n J_n exactly, so one call on all of them serves every
-    entry.  At integer orders `bessel_j` runs Miller's recurrence in the
-    order at every u, normalized by J_0 + 2 sum J_2k = 1: it shares no
-    code, starting point or normalization with the 0F1 ladder under
-    `bessel_p`.
+def _p_from_kernel(theta: float, xs: Sequence[float]) -> np.ndarray:
+    """p at lattice points from the F of `kernels.discrete_bessel_k`: F in
+    p's column analytic at x (the first for x > 0, the second for x < 0) and
+    (-1)^(x-1/2) F in the other.  F's real-order `special.bessel_j` runs
+    Miller's recurrence, normalized by J_0 + 2 sum J_2k = 1, at p's integer
+    orders: no code, start or normalization shared with `bessel_p`'s 0F1.
     """
-    eta = sqrt(theta)
-    x = np.asarray(xs, dtype=float)
-    lo, hi = x - 0.5, x + 0.5
-    orders = np.stack([lo, -lo, hi, -hi], axis=-1).ravel()
-    j = special.bessel_j(orders, 2.0 * eta).reshape(-1, 2, 2)
-    return sqrt(eta) * j * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    f = np.array(discrete_bessel_k(theta).f(np.asarray(xs, dtype=float))).T
+    # the column weights: 1 on F's column and (-1)^(x-1/2) on the other
+    w = np.array([(1.0, (-1.0) ** (x - 0.5)) if x > 0 else ((-1.0) ** (x - 0.5), 1.0)
+                  for x in xs])
+    return f[:, :, None] * w[:, None, :]
 
 
 def _p_value_rows(theta: float, xs: Sequence[float], j: np.ndarray) -> list[ResidualCheck]:
     """p at the lattice points xs, from J at `_p_orders(xs)` and u = 2 eta,
-    against `_p_from_real_order`, to _P_TOL max(1, |p|).
-
-    The reflection condition needs no row: J_(-n) is formed as (-1)^n J_n
-    from the same J_n (`special._j_reflected`), so it holds by construction.
+    against `_p_from_kernel`, to _P_TOL max(1, |p|): a slip in the kernel's
+    own F fails it.  The reflection needs no row: J_(-n) is formed as
+    (-1)^n J_n from the same J_n (`special._j_reflected`).
     """
     return [ResidualCheck("p-values", f"x={x}", float(np.max(np.abs(px - ref))),
                           _P_TOL * max(1.0, float(np.max(np.abs(ref)))))
-            for x, px, ref in zip(xs, _p_from_j(theta, j), _p_from_real_order(theta, xs))]
+            for x, px, ref in zip(xs, _p_from_j(theta, j), _p_from_kernel(theta, xs))]
 
 
 def _residue_family(xs: Sequence[float]) -> tuple:
@@ -493,16 +484,16 @@ def _ode_rows(theta: float, n: np.ndarray, j: np.ndarray) -> list[ResidualCheck]
 def bessel_kernel_from_m(theta: float) -> AssembledKernel:
     """Correlation kernel reassembled from m by the limit definitions.
 
-    F(x) = lim m(zeta) f(x) and G(x) = lim m^-t(zeta) g(x) use the
-    hypergeometric-ratio m (never the Bessel matrix p), and the diagonal
-    applies G . lim m'(zeta) f(x) with the derivative taken as a Cauchy
-    circle integral.  Serves as an independent route to the kernel built
-    in `kernels.discrete_bessel_k`.
+    F(x) = lim m(zeta) f(x) uses the hypergeometric-ratio m (never the
+    Bessel matrix p), G = lim m^-t(zeta) g(x) follows by type, and the
+    diagonal applies G . lim m'(zeta) f(x) with the derivative taken as a
+    Cauchy circle integral.  Serves as an independent route to the kernel
+    built in `kernels.discrete_bessel_k`.
 
     Only the column of m that is analytic at x enters (the other has its
     simple pole there): column 1 for x > 0, column 2 for x < 0.  With
     c = zeta + 1/2, resp. 1/2 - zeta, it is (Phi(c), -eta/c Phi(c+1)),
-    resp. (eta/c Phi(c+1), Phi(c)), so F and G at all points come from one
+    resp. (eta/c Phi(c+1), Phi(c)), so F at all points comes from one
     `_hyp0f1` call on c = |x| + 1/2, and F' from one call over every
     point's derivative circle; the weight is `plancherel_l`'s d.
     """
@@ -523,18 +514,15 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
         pos = x > 0
         return np.where(pos, phi, off), np.where(pos, -off, phi)
 
-    def fg(points) -> tuple:
-        # f = (f1, 0), g = (0, g2) for x > 0 and the mirror for x < 0:
-        # F = m f is the analytic column times f, and G = m^-t g its
-        # rotation (-F2, F1) for x > 0, (F2, -F1) for x < 0
+    def f(points) -> tuple:
+        # f = (f1, 0) for x > 0 and (0, f2) for x < 0: F = m f is the
+        # analytic column times the weight
         x = np.asarray(points, dtype=float)
         wt = weight(x)
         top, bottom = column(x, np.abs(x) + 0.5)
-        f1, f2 = wt * top.real, wt * bottom.real
-        s = np.sign(x)
-        return f1, f2, -s * f2, s * f1
+        return wt * top.real, wt * bottom.real
 
-    def dfg(points) -> tuple:
+    def df(points) -> tuple:
         x = np.asarray(points, dtype=float)[:, None]
         zs = x + circle
         top, bottom = column(x, np.where(x > 0, zs + 0.5, 0.5 - zs))
@@ -542,7 +530,7 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
         return (wt * _derivative(top, phases, _DERIV_RADIUS, axis=1).real,
                 wt * _derivative(bottom, phases, _DERIV_RADIUS, axis=1).real)
 
-    return AssembledKernel("lattice", fg, dfg, name=f"bessel-k-from-m(theta={theta})")
+    return AssembledKernel(LATTICE, f, df, name=f"bessel-k-from-m(theta={theta})")
 
 
 # ----------------------------------------------------------------------

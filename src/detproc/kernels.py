@@ -1,18 +1,20 @@
 """The concrete correlation and L-kernels, in integrable (f,g) form.
 
-Discrete kernels live on the half-integer lattice Z' = Z + 1/2, continuous
-ones on R \\ {0}.  Every kernel has an array function
-`fg(points) -> (f1, f2, g1, g2)` of its integrable data.  An L-kernel is
-its one factor `d`: L(x,y) = d(x) d(y) / (x - y) for xy < 0 and 0 for
-xy > 0, the quotient (f1(x) g1(y) + f2(x) g2(y)) / (x - y) with f1 = g2 = d
-on x > 0 and f2 = g1 = d on x < 0.  A correlation kernel has the same
-quotient form in its resolvent data (F1, F2, G1, G2).  Diagonal rules act
-on arrays: zero for the L-kernels (their numerator vanishes at equal
-arguments) and the L'Hospital formula K(x,x) = F1'(x)G1(x) + F2'(x)G2(x)
-for a correlation kernel, which always supplies `dfg(points) -> (F1', F2')`:
-the discrete Bessel kernels from dJ/dnu, the Whittaker kernel from the
-contiguous relations of W, in closed form from the W pair its F and G
-already use (and `drhp.bessel_kernel_from_m` by a Cauchy integral of m).
+Discrete kernels live on the half-integer lattice Z' = Z + 1/2 (any other
+point raises DomainError), continuous ones on R \\ {0}.  Every kernel has
+an array function `fg(points) -> (f1, f2, g1, g2)` of its integrable
+data.  An L-kernel is its one factor `d`: L(x,y) = d(x) d(y) / (x - y) for
+xy < 0 and 0 for xy > 0, with f1 = g2 = d on x > 0 and f2 = g1 = d on
+x < 0, so g = sgn(x) J f, J = [[0, -1], [1, 0]].  A correlation kernel
+has the same quotient form in F = m f and G = m^-t g with det m = 1, so
+G = sgn(x) J F = sgn(x) (-F2, F1): it states `f(points) -> (F1, F2)`
+alone.  Diagonal rules act on arrays: zero for the L-kernels (their
+numerator vanishes at equal arguments) and the L'Hospital formula
+K(x,x) = F1'(x)G1(x) + F2'(x)G2(x) for a correlation kernel, which
+always supplies `df(points) -> (F1', F2')`: the discrete Bessel kernels
+from dJ/dnu, the Whittaker kernel from the contiguous relations of W, in
+closed form from the W pair its F already uses (and
+`drhp.bessel_kernel_from_m` by a Cauchy integral of m).
 
 `matrix` makes one `fg` call for distinct finite points and assembles the
 window as outer products; other points, or an entry that is not a finite
@@ -68,8 +70,18 @@ def _is_integer(z: complex) -> bool:
 
 def _require_theta(theta, who: str) -> None:
     """ParameterError unless theta (a number or an array) is finite and > 0."""
-    if not (np.all(0.0 < theta) and np.all(theta < inf)):
+    if not all(0.0 < t < inf for t in np.ravel(theta).tolist()):
         raise ParameterError(f"{who} needs a finite theta > 0, got {theta}")
+
+
+def _points(domain: str, points) -> np.ndarray:
+    """The points as floats; DomainError for a lattice kernel off Z + 1/2."""
+    x = np.asarray(points, dtype=float)
+    if domain == LATTICE:
+        off = np.abs(np.modf(x)[0]) != 0.5
+        if off.any():
+            raise DomainError(f"lattice kernel needs points of Z + 1/2, got {x[off][0]}")
+    return x
 
 
 def _quotient_matrix(pts: np.ndarray, fg, diagonal) -> np.ndarray:
@@ -117,7 +129,7 @@ class IntegrableKernel:
 
     def fg(self, points) -> tuple:
         """The arrays f1, f2, g1, g2 at the points: d placed by sign."""
-        x = np.asarray(points, dtype=float)
+        x = _points(self.domain, points)
         v = np.zeros_like(x)
         v[x != 0.0] = self.d(x[x != 0.0])
         plus, minus = np.where(x > 0, v, 0.0), np.where(x < 0, v, 0.0)
@@ -125,6 +137,7 @@ class IntegrableKernel:
 
     def __call__(self, x: float, y: float) -> float:
         if x == y:
+            _points(self.domain, (x,))
             return 0.0
         f1, f2, g1, g2 = self.fg((x, y))
         return float((f1[0] * g1[1] + f2[0] * g2[1]) / (x - y))
@@ -138,15 +151,22 @@ class IntegrableKernel:
 class AssembledKernel:
     """Correlation kernel (F1(x)G1(y)+F2(x)G2(y))/(x-y) with its diagonal.
 
-    `fg(points)` returns the arrays F1, F2, G1, G2 at the points and
-    `dfg(points)` the derivatives F1', F2'; the diagonal is the L'Hospital
-    limit F1'G1 + F2'G2.
+    `f(points)` returns the arrays F1, F2 at the points and `df(points)`
+    their derivatives; G = sgn(x) (-F2, F1) (see the module docstring), and
+    the diagonal is the L'Hospital limit F1'G1 + F2'G2.
     """
 
     domain: str
-    fg: Callable[[np.ndarray], tuple]
-    dfg: Callable[[np.ndarray], tuple]
+    f: Callable[[np.ndarray], tuple]
+    df: Callable[[np.ndarray], tuple]
     name: str = ""
+
+    def fg(self, points) -> tuple:
+        """The arrays F1, F2, G1, G2 at the points."""
+        x = _points(self.domain, points)
+        f1, f2 = self.f(x)
+        s = np.sign(x)
+        return f1, f2, -s * f2, s * f1
 
     def off_diagonal(self, x, y) -> np.ndarray:
         """K(x_i, y_i) at paired points x_i != y_i, from one fg call."""
@@ -160,7 +180,7 @@ class AssembledKernel:
         """K(x, x) = F1'(x)G1(x) + F2'(x)G2(x) at every point."""
         pts = np.asarray(points, dtype=float)
         _, _, g1, g2 = self.fg(pts)
-        df1, df2 = self.dfg(pts)
+        df1, df2 = self.df(pts)
         return df1 * g1 + df2 * g2
 
     def __call__(self, x: float, y: float) -> float:
@@ -307,25 +327,24 @@ def discrete_bessel_k(theta: float) -> AssembledKernel:
         return (np.array([values[n] for n in lo]), np.array([values[n] for n in hi]),
                 x > 0)
 
-    def fg(points) -> tuple:
-        # with a = J_(|x|-1/2), b = J_(|x|+1/2): F = (a, -b), G = (b, a) for
-        # x > 0 and F = (b, a), G = (a, -b) for x < 0
+    def f(points) -> tuple:
+        # with a = J_(|x|-1/2), b = J_(|x|+1/2): F = (a, -b) for x > 0 and
+        # F = (b, a) for x < 0
         a, b, pos = ladder(j, points)
-        return (np.where(pos, a, b), np.where(pos, -b, a),
-                np.where(pos, b, a), np.where(pos, a, -b))
+        return np.where(pos, a, b), np.where(pos, -b, a)
 
-    def dfg(points) -> tuple:
+    def df(points) -> tuple:
         da, db, pos = ladder(dj, points)
         return np.where(pos, da, -db), np.where(pos, -db, -da)
 
-    return AssembledKernel(LATTICE, fg, dfg, name=f"discrete-bessel-k(theta={theta})")
+    return AssembledKernel(LATTICE, f, df, name=f"discrete-bessel-k(theta={theta})")
 
 
 def discrete_bessel_khat(theta: float) -> AssembledKernel:
     """Complement kernel K^ = L (L-1)^(-1) of the Plancherel process.
 
     L vanishes on same-sign pairs, so D L D = -L for D = diag(sgn x), and
-    K^, which is K = L (1+L)^(-1) taken at -L, is D K D: the F, G and F' of
+    K^, which is K = L (1+L)^(-1) taken at -L, is D K D: the F and F' of
     `discrete_bessel_k`, each times sgn x, from a kernel of its own.
     """
     k = discrete_bessel_k(theta)
@@ -333,7 +352,7 @@ def discrete_bessel_khat(theta: float) -> AssembledKernel:
     def signed(data):
         return lambda points: tuple(np.sign(points) * v for v in data(points))
 
-    return AssembledKernel(LATTICE, signed(k.fg), signed(k.dfg),
+    return AssembledKernel(LATTICE, signed(k.f), signed(k.df),
                            name=f"discrete-bessel-khat(theta={theta})")
 
 
@@ -403,17 +422,16 @@ def whittaker_kernel_k(z: complex) -> AssembledKernel:
         hi, lo = np.array([w_pair(v) for v in x.tolist()]).reshape(-1, 2).T
         return hi, lo, np.abs(x), x > 0
 
-    def fg(points) -> tuple:
+    def f(points) -> tuple:
         hi, lo, t, pos = w_data(points)
         # (psi11, psi21) for x > 0 and (psi12, psi22) for x < 0
         root = np.sqrt(t)
         p1 = np.where(pos, hi, r * lo) / root
         p2 = np.where(pos, -r * lo, hi) / root
         c = np.where(pos, c_plus, c_minus)
-        return (c * p1, c * p2, np.where(pos, -c_plus, c_minus) * p2,
-                np.where(pos, c_plus, -c_minus) * p1)
+        return c * p1, c * p2
 
-    def dfg(points) -> tuple:
+    def df(points) -> tuple:
         # with e = k - 1/2 - t/2 the relations give d/dt (W_k / sqrt t)
         # = d_hi and d/dt (-r W_(k-1) / sqrt t) = d_lo; for x < 0,
         # d/dx = -d/dt makes them -d_hi (psi22) and d_lo (psi12)
@@ -425,7 +443,7 @@ def whittaker_kernel_k(z: complex) -> AssembledKernel:
         c = np.where(pos, c_plus, c_minus)
         return c * np.where(pos, d_hi, d_lo), c * np.where(pos, d_lo, -d_hi)
 
-    return AssembledKernel(REAL_LINE, fg, dfg, name=f"whittaker-k(z={z})")
+    return AssembledKernel(REAL_LINE, f, df, name=f"whittaker-k(z={z})")
 
 
 # ----------------------------------------------------------------------
@@ -536,10 +554,6 @@ class TwoPointModel:
     def k_matrix(self) -> np.ndarray:
         mn = self.mu * self.nu
         return np.array([[-mn, self.mu], [self.nu, -mn]]) / self._den
-
-    def khat_matrix(self) -> np.ndarray:
-        """K^ = L(L-1)^(-1), which is K at -L."""
-        return TwoPointModel(-self.mu, -self.nu, self.a, self.b).k_matrix()
 
     def f(self) -> np.ndarray:
         return np.array([[0.0, self.mu * (self.a - self.b)],

@@ -30,7 +30,6 @@ __all__ = [
     "YoungDiagram",
     "FrobeniusCoords",
     "frobenius",
-    "from_frobenius",
     "fr_config",
     "dim_hook",
     "plancherel_weight",
@@ -116,23 +115,6 @@ def frobenius(diagram: YoungDiagram) -> FrobeniusCoords:
     p = tuple(rows[i] - (i + 1) for i in range(d))
     q = tuple(cols[i] - (i + 1) for i in range(d))
     return FrobeniusCoords(p, q)
-
-
-def from_frobenius(coords: FrobeniusCoords) -> YoungDiagram:
-    """Inverse of `frobenius`."""
-    d = coords.d
-    if d == 0:
-        return YoungDiagram()
-    nrows = coords.q[0] + 1
-    rows = []
-    for i in range(nrows):
-        if i < d:
-            rows.append(coords.p[i] + i + 1)
-        else:
-            # column j has length q_j + j + 1, so it reaches row i iff
-            # q_j + j >= i
-            rows.append(sum(1 for j, qj in enumerate(coords.q) if qj + j >= i))
-    return YoungDiagram(rows)
 
 
 def fr_config(diagram: YoungDiagram) -> frozenset:

@@ -75,9 +75,6 @@ class SeededGenerator:
     def substream(self, index: int) -> "SeededGenerator":
         return SeededGenerator(self.seed, *self.path, index)
 
-    def random(self) -> float:
-        return float(self._gen.random())
-
     def permutation(self, n: int) -> list:
         """Uniform random permutation of (1..n).
 

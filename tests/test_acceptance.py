@@ -263,7 +263,7 @@ def test_criterion_14_special_function_suite():
     t0 = time.perf_counter()
     rows = drhp.suite_special_functions()
     elapsed = time.perf_counter() - t0
-    ok = drhp.all_pass(rows) and elapsed < 5.0
+    ok = all(r.passed for r in rows) and elapsed < 5.0
     detail = "; ".join(f"{r.check_id}={r.residual:.2e}(tol {r.tolerance:.0e})"
                        for r in rows)
     _verdict(14, ok, f"{detail}; {elapsed:.1f}s < 5s")

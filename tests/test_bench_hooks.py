@@ -82,6 +82,21 @@ def test_readme_cli_section_names_exactly_the_parser_choices():
         assert readme == parser, option
 
 
+def test_readme_cli_section_states_every_pinned_tolerance():
+    # each verdict's tolerance is a constant of cli that no option moves;
+    # README states each one with its value
+    from detproc import cli
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    pinned = {name: value for name, value in vars(cli).items()
+              if re.fullmatch(r"[A-Z_]+_(TOL|BAND)", name)}
+    assert len(pinned) == 5
+    for name, value in pinned.items():
+        stated = re.findall(rf"`{name}` = ([\d.e+-]+)", section)
+        assert [float(v) for v in stated] == [value], name
+
+
 def _has(owner, dotted: str) -> bool:
     """Whether owner.a.b... exists; a dataclass field without a default counts."""
     *path, last = dotted.split(".")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from detproc import cli, drhp, errors, oracle
+from detproc import cli, drhp, errors, kernels, oracle
 
 
 def run(args):
@@ -61,11 +61,13 @@ def test_fredholm_pass_and_content(tmp_path):
     assert float(rows[1][2]) < 1e-10
 
 
-def test_fredholm_check_failure_exit_code(tmp_path):
+def test_fredholm_check_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "f.csv"
-    # impossible tolerance forces exit 1
-    assert run(["fredholm", "--theta", "1", "--window", "30",
-                "--tol", "1e-30", "-o", str(out)]) == 1
+    # a window of radius 10 truncates det(1+L) at theta = 100: relative
+    # error 1.0 against the pinned 1e-10
+    assert run(["fredholm", "--theta", "100", "--window", "10", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "detproc: check failed: relative error 1.000e+00 >= 1.0e-10\n")
 
 
 def test_oracle_compare_bessel(tmp_path):
@@ -87,7 +89,18 @@ def test_oracle_compare_bessel_hat(tmp_path):
     assert max(float(r[4]) for r in rows[1:]) < 1e-8
 
 
-def test_oracle_compare_whittaker_includes_the_diagonal(tmp_path):
+def test_failed_oracle_compare_writes_its_whole_table(tmp_path, capsys):
+    # a window of radius 6 truncates the oracle at theta = 30: 4.0e-2
+    # against the pinned 1e-8, over the 2 x 2 pairs of the compared block
+    out = tmp_path / "oc.csv"
+    assert run(["oracle-compare", "--family", "bessel", "--theta", "30",
+                "--window", "6", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "detproc: check failed: max |analytic - oracle| = 4.047e-02 >= 1.0e-08\n")
+    assert len(read_csv(out)) == 1 + 2 * 2
+
+
+def test_oracle_compare_whittaker_includes_the_diagonal(tmp_path, monkeypatch):
     out = tmp_path / "wc.csv"
     assert run(["oracle-compare", "--family", "whittaker", "--z-re", "0.25",
                 "--z-im", "0.6", "-o", str(out)]) == 0
@@ -98,9 +111,11 @@ def test_oracle_compare_whittaker_includes_the_diagonal(tmp_path):
     assert len(diagonal) == 6
     # 1e-14 on the default window, diagonal included (tolerance 1e-10)
     assert max(float(r[4]) for r in rows[1:]) < 1e-10
-    # a coarse step misses the default tolerance and exits 1
+    # a quadrature window of twice the step misses the pinned tolerance
+    coarse = oracle.quadrature_window(h=0.7)
+    monkeypatch.setattr(oracle, "quadrature_window", lambda: coarse)
     assert run(["oracle-compare", "--family", "whittaker", "--z-re", "0.25",
-                "--z-im", "0.6", "--step", "0.7", "-o", str(out)]) == 1
+                "--z-im", "0.6", "-o", str(out)]) == 1
 
 
 def test_prob_command(tmp_path):
@@ -145,13 +160,17 @@ def test_correlation_command(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["prob", "--theta", "1", "--tol", "1e-30"],
-    ["correlation", "--theta", "1", "--n", "1000", "--sigma-band", "0"],
+    # a window of radius 6 at theta = 100: relative error 5.5e19
+    ["prob", "--theta", "100", "--rows", "1", "--window", "6"],
+    ["correlation", "--theta", "1", "--n", "1000"],
     ["limits", "--study", "zw-degeneration"],
 ], ids=" ".join)
 def test_failed_check_exits_1_with_one_line_after_the_table(args, tmp_path, capsys,
                                                              monkeypatch):
-    # the limit studies converge at every valid input, so theirs fails by a stub
+    # the sampler agrees with the kernel and the limit studies converge at
+    # every valid input, so those two fail by stubs: det L at (1/2, -1/2)
+    # is 1 at theta = 1, where the correlation is e^-1
+    monkeypatch.setattr(kernels, "discrete_bessel_k", kernels.plancherel_l)
     monkeypatch.setitem(cli._STUDIES, "zw-degeneration",
                         lambda args: (["abs_z", "max_rel_err"], [["20", "1"]], False))
     out = tmp_path / "out.csv"
@@ -207,7 +226,6 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     ["kernel", "--family", "whittaker", "--points", "inf,1"],
     ["kernel", "--family", "whittaker-l", "--points", "nan,1"],
     ["kernel", "--family", "bessel", "--window", "100000"],
-    ["oracle-compare", "--family", "whittaker", "--step", "1e-4"],
     ["kernel", "--family", "whittaker", "--points", "1e-300,-1e-300"],
     ["kernel", "--family", "whittaker", "--points", "1e-103,1"],
     ["kernel", "--family", "whittaker-l", "--points", "1e-313,-5e-324"],

@@ -71,6 +71,25 @@ def test_l_kernels_are_two_sided_and_exactly_antisymmetric(kernel_points):
     assert f2.tobytes() == g1.tobytes() == minus.tobytes()
 
 
+_LATTICE_KERNELS = (kernels.plancherel_l(1.0), kernels.zw_l(0.3 + 0.8j, 0.5),
+                    kernels.discrete_bessel_k(1.0), kernels.discrete_bessel_khat(1.0),
+                    drhp.bessel_kernel_from_m(1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_LATTICE_KERNELS),
+       st.floats(-50.0, 50.0).filter(lambda v: v - math.floor(v) != 0.5),
+       st.integers(-20, 19))
+def test_lattice_kernels_reject_points_off_the_lattice(kern, off, k):
+    # they gave plausible numbers there: discrete_bessel_k(1)(0.3, 0.3) read
+    # 0.5268 and plancherel_l(1)(0.3, -1.5) 0.4772
+    on = k + 0.5
+    for call in (lambda: kern.matrix([on, off]), lambda: kern(on, off),
+                 lambda: kern(off, on), lambda: kern(off, off)):
+        with pytest.raises(DomainError, match="Z \\+ 1/2"):
+            call()
+
+
 @pytest.mark.parametrize("theta", [1.0, 4.0, 30.0, 100.0, 400.0, 1000.0])
 def test_plancherel_l_fg_is_the_printed_libm_formula(theta):
     # bit for bit: theta^(|x|/2) / (|x|-1/2)! by math.exp and math.lgamma
@@ -144,11 +163,11 @@ def test_zw_l_fg_is_the_printed_formula(z, xi):
 
 
 @pytest.mark.parametrize("z", [0.5, 0.3 + 0.8j])
-def test_zw_l_is_zero_at_the_origin(z):
-    # the x < 0 formula has a pole at x = 0 when z = 1/2 (Gamma(-z + 1/2 - x))
-    fg = kernels.zw_l(z, 0.4).fg([0.0, 0.5, -0.5])
-    assert all(a[0] == 0.0 for a in fg)
-    assert np.all(np.isfinite(fg)) and fg[0][1] > 0.0 and fg[1][2] > 0.0
+def test_zw_l_rejects_the_origin(z):
+    # 0 is not in Z'; the x < 0 formula has a pole there when z = 1/2
+    # (Gamma(-z + 1/2 - x)), and fg gave it the data 0
+    with pytest.raises(DomainError, match="Z \\+ 1/2"):
+        kernels.zw_l(z, 0.4).fg([0.0, 0.5, -0.5])
 
 
 def test_zw_l_skew_symmetric():

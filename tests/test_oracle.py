@@ -58,8 +58,8 @@ def test_k_from_l_two_point_closed_form():
     khat = oracle.khat_from_l(op)
     expected = np.array([[mu * nu, mu], [nu, mu * nu]]) / (mu * nu - 1.0)
     assert np.max(np.abs(khat.entries - expected)) < 1e-15
-    model = kernels.TwoPointModel(mu, nu)
-    assert np.max(np.abs(khat.entries - model.khat_matrix())) < 1e-15
+    # K^ is K at -L
+    assert np.max(np.abs(khat.entries - kernels.TwoPointModel(-mu, -nu).k_matrix())) < 1e-15
 
 
 def test_k_from_l_singularity():

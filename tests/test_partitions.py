@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from detproc import partitions as pt
+from detproc import sampler
 from detproc.errors import DomainError
 
 
@@ -22,10 +24,15 @@ def test_frobenius_331_by_hand():
     assert coords.q == (2, 0)
 
 
-def test_frobenius_roundtrip_exhaustive():
-    for n in range(11):
-        for lam in pt.enumerate_partitions(n):
-            assert pt.from_frobenius(pt.frobenius(lam)) == lam
+def test_fr_config_matches_the_maya_diagram_occupancy_exhaustive():
+    # two routes to Fr(lambda) for every partition of n <= 10: fr_config by
+    # the Frobenius coordinates, the sampler's occupancy by the particles
+    # 2 (lambda_k - k) - 1 of the Maya diagram; |2x| <= 2n - 1 <= 19
+    diagrams = [lam for n in range(11) for lam in pt.enumerate_partitions(n)]
+    points = np.arange(-23, 24, 2)
+    occupied = sampler._frobenius_occupancy([list(lam.rows) for lam in diagrams], points)
+    for lam, marks in zip(diagrams, occupied):
+        assert frozenset(points[marks].tolist()) == pt.fr_config(lam)
 
 
 def test_size_identity():

@@ -179,7 +179,7 @@ def test_permutation_is_numpys_permutation_stream(n):
     gen = sampler.SeededGenerator(2001, n)
     ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(2001, spawn_key=(n,))))
     assert gen.permutation(n) == (ref.permutation(n) + 1).tolist()
-    assert gen.random() == ref.random()
+    assert gen.permutation(50) == (ref.permutation(50) + 1).tolist()
 
 
 def test_occupancy_counts_match_diagram_route():
