@@ -42,16 +42,22 @@ every element together, whose cost is set by its length (about
 theta + 20 - min Re c steps) rather than by the number of points.  So
 each subject comes in two halves, its 0F1 arguments (c, w) and its
 values from 0F1 there, and `suite_drhp` joins the (c, w) of J, m and n
-at every point of its rows into one ladder; `fit_m1` runs the other.
-The ladder passes through 0F1(c + k) for every integer k on its way
-down to c, and the residue circles' c = zeta + 1/2 and 1/2 - zeta are
-integer shifts of 64 elements c0 +- delta_j, one per node offset: those
-64 elements, read at every shift, give m on all 20 circles (1,280 nodes).
+at every point of its rows into one ladder.  The ladder passes through
+0F1(c + k) for every integer k on its way down to c, and the residue
+circles' c = zeta + 1/2 and 1/2 - zeta are integer shifts of 64 elements
+c0 +- delta_j, one per node offset: those 64 elements, read at every
+shift, give m on all 20 circles (1,280 nodes).  `fit_m1`'s circle is a
+second ladder, since it reaches Re c = 1/2 - 40 and would lengthen the
+joined one; `special._hyp0f1_ladders` runs both in one downward loop,
+each from its own start.  The circle is exactly conjugate- and
+antipode-symmetric (`_circle`), so its 2 x 256 c are the 129 c of its
+upper half and their conjugates.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from math import pi, sqrt
@@ -72,7 +78,7 @@ from .kernels import (
     plancherel_l,
     psi_matrix,
 )
-from .special import _hyp0f1, _j_0f1_args, _j_from_0f1, bessel_j_complex_order
+from .special import _hyp0f1, _hyp0f1_ladders, _j_0f1_args, _j_from_0f1, bessel_j_complex_order
 
 __all__ = [
     "ResidualCheck",
@@ -226,10 +232,25 @@ def bessel_m1_exact(theta: float) -> np.ndarray:
 #
 # values holds one entry per trapezoid node of a circle along `axis`.
 
+@functools.lru_cache(maxsize=16)
 def _circle(center: complex, radius: float, nodes: int):
-    """Unit phases e^(i th_j) and points center + radius e^(i th_j)."""
-    phases = np.exp(1j * (2.0 * pi * np.arange(nodes) / nodes))
-    return phases, center + radius * phases
+    """Unit phases e^(i th_j), th_j = 2 pi j / nodes, and points
+    center + radius e^(i th_j), for nodes divisible by 4; both read-only,
+    since a call's arrays are cached for the next.
+
+    The first quadrant's phases are `np.exp`'s; the others are its mirror
+    images, so the phases are exactly conjugate- and antipode-symmetric:
+    e^(i th_(nodes-j)) = conj e^(i th_j), e^(i th_(j+nodes/2)) = -e^(i th_j),
+    and e^(i pi/2) = i.  They are within 0.78 ulp of 1 of the exact
+    e^(i th_j), where `np.exp`'s own phases past the first quadrant carry
+    the rounding of th_j (up to 3.75 ulp off at 48 nodes; 40-digit mpmath).
+    """
+    quarter = np.exp(1j * (2.0 * pi * np.arange(nodes // 4) / nodes))
+    upper = np.concatenate([quarter, [1j], -quarter[::-1].conj()])
+    phases = np.concatenate([upper, upper[-2:0:-1].conj()])
+    points = center + radius * phases
+    phases.flags.writeable = points.flags.writeable = False
+    return phases, points
 
 
 def _weighted(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
@@ -386,6 +407,53 @@ def _m1_tol(theta: float) -> float:
     return _M1_REL_TOL * max(1.0, theta)
 
 
+def _m1_0f1_args(theta: float) -> tuple:
+    """(c, w, top) of the `_hyp0f1` ladder whose values `_m1_circle_m` reads:
+    c = zeta + 1/2 at the upper half's nodes of fit_m1's first circle.
+
+    The circle's nodes are exactly conjugate- and antipode-symmetric
+    (`_circle`), so m's c = zeta + 1/2 and 1/2 - zeta at its 2 x 256 nodes
+    are the 256 values zeta + 1/2 (1/2 - zeta is -zeta + 1/2), and those
+    are the 129 of the upper half and their conjugates.
+    """
+    zs = _circle(0j, _m1_radius(theta), 2 * _M1_START_NODES)[1]
+    return zs[:_M1_START_NODES + 1] + 0.5, -theta, 1
+
+
+def _m1_circle_m(theta: float, f: np.ndarray) -> np.ndarray:
+    """m at the nodes of fit_m1's first circle (node, 2, 2), from
+    f[k] = 0F1(c + k; -theta) at `_m1_0f1_args`.  For real w, 0F1(conj c; w)
+    is conj 0F1(c; w) bit for bit, so the lower half's values are the
+    upper half's conjugates, and Phi(1/2 - zeta) is Phi(zeta' + 1/2) at the
+    antipode zeta' = -zeta, half a circle on."""
+    half = _M1_START_NODES
+    phi = np.concatenate([f[:2], f[:2, half - 1:0:-1].conj()], axis=1)
+    opposite = np.roll(phi, -half, axis=1)
+    zs = _circle(0j, _m1_radius(theta), 2 * half)[1]
+    return _m_from_0f1(theta, zs, np.stack([phi[0], opposite[0]]),
+                       np.stack([phi[1], opposite[1]]))
+
+
+def _fit_m1(theta: float, f: np.ndarray) -> np.ndarray:
+    """fit_m1 from the 0F1 values f at `_m1_0f1_args` (see `_m1_circle_m`)."""
+    eye = np.eye(2)
+    radius, tol = _m1_radius(theta), _m1_tol(theta)
+    nodes = 2 * _M1_START_NODES
+    first = _circle(0j, radius, nodes)[1][:, None, None] * (_m1_circle_m(theta, f) - eye)
+    avg = _average(first[0::2])
+    doubled = 0.5 * (avg + _average(first[1::2]))
+    m = bessel_m(theta)
+    while np.max(np.abs(doubled - avg)) > tol:
+        if 2 * nodes > _M1_MAX_NODES:
+            raise ConvergenceError(
+                f"fit_m1({theta}): the {nodes // 2}- and {nodes}-node circle averages "
+                f"differ by more than {tol:.1e}")
+        avg, nodes = doubled, 2 * nodes
+        zs = _circle(0j, radius, nodes)[1][1::2]
+        doubled = 0.5 * (avg + _average(zs[:, None, None] * (m(zs) - eye)))
+    return doubled
+
+
 def fit_m1(theta: float) -> np.ndarray:
     """1/zeta coefficient of m fitted as the circle average of zeta (m - I).
 
@@ -398,7 +466,8 @@ def fit_m1(theta: float) -> np.ndarray:
 
     The average is the periodic trapezoid rule, which converges
     geometrically in the node count, so the count is chosen by doubling.
-    m is evaluated on the 256-node circle in one call; its even nodes are
+    m on the 256-node circle comes from one 0F1 ladder on the 129 c of
+    its upper half (`_m1_0f1_args`, `_m1_circle_m`); its even nodes are
     the 128-node circle, and its average is accepted once it is within
     1e-12 max(1, theta) of theirs.  Otherwise m is evaluated only at the
     odd nodes of the next doubled circle (its even nodes are the old ones),
@@ -406,33 +475,17 @@ def fit_m1(theta: float) -> np.ndarray:
     max(1, theta): 128/256 <= 3.7e-15 for theta <= 400 and 5.1e-14 at
     theta = 1000, so 256 nodes are accepted at every theta <= 1000 (32/64
     reads 3.6e-9 at theta = 100 and 1.7e-4 at 1000).  Raises
-    ConvergenceError when 4096 nodes do not pass.
+    ConvergenceError when 4096 nodes do not pass.  `suite_drhp` runs the
+    same ladder inside its own descent and gives the same m1 bit for bit.
     """
-    m = bessel_m(theta)
-    eye = np.eye(2)
-    radius, tol = _m1_radius(theta), _m1_tol(theta)
-
-    def terms(zs: np.ndarray) -> np.ndarray:
-        return zs[:, None, None] * (m(zs) - eye)
-
-    nodes = 2 * _M1_START_NODES
-    first = terms(_circle(0j, radius, nodes)[1])
-    avg = _average(first[0::2])
-    doubled = 0.5 * (avg + _average(first[1::2]))
-    while np.max(np.abs(doubled - avg)) > tol:
-        if 2 * nodes > _M1_MAX_NODES:
-            raise ConvergenceError(
-                f"fit_m1({theta}): the {nodes // 2}- and {nodes}-node circle averages "
-                f"differ by more than {tol:.1e}")
-        avg, nodes = doubled, 2 * nodes
-        doubled = 0.5 * (avg + _average(terms(_circle(0j, radius, nodes)[1][1::2])))
-    return doubled
+    _require_theta(theta, "fit_m1")
+    return _fit_m1(theta, _hyp0f1(*_m1_0f1_args(theta)))
 
 
-def _m1_rows(theta: float) -> list[ResidualCheck]:
-    """Fitted m1 = [[alpha,beta],[gamma,delta]] satisfies gamma=beta,
-    delta=-alpha and beta=-eta, to `_m1_tol`."""
-    (alpha, beta), (gamma, delta) = fit_m1(theta)
+def _m1_rows(theta: float, m1: np.ndarray) -> list[ResidualCheck]:
+    """The fitted m1 = [[alpha,beta],[gamma,delta]] (`fit_m1`) satisfies
+    gamma=beta, delta=-alpha and beta=-eta, to `_m1_tol`."""
+    (alpha, beta), (gamma, delta) = m1
     point, tol = f"|zeta|={_m1_radius(theta)}", _m1_tol(theta)
     return [ResidualCheck("m1-gamma-equals-beta", point, abs(gamma - beta), tol),
             ResidualCheck("m1-delta-equals-minus-alpha", point, abs(delta + alpha), tol),
@@ -695,25 +748,28 @@ def suite_contour() -> list[ResidualCheck]:
 # suites
 # ----------------------------------------------------------------------
 
-def _hyp0f1_joined(*groups, top: int = 1) -> list:
-    """`_hyp0f1` at the (c, w) of every group in one ladder, split back.
-
-    Each group's c and w are broadcast together and flattened, the groups
-    are joined, and every group gets its 0F1(c + k; w), k = 0, ..., top,
-    along a leading axis and in its broadcast shape.  The ladder's length
-    is set by the largest |w| and the leftmost c of all groups.
+def _joined(*groups) -> tuple:
+    """(c, w, split): the (c, w) of every group, broadcast together, flattened
+    and joined into one ladder's, and the function that splits that
+    ladder's values, 0F1(c + k; w) along a leading axis, back into the
+    groups, each in its broadcast shape.  The ladder's length is set by
+    the largest |w| and the leftmost c of all groups.
     """
     shapes = [np.broadcast_shapes(np.shape(c), np.shape(w)) for c, w in groups]
     c, w = (np.concatenate([np.broadcast_to(arg, shape).ravel()
                             for arg, shape in zip(column, shapes)])
             for column in zip(*groups))
     cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return [f.reshape((top + 1,) + shape)
-            for f, shape in zip(np.split(_hyp0f1(c, w, top), cuts, axis=1), shapes)]
+
+    def split(f: np.ndarray) -> list:
+        return [g.reshape(f.shape[:1] + shape)
+                for g, shape in zip(np.split(f, cuts, axis=1), shapes)]
+
+    return c, w, split
 
 
 def suite_drhp(theta: float) -> list[ResidualCheck]:
-    """Every Bessel-side check at theta, in two 0F1 ladders.
+    """Every Bessel-side check at theta, in one 0F1 descent of two ladders.
 
     The rows are p's values at _P_XS (`_p_value_rows`), m's residues at
     _RESIDUE_XS (`_residue_rows`), m's normalization (`_normalization_rows`),
@@ -724,9 +780,12 @@ def suite_drhp(theta: float) -> list[ResidualCheck]:
     on the residue circles (the 64 elements of `_residue_family`, read at
     every integer shift) and at the normalization points, n on the eta
     stencil.  The family's leftmost element sets the ladder's length.
-    `fit_m1` runs the other ladder: its circle reaches Re c = 1/2 - 40,
-    and joined with it every element would run ~30 more steps, which
-    costs the p11 row digits at theta = 1.
+    `fit_m1`'s circle (its 129 c, `_m1_0f1_args`) is the other ladder: it
+    reaches Re c = 1/2 - 40, and joined with it every element would run
+    ~30 more steps, which costs the p11 row 0.7 digits at theta = 1.  Both
+    ladders share one downward loop (`special._hyp0f1_ladders`), each
+    entering it at its own start, so each keeps its own call's values bit
+    for bit, and the m1 rows are `fit_m1`'s.
 
     Raises ParameterError unless 0 < theta < inf, and DomainError for
     theta < _MIN_THETA = 0.05, where the eta stencils' fixed steps fail
@@ -743,13 +802,15 @@ def suite_drhp(theta: float) -> list[ResidualCheck]:
     p11_points = zs - 0.5, 2.0 * (eta + _P11_STEP * _STENCIL)[:, None]
     residue_c, residue_w, top = _residue_0f1_args(theta, _RESIDUE_XS)
     norm_zs = np.array([1j * t for t in _normalization_ts(theta)])
-    j_p, j_p11, m_res, m_norm, n_ode = _hyp0f1_joined(
+    c, w, split = _joined(
         _j_0f1_args(*p_points), _j_0f1_args(*p11_points), (residue_c, residue_w),
-        _m_0f1_args(theta, norm_zs), _m_0f1_args(n_theta, zs), top=top)
+        _m_0f1_args(theta, norm_zs), _m_0f1_args(n_theta, zs))
+    joined, m1_circle = _hyp0f1_ladders((c, w, top), _m1_0f1_args(theta))
+    j_p, j_p11, m_res, m_norm, n_ode = split(joined)
     return (_p_value_rows(theta, _P_XS, _j_from_0f1(*p_points, j_p[0]))
             + _residue_rows(theta, _RESIDUE_XS, _residue_m(theta, _RESIDUE_XS, m_res))
             + _normalization_rows(theta, _m_from_0f1(theta, norm_zs, *m_norm[:2]))
-            + _m1_rows(theta)
+            + _m1_rows(theta, _fit_m1(theta, m1_circle))
             + _ode_rows(theta, _n_from_0f1(n_theta, zs, *n_ode[:2]),
                         _j_from_0f1(*p11_points, j_p11[0])))
 

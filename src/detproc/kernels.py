@@ -75,12 +75,15 @@ def _require_theta(theta, who: str) -> None:
 
 
 def _points(domain: str, points) -> np.ndarray:
-    """The points as floats; DomainError for a lattice kernel off Z + 1/2."""
+    """The points as floats; DomainError for a lattice kernel off Z + 1/2
+    and for a real-line kernel at 0, which R \\ {0} leaves out."""
     x = np.asarray(points, dtype=float)
     if domain == LATTICE:
         off = np.abs(np.modf(x)[0]) != 0.5
         if off.any():
             raise DomainError(f"lattice kernel needs points of Z + 1/2, got {x[off][0]}")
+    elif np.count_nonzero(x) < x.size:
+        raise DomainError("real-line kernel needs points of R \\ {0}, got 0.0")
     return x
 
 
@@ -118,9 +121,10 @@ def _quotient_matrix(pts: np.ndarray, fg, diagonal) -> np.ndarray:
 class IntegrableKernel:
     """Two-sided L-kernel: L(x,y) = d(x) d(y) / (x-y) for xy < 0, else 0.
 
-    `d` is an array function, called on the nonzero points only.  `fg`
-    derives the integrable data from it: f1 = g2 = d on x > 0, f2 = g1 = d
-    on x < 0 and zeros elsewhere, so f1 g1 + f2 g2 = 0 on the diagonal.
+    `d` is an array function of the points, none of which is 0 (`_points`).
+    `fg` derives the integrable data from it: f1 = g2 = d on x > 0 and
+    f2 = g1 = d on x < 0, with zeros on the other side, so f1 g1 + f2 g2 = 0
+    on the diagonal.
     """
 
     domain: str
@@ -130,8 +134,7 @@ class IntegrableKernel:
     def fg(self, points) -> tuple:
         """The arrays f1, f2, g1, g2 at the points: d placed by sign."""
         x = _points(self.domain, points)
-        v = np.zeros_like(x)
-        v[x != 0.0] = self.d(x[x != 0.0])
+        v = self.d(x)
         plus, minus = np.where(x > 0, v, 0.0), np.where(x < 0, v, 0.0)
         return plus, minus, minus, plus
 

@@ -370,21 +370,35 @@ def _hyp0f1(c, w, top: int = 1) -> np.ndarray:
     which move them within the error above: against one call per element,
     on random w in [-400, -0.5], by <= 1.7e-14 relative off the poles and
     <= 1.6e-12 on residue circles of radius 1e-3.  Equal w give the
-    scalar call's values bit for bit.
+    scalar call's values bit for bit, and so does any subset of the
+    elements that keeps the leftmost Re c and the largest |w|.  For real w,
+    0F1(conj c) is conj 0F1(c) bit for bit off the real axis, since every
+    step of the ladder is conjugation-symmetric.
+
+    This is the one-ladder case of `_hyp0f1_ladders`, which runs several
+    ladders, each with its own n, in one downward loop.
     """
+    return _hyp0f1_ladders((c, w, top))[0]
+
+
+def _ladder_start(c, w, top: int) -> tuple:
+    """(shape, c, w, n, series) of one `_hyp0f1` ladder: c's shape, c and an
+    array w flattened, the start n and the series values (0F1(c + n),
+    0F1(c + n + 1)) along a leading axis of 2."""
     c = np.asarray(c, dtype=complex)
     if np.ndim(w):
         c, w = np.broadcast_arrays(c, np.asarray(w, dtype=np.result_type(w, float)))
+        w = w.ravel()
     pole = (c.imag == 0.0) & (c.real <= 0.0) & (c.real == np.round(c.real))
     if pole.any():
         raise PoleError(f"0F1 pole at c={c.ravel()[np.argmax(pole)]}")
-    out = np.empty((top + 1,) + c.shape, dtype=complex)
+    shape, c = c.shape, c.ravel()
     if not c.size:
-        return out
+        return shape, c, w, 0, np.empty((2, 0), dtype=complex)
     a = float(np.max(np.abs(w)))
     n = max(0, top - 1, math.ceil(a + 20.0 - c.real.min()))
-    shift = np.array([n, n + 1]).reshape((2,) + (1,) * c.ndim)
-    term = np.ones((2,) + c.shape, dtype=complex)
+    shift = np.array([[n], [n + 1]])
+    term = np.ones((2, c.size), dtype=complex)
     total = term.copy()
     k, bound = 0, 1.0
     while bound > 1e-17:
@@ -393,17 +407,52 @@ def _hyp0f1(c, w, top: int = 1) -> np.ndarray:
         total += term
         k += 1
         bound *= a / (k * (a + 19.0 + k))
-    f0, f1 = total
-    b = c + n
-    for k in range(n, 0, -1):
-        # here f0 = 0F1(c + k), f1 = 0F1(c + k + 1)
-        if k < top:
-            out[k + 1] = f1
-        b1 = c + (k - 1)
-        f0, f1 = f0 + w * f1 / (b * b1), f0
-        b = b1
+    return shape, c, w, n, total
+
+
+def _hyp0f1_ladders(*ladders) -> list:
+    """`_hyp0f1` on several ladders (c, w, top) in one downward loop: the
+    list of every ladder's 0F1(c + k; w), k = 0, ..., top.
+
+    Each ladder keeps the start n and the series term count of its own
+    call, and enters the loop at its own n; from there the loop steps it
+    with every ladder entered before, over one array.  A step's arithmetic
+    is elementwise, so each ladder's values are its own `_hyp0f1` call's
+    bit for bit, while the loop costs the longest ladder's steps, not the
+    sum of all ladders' steps.
+    """
+    shapes, cs, ws, starts, series = zip(*(_ladder_start(*ladder) for ladder in ladders))
+    tops = [top for _, _, top in ladders]
+    # longest first, so the ladders entered at any step are a prefix
+    order = sorted(range(len(ladders)), key=lambda i: -starts[i])
+    ends = dict(zip(order, np.cumsum([cs[i].size for i in order]).tolist()))
+    c = np.concatenate([cs[i] for i in order])
+    # w and the shifts k as complex, which the steps' arithmetic casts them to
+    w = np.concatenate([np.broadcast_to(ws[i], cs[i].shape) for i in order]).astype(complex)
+    shifts = np.arange(max(starts) + 1, dtype=complex)
+    out = np.empty((max(tops) + 1, c.size), dtype=complex)
+    f0, f1 = np.empty_like(c), np.empty_like(c)
+    waiting = list(order)
+    for k in range(max(starts), -1, -1):
+        while waiting and starts[waiting[0]] == k:
+            i = waiting.pop(0)
+            active = ends[i]
+            f0[active - cs[i].size:active], f1[active - cs[i].size:active] = series[i]
+            v0, v1, ck, wk = f0[:active], f1[:active], c[:active], w[:active]
+            b = ck + shifts[k]
+        if not k:
+            break
+        # here v0 = 0F1(c + k), v1 = 0F1(c + k + 1) on the entered ladders
+        if k < len(out) - 1:
+            out[k + 1, :active] = v1
+        b1 = ck + shifts[k - 1]
+        step = wk * v1
+        step /= b * b1
+        np.add(v0, step, out=v1)
+        f0, f1, v0, v1, b = f1, f0, v1, v0, b1
     out[0], out[1] = f0, f1
-    return out
+    return [out[:top + 1, ends[i] - cs[i].size:ends[i]].reshape((top + 1,) + shapes[i])
+            for i, top in enumerate(tops)]
 
 
 def _j_reflected(nu, u) -> tuple:

@@ -229,6 +229,8 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     ["kernel", "--family", "whittaker", "--points", "1e-300,-1e-300"],
     ["kernel", "--family", "whittaker", "--points", "1e-103,1"],
     ["kernel", "--family", "whittaker-l", "--points", "1e-313,-5e-324"],
+    ["kernel", "--family", "whittaker-l", "--points", "0,1,-1"],
+    ["kernel", "--family", "whittaker", "--points", "0,1,-1"],
 ], ids=" ".join)
 def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsys):
     # each ended in a traceback, printed a numpy array over several lines,
@@ -326,14 +328,14 @@ def test_window_error_exits_2_with_one_line(tmp_path, capsys):
 def test_convergence_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     # a pole of m at 0.999 of fit_m1's radius: no doubling of its
     # trapezoid passes, and fit_m1 raises ConvergenceError
-    original = drhp.bessel_m
+    original = drhp._m_from_0f1
     pole = 0.999 * drhp._m1_radius(1.0)
 
-    def with_pole(theta):
-        m = original(theta)
-        return lambda zeta: m(zeta) + (1.0 / (np.asarray(zeta) - pole))[..., None, None]
+    def with_pole(theta, zeta, lo, hi):
+        m = original(theta, zeta, lo, hi)
+        return m + (1.0 / (np.asarray(zeta) - pole))[..., None, None]
 
-    monkeypatch.setattr(drhp, "bessel_m", with_pole)
+    monkeypatch.setattr(drhp, "_m_from_0f1", with_pole)
     assert run(["verify", "--suite", "drhp", "-o", str(tmp_path / "d.csv")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1

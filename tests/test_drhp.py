@@ -145,7 +145,8 @@ def test_hyp0f1_on_joined_groups_is_one_call_per_group(groups):
     # unbounded next to a zero of 0F1 in c).  Measured: 1.1e-14 over 3000
     # examples of these strategies, 2.8e-14 on 48 000 seeded draws with
     # c down to 1e-2 from the poles
-    joined = drhp._hyp0f1_joined(*groups)
+    c, w, split = drhp._joined(*groups)
+    joined = split(special._hyp0f1(c, w))
     whole = _ladder(np.concatenate([c for c, _ in groups]), min(np.min(w) for _, w in groups))
     for (c, w), (f0, f1) in zip(groups, joined):
         g0, g1 = special._hyp0f1(c, w)
@@ -154,6 +155,63 @@ def test_hyp0f1_on_joined_groups_is_one_call_per_group(groups):
         else:
             scale = np.maximum(np.abs(g0), np.abs(g1))
             assert np.all(np.maximum(np.abs(f0 - g0), np.abs(f1 - g1)) <= 1e-13 * scale)
+
+
+# one ladder: c off the poles and one w, or a w per c, and a top
+_LADDER = st.tuples(st.lists(st.tuples(_OFF_POLES, st.floats(-400.0, 0.0)), min_size=0,
+                             max_size=6), st.booleans(), st.integers(1, 4)).map(
+    lambda g: (np.array([c for c, _ in g[0]], dtype=complex),
+               (g[0][0][1] if g[0] else -1.0) if g[1] else np.array([w for _, w in g[0]]),
+               g[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_LADDER, min_size=1, max_size=4))
+def test_hyp0f1_ladders_in_one_descent_are_their_own_calls(ladders):
+    # each ladder keeps its own start and term count and enters the shared
+    # loop at its start, so its values are its own call's bit for bit
+    got = special._hyp0f1_ladders(*ladders)
+    assert len(got) == len(ladders)
+    for (c, w, top), values in zip(ladders, got):
+        want = special._hyp0f1(c, w, top)
+        assert values.shape == want.shape == (top + 1,) + c.shape
+        assert values.tobytes() == want.tobytes()
+
+
+# c off the real axis, where conj c is another element, as on fit_m1's
+# circle (|Im c| >= 0.98 there); at |Im c| ~ 1e-323 an imaginary part rounds
+# to a zero, whose sign conj flips
+_OFF_AXIS = st.builds(lambda x, y, s: complex(x, s * y), st.floats(-12.0, 12.0),
+                      st.floats(1e-3, 40.0), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_OFF_AXIS, min_size=1, max_size=8), st.floats(-400.0, -1e-3),
+       st.integers(1, 3))
+def test_hyp0f1_at_conjugate_c_is_the_conjugate_bit_for_bit(cs, w, top):
+    # for real w every step of the ladder is conjugation-symmetric, which
+    # lets fit_m1's circle take 0F1 at its upper half's c only.  (At w = 0
+    # every value is 1 + 0j, and conj flips the sign of that zero)
+    c = np.array(cs)
+    assert special._hyp0f1(c.conj(), w, top).tobytes() == \
+        special._hyp0f1(c, w, top).conj().tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_OFF_POLES, st.floats(-400.0, 0.0)), min_size=2, max_size=10),
+       st.data())
+def test_hyp0f1_subset_with_the_same_ladder_keeps_its_values(elements, data):
+    # an element's values depend on the others only through the leftmost
+    # Re c and the largest |w|, which fix the start and the term count: a
+    # subset that keeps both gets its values bit for bit
+    c = np.array([e[0] for e in elements])
+    w = np.array([e[1] for e in elements])
+    keep = {int(np.argmin(c.real)), int(np.argmax(np.abs(w)))}
+    keep |= set(data.draw(st.sets(st.integers(0, len(elements) - 1))))
+    keep = sorted(keep)
+    whole = special._hyp0f1(c, w, 2)
+    part = special._hyp0f1(c[keep], w[keep], 2)
+    assert part.tobytes() == whole[:, keep].tobytes()
 
 
 def test_hyp0f1_broadcasts_w_against_c():
@@ -278,12 +336,35 @@ def test_m_array_matches_points():
 @pytest.mark.parametrize("nodes", [32, 48, 4096])
 def test_circle_nodes_are_bitwise_the_scalar_phases(nodes):
     # the residue, derivative and fit contours were built from cmath.exp
-    # phases; the array form must give the same nodes to the last bit
+    # phases; the first quadrant still is, to the last bit, and the rest
+    # are its mirror images.  cmath's phases past the first quadrant carry
+    # the rounding of 2 pi j / nodes, so the mirrored ones sit up to 3.75
+    # ulp of 1 from them in a real or imaginary part (at 48 nodes) and
+    # within 0.78 ulp of 1 of the exact phases (40-digit mpmath)
     center, radius = -2.5 + 0.3j, 0.25
-    phases = [cmath.exp(1j * (2.0 * math.pi * j / nodes)) for j in range(nodes)]
+    phases = np.array([cmath.exp(1j * (2.0 * math.pi * j / nodes)) for j in range(nodes)])
     got_phases, got_points = drhp._circle(center, radius, nodes)
-    assert got_phases.tobytes() == np.array(phases).tobytes()
-    assert got_points.tobytes() == np.array([center + radius * e for e in phases]).tobytes()
+    quarter = slice(0, nodes // 4)
+    assert got_phases[quarter].tobytes() == phases[quarter].tobytes()
+    ulp = np.finfo(float).eps
+    assert np.max(np.abs(got_phases.real - phases.real)) <= 4.0 * ulp
+    assert np.max(np.abs(got_phases.imag - phases.imag)) <= 4.0 * ulp
+    with mpmath.workdps(40):
+        exact = [mpmath.expjpi(mpmath.mpf(2 * j) / nodes) for j in range(nodes)]
+        assert max(abs(mpmath.mpc(g) - e) for g, e in zip(got_phases.tolist(), exact)) <= ulp
+    assert got_points.tobytes() == (center + radius * got_phases).tobytes()
+
+
+@pytest.mark.parametrize("nodes", [4, 32, 48, 256, 4096])
+def test_circle_is_exactly_conjugate_and_antipode_symmetric(nodes):
+    # what lets m on fit_m1's circle take 0F1 at 129 of its 2 x 256 c
+    phases, points = drhp._circle(0j, 40.0, nodes)
+    assert phases.size == nodes
+    assert np.array_equal(phases[:0:-1], phases[1:].conj())
+    assert np.array_equal(np.roll(phases, nodes // 2), -phases)
+    assert np.array_equal(points[:0:-1], points[1:].conj())
+    assert np.array_equal(np.roll(points, nodes // 2), -points)
+    assert phases[nodes // 4] == 1j and not phases.flags.writeable
 
 
 # ---------------------------------------------------------------- bessel side
@@ -370,22 +451,43 @@ def test_suite_drhp_takes_j_from_the_joined_ladder(monkeypatch):
 
 @pytest.mark.parametrize("theta", [1.0, 100.0, 1000.0])
 def test_suite_drhp_runs_two_0f1_ladders(theta, monkeypatch):
-    # two ladders (five before, and 15 before that): one joins J (12
-    # p-values orders, 3 zeta x 5 eta of p11), m (2 x 32 residue-circle
-    # elements read at every integer shift, where each of the 2 x 20 x 32
-    # nodes was an element before, and 2 x 3 normalization points) and n
-    # (2 x 3 zeta x 5 eta); the other is fit_m1's 256 circle nodes, 2 c each
+    # two ladders in one descent (two descents before, five before that,
+    # and 15 before that).  One joins J (12 p-values orders, 3 zeta x 5 eta
+    # of p11), m (2 x 32 residue-circle elements read at every integer
+    # shift, and 2 x 3 normalization points) and n (2 x 3 zeta x 5 eta);
+    # the other is fit_m1's 256-node circle, whose 2 x 256 c are the 129
+    # c = zeta + 1/2 of its upper half and their conjugates (512 before)
     calls = []
-    original = special._hyp0f1
+    original = special._hyp0f1_ladders
 
-    def counted(c, w, top=1):
-        calls.append(np.size(c))
-        return original(c, w, top)
+    def counted(*ladders):
+        calls.append([np.size(c) for c, w, top in ladders])
+        return original(*ladders)
 
-    monkeypatch.setattr(special, "_hyp0f1", counted)
-    monkeypatch.setattr(drhp, "_hyp0f1", counted)
+    monkeypatch.setattr(special, "_hyp0f1_ladders", counted)
+    monkeypatch.setattr(drhp, "_hyp0f1_ladders", counted)
     drhp.suite_drhp(theta)
-    assert calls == [12 + 15 + 64 + 6 + 30, 512]
+    assert calls == [[12 + 15 + 64 + 6 + 30, 129]]
+
+
+@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0, 1000.0])
+def test_suite_drhp_m1_rows_are_fit_m1s_bit_for_bit(theta):
+    # one definition of the fit: the suite runs fit_m1's ladder inside its
+    # own descent and gets the standalone fit's rows to the last bit
+    rows = _suite_rows(theta, "m1-")
+    assert rows == drhp._m1_rows(theta, drhp.fit_m1(theta))
+
+
+@pytest.mark.parametrize("theta", [1.0, 30.0, 100.0, 400.0, 1000.0])
+def test_m_on_the_m1_circle_from_129_c_is_bessel_m(theta):
+    # the conjugate and antipode of each upper-half node take their 0F1
+    # from its c, and that gives bessel_m's values there bit for bit
+    c, w, top = drhp._m1_0f1_args(theta)
+    assert c.shape == (129,) and w == -theta and top == 1
+    got = drhp._m1_circle_m(theta, special._hyp0f1(c, w, top))
+    want = drhp.bessel_m(theta)(drhp._circle(0j, drhp._m1_radius(theta), 256)[1])
+    assert got.shape == (256, 2, 2)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("theta, error", [
@@ -546,15 +648,16 @@ def test_m1_fit_matches_exact(theta):
 
 
 def _count_m_points(monkeypatch):
-    """Wrap `drhp.bessel_m` so that every point m is evaluated at is counted."""
+    """Wrap `drhp._m_from_0f1`, which forms every m, so that every point m
+    is evaluated at is counted."""
     seen = []
-    original = drhp.bessel_m
+    original = drhp._m_from_0f1
 
-    def counted(theta):
-        m = original(theta)
-        return lambda zeta: (seen.append(np.size(zeta)), m(zeta))[1]
+    def counted(theta, zeta, lo, hi):
+        seen.append(np.size(zeta))
+        return original(theta, zeta, lo, hi)
 
-    monkeypatch.setattr(drhp, "bessel_m", counted)
+    monkeypatch.setattr(drhp, "_m_from_0f1", counted)
     return seen
 
 
@@ -579,14 +682,14 @@ def test_m1_fit_symmetry_holds_over_theta(theta):
 def test_m1_fit_raises_when_the_trapezoid_does_not_converge(monkeypatch):
     # a pole of m at 0.999 of the radius: the N-node average is off by
     # ~0.999^N, still ~0.13 at N = 2048, so no doubling passes
-    original = drhp.bessel_m
+    original = drhp._m_from_0f1
     pole = 0.999 * drhp._m1_radius(1.0)
 
-    def with_pole(theta):
-        m = original(theta)
-        return lambda zeta: m(zeta) + (1.0 / (np.asarray(zeta) - pole))[..., None, None]
+    def with_pole(theta, zeta, lo, hi):
+        m = original(theta, zeta, lo, hi)
+        return m + (1.0 / (np.asarray(zeta) - pole))[..., None, None]
 
-    monkeypatch.setattr(drhp, "bessel_m", with_pole)
+    monkeypatch.setattr(drhp, "_m_from_0f1", with_pole)
     seen = _count_m_points(monkeypatch)
     with pytest.raises(ConvergenceError):
         drhp.fit_m1(1.0)

@@ -40,10 +40,11 @@ def test_plancherel_l_value():
 _LATTICE_SET = st.lists(st.integers(-40, 39), min_size=1, max_size=30, unique=True).map(
     lambda ks: np.array(ks) + 0.5)
 # |x| >= 1e-20 reaches past the default quadrature window's 3e-20; nearer 0
-# the quotient d(x) d(y) / (x - y) can leave the double range
+# the quotient d(x) d(y) / (x - y) can leave the double range, and 0 itself
+# is outside R \ {0} (test_real_line_kernels_reject_the_origin)
 _REAL_SET = st.lists(
     st.one_of(st.floats(-60.0, 60.0), st.floats(-1e-6, 1e-6)).filter(lambda v: abs(v) >= 1e-20),
-    max_size=30, unique=True).map(lambda xs: np.array([0.0, *xs]))
+    min_size=1, max_size=30, unique=True).map(np.array)
 _L_KERNELS = st.one_of(
     st.tuples(st.builds(kernels.plancherel_l, st.floats(0.01, 400.0)), _LATTICE_SET),
     st.tuples(st.builds(kernels.zw_l, st.builds(complex, st.floats(-3.0, 3.0),
@@ -63,7 +64,7 @@ def test_l_kernels_are_two_sided_and_exactly_antisymmetric(kernel_points):
     m = lk.matrix(x)
     assert np.array_equal(m, -m.T)
     assert not m[np.multiply.outer(np.sign(x), np.sign(x)) >= 0.0].any()
-    d = [lk.d(np.array([p]))[0] if p != 0.0 else 0.0 for p in x.tolist()]
+    d = [lk.d(np.array([p]))[0] for p in x.tolist()]
     plus = np.where(x > 0, d, 0.0)
     minus = np.where(x < 0, d, 0.0)
     f1, f2, g1, g2 = lk.fg(x)
@@ -225,7 +226,7 @@ def test_scaled_whittaker_fg_is_its_scalar_formula():
     a = z.real
     c_plus = math.sqrt(abs(z)) * math.exp(-special.log_gamma(z + 1.0).real)
     c_minus = math.sqrt(abs(z)) * math.exp(-special.log_gamma(-z + 1.0).real)
-    pts = np.concatenate((-np.geomspace(1e-6, 80.0, 50), [0.0], np.geomspace(1e-6, 80.0, 50)))
+    pts = np.concatenate((-np.geomspace(1e-6, 80.0, 50), np.geomspace(1e-6, 80.0, 50)))
     plus = [c_plus * x ** a * math.exp(-0.5 * x) if x > 0 else 0.0 for x in pts.tolist()]
     minus = [c_minus * (-x) ** (-a) * math.exp(0.5 * x) if x < 0 else 0.0
              for x in pts.tolist()]
@@ -234,7 +235,18 @@ def test_scaled_whittaker_fg_is_its_scalar_formula():
     np.testing.assert_allclose(f1, plus, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(f2, minus, rtol=1e-15, atol=0.0)
     assert f1.tobytes() == g2.tobytes() and f2.tobytes() == g1.tobytes()
-    assert f1[50] == f2[50] == 0.0
+
+
+@pytest.mark.parametrize("kernel", [kernels.scaled_whittaker_l(0.25 + 0.6j),
+                                    kernels.whittaker_kernel_k(0.25 + 0.6j)],
+                         ids=lambda k: k.name)
+def test_real_line_kernels_reject_the_origin(kernel):
+    # 0 is not in R \ {0}: d ~ |x|^(-+Re z) is singular there on one side,
+    # and the L-kernel's fg gave it the data 0, a zero row and column
+    for call in (lambda: kernel.fg([0.0, 1.0, -1.0]), lambda: kernel.matrix([1.0, 0.0]),
+                 lambda: kernel(0.0, 0.0), lambda: kernel(1.0, -0.0)):
+        with pytest.raises(DomainError, match="R \\\\ \\{0\\}"):
+            call()
 
 
 def test_zw_scaling_limit_to_whittaker():
