@@ -207,7 +207,7 @@ def bessel_m(theta: float):
 
 def _n_from_0f1(theta, zeta, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """n at zeta from the 0F1 values of m there (see `_m_from_0f1`)."""
-    log_eta = np.log(np.sqrt(theta)) if np.ndim(theta) else math.log(sqrt(theta))
+    log_eta = np.log(np.sqrt(theta))
     z = np.asarray(zeta, dtype=complex)
     out = _m_from_0f1(theta, z, lo, hi)
     out[..., 0] *= np.exp(z * log_eta)[..., None]
@@ -233,9 +233,9 @@ def bessel_m1_exact(theta: float) -> np.ndarray:
 # values holds one entry per trapezoid node of a circle along `axis`.
 
 @functools.lru_cache(maxsize=16)
-def _circle(center: complex, radius: float, nodes: int):
+def _circle(radius: float, nodes: int):
     """Unit phases e^(i th_j), th_j = 2 pi j / nodes, and points
-    center + radius e^(i th_j), for nodes divisible by 4; both read-only,
+    radius e^(i th_j) around 0, for nodes divisible by 4; both read-only,
     since a call's arrays are cached for the next.
 
     The first quadrant's phases are `np.exp`'s; the others are its mirror
@@ -248,7 +248,7 @@ def _circle(center: complex, radius: float, nodes: int):
     quarter = np.exp(1j * (2.0 * pi * np.arange(nodes // 4) / nodes))
     upper = np.concatenate([quarter, [1j], -quarter[::-1].conj()])
     phases = np.concatenate([upper, upper[-2:0:-1].conj()])
-    points = center + radius * phases
+    points = radius * phases
     phases.flags.writeable = points.flags.writeable = False
     return phases, points
 
@@ -318,7 +318,7 @@ def _residue_family(xs: Sequence[float]) -> tuple:
     x = np.asarray(xs, dtype=float)
     shifts = np.stack([x + 0.5, 0.5 - x])
     c0 = shifts.min()
-    delta = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[1]
+    delta = _circle(_RESIDUE_RADIUS, _RESIDUE_NODES)[1]
     return c0 + np.stack([delta, -delta]), (shifts - c0).astype(int)
 
 
@@ -334,7 +334,7 @@ def _residue_m(theta: float, xs: Sequence[float], f: np.ndarray) -> np.ndarray:
     of every node are gathered at the node's shift k and k + 1."""
     k = _residue_family(xs)[1][..., None]
     sign, node = np.arange(2)[:, None, None], np.arange(_RESIDUE_NODES)
-    zetas = np.asarray(xs, dtype=float)[:, None] + _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[1]
+    zetas = np.asarray(xs, dtype=float)[:, None] + _circle(_RESIDUE_RADIUS, _RESIDUE_NODES)[1]
     return _m_from_0f1(theta, zetas, f[k, sign, node], f[k + 1, sign, node])
 
 
@@ -352,7 +352,7 @@ def _residue_rows(theta: float, xs: Sequence[float], values: np.ndarray) -> list
     """
     f1, f2, g1, g2 = plancherel_l(theta).fg(np.asarray(xs, dtype=float))
     weights = -np.stack([f1, f2], -1)[:, None, :, None] * np.stack([g1, g2], -1)[:, None, None, :]
-    phases = _circle(0j, _RESIDUE_RADIUS, _RESIDUE_NODES)[0]
+    phases = _circle(_RESIDUE_RADIUS, _RESIDUE_NODES)[0]
     res = _residue(values, phases, _RESIDUE_RADIUS, axis=1)
     residual = np.max(np.abs(res - _average(values @ weights, axis=1)), axis=(1, 2))
     tol = _RESIDUE_REL_TOL * np.maximum(1.0, np.max(np.abs(res), axis=(1, 2)))
@@ -416,7 +416,7 @@ def _m1_0f1_args(theta: float) -> tuple:
     are the 256 values zeta + 1/2 (1/2 - zeta is -zeta + 1/2), and those
     are the 129 of the upper half and their conjugates.
     """
-    zs = _circle(0j, _m1_radius(theta), 2 * _M1_START_NODES)[1]
+    zs = _circle(_m1_radius(theta), 2 * _M1_START_NODES)[1]
     return zs[:_M1_START_NODES + 1] + 0.5, -theta, 1
 
 
@@ -429,7 +429,7 @@ def _m1_circle_m(theta: float, f: np.ndarray) -> np.ndarray:
     half = _M1_START_NODES
     phi = np.concatenate([f[:2], f[:2, half - 1:0:-1].conj()], axis=1)
     opposite = np.roll(phi, -half, axis=1)
-    zs = _circle(0j, _m1_radius(theta), 2 * half)[1]
+    zs = _circle(_m1_radius(theta), 2 * half)[1]
     return _m_from_0f1(theta, zs, np.stack([phi[0], opposite[0]]),
                        np.stack([phi[1], opposite[1]]))
 
@@ -439,7 +439,7 @@ def _fit_m1(theta: float, f: np.ndarray) -> np.ndarray:
     eye = np.eye(2)
     radius, tol = _m1_radius(theta), _m1_tol(theta)
     nodes = 2 * _M1_START_NODES
-    first = _circle(0j, radius, nodes)[1][:, None, None] * (_m1_circle_m(theta, f) - eye)
+    first = _circle(radius, nodes)[1][:, None, None] * (_m1_circle_m(theta, f) - eye)
     avg = _average(first[0::2])
     doubled = 0.5 * (avg + _average(first[1::2]))
     m = bessel_m(theta)
@@ -449,7 +449,7 @@ def _fit_m1(theta: float, f: np.ndarray) -> np.ndarray:
                 f"fit_m1({theta}): the {nodes // 2}- and {nodes}-node circle averages "
                 f"differ by more than {tol:.1e}")
         avg, nodes = doubled, 2 * nodes
-        zs = _circle(0j, radius, nodes)[1][1::2]
+        zs = _circle(radius, nodes)[1][1::2]
         doubled = 0.5 * (avg + _average(zs[:, None, None] * (m(zs) - eye)))
     return doubled
 
@@ -553,7 +553,7 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
     weight = plancherel_l(theta).d   # checks theta
     eta = sqrt(theta)
     w = -theta
-    phases, circle = _circle(0j, _DERIV_RADIUS, _DERIV_NODES)
+    phases, circle = _circle(_DERIV_RADIUS, _DERIV_NODES)
     # every c below is >= 1 - _DERIV_RADIUS on the lattice; passing that
     # floor along fixes where the 0F1 ladder starts, so a point's values do
     # not depend on the other points of the call and the entries of
@@ -669,7 +669,7 @@ def suite_two_point(mu: float = 0.3, nu: float = 0.5, a: complex = 0.0,
     # residue, the limits and the Cauchy derivative of m f
     radius = 1e-3 * abs(b - a)
     pts = np.array([a, b], dtype=complex)
-    phases, circle = _circle(0j, radius, 32)
+    phases, circle = _circle(radius, 32)
     nodes = pts[:, None] + circle
     m_at, inv_t_at = model.m(nodes), model.m_inv_t(nodes)
     f, g, w = model.f(), model.g(), model.w()

@@ -208,24 +208,20 @@ def fredholm_det(l_op: WindowedOperator) -> float:
 
 
 def _minor(op: WindowedOperator, points) -> np.ndarray:
-    idx = [op.window.index_of(half(p)) for p in points]
+    """The entries at doubled integers 2x: 0 x 0, of determinant 1, at none."""
+    idx = np.array([op.window.index_of(half(p)) for p in points], dtype=int)
     return op.entries[np.ix_(idx, idx)]
 
 
 def prob_of_configuration(l_op: WindowedOperator, subset) -> float:
     """L-ensemble probability of exactly this configuration of doubled
     integers 2x (the convention of `partitions.fr_config`)."""
-    pts = list(subset)
-    det_minor = 1.0 if not pts else float(np.linalg.det(_minor(l_op, pts)))
-    return det_minor / fredholm_det(l_op)
+    return float(np.linalg.det(_minor(l_op, subset))) / fredholm_det(l_op)
 
 
 def correlation_from_k(k_op: WindowedOperator, points) -> float:
     """rho_n = det of the correlation kernel's minor at doubled integers 2x."""
-    pts = list(points)
-    if not pts:
-        return 1.0
-    return float(np.linalg.det(_minor(k_op, pts)))
+    return float(np.linalg.det(_minor(k_op, points)))
 
 
 def _quotient(num: np.ndarray, dx: np.ndarray) -> np.ndarray:

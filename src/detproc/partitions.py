@@ -127,8 +127,6 @@ def fr_config(diagram: YoungDiagram) -> frozenset:
 def dim_hook(diagram: YoungDiagram) -> int:
     """Number of standard Young tableaux of this shape (hook formula, exact)."""
     n = diagram.size
-    if n == 0:
-        return 1
     rows = diagram.rows
     cols = _conjugate_rows(rows)
     # hook of box (i, j): arm r - j - 1, leg cols[j] - i - 1, plus the box
@@ -144,7 +142,7 @@ def plancherel_weight(diagram: YoungDiagram, theta: float) -> float:
     if not 0.0 < theta < math.inf:
         raise DomainError(f"plancherel_weight needs a finite theta > 0, got {theta}")
     n = diagram.size
-    log_dim = math.log(dim_hook(diagram)) if n else 0.0
+    log_dim = math.log(dim_hook(diagram))
     return math.exp(-theta + n * math.log(theta) + 2.0 * (log_dim - math.lgamma(n + 1)))
 
 

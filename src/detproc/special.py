@@ -249,9 +249,9 @@ def bessel_j(nu, u: float):
       -u^2/4), the real part of `bessel_j_complex_order` at the order,
       one ladder per order.
 
-    `nu` may be a sequence of orders: the result is then an array, its
-    entries bit for bit the scalar values, and the integer orders up to
-    R(u) share a single run.
+    `nu` may be an array of orders, each entry one order of the same
+    path, so a scalar order is a one-element call; the integer orders up
+    to R(u) share a single run.
 
     At u = 0 order 0 gives 1, other integer and positive orders 0, and
     negative non-integer orders, where J is infinite, raise DomainError.
@@ -280,9 +280,8 @@ def bessel_j(nu, u: float):
         raise DomainError(f"bessel_j needs u >= 0, got u={u}")
     # the run every integer order n <= u starts alike, made on first use
     run = functools.cache(lambda: _miller(_miller_top(0.0, u), u))
-    if not np.ndim(nu):
-        return _bessel_j(float(nu), u, run)
-    return np.array([_bessel_j(float(n), u, run) for n in nu])
+    orders = np.asarray(nu, dtype=float)
+    return np.reshape([_bessel_j(n, u, run) for n in orders.ravel().tolist()], orders.shape)[()]
 
 
 def _bessel_j(nu: float, u: float, run) -> float:
@@ -385,10 +384,9 @@ def _ladder_start(c, w, top: int) -> tuple:
     """(shape, c, w, n, series) of one `_hyp0f1` ladder: c's shape, c and an
     array w flattened, the start n and the series values (0F1(c + n),
     0F1(c + n + 1)) along a leading axis of 2."""
-    c = np.asarray(c, dtype=complex)
-    if np.ndim(w):
-        c, w = np.broadcast_arrays(c, np.asarray(w, dtype=np.result_type(w, float)))
-        w = w.ravel()
+    c, w = np.broadcast_arrays(np.asarray(c, dtype=complex),
+                               np.asarray(w, dtype=np.result_type(w, float)))
+    w = w.ravel()
     pole = (c.imag == 0.0) & (c.real <= 0.0) & (c.real == np.round(c.real))
     if pole.any():
         raise PoleError(f"0F1 pole at c={c.ravel()[np.argmax(pole)]}")
@@ -458,7 +456,7 @@ def _hyp0f1_ladders(*ladders) -> list:
 def _j_reflected(nu, u) -> tuple:
     """(order, sign, u) of `bessel_j_complex_order`: negative integer orders
     -n reflected to n with the sign (-1)^n, and u checked to be > 0."""
-    u = np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+    u = np.asarray(u, dtype=float)
     if not np.all(u > 0.0):
         raise DomainError(f"bessel_j_complex_order needs u > 0, got u={u}")
     nu = np.asarray(nu, dtype=complex)
@@ -478,11 +476,9 @@ def _j_from_0f1(nu, u, f0):
     BesselOverflowError where (u/2)^nu / Gamma(nu+1) leaves the double range."""
     order, sign, u = _j_reflected(nu, u)
     lg = np.array([log_gamma(s) for s in (order + 1.0).ravel().tolist()]).reshape(order.shape)
-    # log(u/2), by math.log at one u (np.log can differ from it by an ulp);
-    # u/2 rounds at subnormal u (to 0 at the least one): log u - log 2 there
+    # log(u/2); u/2 rounds at subnormal u (to 0 at the least one): log u - log 2 there
     tiny = 0.5 * u < sys.float_info.min
-    log_half = ((np.log if np.ndim(u) else log)(np.where(tiny, u, 0.5 * u))
-                - np.where(tiny, log(2.0), 0.0))
+    log_half = np.log(np.where(tiny, u, 0.5 * u)) - np.where(tiny, log(2.0), 0.0)
     scale = order * log_half - lg
     if np.any(scale.real > 705.0):
         raise BesselOverflowError(f"J_nu(u) exceeds double range at nu={nu}, u={u}")

@@ -341,9 +341,9 @@ def test_circle_nodes_are_bitwise_the_scalar_phases(nodes):
     # the rounding of 2 pi j / nodes, so the mirrored ones sit up to 3.75
     # ulp of 1 from them in a real or imaginary part (at 48 nodes) and
     # within 0.78 ulp of 1 of the exact phases (40-digit mpmath)
-    center, radius = -2.5 + 0.3j, 0.25
+    radius = 0.25
     phases = np.array([cmath.exp(1j * (2.0 * math.pi * j / nodes)) for j in range(nodes)])
-    got_phases, got_points = drhp._circle(center, radius, nodes)
+    got_phases, got_points = drhp._circle(radius, nodes)
     quarter = slice(0, nodes // 4)
     assert got_phases[quarter].tobytes() == phases[quarter].tobytes()
     ulp = np.finfo(float).eps
@@ -352,13 +352,13 @@ def test_circle_nodes_are_bitwise_the_scalar_phases(nodes):
     with mpmath.workdps(40):
         exact = [mpmath.expjpi(mpmath.mpf(2 * j) / nodes) for j in range(nodes)]
         assert max(abs(mpmath.mpc(g) - e) for g, e in zip(got_phases.tolist(), exact)) <= ulp
-    assert got_points.tobytes() == (center + radius * got_phases).tobytes()
+    assert got_points.tobytes() == (radius * got_phases).tobytes()
 
 
 @pytest.mark.parametrize("nodes", [4, 32, 48, 256, 4096])
 def test_circle_is_exactly_conjugate_and_antipode_symmetric(nodes):
     # what lets m on fit_m1's circle take 0F1 at 129 of its 2 x 256 c
-    phases, points = drhp._circle(0j, 40.0, nodes)
+    phases, points = drhp._circle(40.0, nodes)
     assert phases.size == nodes
     assert np.array_equal(phases[:0:-1], phases[1:].conj())
     assert np.array_equal(np.roll(phases, nodes // 2), -phases)
@@ -485,7 +485,7 @@ def test_m_on_the_m1_circle_from_129_c_is_bessel_m(theta):
     c, w, top = drhp._m1_0f1_args(theta)
     assert c.shape == (129,) and w == -theta and top == 1
     got = drhp._m1_circle_m(theta, special._hyp0f1(c, w, top))
-    want = drhp.bessel_m(theta)(drhp._circle(0j, drhp._m1_radius(theta), 256)[1])
+    want = drhp.bessel_m(theta)(drhp._circle(drhp._m1_radius(theta), 256)[1])
     assert got.shape == (256, 2, 2)
     assert got.tobytes() == want.tobytes()
 
@@ -589,7 +589,7 @@ def test_m_on_the_residue_circles_from_their_family_is_bessel_m(theta):
     c, w, top = drhp._residue_0f1_args(theta, xs)
     assert c.shape == (2, 32) and top == 20
     got = drhp._residue_m(theta, xs, special._hyp0f1(c, w, top))
-    zetas = np.array(xs)[:, None] + drhp._circle(0j, 1e-3, 32)[1]
+    zetas = np.array(xs)[:, None] + drhp._circle(1e-3, 32)[1]
     want = drhp.bessel_m(theta)(zetas)
     assert got.shape == want.shape == (20, 32, 2, 2)
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
