@@ -39,12 +39,13 @@ SIGMA_BAND = 4.0          # correlation: |estimate - prediction| in standard err
 
 
 def _write_csv(path: str, header, rows) -> None:
-    """The table as CSV, each float cell formatted by FMT."""
+    """The table as CSV, each float cell formatted by FMT; every row is
+    formed before the file is opened, so a table that fails leaves none."""
+    cells = [[FMT % c if isinstance(c, float) else c for c in row] for row in rows]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([FMT % c if isinstance(c, float) else c for c in row]
-                         for row in rows)
+        writer.writerows(cells)
 
 
 def _parse_z(args) -> complex:

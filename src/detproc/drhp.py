@@ -202,7 +202,7 @@ def bessel_m(theta: float):
     same nodes to 3.6e-12 max(1, |m|).
     """
     _require_theta(theta, "bessel_m")
-    return lambda zeta: _m_from_0f1(theta, zeta, *_hyp0f1(*_m_0f1_args(theta, zeta)))
+    return lambda zeta: _flat(_m_from_0f1, theta, zeta)
 
 
 def _n_from_0f1(theta, zeta, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -219,7 +219,16 @@ def bessel_n(theta: float):
     """n(zeta) = m(zeta) diag(eta^zeta, eta^-zeta); zeta and theta may be
     arrays, broadcast as in `bessel_m`."""
     _require_theta(theta, "bessel_n")
-    return lambda zeta: _n_from_0f1(theta, zeta, *_hyp0f1(*_m_0f1_args(theta, zeta)))
+    return lambda zeta: _flat(_n_from_0f1, theta, zeta)
+
+
+def _flat(from_0f1, theta, zeta) -> np.ndarray:
+    """m or n by from_0f1 at theta and zeta broadcast and flattened, so that
+    a scalar is a one-element array (see `bessel_j_complex_order`): shape
+    theta x zeta + (2, 2)."""
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(zeta))
+    theta, zeta = (np.broadcast_to(v, shape).ravel() for v in (theta, zeta))
+    return from_0f1(theta, zeta, *_hyp0f1(*_m_0f1_args(theta, zeta))).reshape(shape + (2, 2))
 
 
 def bessel_m1_exact(theta: float) -> np.ndarray:

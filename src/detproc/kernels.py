@@ -31,7 +31,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, inf, lgamma, log, pi, sqrt
+from math import exp, inf, isfinite, lgamma, log, pi, sqrt
 from typing import Callable
 
 import numpy as np
@@ -204,14 +204,20 @@ def plancherel_l(theta: float) -> IntegrableKernel:
     """L-kernel of the poissonized Plancherel measure on Z'.
 
     L(x,y) = 0 for xy > 0 and theta^((|x|+|y|)/2) / ((|x|-1/2)! (|y|-1/2)!
-    (x-y)) for xy < 0; half-integer factorials are Gamma(|x|+1/2).
+    (x-y)) for xy < 0; half-integer factorials are Gamma(|x|+1/2).  Where
+    d(x) = theta^(|x|/2) / (|x|-1/2)! leaves the double range (from theta
+    ~ 5e5 on), the points raise DomainError.
     """
     _require_theta(theta, "plancherel_l")
     lt = log(theta)
 
     def value(x: np.ndarray) -> np.ndarray:
         # math.exp per point: np.exp can differ from it in the last bit
-        return np.array([exp(0.5 * t * lt - lgamma(t + 0.5)) for t in np.abs(x).tolist()])
+        try:
+            return np.array([exp(0.5 * t * lt - lgamma(t + 0.5)) for t in np.abs(x).tolist()])
+        except OverflowError as err:
+            raise DomainError(f"plancherel_l(theta={theta}) data overflows a double "
+                              f"on |x| <= {np.max(np.abs(x)):g}") from err
 
     return IntegrableKernel(LATTICE, value, f"plancherel-l(theta={theta})")
 
@@ -256,9 +262,16 @@ def _require_whittaker_z(z: complex) -> complex:
 
 
 def _whittaker_c(z: complex) -> tuple[float, float]:
-    """c+- = sqrt|z| / |Gamma(1 +- z)|, the constant of f and g on R+-."""
+    """c+- = sqrt|z| / |Gamma(1 +- z)|, the constant of f and g on R+-;
+    ParameterError where either leaves the double range (|Im z| >~ 450)."""
     root = sqrt(abs(z))
-    return root * exp(-log_gamma(1.0 + z).real), root * exp(-log_gamma(1.0 - z).real)
+    try:
+        c = root * exp(-log_gamma(1.0 + z).real), root * exp(-log_gamma(1.0 - z).real)
+    except OverflowError:
+        c = (inf, inf)
+    if not all(map(isfinite, c)):
+        raise ParameterError(f"sqrt|z| / |Gamma(1 +- z)| overflows a double at z={z}")
+    return c
 
 
 def scaled_whittaker_l(z: complex) -> IntegrableKernel:

@@ -76,12 +76,16 @@ class SeededGenerator:
         return SeededGenerator(self.seed, *self.path, index)
 
     def permutation(self, n: int) -> list:
-        """Uniform random permutation of (1..n).
+        """Uniform random permutation of (1..n), for n <= 10^6.
 
         `Generator.shuffle` on a list makes the draws of
         `Generator.permutation(n) + 1` and leaves the stream at the same
-        place (pinned in tests/test_sampler.py), without the array.
+        place (pinned in tests/test_sampler.py), without the array.  A
+        larger n raises DomainError before the list is built: the cap
+        bounds memory (~36 MiB of ints at 10^6), not accuracy.
         """
+        if n > _PERMUTATION_MAX:
+            raise DomainError(f"permutation needs n <= {_PERMUTATION_MAX}, got {n}")
         word = list(range(1, n + 1))
         self._gen.shuffle(word)
         return word
@@ -91,6 +95,8 @@ class SeededGenerator:
         return int(self._gen.poisson(_checked_theta(theta)))
 
 
+# the largest permutation: a memory bound, ~36 MiB of ints
+_PERMUTATION_MAX = 10 ** 6
 # numpy's Generator.poisson raises ValueError above this mean
 _POISSON_MAX = np.iinfo(np.int64).max - 10.0 * sqrt(np.iinfo(np.int64).max)
 

@@ -199,6 +199,11 @@ def _drgamma(s: float) -> float:
 
 _DORDER_MAX_U = 20.0        # range of the differentiated series
 _MILLER_MIN_U = 1e-40       # below it one step of Miller's run can overflow
+# resource bounds, not accuracy claims: the largest u of `bessel_j` (its
+# Miller run keeps ~u + 12 sqrt(u) floats, 11 220 at the cap) and the
+# highest start of a 0F1 ladder (one complex shift per step, 16 MiB)
+_MAX_U = 1e4
+_LADDER_MAX = 2 ** 20
 
 
 def _miller_top(n: float, u: float) -> int:
@@ -255,6 +260,9 @@ def bessel_j(nu, u: float):
 
     At u = 0 order 0 gives 1, other integer and positive orders 0, and
     negative non-integer orders, where J is infinite, raise DomainError.
+    So does u > 1e4 (theta > 2.5e7 at u = 2 sqrt(theta)), a bound on the
+    run's length (u + 12 sqrt(u) floats), not on accuracy; the 0F1 route
+    is bounded by its ladder, at |u^2/4| + 20 - nu <= 2^20 steps.
     A subnormal u takes log(u) - log 2 for log(u/2), since u/2 rounds
     there (and underflows to 0 at the least subnormal).  Raises
     BesselOverflowError when (u/2)^nu / Gamma(nu+1) leaves the double
@@ -276,8 +284,8 @@ def bessel_j(nu, u: float):
     at delta = 1e-9).  No caller in the package uses such orders.
     """
     u = float(u)
-    if u < 0.0:
-        raise DomainError(f"bessel_j needs u >= 0, got u={u}")
+    if not 0.0 <= u <= _MAX_U:
+        raise DomainError(f"bessel_j needs 0 <= u <= {_MAX_U:g}, got u={u}")
     # the run every integer order n <= u starts alike, made on first use
     run = functools.cache(lambda: _miller(_miller_top(0.0, u), u))
     orders = np.asarray(nu, dtype=float)
@@ -350,7 +358,9 @@ def _hyp0f1(c, w, top: int = 1) -> np.ndarray:
     before it by the ratio |w| / ((k+1)(|w|+20+k)), which fixes the term
     count from |w| alone.  The relation then steps down n times, forming
     each c + k from c itself (accumulated shifts cost ~100x in accuracy
-    next to the poles).  Against 40-digit mpmath, on residue circles of
+    next to the poles).  A start n above 2^20 raises DomainError before
+    the ladder is allocated (a resource bound: suite_drhp starts at
+    ~theta + 150).  Against 40-digit mpmath, on residue circles of
     radius 1e-3 and on the |zeta| = 40 circle, the relative error is at
     most 4e-13 for real w in [-400, 0); at complex w of modulus 5, 20
     and 40 (six phases, positive real w among them) and c in
@@ -394,17 +404,25 @@ def _ladder_start(c, w, top: int) -> tuple:
     if not c.size:
         return shape, c, w, 0, np.empty((2, 0), dtype=complex)
     a = float(np.max(np.abs(w)))
-    n = max(0, top - 1, math.ceil(a + 20.0 - c.real.min()))
+    reach = a + 20.0 - c.real.min()
+    if not reach <= _LADDER_MAX:
+        raise DomainError(f"0F1 ladder needs a start <= {_LADDER_MAX} steps up, got "
+                          f"{reach:.6g} (|w| = {a:.6g}, min Re c = {c.real.min():.6g})")
+    n = max(0, top - 1, math.ceil(reach))
     shift = np.array([[n], [n + 1]])
+    terms, bound = 0, 1.0
+    while bound > 1e-17:
+        terms += 1
+        bound *= a / (terms * (a + 19.0 + terms))
     term = np.ones((2, c.size), dtype=complex)
     total = term.copy()
-    k, bound = 0, 1.0
-    while bound > 1e-17:
-        term *= w / (k + 1)
-        term /= c + (shift + k)
+    # the factors w / (k + 1) and c + n + k (c + n + 1 + k on the second
+    # row) of every term k, formed at once before the loop
+    k = np.arange(terms)
+    for w_k, c_k in zip(w / (k + 1)[:, None], c + (shift + k[:, None, None])):
+        term *= w_k
+        term /= c_k
         total += term
-        k += 1
-        bound *= a / (k * (a + 19.0 + k))
     return shape, c, w, n, total
 
 
@@ -482,7 +500,7 @@ def _j_from_0f1(nu, u, f0):
     scale = order * log_half - lg
     if np.any(scale.real > 705.0):
         raise BesselOverflowError(f"J_nu(u) exceeds double range at nu={nu}, u={u}")
-    return (sign * np.exp(scale) * f0)[()]
+    return sign * np.exp(scale) * f0
 
 
 def bessel_j_complex_order(nu, u):
@@ -492,9 +510,12 @@ def bessel_j_complex_order(nu, u):
     at complex spectral points and u = 2 sqrt(theta).  `nu` may be an
     array of orders and `u` an array broadcast against it; the result has
     their broadcast shape, and all (nu, u) share one `_hyp0f1` ladder.
+    Both are broadcast and flattened first, so a scalar is a one-element
+    array: numpy's scalar arithmetic, whose complex products differ from
+    its array loops in the last bit on some machines, never runs.
     Negative integer orders -n are reflected,
     J_(-n) = (-1)^n J_n (DLMF 10.4.1), since 0F1(nu+1) has its poles
-    there.  1/Gamma(nu+1) is exp(-log_gamma), one scalar call per order.
+    there.  1/Gamma(nu+1) is exp(-log_gamma), one scalar call per element.
     Against 40-digit mpmath at u in {2, 11, 20, 40}, the error is at most
     2e-14 max(1, |J|) on complex orders with |Re nu|, |Im nu| <= 12,
     half-integer orders and integer orders -12..12 (1.8e-14 measured).
@@ -508,7 +529,9 @@ def bessel_j_complex_order(nu, u):
     The work splits in two halves, `_j_0f1_args` and `_j_from_0f1`, so
     that a caller can run the 0F1 of several subjects in one ladder.
     """
-    return _j_from_0f1(nu, u, _hyp0f1(*_j_0f1_args(nu, u))[0])
+    shape = np.broadcast_shapes(np.shape(nu), np.shape(u))
+    nu, u = (np.broadcast_to(v, shape).ravel() for v in (nu, u))
+    return _j_from_0f1(nu, u, _hyp0f1(*_j_0f1_args(nu, u))[0]).reshape(shape)[()]
 
 
 # ----------------------------------------------------------------------

@@ -231,6 +231,14 @@ def test_bad_sample_arguments_exit_2_without_a_file(args, tmp_path, capsys):
     ["kernel", "--family", "whittaker-l", "--points", "1e-313,-5e-324"],
     ["kernel", "--family", "whittaker-l", "--points", "0,1,-1"],
     ["kernel", "--family", "whittaker", "--points", "0,1,-1"],
+    # resource bounds: J's Miller run, the 0F1 ladder, the permutation (a
+    # Poisson(1.01e6) size just past its 10^6 cap: ~37 MiB without the guard)
+    ["kernel", "--family", "bessel", "--theta", "1e300", "--window", "3"],
+    ["verify", "--suite", "drhp", "--theta", "1e300"],
+    ["sample", "--theta", "1.01e6", "--n", "1"],
+    # data past the double range
+    ["kernel", "--family", "plancherel-l", "--theta", "1e10", "--window", "100"],
+    ["kernel", "--family", "whittaker", "--z-re", "0.2", "--z-im", "1e300", "--points", "1,-1"],
 ], ids=" ".join)
 def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsys):
     # each ended in a traceback, printed a numpy array over several lines,

@@ -978,3 +978,44 @@ def test_every_row_fails_under_its_mutant(check_id, arg, monkeypatch):
     monkeypatch.setattr(owner, name, lambda *args: change(original(*args), *args))
     rows = [r for r in _MUTATED_SUITES[suite](arg) if r.check_id == check_id]
     assert rows and not all(r.passed for r in rows), check_id
+
+
+# ---------------------------------------------------------------- one path per value
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-30.0, 30.0), st.floats(-12.0, 12.0), st.floats(0.5, 40.0),
+       st.floats(0.05, 400.0), st.floats(-6.0, 6.0), st.floats(0.01, 6.0))
+def test_a_scalar_argument_is_a_one_element_array_bit_for_bit(nu, nu_im, u, theta,
+                                                              zeta_re, zeta_im):
+    # bessel_j in nu, bessel_j_complex_order in u and bessel_n in theta
+    # take a scalar through the array path: no math.log beside np.log
+    one = special.bessel_j(nu, u)
+    assert np.ndim(one) == 0 and _bits(one) == _bits(special.bessel_j([nu], u)[0])
+    order = complex(nu, nu_im)
+    one = special.bessel_j_complex_order(order, u)
+    assert np.ndim(one) == 0
+    assert _bits(one) == _bits(special.bessel_j_complex_order(order, np.array([u]))[0])
+    zeta = complex(zeta_re, zeta_im)
+    one = drhp.bessel_n(theta)(zeta)
+    assert one.shape == (2, 2)
+    assert _bits(one) == _bits(drhp.bessel_n(np.array([theta]))(zeta)[0])
+
+
+# ---------------------------------------------------------------- resource bounds
+
+def test_a_0f1_ladder_past_its_cap_raises_before_it_is_built():
+    # at c = 1 the start is |w| + 19 steps up: one past the cap raises;
+    # verify --suite drhp at theta = 1e300 ended in a numpy casting error
+    cap = special._LADDER_MAX
+    with pytest.raises(DomainError, match="0F1 ladder"):
+        special._hyp0f1(1.0, -(cap - 18.0))
+    with pytest.raises(DomainError, match="0F1 ladder"):
+        special.bessel_j_complex_order(0.5, 1e10)
+    with pytest.raises(DomainError, match="0F1 ladder"):
+        drhp.suite_drhp(1e300)
+    # the start at the cap is admitted (its series is cheap; no ladder runs)
+    assert special._ladder_start(1.0, -(cap - 19.0), 1)[3] == cap

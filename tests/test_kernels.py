@@ -249,6 +249,29 @@ def test_real_line_kernels_reject_the_origin(kernel):
             call()
 
 
+def test_plancherel_l_data_past_the_double_range_raises():
+    # matrix and the scalar call alike; both ended in "math range error"
+    kernel = kernels.plancherel_l(1e10)
+    for call in (lambda: kernel.matrix(oracle.lattice_window(100).points),
+                 lambda: kernel(99.5, -0.5), lambda: kernel.fg([0.5, 99.5])):
+        with pytest.raises(DomainError, match="overflows a double"):
+            call()
+    # every entry that is finite keeps its bits
+    small = kernels.plancherel_l(1e10).matrix([0.5, -0.5, 1.5, -1.5])
+    lt = math.log(1e10)
+    d = [math.exp(0.5 * t * lt - math.lgamma(t + 0.5)) for t in (0.5, 1.5)]
+    assert small[0, 1] == d[0] * d[0] / 1.0 and small[2, 1] == d[1] * d[0] / 2.0
+
+
+@pytest.mark.parametrize("z_im", [452.0, 1e300])
+def test_whittaker_constants_past_the_double_range_raise(z_im):
+    # sqrt|z| / |Gamma(1 +- z)| grows like e^(pi |Im z| / 2); 1e300 ended
+    # in an OverflowError traceback
+    for family in (kernels.whittaker_kernel_k, kernels.scaled_whittaker_l):
+        with pytest.raises(ParameterError, match="overflows a double"):
+            family(complex(0.2, z_im))
+
+
 def test_zw_scaling_limit_to_whittaker():
     z = 0.25 + 0.6j
     target = kernels.scaled_whittaker_l(z)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detproc import partitions as pt
 from detproc import sampler
@@ -194,3 +196,24 @@ def test_plancherel_weight_needs_a_finite_positive_theta(theta):
     # theta = inf returned nan
     with pytest.raises(DomainError):
         pt.plancherel_weight(pt.YoungDiagram([1]), theta)
+
+
+diagrams = st.lists(st.integers(1, 40), max_size=40).map(
+    lambda parts: pt.YoungDiagram(sorted(parts, reverse=True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagrams)
+def test_conjugation_reflects_fr_and_keeps_dim_and_weight(lam):
+    # lambda <-> lambda' reflects Fr(lambda) through 0 and keeps the hook
+    # dimension and the Plancherel weight bit for bit; the sampler's
+    # occupancy of lambda' at -p is that of lambda at p
+    mu = lam.conjugate()
+    assert pt.fr_config(mu) == frozenset(-p for p in pt.fr_config(lam))
+    assert pt.dim_hook(mu) == pt.dim_hook(lam)
+    for theta in (0.5, 7.0, 90.0):
+        assert pt.plancherel_weight(mu, theta).hex() == pt.plancherel_weight(lam, theta).hex()
+    reach = 2 * lam.size + 5
+    points = np.arange(-reach, reach + 1, 2)
+    occupied = sampler._frobenius_occupancy([list(lam.rows), list(mu.rows)], points)
+    assert np.array_equal(occupied[1], occupied[0][::-1])

@@ -295,3 +295,13 @@ def test_frobenius_occupancy_from_rows(words):
     for row, marks in zip(rows, occupied):
         assert set(points[marks].tolist()) == fr_config(YoungDiagram(row))
     assert sampler._frobenius_occupancy(rows, points[:0]).shape == (len(words), 0)
+
+
+def test_permutation_past_its_cap_raises_before_the_list_is_built():
+    # a memory bound (~36 MiB of ints at the cap); sample --theta 1e9 would
+    # have built a list of ~10^9 ints.  Only the cap + 1 is exercised.
+    gen = sampler.SeededGenerator(3)
+    with pytest.raises(DomainError, match="permutation needs"):
+        gen.permutation(sampler._PERMUTATION_MAX + 1)
+    # the guard draws nothing: the stream is where it was
+    assert gen.permutation(5) == sampler.SeededGenerator(3).permutation(5)

@@ -747,3 +747,16 @@ def test_whittaker_near_its_zero_is_not_refused():
         mine = special.whittaker_w(-0.0957, 2.961, x)
         ref = float(mpmath.whitw(-0.0957, 2.961j, x).real)
         assert abs(mine) < 1e-5 and abs(mine - ref) <= 1e-15
+
+
+def test_bessel_j_past_its_u_cap_raises_before_the_run():
+    # a resource bound: the Miller run keeps ~u + 12 sqrt(u) floats;
+    # u = 2e150 ended in an OverflowError traceback from _miller
+    cap = special._MAX_U
+    assert special.bessel_j(0, cap) == pytest.approx(float(mpmath.besselj(0, cap)), abs=1e-15)
+    for u in (math.nextafter(cap, math.inf), 2e150, math.inf, math.nan):
+        with pytest.raises(DomainError, match="bessel_j needs"):
+            special.bessel_j([0, 1, 2.5], u)
+    # theta = 1e6, the largest that the discrete Bessel side must admit
+    assert special.bessel_j(3, 2000.0) == pytest.approx(
+        float(mpmath.besselj(3, 2000)), abs=1e-15)
