@@ -19,11 +19,12 @@ closed form from the W pair its F already uses (and
 `matrix` makes one `fg` call for distinct finite points and assembles the
 window as outer products; other points, or an entry that is not a finite
 double, raise DomainError.  Scalar `kernel(x, y)` wraps one `fg` call on
-its two points: it gives the matrix's entries bit for bit but pays numpy's
-per-call overhead, so pass all points to `matrix` at once.  The Whittaker
-kernel keeps both W orders of a point (one `whittaker_w` call) and the
-discrete Bessel kernels keep J_n and dJ/dnu per order, for the kernel's
-lifetime.
+its two points: it gives the matrix's entries bit for bit, and raises
+where `matrix` does on an entry that is not a finite double, but pays
+numpy's per-call overhead, so pass all points to `matrix` at once.  The
+Whittaker kernel keeps both W orders of a point (one `whittaker_w` call)
+and the discrete Bessel kernels keep J_n and dJ/dnu per order, each from
+one array call on the orders not yet known, for the kernel's lifetime.
 """
 
 from __future__ import annotations
@@ -117,6 +118,14 @@ def _quotient_matrix(pts: np.ndarray, fg, diagonal) -> np.ndarray:
     return out
 
 
+def _entry(value, x: float, y: float) -> float:
+    """A scalar call's K(x, y) as a float; DomainError, as in `matrix`,
+    unless it is a finite double."""
+    if not isfinite(value):
+        raise DomainError(f"kernel entry at ({x}, {y}) is {value}, not a finite double")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class IntegrableKernel:
     """Two-sided L-kernel: L(x,y) = d(x) d(y) / (x-y) for xy < 0, else 0.
@@ -143,7 +152,8 @@ class IntegrableKernel:
             _points(self.domain, (x,))
             return 0.0
         f1, f2, g1, g2 = self.fg((x, y))
-        return float((f1[0] * g1[1] + f2[0] * g2[1]) / (x - y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _entry((f1[0] * g1[1] + f2[0] * g2[1]) / (x - y), x, y)
 
     def matrix(self, points) -> np.ndarray:
         """Dense kernel matrix on a point set, zero on the diagonal."""
@@ -172,24 +182,27 @@ class AssembledKernel:
         return f1, f2, -s * f2, s * f1
 
     def off_diagonal(self, x, y) -> np.ndarray:
-        """K(x_i, y_i) at paired points x_i != y_i, from one fg call."""
+        """K(x_i, y_i) at paired points x_i != y_i, from one fg call; an
+        entry that leaves the double range reads inf or nan."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         f1, f2, g1, g2 = self.fg(np.concatenate((x, y)))
         n = x.size
-        return (f1[:n] * g1[n:] + f2[:n] * g2[n:]) / (x - y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (f1[:n] * g1[n:] + f2[:n] * g2[n:]) / (x - y)
 
     def diagonal(self, points) -> np.ndarray:
-        """K(x, x) = F1'(x)G1(x) + F2'(x)G2(x) at every point."""
+        """K(x, x) = F1'(x)G1(x) + F2'(x)G2(x) at every point, inf or nan
+        where it leaves the double range."""
         pts = np.asarray(points, dtype=float)
         _, _, g1, g2 = self.fg(pts)
         df1, df2 = self.df(pts)
-        return df1 * g1 + df2 * g2
+        with np.errstate(over="ignore", invalid="ignore"):
+            return df1 * g1 + df2 * g2
 
     def __call__(self, x: float, y: float) -> float:
-        if x == y:
-            return float(self.diagonal((x,))[0])
-        return float(self.off_diagonal((x,), (y,))[0])
+        value = self.diagonal((x,)) if x == y else self.off_diagonal((x,), (y,))
+        return _entry(value[0], x, y)
 
     def matrix(self, points) -> np.ndarray:
         """Dense kernel matrix on a point set, diagonal by the kernel's rule."""
@@ -307,8 +320,10 @@ def discrete_bessel_k(theta: float) -> AssembledKernel:
     derivative of J.  Each J_n(2 sqrt(theta)) and dJ/dnu is computed once
     per kernel: an M-window costs one `bessel_j` call on its M + 1 orders
     (at any theta one Miller run, for every order up to its reach R(u))
-    and M + 1 dJ/dnu calls.  The diagonal needs dJ/dnu at u = 2 sqrt(theta) <= 20, so
-    theta <= 100; beyond that it raises DomainError.  Against the tail sum
+    and one `bessel_j_dorder` call on them, which shares its tables of
+    gamma-family factors among the orders.  The diagonal needs dJ/dnu at
+    u = 2 sqrt(theta) <= 20, so theta <= 100; beyond that it raises
+    DomainError.  Against the tail sum
     K(x,x) = sum_(n >= |x|+1/2) J_n(2 sqrt(theta))^2 the diagonal is within
     3.9e-16, 1.9e-12 and 1.8e-8 on |x| <= M - 1/2 at (theta, M) = (1, 15),
     (30, 30) and (100, 40): dJ/dnu loses digits as u grows.
@@ -322,35 +337,26 @@ def discrete_bessel_k(theta: float) -> AssembledKernel:
     jn: dict[float, float] = {}
     djn: dict[float, float] = {}
 
-    def j(orders) -> dict:
-        # one bessel_j call takes every order not yet known
-        new = sorted(set(orders) - jn.keys())
-        if new:
-            jn.update(zip(new, (s * bessel_j(new, u)).tolist()))
-        return jn
-
-    def dj(orders) -> dict:
-        for nu in set(orders) - djn.keys():
-            djn[nu] = s * bessel_j_dorder(nu, u)
-        return djn
-
-    def ladder(table, points) -> tuple:
-        # the table at the orders |x| - 1/2 and |x| + 1/2, and the mask x > 0
+    def ladder(table, of, points) -> tuple:
+        # the table at the orders |x| - 1/2 and |x| + 1/2, and the mask
+        # x > 0; one call of(orders, u) takes every order not yet known
         x = np.asarray(points, dtype=float)
         lo = (np.abs(x) - 0.5).tolist()
         hi = (np.abs(x) + 0.5).tolist()
-        values = table(lo + hi)
-        return (np.array([values[n] for n in lo]), np.array([values[n] for n in hi]),
+        new = sorted(set(lo + hi) - table.keys())
+        if new:
+            table.update(zip(new, (s * of(new, u)).tolist()))
+        return (np.array([table[n] for n in lo]), np.array([table[n] for n in hi]),
                 x > 0)
 
     def f(points) -> tuple:
         # with a = J_(|x|-1/2), b = J_(|x|+1/2): F = (a, -b) for x > 0 and
         # F = (b, a) for x < 0
-        a, b, pos = ladder(j, points)
+        a, b, pos = ladder(jn, bessel_j, points)
         return np.where(pos, a, b), np.where(pos, -b, a)
 
     def df(points) -> tuple:
-        da, db, pos = ladder(dj, points)
+        da, db, pos = ladder(djn, bessel_j_dorder, points)
         return np.where(pos, da, -db), np.where(pos, -db, -da)
 
     return AssembledKernel(LATTICE, f, df, name=f"discrete-bessel-k(theta={theta})")

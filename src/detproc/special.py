@@ -200,8 +200,9 @@ def _drgamma(s: float) -> float:
 _DORDER_MAX_U = 20.0        # range of the differentiated series
 _MILLER_MIN_U = 1e-40       # below it one step of Miller's run can overflow
 # resource bounds, not accuracy claims: the largest u of `bessel_j` (its
-# Miller run keeps ~u + 12 sqrt(u) floats, 11 220 at the cap) and the
-# highest start of a 0F1 ladder (one complex shift per step, 16 MiB)
+# Miller run keeps ~u + 12 sqrt(u) floats, 11 220 at the cap, and no run
+# of a higher order is longer) and the highest start of a 0F1 ladder (one
+# complex shift per step, 16 MiB)
 _MAX_U = 1e4
 _LADDER_MAX = 2 ** 20
 
@@ -214,7 +215,12 @@ def _miller_top(n: float, u: float) -> int:
 
 def _miller(top: int, u: float) -> np.ndarray:
     """J_k(u), k = 0..top: one backward run from order top, normalized by
-    J_0 + 2 sum_(k >= 1) J_2k = 1."""
+    J_0 + 2 sum_(k >= 1) J_2k = 1.  A run longer than the one at u = 1e4
+    raises DomainError before its list is made: each pass of 1e250
+    rescales the whole list, so the time grows with the square of top."""
+    if top > _miller_top(0.0, _MAX_U):
+        raise DomainError(f"bessel_j's Miller run from order {top} is longer than its cap, "
+                          f"the {_miller_top(0.0, _MAX_U)} orders of the run at u = {_MAX_U:g}")
     above = 0.0
     here = 1e-280
     vals = [0.0] * (top + 1)
@@ -261,8 +267,10 @@ def bessel_j(nu, u: float):
     At u = 0 order 0 gives 1, other integer and positive orders 0, and
     negative non-integer orders, where J is infinite, raise DomainError.
     So does u > 1e4 (theta > 2.5e7 at u = 2 sqrt(theta)), a bound on the
-    run's length (u + 12 sqrt(u) floats), not on accuracy; the 0F1 route
-    is bounded by its ladder, at |u^2/4| + 20 - nu <= 2^20 steps.
+    run's length (u + 12 sqrt(u) floats), not on accuracy, and so does an
+    integer order above u whose own run would be longer than the shared
+    run at u = 1e4 (n + 20 + 12 sqrt(n) > 11 220, i.e. n > 1e4); the 0F1
+    route is bounded by its ladder, at |u^2/4| + 20 - nu <= 2^20 steps.
     A subnormal u takes log(u) - log 2 for log(u/2), since u/2 rounds
     there (and underflows to 0 at the least subnormal).  Raises
     BesselOverflowError when (u/2)^nu / Gamma(nu+1) leaves the double
@@ -309,7 +317,7 @@ def _bessel_j(nu: float, u: float, run) -> float:
     return float(bessel_j_complex_order(nu, u).real)
 
 
-def bessel_j_dorder(nu: float, u: float) -> float:
+def bessel_j_dorder(nu, u: float):
     """dJ_nu(u)/dnu by the term-by-term differentiated power series.
 
     Each series term picks up the factor ln(u/2) - psi(nu+k+1); at the
@@ -318,26 +326,44 @@ def bessel_j_dorder(nu: float, u: float) -> float:
     40-digit references at orders 0..44 the absolute error grows with u to
     7.7e-9 at u = 20.  The series cancels beyond it (3e-6 at u = 25, 10 at
     u = 40), so larger u raises DomainError.
+
+    `nu` may be an array of orders (a scalar is a one-element call).  Each
+    order sums its own series with its own stop, reading lgamma(k + 1) by
+    k, and ln(u/2)/Gamma(s) + d(1/Gamma)/ds by s = nu + k + 1, from tables
+    the call fills on first use: orders 0..40 at u = 20 share 66 s values.
     """
-    nu = float(nu)
     u = float(u)
     if not 0.0 < u <= _DORDER_MAX_U:
         raise DomainError(f"bessel_j_dorder needs 0 < u <= {_DORDER_MAX_U:g}, got u={u}")
     lhalf = log(0.5 * u)
-    terms = []
-    biggest = 0.0
-    for k in range(250):
-        lt = (nu + 2 * k) * lhalf - lgamma(k + 1)
-        if lt > 690.0:
-            raise BesselOverflowError(f"dJ/dnu term overflow at nu={nu}, u={u}")
-        t = (-1.0) ** (k % 2) * exp(lt) * (
-            lhalf * _rgamma(nu + k + 1) + _drgamma(nu + k + 1)
-        )
-        terms.append(t)
-        biggest = max(biggest, abs(t))
-        if k > max(0.0, -nu) + 6 and abs(t) < 1e-18 * max(biggest, 1e-300):
-            break
-    return fsum(terms)
+    steps: list[tuple[float, float]] = []
+    factor: dict[float, float] = {}
+    orders = np.asarray(nu, dtype=float)
+    sums = []
+    for nu in orders.ravel().tolist():
+        terms = []
+        biggest = 0.0
+        k_min = max(0.0, -nu) + 6
+        for k in range(250):
+            if k == len(steps):
+                steps.append((lgamma(k + 1), (-1.0) ** (k % 2)))
+            lg, sign = steps[k]
+            lt = (nu + 2 * k) * lhalf - lg
+            if lt > 690.0:
+                raise BesselOverflowError(f"dJ/dnu term overflow at nu={nu}, u={u}")
+            s = nu + k + 1
+            g = factor.get(s)
+            if g is None:
+                g = factor[s] = lhalf * _rgamma(s) + _drgamma(s)
+            t = sign * exp(lt) * g
+            terms.append(t)
+            a = abs(t)
+            if a > biggest:
+                biggest = a
+            if k > k_min and a < 1e-18 * max(biggest, 1e-300):
+                break
+        sums.append(fsum(terms))
+    return np.reshape(sums, orders.shape)[()]
 
 
 # ----------------------------------------------------------------------
@@ -484,9 +510,17 @@ def _j_reflected(nu, u) -> tuple:
 
 
 def _j_0f1_args(nu, u) -> tuple:
-    """(c, w) of the 0F1 in J_nu(u): c = nu + 1 after reflection, w = -u^2/4."""
+    """(c, w) of the 0F1 in J_nu(u): c = nu + 1 after reflection, w = -u^2/4.
+
+    An element with u^2/4 > 2^20 + Re c, whose ladder would start above the
+    cap of `_ladder_start`, raises DomainError before u^2/4 is formed (it
+    overflows from u ~ 1e154 on)."""
     order, _, u = _j_reflected(nu, u)
-    return order + 1.0, -0.25 * u * u
+    c = order + 1.0
+    if np.any(0.5 * u > np.sqrt(np.maximum(_LADDER_MAX + c.real, 0.0))):
+        raise DomainError(f"0F1 ladder of J_nu(u) needs u^2/4 + 20 - Re(nu + 1) <= "
+                          f"{_LADDER_MAX}, got u up to {np.max(u):.6g}")
+    return c, -0.25 * u * u
 
 
 def _j_from_0f1(nu, u, f0):

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from detproc.errors import (
     ParameterError,
     SingularOperatorError,
 )
+from test_special import bessel_j_dorder_reference
 
 
 # ---------------------------------------------------------------- plancherel L
@@ -337,9 +339,9 @@ def _uncached_bessel_kernels(theta):
     """K and K^ as scalar closures, written before the Bessel values were
     memoised, as (F1, F2, G1, G2, dF1, dF2).
 
-    Every F, G, dF and diagonal lookup calls bessel_j / bessel_j_dorder
-    afresh; kept as the reference the memoised kernels must match bit for
-    bit.
+    Every F, G, dF and diagonal lookup calls bessel_j, or the frozen
+    one-order-per-call dJ/dnu of tests/test_special.py, afresh; kept as the
+    reference the memoised kernels must match bit for bit.
     """
     eta = math.sqrt(theta)
     u = 2.0 * eta
@@ -349,7 +351,7 @@ def _uncached_bessel_kernels(theta):
         return s * special.bessel_j(nu, u)
 
     def dj(nu):
-        return s * special.bessel_j_dorder(nu, u)
+        return s * bessel_j_dorder_reference(nu, u)
 
     k = (
         lambda x: j(x - 0.5) if x > 0 else j(-x + 0.5),
@@ -412,9 +414,9 @@ def test_khat_is_k_conjugated_by_the_sign_matrix(theta, m):
 @pytest.mark.parametrize("build", [kernels.discrete_bessel_k,
                                    kernels.discrete_bessel_khat])
 def test_discrete_bessel_computes_each_bessel_value_once(monkeypatch, build):
-    # one bessel_j call (one ladder) on the window's orders and at most
-    # M + 1 dJ/dnu calls per kernel; a fresh kernel pays again
-    calls = collections.Counter()
+    # one bessel_j call (one ladder) and one dJ/dnu call on the window's
+    # M + 1 orders per kernel; a fresh kernel pays again
+    calls = []
     ladders = []
     j, dj = kernels.bessel_j, kernels.bessel_j_dorder
 
@@ -422,9 +424,9 @@ def test_discrete_bessel_computes_each_bessel_value_once(monkeypatch, build):
         ladders.append(list(orders))
         return j(orders, u)
 
-    def counted_dj(nu, u):
-        calls[nu] += 1
-        return dj(nu, u)
+    def counted_dj(orders, u):
+        calls.append(list(orders))
+        return dj(orders, u)
 
     monkeypatch.setattr(kernels, "bessel_j", counted_j)
     monkeypatch.setattr(kernels, "bessel_j_dorder", counted_dj)
@@ -435,16 +437,14 @@ def test_discrete_bessel_computes_each_bessel_value_once(monkeypatch, build):
         kern = build(theta)
         first = kern.matrix(pts)
         orders = [float(n) for n in range(m + 1)]
-        assert ladders == [orders]
-        assert len(calls) <= m + 1 and set(calls.values()) == {1}
-        paid = dict(calls)
+        assert ladders == [orders] and calls == [orders]
         calls.clear()
         ladders.clear()
         assert kern.matrix(pts).tobytes() == first.tobytes()
         assert not calls and not ladders
         # the memo belongs to the kernel: a fresh one pays again
         assert build(theta).matrix(pts).tobytes() == first.tobytes()
-        assert ladders == [orders] and calls == paid
+        assert ladders == [orders] and calls == [orders]
 
 
 def test_discrete_bessel_diagonal_beyond_dorder_range_raises():
@@ -631,6 +631,28 @@ def test_matrix_rejects_an_entry_that_is_not_a_finite_double():
     # entries read +-inf after a numpy RuntimeWarning
     with pytest.raises(DomainError, match=r"\(1e-313, -5e-324\) is inf, not a finite double"):
         kernels.scaled_whittaker_l(0.25 + 0.6j).matrix([1e-313, -5e-324])
+
+
+def test_scalar_call_rejects_an_entry_that_is_not_a_finite_double():
+    # each d is finite at these points, only d(x) d(y) overflows: the scalar
+    # call read -inf after a numpy RuntimeWarning where matrix raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kern, x, y in ((kernels.plancherel_l(2e5), -908.5, 434.5),
+                           (kernels.scaled_whittaker_l(0.25 + 0.6j), 1e-313, -5e-324)):
+            with pytest.raises(DomainError, match="not a finite double"):
+                kern.matrix([x, y])
+            with pytest.raises(DomainError, match=f"\\({x}, {y}\\) is -?inf, not a finite double"):
+                kern(x, y)
+        # an AssembledKernel whose F overflows in the product, off and on
+        # the diagonal
+        big = kernels.AssembledKernel(kernels.REAL_LINE, lambda x: (1e200 * x, 1e200 * x),
+                                      lambda x: (1e200 * x, 1e200 * x))
+        for x, y in ((1.0, -2.0), (3.0, 3.0)):
+            with pytest.raises(DomainError, match="not a finite double"):
+                big(x, y)
+            with pytest.raises(DomainError, match="not a finite double"):
+                big.matrix([x, y] if x != y else [x])
 
 
 # ---------------------------------------------------------------- christoffel-darboux

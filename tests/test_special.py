@@ -8,11 +8,14 @@ by the kernel formulas.
 import cmath
 import functools
 import math
+import time
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import jv as scipy_jv
 
 from detproc import special
@@ -390,6 +393,104 @@ def test_bessel_dorder_domain():
         special.bessel_j_dorder(3.0, 20.5)
 
 
+def bessel_j_dorder_reference(nu: float, u: float) -> float:
+    """`special.bessel_j_dorder` as one scalar order per call, frozen as it
+    was before the orders of a call shared their gamma-family tables: the
+    reference that the array call must match bit for bit."""
+    from math import exp, fsum, lgamma, log
+
+    from detproc.special import _DORDER_MAX_U, _drgamma, _rgamma
+
+    nu = float(nu)
+    u = float(u)
+    if not 0.0 < u <= _DORDER_MAX_U:
+        raise DomainError(f"bessel_j_dorder needs 0 < u <= {_DORDER_MAX_U:g}, got u={u}")
+    lhalf = log(0.5 * u)
+    terms = []
+    biggest = 0.0
+    for k in range(250):
+        lt = (nu + 2 * k) * lhalf - lgamma(k + 1)
+        if lt > 690.0:
+            raise BesselOverflowError(f"dJ/dnu term overflow at nu={nu}, u={u}")
+        t = (-1.0) ** (k % 2) * exp(lt) * (
+            lhalf * _rgamma(nu + k + 1) + _drgamma(nu + k + 1)
+        )
+        terms.append(t)
+        biggest = max(biggest, abs(t))
+        if k > max(0.0, -nu) + 6 and abs(t) < 1e-18 * max(biggest, 1e-300):
+            break
+    return fsum(terms)
+
+
+def _dorder_reference_or_error(nu: float, u: float):
+    # the reference's value, or the type of the exception it raises
+    try:
+        return bessel_j_dorder_reference(nu, u)
+    except Exception as err:
+        return type(err)
+
+
+# orders in [-40, 60]: any float, integers and half-integers, and points
+# within 1e-6 of a negative integer, where Gamma's poles are
+_DORDER_ORDERS = st.one_of(
+    st.floats(-40.0, 60.0),
+    st.integers(-80, 120).map(lambda n: n / 2.0),
+    st.builds(lambda n, d: n + d, st.integers(-40, -1), st.floats(-1e-6, 1e-6)),
+)
+# a call's orders: drawn one by one, or a run n0, n0 + 1, ... as a lattice
+# window asks for, whose series share most of their s = nu + k + 1
+_DORDER_CALLS = st.one_of(
+    st.lists(_DORDER_ORDERS, min_size=1, max_size=8),
+    st.builds(lambda n0, m: [n0 + k for k in range(m)], _DORDER_ORDERS, st.integers(1, 45)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orders=_DORDER_CALLS, u=st.floats(0.0, 20.0, exclude_min=True))
+# a negative order whose series would stop early, at a different sum,
+# without the rule k > max(0, -nu) + 6 (1 draw in ~20 000 finds one)
+@example(orders=[-32.30618212197165], u=15.206858108227749)
+def test_bessel_dorder_array_is_bitwise_the_per_order_reference(orders, u):
+    refs = [_dorder_reference_or_error(nu, u) for nu in orders]
+    for nu, ref in zip(orders, refs):
+        if isinstance(ref, type):
+            with pytest.raises(ref):
+                special.bessel_j_dorder(nu, u)
+        else:
+            assert float(special.bessel_j_dorder(nu, u)).hex() == ref.hex(), nu
+    errors = [ref for ref in refs if isinstance(ref, type)]
+    if errors:
+        with pytest.raises(tuple(errors)):
+            special.bessel_j_dorder(np.array(orders), u)
+    else:
+        got = special.bessel_j_dorder(np.array(orders), u)
+        assert got.shape == (len(orders),)
+        assert got.tobytes() == np.array(refs).tobytes()
+
+
+def test_bessel_dorder_array_with_one_overflowing_order_raises():
+    # at u = 1e-20 the first term of order -40.5 is e^1891; the others are fine
+    u = 1e-20
+    with pytest.raises(BesselOverflowError):
+        bessel_j_dorder_reference(-40.5, u)
+    with pytest.raises(BesselOverflowError):
+        special.bessel_j_dorder(-40.5, u)
+    with pytest.raises(BesselOverflowError):
+        special.bessel_j_dorder([0.0, 1.0, -40.5, 2.5], u)
+    assert special.bessel_j_dorder([0.0, 1.0, 2.5], u).tolist() == [
+        bessel_j_dorder_reference(nu, u) for nu in (0.0, 1.0, 2.5)]
+
+
+def test_bessel_dorder_keeps_the_shape_of_its_orders():
+    orders = np.array([[0.0, 1.0], [2.5, -3.0]])
+    got = special.bessel_j_dorder(orders, 4.0)
+    assert got.shape == (2, 2)
+    assert got.ravel().tolist() == [bessel_j_dorder_reference(nu, 4.0)
+                                    for nu in orders.ravel().tolist()]
+    assert np.ndim(special.bessel_j_dorder(1.5, 4.0)) == 0
+    assert special.bessel_j_dorder([], 4.0).shape == (0,)
+
+
 # ---------------------------------------------------------------- whittaker W
 
 def test_whittaker_asymptotic_ratio():
@@ -760,3 +861,30 @@ def test_bessel_j_past_its_u_cap_raises_before_the_run():
     # theta = 1e6, the largest that the discrete Bessel side must admit
     assert special.bessel_j(3, 2000.0) == pytest.approx(
         float(mpmath.besselj(3, 2000)), abs=1e-15)
+
+
+def test_bessel_j_integer_order_past_the_run_cap_raises_at_once():
+    # Miller's rescale is quadratic in the run: bessel_j(3e5, 1.0) took 29 s
+    # to build a 2.4 MB list; a run longer than the one at u = 1e4 raises
+    t0 = time.perf_counter()
+    for nu in (3e5, 10001.0, -10001.0):
+        with pytest.raises(DomainError, match="Miller run"):
+            special.bessel_j(nu, 1.0)
+    assert time.perf_counter() - t0 < 0.1
+    # the highest order with a run of its own inside the cap, and at
+    # u = 1e4 the orders up to its reach, read from the shared run
+    assert special._miller_top(10000.0, 1.0) == special._miller_top(0.0, special._MAX_U)
+    assert special.bessel_j(10000.0, 1.0) == 0.0
+    assert special.bessel_j(11200.0, special._MAX_U) == pytest.approx(
+        scipy_jv(11200, special._MAX_U), rel=1e-8)
+
+
+def test_bessel_complex_order_past_the_ladder_cap_raises_without_a_warning():
+    # u^2/4 overflowed first, with a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (1e200, 1e10, 2.0 * math.sqrt(special._LADDER_MAX + 1.5) * (1.0 + 1e-12)):
+            with pytest.raises(DomainError, match="0F1 ladder"):
+                special.bessel_j_complex_order(0.5, u)
+        # a high order's ladder fits under the cap at the same u: c outgrows u^2/4
+        assert special.bessel_j_complex_order(2.0e6 + 0.5, 2000.0) == 0.0
