@@ -417,8 +417,9 @@ def _m1_tol(theta: float) -> float:
 
 
 def _m1_0f1_args(theta: float) -> tuple:
-    """(c, w, top) of the `_hyp0f1` ladder whose values `_m1_circle_m` reads:
-    c = zeta + 1/2 at the upper half's nodes of fit_m1's first circle.
+    """The `_hyp0f1_ladders` ladder ([(c, w)], top) whose values
+    `_m1_circle_m` reads: c = zeta + 1/2 at the upper half's nodes of
+    fit_m1's first circle, w = -theta and top = 1.
 
     The circle's nodes are exactly conjugate- and antipode-symmetric
     (`_circle`), so m's c = zeta + 1/2 and 1/2 - zeta at its 2 x 256 nodes
@@ -426,7 +427,7 @@ def _m1_0f1_args(theta: float) -> tuple:
     are the 129 of the upper half and their conjugates.
     """
     zs = _circle(_m1_radius(theta), 2 * _M1_START_NODES)[1]
-    return zs[:_M1_START_NODES + 1] + 0.5, -theta, 1
+    return [(zs[:_M1_START_NODES + 1] + 0.5, -theta)], 1
 
 
 def _m1_circle_m(theta: float, f: np.ndarray) -> np.ndarray:
@@ -488,7 +489,7 @@ def fit_m1(theta: float) -> np.ndarray:
     same ladder inside its own descent and gives the same m1 bit for bit.
     """
     _require_theta(theta, "fit_m1")
-    return _fit_m1(theta, _hyp0f1(*_m1_0f1_args(theta)))
+    return _fit_m1(theta, _hyp0f1_ladders(_m1_0f1_args(theta))[0][0])
 
 
 def _m1_rows(theta: float, m1: np.ndarray) -> list[ResidualCheck]:
@@ -555,24 +556,23 @@ def bessel_kernel_from_m(theta: float) -> AssembledKernel:
     Only the column of m that is analytic at x enters (the other has its
     simple pole there): column 1 for x > 0, column 2 for x < 0.  With
     c = zeta + 1/2, resp. 1/2 - zeta, it is (Phi(c), -eta/c Phi(c+1)),
-    resp. (eta/c Phi(c+1), Phi(c)), so F at all points comes from one
-    `_hyp0f1` call on c = |x| + 1/2, and F' from one call over every
-    point's derivative circle; the weight is `plancherel_l`'s d.
+    resp. (eta/c Phi(c+1), Phi(c)), so F at all points comes from one 0F1
+    ladder on c = |x| + 1/2, and F' from one over every point's
+    derivative circle; the weight is `plancherel_l`'s d.
     """
     weight = plancherel_l(theta).d   # checks theta
     eta = sqrt(theta)
     w = -theta
     phases, circle = _circle(_DERIV_RADIUS, _DERIV_NODES)
-    # every c below is >= 1 - _DERIV_RADIUS on the lattice; passing that
-    # floor along fixes where the 0F1 ladder starts, so a point's values do
+    # every c below is >= 1 - _DERIV_RADIUS on the lattice; that floor, a
+    # group of the ladder, fixes where it starts, so a point's values do
     # not depend on the other points of the call and the entries of
     # `matrix` are the scalar kernel's bit for bit
     floor = 1.0 - _DERIV_RADIUS
 
     def column(x: np.ndarray, c: np.ndarray) -> tuple:
-        lo, hi = _hyp0f1(np.append(c, floor), w)
-        phi = lo[:-1].reshape(c.shape)
-        off = eta / c * hi[:-1].reshape(c.shape)
+        (phi, hi), _ = _hyp0f1_ladders(([(c, w), (floor, w)], 1))[0]
+        off = eta / c * hi
         pos = x > 0
         return np.where(pos, phi, off), np.where(pos, -off, phi)
 
@@ -757,26 +757,6 @@ def suite_contour() -> list[ResidualCheck]:
 # suites
 # ----------------------------------------------------------------------
 
-def _joined(*groups) -> tuple:
-    """(c, w, split): the (c, w) of every group, broadcast together, flattened
-    and joined into one ladder's, and the function that splits that
-    ladder's values, 0F1(c + k; w) along a leading axis, back into the
-    groups, each in its broadcast shape.  The ladder's length is set by
-    the largest |w| and the leftmost c of all groups.
-    """
-    shapes = [np.broadcast_shapes(np.shape(c), np.shape(w)) for c, w in groups]
-    c, w = (np.concatenate([np.broadcast_to(arg, shape).ravel()
-                            for arg, shape in zip(column, shapes)])
-            for column in zip(*groups))
-    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-
-    def split(f: np.ndarray) -> list:
-        return [g.reshape(f.shape[:1] + shape)
-                for g, shape in zip(np.split(f, cuts, axis=1), shapes)]
-
-    return c, w, split
-
-
 def suite_drhp(theta: float) -> list[ResidualCheck]:
     """Every Bessel-side check at theta, in one 0F1 descent of two ladders.
 
@@ -811,11 +791,10 @@ def suite_drhp(theta: float) -> list[ResidualCheck]:
     p11_points = zs - 0.5, 2.0 * (eta + _P11_STEP * _STENCIL)[:, None]
     residue_c, residue_w, top = _residue_0f1_args(theta, _RESIDUE_XS)
     norm_zs = np.array([1j * t for t in _normalization_ts(theta)])
-    c, w, split = _joined(
-        _j_0f1_args(*p_points), _j_0f1_args(*p11_points), (residue_c, residue_w),
-        _m_0f1_args(theta, norm_zs), _m_0f1_args(n_theta, zs))
-    joined, m1_circle = _hyp0f1_ladders((c, w, top), _m1_0f1_args(theta))
-    j_p, j_p11, m_res, m_norm, n_ode = split(joined)
+    (j_p, j_p11, m_res, m_norm, n_ode), (m1_circle,) = _hyp0f1_ladders(
+        ([_j_0f1_args(*p_points), _j_0f1_args(*p11_points), (residue_c, residue_w),
+          _m_0f1_args(theta, norm_zs), _m_0f1_args(n_theta, zs)], top),
+        _m1_0f1_args(theta))
     return (_p_value_rows(theta, _P_XS, _j_from_0f1(*p_points, j_p[0]))
             + _residue_rows(theta, _RESIDUE_XS, _residue_m(theta, _RESIDUE_XS, m_res))
             + _normalization_rows(theta, _m_from_0f1(theta, norm_zs, *m_norm[:2]))

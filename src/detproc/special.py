@@ -410,25 +410,27 @@ def _hyp0f1(c, w, top: int = 1) -> np.ndarray:
     0F1(conj c) is conj 0F1(c) bit for bit off the real axis, since every
     step of the ladder is conjugation-symmetric.
 
-    This is the one-ladder case of `_hyp0f1_ladders`, which runs several
-    ladders, each with its own n, in one downward loop.
+    This is the one-group, one-ladder case of `_hyp0f1_ladders`, which joins
+    groups on one ladder and runs several ladders in one downward loop.
     """
-    return _hyp0f1_ladders((c, w, top))[0]
+    return _hyp0f1_ladders(([(c, w)], top))[0][0]
 
 
-def _ladder_start(c, w, top: int) -> tuple:
-    """(shape, c, w, n, series) of one `_hyp0f1` ladder: c's shape, c and an
-    array w flattened, the start n and the series values (0F1(c + n),
-    0F1(c + n + 1)) along a leading axis of 2."""
-    c, w = np.broadcast_arrays(np.asarray(c, dtype=complex),
-                               np.asarray(w, dtype=np.result_type(w, float)))
-    w = w.ravel()
+def _ladder_start(groups, top: int) -> tuple:
+    """(shapes, c, w, n, series) of one `_hyp0f1_ladders` ladder: each
+    group's broadcast shape, the groups' c and w broadcast, flattened and
+    joined, the start n and the series values (0F1(c + n), 0F1(c + n + 1))
+    along a leading axis of 2."""
+    pairs = [np.broadcast_arrays(np.asarray(c, dtype=complex),
+                                 np.asarray(w, dtype=np.result_type(w, float)))
+             for c, w in groups]
+    shapes = [c.shape for c, _ in pairs]
+    c, w = (np.concatenate([v.ravel() for v in column]) for column in zip(*pairs))
     pole = (c.imag == 0.0) & (c.real <= 0.0) & (c.real == np.round(c.real))
     if pole.any():
-        raise PoleError(f"0F1 pole at c={c.ravel()[np.argmax(pole)]}")
-    shape, c = c.shape, c.ravel()
+        raise PoleError(f"0F1 pole at c={c[np.argmax(pole)]}")
     if not c.size:
-        return shape, c, w, 0, np.empty((2, 0), dtype=complex)
+        return shapes, c, w, 0, np.empty((2, 0), dtype=complex)
     a = float(np.max(np.abs(w)))
     reach = a + 20.0 - c.real.min()
     if not reach <= _LADDER_MAX:
@@ -449,28 +451,33 @@ def _ladder_start(c, w, top: int) -> tuple:
         term *= w_k
         term /= c_k
         total += term
-    return shape, c, w, n, total
+    return shapes, c, w, n, total
 
 
 def _hyp0f1_ladders(*ladders) -> list:
-    """`_hyp0f1` on several ladders (c, w, top) in one downward loop: the
-    list of every ladder's 0F1(c + k; w), k = 0, ..., top.
+    """`_hyp0f1` on several ladders (groups, top) in one downward loop, a
+    ladder's groups a list of (c, w): for each ladder, the list of its
+    groups' 0F1(c + k; w), k = 0, ..., top, each in its group's broadcast
+    shape.
 
-    Each ladder keeps the start n and the series term count of its own
-    call, and enters the loop at its own n; from there the loop steps it
-    with every ladder entered before, over one array.  A step's arithmetic
-    is elementwise, so each ladder's values are its own `_hyp0f1` call's
-    bit for bit, while the loop costs the longest ladder's steps, not the
-    sum of all ladders' steps.
+    The groups of a ladder are joined into one array (`_ladder_start`), so
+    they share its start n and series term count, set by the largest |w|
+    and the leftmost Re c over all of them: a group's values are its own
+    call's bit for bit where that call has the ladder's n and term count,
+    and within `_hyp0f1`'s error of them otherwise.  Each ladder enters the
+    loop at its own n; from there the loop steps it with every ladder
+    entered before, over one array.  A step's arithmetic is elementwise, so
+    each ladder's values are its own call's bit for bit, while the loop
+    costs the longest ladder's steps, not the sum of all ladders' steps.
     """
     shapes, cs, ws, starts, series = zip(*(_ladder_start(*ladder) for ladder in ladders))
-    tops = [top for _, _, top in ladders]
+    tops = [top for _, top in ladders]
     # longest first, so the ladders entered at any step are a prefix
     order = sorted(range(len(ladders)), key=lambda i: -starts[i])
     ends = dict(zip(order, np.cumsum([cs[i].size for i in order]).tolist()))
     c = np.concatenate([cs[i] for i in order])
     # w and the shifts k as complex, which the steps' arithmetic casts them to
-    w = np.concatenate([np.broadcast_to(ws[i], cs[i].shape) for i in order]).astype(complex)
+    w = np.concatenate([ws[i] for i in order]).astype(complex)
     shifts = np.arange(max(starts) + 1, dtype=complex)
     out = np.empty((max(tops) + 1, c.size), dtype=complex)
     f0, f1 = np.empty_like(c), np.empty_like(c)
@@ -493,8 +500,13 @@ def _hyp0f1_ladders(*ladders) -> list:
         np.add(v0, step, out=v1)
         f0, f1, v0, v1, b = f1, f0, v1, v0, b1
     out[0], out[1] = f0, f1
-    return [out[:top + 1, ends[i] - cs[i].size:ends[i]].reshape((top + 1,) + shapes[i])
-            for i, top in enumerate(tops)]
+    values = []
+    for i, top in enumerate(tops):
+        ladder = out[:top + 1, ends[i] - cs[i].size:ends[i]]
+        cuts = np.cumsum([math.prod(shape) for shape in shapes[i]])[:-1]
+        values.append([f.reshape((top + 1,) + shape)
+                       for f, shape in zip(np.split(ladder, cuts, axis=1), shapes[i])])
+    return values
 
 
 def _j_reflected(nu, u) -> tuple:
@@ -684,7 +696,7 @@ _ARG_SPLIT = 0.75 * pi
 
 
 def _whittaker(kappa, mu_im: float, zeta: complex):
-    """(W, scale) at one order or a sequence of orders, see `whittaker_w_complex`.
+    """(W, scale) in kappa's shape, one order a one-element call; see `whittaker_w_complex`.
 
     The scale bounds the rounding in W: the base values' scales, carried
     up each ladder by the recurrence with its coefficients in modulus.
@@ -692,9 +704,9 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
     zeta = complex(zeta)
     if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
         raise DomainError(f"W is evaluated on the plane cut along (-inf,0], got {zeta}")
-    orders = [float(k) for k in kappa] if np.ndim(kappa) else [float(kappa)]
+    orders = np.asarray(kappa, dtype=float)
     ladders = []
-    for k in orders:
+    for k in orders.ravel().tolist():
         levels = []
         while k >= 0.5 - 1e-13:
             levels.append(k)
@@ -715,9 +727,7 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
             s_lo, s_hi = s_hi, abs(c1) * s_hi + abs(c2) * s_lo
         values.append(hi)
         scales.append(s_hi)
-    if np.ndim(kappa):
-        return np.array(values), np.array(scales)
-    return values[0], scales[0]
+    return np.reshape(values, orders.shape)[()], np.reshape(scales, orders.shape)[()]
 
 
 def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
@@ -763,4 +773,4 @@ def whittaker_w(kappa, mu_im: float, x: float):
         raise ConvergenceError(
             f"W({kappa}, {mu_im}i, {x}) kept an imaginary residue {np.max(residue):.3e}"
         )
-    return np.real(val) if np.ndim(val) else val.real
+    return np.real(val)

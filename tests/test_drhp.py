@@ -145,8 +145,7 @@ def test_hyp0f1_on_joined_groups_is_one_call_per_group(groups):
     # unbounded next to a zero of 0F1 in c).  Measured: 1.1e-14 over 3000
     # examples of these strategies, 2.8e-14 on 48 000 seeded draws with
     # c down to 1e-2 from the poles
-    c, w, split = drhp._joined(*groups)
-    joined = split(special._hyp0f1(c, w))
+    joined = special._hyp0f1_ladders((groups, 1))[0]
     whole = _ladder(np.concatenate([c for c, _ in groups]), min(np.min(w) for _, w in groups))
     for (c, w), (f0, f1) in zip(groups, joined):
         g0, g1 = special._hyp0f1(c, w)
@@ -157,12 +156,13 @@ def test_hyp0f1_on_joined_groups_is_one_call_per_group(groups):
             assert np.all(np.maximum(np.abs(f0 - g0), np.abs(f1 - g1)) <= 1e-13 * scale)
 
 
-# one ladder: c off the poles and one w, or a w per c, and a top
-_LADDER = st.tuples(st.lists(st.tuples(_OFF_POLES, st.floats(-400.0, 0.0)), min_size=0,
-                             max_size=6), st.booleans(), st.integers(1, 4)).map(
+# one group: c off the poles and one w, or a w per c
+_LADDER_GROUP = st.tuples(st.lists(st.tuples(_OFF_POLES, st.floats(-400.0, 0.0)), min_size=0,
+                                   max_size=6), st.booleans()).map(
     lambda g: (np.array([c for c, _ in g[0]], dtype=complex),
-               (g[0][0][1] if g[0] else -1.0) if g[1] else np.array([w for _, w in g[0]]),
-               g[2]))
+               (g[0][0][1] if g[0] else -1.0) if g[1] else np.array([w for _, w in g[0]])))
+# one ladder: its groups and a top
+_LADDER = st.tuples(st.lists(_LADDER_GROUP, min_size=1, max_size=3), st.integers(1, 4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,10 +172,12 @@ def test_hyp0f1_ladders_in_one_descent_are_their_own_calls(ladders):
     # loop at its start, so its values are its own call's bit for bit
     got = special._hyp0f1_ladders(*ladders)
     assert len(got) == len(ladders)
-    for (c, w, top), values in zip(ladders, got):
-        want = special._hyp0f1(c, w, top)
-        assert values.shape == want.shape == (top + 1,) + c.shape
-        assert values.tobytes() == want.tobytes()
+    for (groups, top), values in zip(ladders, got):
+        want = special._hyp0f1_ladders((groups, top))[0]
+        assert len(values) == len(want) == len(groups)
+        for (c, _), value, alone in zip(groups, values, want):
+            assert value.shape == alone.shape == (top + 1,) + c.shape
+            assert value.tobytes() == alone.tobytes()
 
 
 # c off the real axis, where conj c is another element, as on fit_m1's
@@ -461,7 +463,7 @@ def test_suite_drhp_runs_two_0f1_ladders(theta, monkeypatch):
     original = special._hyp0f1_ladders
 
     def counted(*ladders):
-        calls.append([np.size(c) for c, w, top in ladders])
+        calls.append([sum(np.broadcast(c, w).size for c, w in groups) for groups, _ in ladders])
         return original(*ladders)
 
     monkeypatch.setattr(special, "_hyp0f1_ladders", counted)
@@ -482,9 +484,9 @@ def test_suite_drhp_m1_rows_are_fit_m1s_bit_for_bit(theta):
 def test_m_on_the_m1_circle_from_129_c_is_bessel_m(theta):
     # the conjugate and antipode of each upper-half node take their 0F1
     # from its c, and that gives bessel_m's values there bit for bit
-    c, w, top = drhp._m1_0f1_args(theta)
+    [(c, w)], top = drhp._m1_0f1_args(theta)
     assert c.shape == (129,) and w == -theta and top == 1
-    got = drhp._m1_circle_m(theta, special._hyp0f1(c, w, top))
+    got = drhp._m1_circle_m(theta, special._hyp0f1_ladders(drhp._m1_0f1_args(theta))[0][0])
     want = drhp.bessel_m(theta)(drhp._circle(drhp._m1_radius(theta), 256)[1])
     assert got.shape == (256, 2, 2)
     assert got.tobytes() == want.tobytes()
@@ -1018,4 +1020,4 @@ def test_a_0f1_ladder_past_its_cap_raises_before_it_is_built():
     with pytest.raises(DomainError, match="0F1 ladder"):
         drhp.suite_drhp(1e300)
     # the start at the cap is admitted (its series is cheap; no ladder runs)
-    assert special._ladder_start(1.0, -(cap - 19.0), 1)[3] == cap
+    assert special._ladder_start([(1.0, -(cap - 19.0))], 1)[3] == cap
