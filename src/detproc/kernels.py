@@ -488,6 +488,8 @@ class ChristoffelDarbouxKernel:
         weights = np.asarray(weights, dtype=float)
         if grid.shape != weights.shape or grid.ndim != 1:
             raise DegenerateGridError("grid and weights must be equal-length vectors")
+        if not (np.isfinite(grid).all() and np.isfinite(weights).all()):
+            raise DegenerateGridError("grid and weights must be finite")
         if np.any(weights <= 0.0):
             raise DegenerateGridError("weights must be strictly positive")
         if n < 1 or n > grid.size:

@@ -87,12 +87,15 @@ class Window:
 
 
 def lattice_window(m: int) -> Window:
-    """The symmetric lattice block {-M+1/2, ..., M-1/2}, ascending."""
+    """The symmetric lattice block {-M+1/2, ..., M-1/2}, ascending; WindowError
+    unless M is an integer in [1, 4096]."""
     if m < 1:
         raise WindowError(f"window radius must be >= 1, got {m}")
     if 2 * m > _MAX_POINTS:
         raise WindowError(f"window radius must be <= {_MAX_POINTS // 2}, got {m}")
-    pts = np.array([k + 0.5 for k in range(-m, m)])
+    if not float(m).is_integer():
+        raise WindowError(f"window radius must be an integer, got {m}")
+    pts = np.array([k + 0.5 for k in range(-int(m), int(m))])
     return Window(LATTICE, pts)
 
 

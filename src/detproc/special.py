@@ -123,9 +123,12 @@ def log_gamma(z: complex) -> complex:
     Stirling's series after shifting Re z >= 10; the shift terms use
     principal logs only, which keeps the whole expression on the branch
     that is real on the positive axis and analytic on C cut along
-    (-inf, 0].  Relative error <= 1e-13 for |z| <= 50.
+    (-inf, 0].  Relative error <= 1e-13 for |z| <= 50.  A z that is not
+    finite raises DomainError.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log_gamma needs a finite z, got {z}")
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z={z}")
     shift = 0j
@@ -216,14 +219,17 @@ def _miller_top(n: float, u: float) -> int:
 def _miller(top: int, u: float) -> np.ndarray:
     """J_k(u), k = 0..top: one backward run from order top, normalized by
     J_0 + 2 sum_(k >= 1) J_2k = 1.  A run longer than the one at u = 1e4
-    raises DomainError before its list is made: each pass of 1e250
-    rescales the whole list, so the time grows with the square of top."""
+    raises DomainError before its list is made.  Each pass of 1e250
+    rescales the entries made so far except the top ones that have
+    underflowed to +-0.0, which rescaling would leave as they are, so the
+    work is linear in top."""
     if top > _miller_top(0.0, _MAX_U):
         raise DomainError(f"bessel_j's Miller run from order {top} is longer than its cap, "
                           f"the {_miller_top(0.0, _MAX_U)} orders of the run at u = {_MAX_U:g}")
     above = 0.0
     here = 1e-280
     vals = [0.0] * (top + 1)
+    live = top + 1      # vals[live:] have underflowed to +-0.0
     s = float(top)
     for k in range(top, -1, -1):
         vals[k] = here
@@ -231,7 +237,9 @@ def _miller(top: int, u: float) -> np.ndarray:
         if abs(here) > 1e250:
             above *= 1e-250
             here *= 1e-250
-            vals = [v * 1e-250 for v in vals]
+            vals[k:live] = [v * 1e-250 for v in vals[k:live]]
+            while live > k and vals[live - 1] == 0.0:
+                live -= 1
         s -= 1.0
     norm = 0.0
     for k in range(top // 2):
@@ -266,11 +274,12 @@ def bessel_j(nu, u: float):
 
     At u = 0 order 0 gives 1, other integer and positive orders 0, and
     negative non-integer orders, where J is infinite, raise DomainError.
-    So does u > 1e4 (theta > 2.5e7 at u = 2 sqrt(theta)), a bound on the
-    run's length (u + 12 sqrt(u) floats), not on accuracy, and so does an
-    integer order above u whose own run would be longer than the shared
-    run at u = 1e4 (n + 20 + 12 sqrt(n) > 11 220, i.e. n > 1e4); the 0F1
-    route is bounded by its ladder, at |u^2/4| + 20 - nu <= 2^20 steps.
+    So does an order that is not finite, and so does u > 1e4 (theta >
+    2.5e7 at u = 2 sqrt(theta)), a bound on the run's length (u + 12
+    sqrt(u) floats), not on accuracy, and so does an integer order above u
+    whose own run would be longer than the shared run at u = 1e4 (n + 20 +
+    12 sqrt(n) > 11 220, i.e. n > 1e4); the 0F1 route is bounded by its
+    ladder, at |u^2/4| + 20 - nu <= 2^20 steps.
     A subnormal u takes log(u) - log 2 for log(u/2), since u/2 rounds
     there (and underflows to 0 at the least subnormal).  Raises
     BesselOverflowError when (u/2)^nu / Gamma(nu+1) leaves the double
@@ -297,6 +306,8 @@ def bessel_j(nu, u: float):
     # the run every integer order n <= u starts alike, made on first use
     run = functools.cache(lambda: _miller(_miller_top(0.0, u), u))
     orders = np.asarray(nu, dtype=float)
+    if not np.isfinite(orders).all():
+        raise DomainError(f"bessel_j needs finite orders, got nu={nu}")
     return np.reshape([_bessel_j(n, u, run) for n in orders.ravel().tolist()], orders.shape)[()]
 
 
@@ -325,7 +336,8 @@ def bessel_j_dorder(nu, u: float):
     through the reflection split.  Defined for 0 < u <= 20: against
     40-digit references at orders 0..44 the absolute error grows with u to
     7.7e-9 at u = 20.  The series cancels beyond it (3e-6 at u = 25, 10 at
-    u = 40), so larger u raises DomainError.
+    u = 40), so larger u raises DomainError, as does an order that is not
+    finite.
 
     `nu` may be an array of orders (a scalar is a one-element call).  Each
     order sums its own series with its own stop, reading lgamma(k + 1) by
@@ -339,6 +351,8 @@ def bessel_j_dorder(nu, u: float):
     steps: list[tuple[float, float]] = []
     factor: dict[float, float] = {}
     orders = np.asarray(nu, dtype=float)
+    if not np.isfinite(orders).all():
+        raise DomainError(f"bessel_j_dorder needs finite orders, got nu={nu}")
     sums = []
     for nu in orders.ravel().tolist():
         terms = []
@@ -693,6 +707,9 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> tuple[complex, float
 
 
 _ARG_SPLIT = 0.75 * pi
+# the highest order of W, a resource bound: its ladder keeps one level per
+# unit of kappa - 1/2, and from kappa ~ 172 on W(x = 1) is past the double range
+_KAPPA_MAX = 1e4
 
 
 def _whittaker(kappa, mu_im: float, zeta: complex):
@@ -705,8 +722,11 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
     if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
         raise DomainError(f"W is evaluated on the plane cut along (-inf,0], got {zeta}")
     orders = np.asarray(kappa, dtype=float)
+    ks = orders.ravel().tolist()
+    if not all(-math.inf < k <= _KAPPA_MAX for k in ks):
+        raise DomainError(f"W needs finite orders kappa <= {_KAPPA_MAX:g}, got {kappa}")
     ladders = []
-    for k in orders.ravel().tolist():
+    for k in ks:
         levels = []
         while k >= 0.5 - 1e-13:
             levels.append(k)
@@ -719,15 +739,21 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
         pairs = zip(*_w_integral(bases, mu_im, zeta))
     base = dict(zip(bases, pairs))
     values, scales = [], []
-    for levels, ends in ladders:
-        (lo, s_lo), (hi, s_hi) = base[ends[0]], base[ends[-1]]
-        for level in reversed(levels):
-            c1, c2 = zeta - 2.0 * level + 2.0, (1.5 - level) ** 2 + mu_im ** 2
-            lo, hi = hi, c1 * hi - c2 * lo
-            s_lo, s_hi = s_hi, abs(c1) * s_hi + abs(c2) * s_lo
-        values.append(hi)
-        scales.append(s_hi)
-    return np.reshape(values, orders.shape)[()], np.reshape(scales, orders.shape)[()]
+    # a level past the double range leaves every level above it inf or NaN,
+    # so only the top one is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (levels, ends) in zip(ks, ladders):
+            (lo, s_lo), (hi, s_hi) = base[ends[0]], base[ends[-1]]
+            for level in reversed(levels):
+                c1, c2 = zeta - 2.0 * level + 2.0, (1.5 - level) ** 2 + mu_im ** 2
+                lo, hi = hi, c1 * hi - c2 * lo
+                s_lo, s_hi = s_hi, abs(c1) * s_hi + abs(c2) * s_lo
+            if not cmath.isfinite(hi):
+                raise DomainError(f"W at kappa = {k}, mu = {mu_im}i, zeta = {zeta} "
+                                  f"is past the double range")
+            values.append(hi)
+            scales.append(s_hi)
+    return np.array(values).reshape(orders.shape)[()], np.array(scales).reshape(orders.shape)[()]
 
 
 def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
@@ -743,6 +769,11 @@ def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
     connection each, and then runs the ladders.  A pair such as
     (W_k, W_(k-1)) (two orders, two bases) costs ~105 µs on a 2-core AMD
     EPYC, against ~170 µs for one pass per base and rule.
+
+    An order that is not finite, or above 1e4 (a resource bound: the
+    ladder keeps one level per unit of kappa - 1/2), raises DomainError
+    before any ladder is built, and so does a W past the double range
+    (from kappa ~ 172 on at zeta = 1), where it would be inf or NaN.
     """
     return _whittaker(kappa, mu_im, zeta)[0]
 

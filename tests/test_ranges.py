@@ -8,12 +8,13 @@ diagonal of `discrete_bessel_k` against the tail sum of J_n^2.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from detproc import kernels, oracle, special
-from detproc.errors import DomainError
+from detproc.errors import DegenerateGridError, DomainError, WindowError
 
 _WINDOW = oracle.quadrature_window()
 _X = (0.05, -0.05, 0.5, -0.5, 2.0, -2.0, 7.0, -7.0)
@@ -64,3 +65,24 @@ def test_lattice_diagonal_raises_beyond_theta_100(theta):
         kern.diagonal([0.5])
     with pytest.raises(DomainError):
         kern.matrix([0.5, 1.5])
+
+
+@pytest.mark.parametrize("call, error", [
+    # a bare ValueError from round(nan)
+    (lambda: special.bessel_j(math.nan, 2.0), DomainError),
+    # a bare OverflowError from round(inf)
+    (lambda: special.bessel_j(math.inf, 2.0), DomainError),
+    # a bare ValueError from floor(nan) in 1/Gamma
+    (lambda: special.bessel_j_dorder(math.nan, 2.0), DomainError),
+    # returned nan+nanj
+    (lambda: special.log_gamma(math.nan), DomainError),
+    # a TypeError from range()
+    (lambda: oracle.lattice_window(2.5), WindowError),
+    # returned an all-NaN matrix
+    (lambda: kernels.ChristoffelDarbouxKernel([0.0, math.nan, 1.0], [1.0, 1.0, 1.0], 2),
+     DegenerateGridError),
+], ids=["bessel_j-nan", "bessel_j-inf", "bessel_j_dorder-nan", "log_gamma-nan",
+        "lattice_window-2.5", "christoffel_darboux-nan-node"])
+def test_bad_public_input_raises_its_typed_error(call, error):
+    with pytest.raises(error):
+        call()

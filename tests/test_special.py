@@ -864,7 +864,7 @@ def test_bessel_j_past_its_u_cap_raises_before_the_run():
 
 
 def test_bessel_j_integer_order_past_the_run_cap_raises_at_once():
-    # Miller's rescale is quadratic in the run: bessel_j(3e5, 1.0) took 29 s
+    # Miller's rescale was quadratic in the run: bessel_j(3e5, 1.0) took 29 s
     # to build a 2.4 MB list; a run longer than the one at u = 1e4 raises
     t0 = time.perf_counter()
     for nu in (3e5, 10001.0, -10001.0):
@@ -888,3 +888,63 @@ def test_bessel_complex_order_past_the_ladder_cap_raises_without_a_warning():
                 special.bessel_j_complex_order(0.5, u)
         # a high order's ladder fits under the cap at the same u: c outgrows u^2/4
         assert special.bessel_j_complex_order(2.0e6 + 0.5, 2000.0) == 0.0
+
+
+def _miller_reference(top: int, u: float) -> np.ndarray:
+    """`special._miller` as it was when every pass of 1e250 rescaled the
+    whole list, copied verbatim."""
+    above = 0.0
+    here = 1e-280
+    vals = [0.0] * (top + 1)
+    s = float(top)
+    for k in range(top, -1, -1):
+        vals[k] = here
+        above, here = here, (2.0 * s / u) * here - above
+        if abs(here) > 1e250:
+            above *= 1e-250
+            here *= 1e-250
+            vals = [v * 1e-250 for v in vals]
+        s -= 1.0
+    norm = 0.0
+    for k in range(top // 2):
+        norm += (1.0 if k == 0 else 2.0) * vals[2 * k]
+    return np.array(vals) / norm
+
+
+@pytest.mark.parametrize("n, u", [(9932, 1.0), (10000, 1.0), (3000, 1e-3), (400, 1e-40),
+                                  (60, 1e-12), (5000, 40.0), (0, 0.5), (0, special._MAX_U)])
+def test_miller_rescaling_the_live_entries_is_bitwise_the_whole_list(n, u):
+    # an entry that has underflowed to +-0.0 stays +-0.0 under x 1e-250, so
+    # leaving the top zeros out of the rescale keeps every value; the order
+    # 9932 run at u = 1 passes 1e250 about 160 times
+    top = special._miller_top(n, u)
+    assert special._miller(top, u).tobytes() == _miller_reference(top, u).tobytes()
+
+
+def test_whittaker_order_past_its_cap_raises_before_the_ladder():
+    # a resource bound: the ladder keeps one level per unit of kappa - 1/2,
+    # and kappa = 1e9 never returned; only the cap + 1 is tried, so that no
+    # long ladder is built
+    for kappa in (special._KAPPA_MAX + 1.0, [0.75, special._KAPPA_MAX + 1.0]):
+        with pytest.raises(DomainError, match="W needs finite orders"):
+            special.whittaker_w(kappa, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_whittaker_order_that_is_not_finite_raises(kappa):
+    # NaN returned nan, and inf never returned (its ladder stepped inf - 1)
+    with pytest.raises(DomainError, match="W needs finite orders"):
+        special.whittaker_w(kappa, 0.5, 1.0)
+
+
+def test_whittaker_past_the_double_range_raises_without_a_warning():
+    # kappa = 3000 returned nan with a RuntimeWarning.  W(x = 1) leaves the
+    # double range between kappa = 170, where it is 1.8e-13 relative off
+    # 40-digit mpmath, and 180
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kappa in (3000.0, 180.0, [0.5, 180.0]):
+            with pytest.raises(DomainError, match="past the double range"):
+                special.whittaker_w(kappa, 0.5, 1.0)
+        assert special.whittaker_w(170.0, 0.5, 1.0) == pytest.approx(
+            -1.1115726931762964e304, rel=1e-12)
