@@ -46,16 +46,15 @@ at the points of its rows to `special._hyp0f1_ladders` as the groups of
 one ladder, a list of (c, w) and a top.  The ladder joins its groups,
 runs them from one start and gives each group its values back in its
 own shape, so no code here flattens, joins or splits 0F1 arguments.
-The ladder passes through
-0F1(c + k) for every integer k on its way down to c, and the residue
-circles' c = zeta + 1/2 and 1/2 - zeta are integer shifts of 64 elements
-c0 +- delta_j, one per node offset: those 64 elements, read at every
-shift, give m on all 20 circles (1,280 nodes).  `fit_m1`'s circle is a
-second ladder, since it reaches Re c = 1/2 - 40 and would lengthen the
-joined one; `special._hyp0f1_ladders` runs both in one downward loop,
-each from its own start.  The circle is exactly conjugate- and
-antipode-symmetric (`_circle`), so its 2 x 256 c are the 129 c of its
-upper half and their conjugates.
+The ladder passes through 0F1(c + k) for every integer k on its way down
+to c, and the residue circles' c = zeta + 1/2 and 1/2 - zeta are integer
+shifts of 64 elements c0 +- delta_j, one per node offset: those 64
+elements, read at every shift, give m on all 20 circles (1,280 nodes).
+`fit_m1`'s circle is a second ladder, since it reaches Re c = 1/2 - 40
+and would lengthen the joined one; `special._hyp0f1_ladders` runs both
+in one downward loop, each from its own start.  The circle is exactly
+conjugate- and antipode-symmetric (`_circle`), so its 2 x 256 c are the
+129 c of its upper half and their conjugates.
 """
 
 from __future__ import annotations
@@ -493,8 +492,8 @@ def fit_m1(theta: float) -> np.ndarray:
     theta <= 1630: on 841 theta in [1, 2100] the 256-node check first
     fails at theta = 1630.2; up to theta ~ 3400 the doubled circles then
     sometimes accept at the rounding floor and sometimes raise, and at
-    theta = 1e4 it raises after ~1 s.  `suite_drhp` runs the
-    same ladder inside its own descent and gives the same m1 bit for bit.
+    theta = 1e4 it raises after ~1 s.  `suite_drhp` runs the same ladder
+    inside its own descent and gives the same m1 bit for bit.
     """
     _require_theta(theta, "fit_m1")
     return _fit_m1(theta, _hyp0f1_ladders(_m1_0f1_args(theta))[0][0])
