@@ -606,8 +606,8 @@ _W_X, _W_WEIGHTS = (np.concatenate(pair) for pair in
                         np.polynomial.legendre.leggauss(24)))
 
 
-def _w_integral(kappas: list, mu_im: float, zeta: complex) -> tuple[list, list]:
-    """(W, scale) at base orders kappa < 1/2, |arg zeta| <= 3pi/4, in one pass.
+def _w_integral(kappas: list, mu_im: float, zeta: complex) -> list:
+    """W at base orders kappa < 1/2, |arg zeta| <= 3pi/4, in one pass.
 
     Integral representation.  Panels double geometrically from
     2^-20 |zeta| up to 80; the leading panel [0, 2^-20 |zeta|] is integrated
@@ -622,9 +622,11 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex) -> tuple[list, list]:
     Each rule's panel sums are added one by one in Python, so every value
     rounds exactly as a separate pass per base and rule does.  A base
     whose two rules differ by more than 1e-8 relative raises
-    ConvergenceError.  The scale is |prefactor| times the moduli of the
-    leading panel and of the main rule's terms, summed: the size of what
-    was added up, against which rounding in W is measured.
+    ConvergenceError.  At real zeta, where W is real, so does a base whose
+    imaginary part exceeds 1e-10 times the size of what was added up:
+    |prefactor| times the moduli of the leading panel and of the main
+    rule's terms, summed.  That yardstick, not |W|, keeps the test sound
+    next to a zero of W.
     """
     mu = 1j * mu_im
     if not 1e-100 <= abs(zeta) < 80.0 * 2.0 ** 20:
@@ -668,7 +670,7 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex) -> tuple[list, list]:
     panels = main.sum(axis=-1)
     sizes = np.abs(main).sum(axis=(1, 2)).tolist()
     checks = terms[..., _W_NODES:].sum(axis=-1)
-    values, scales = [], []
+    values = []
     for i, (kappa, head, pref) in enumerate(zip(kappas, heads, prefs)):
         val = pref * sum(panels[i], head)
         ref = pref * sum(checks[i], head)
@@ -676,9 +678,12 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex) -> tuple[list, list]:
             raise ConvergenceError(
                 f"W quadrature not converged at kappa={kappa}, mu_im={mu_im}, zeta={zeta}"
             )
+        if zeta.imag == 0.0 and abs(val.imag) > 1e-10 * abs(pref) * (abs(head) + sizes[i]):
+            raise ConvergenceError(
+                f"W({kappa}, {mu_im}i, {zeta.real}) kept an imaginary residue {abs(val.imag):.3e}"
+            )
         values.append(val)
-        scales.append(abs(pref) * (abs(head) + sizes[i]))
-    return values, scales
+    return values
 
 
 def _hyp1f1(a: complex, b: complex, w: complex) -> complex:
@@ -691,8 +696,8 @@ def _hyp1f1(a: complex, b: complex, w: complex) -> complex:
     raise ConvergenceError(f"1F1({a},{b},{w}) did not converge")
 
 
-def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> tuple[complex, float]:
-    """(W, scale) by the Kummer connection, used near the cut; needs mu_im != 0."""
+def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> complex:
+    """W by the Kummer connection, used near the cut; needs mu_im != 0."""
     if mu_im == 0.0:
         raise ParameterError("Kummer route to W needs a nonzero imaginary index")
     mu = 1j * mu_im
@@ -702,8 +707,7 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> tuple[complex, float
     # M(a,b,zeta) = e^zeta M(b-a,b,-zeta) keeps the 1F1 sums cancellation-free
     m1 = _hyp1f1(0.5 + mu + kappa, 1.0 + 2.0 * mu, -zeta)
     m2 = _hyp1f1(0.5 - mu + kappa, 1.0 - 2.0 * mu, -zeta)
-    grow = cmath.exp(0.5 * zeta)
-    return grow * (c1 * m1 + c2 * m2), abs(grow) * (abs(c1 * m1) + abs(c2 * m2))
+    return cmath.exp(0.5 * zeta) * (c1 * m1 + c2 * m2)
 
 
 _ARG_SPLIT = 0.75 * pi
@@ -713,11 +717,7 @@ _KAPPA_MAX = 1e4
 
 
 def _whittaker(kappa, mu_im: float, zeta: complex):
-    """(W, scale) in kappa's shape, one order a one-element call; see `whittaker_w_complex`.
-
-    The scale bounds the rounding in W: the base values' scales, carried
-    up each ladder by the recurrence with its coefficients in modulus.
-    """
+    """W in kappa's shape, one order a one-element call; see `whittaker_w_complex`."""
     zeta = complex(zeta)
     if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
         raise DomainError(f"W is evaluated on the plane cut along (-inf,0], got {zeta}")
@@ -734,26 +734,24 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
         ladders.append((levels, (levels[-1] - 2.0, levels[-1] - 1.0) if levels else (k,)))
     bases = list(dict.fromkeys(k for _, ends in ladders for k in ends))
     if abs(cmath.phase(zeta)) > _ARG_SPLIT:
-        pairs = [_w_kummer(k, mu_im, zeta) for k in bases]
+        base = {k: _w_kummer(k, mu_im, zeta) for k in bases}
     else:
-        pairs = zip(*_w_integral(bases, mu_im, zeta))
-    base = dict(zip(bases, pairs))
-    values, scales = [], []
+        base = dict(zip(bases, _w_integral(bases, mu_im, zeta)))
+    values = []
     # a level past the double range leaves every level above it inf or NaN,
-    # so only the top one is checked
+    # so only the top one is checked; at real zeta the coefficients are real,
+    # so the ladder adds no imaginary part to what its bases carry
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (levels, ends) in zip(ks, ladders):
-            (lo, s_lo), (hi, s_hi) = base[ends[0]], base[ends[-1]]
+            lo, hi = base[ends[0]], base[ends[-1]]
             for level in reversed(levels):
                 c1, c2 = zeta - 2.0 * level + 2.0, (1.5 - level) ** 2 + mu_im ** 2
                 lo, hi = hi, c1 * hi - c2 * lo
-                s_lo, s_hi = s_hi, abs(c1) * s_hi + abs(c2) * s_lo
             if not cmath.isfinite(hi):
                 raise DomainError(f"W at kappa = {k}, mu = {mu_im}i, zeta = {zeta} "
                                   f"is past the double range")
             values.append(hi)
-            scales.append(s_hi)
-    return np.array(values).reshape(orders.shape)[()], np.array(scales).reshape(orders.shape)[()]
+    return np.array(values).reshape(orders.shape)[()]
 
 
 def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
@@ -775,7 +773,7 @@ def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
     before any ladder is built, and so does a W past the double range
     (from kappa ~ 172 on at zeta = 1), where it would be inf or NaN.
     """
-    return _whittaker(kappa, mu_im, zeta)[0]
+    return _whittaker(kappa, mu_im, zeta)
 
 
 def whittaker_w(kappa, mu_im: float, x: float):
@@ -791,17 +789,11 @@ def whittaker_w(kappa, mu_im: float, x: float):
     Next to a zero of W the relative error grows as |W| vanishes, while the
     absolute error stays at rounding level (4.7e-16, 2.4e-10 relative, at
     kappa = -0.0957, mu_im = 2.961, x = 0.07685).  Raises ConvergenceError
-    if the internal quadrature misses its tolerance or leaves an imaginary
-    residue above 1e-10 times the scale of the computation (the moduli of
-    the summed terms, carried up the ladder), a test that holds next to a
-    zero of W too.
+    if the internal quadrature misses its tolerance or leaves a base value
+    (kappa < 1/2) with an imaginary residue above 1e-10 times the moduli
+    that base summed, a test that holds next to a zero of W too; the
+    ladder above the bases has real coefficients, so it cannot add one.
     """
     if not x > 0.0:
         raise DomainError(f"whittaker_w needs x > 0, got x={x}")
-    val, scale = _whittaker(kappa, float(mu_im), complex(x))
-    residue = np.abs(np.imag(val))
-    if np.any(residue > 1e-10 * scale):
-        raise ConvergenceError(
-            f"W({kappa}, {mu_im}i, {x}) kept an imaginary residue {np.max(residue):.3e}"
-        )
-    return np.real(val)
+    return np.real(_whittaker(kappa, float(mu_im), complex(x)))

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from scipy.special import jv as scipy_jv
 
 from detproc import special
-from detproc.errors import BesselOverflowError, DomainError, ParameterError, PoleError
+from detproc.errors import (BesselOverflowError, ConvergenceError, DomainError, ParameterError,
+                            PoleError)
 
 mpmath.mp.dps = 30
 
@@ -507,7 +508,7 @@ def test_whittaker_even_in_mu():
 
 def test_whittaker_self_convergence_at_origin_indices():
     # kappa = mu = 0: doubling the node count must not move the value
-    coarse, _ = special._whittaker(0.0, 0.0, 2.0 + 0j)
+    coarse = special._whittaker(0.0, 0.0, 2.0 + 0j)
     fine = _w_integral_panel_loop(0.0, 0.0, 2.0 + 0j, 64)
     assert abs(coarse - fine) < 1e-12 * abs(fine)
     # classical identity W_{0,0}(2x) = sqrt(2x/pi) K_0(x)
@@ -608,6 +609,17 @@ def test_whittaker_imaginary_residue_is_tiny():
     assert abs(val.imag) <= 1e-10 * abs(val.real)
 
 
+@pytest.mark.parametrize("kappa", (0.25, 15.25, 20.25, 160.5))
+def test_whittaker_refuses_bases_with_a_phase_error(monkeypatch, kappa):
+    # a 1e-6 phase error in every base value, through the prefactor's
+    # Gamma; a residue test at the top order against a yardstick carried up
+    # the ladder went blind from kappa ~ 15 on
+    log_gamma = special.log_gamma
+    monkeypatch.setattr(special, "log_gamma", lambda z: log_gamma(z) + 1e-6j)
+    with pytest.raises(ConvergenceError, match="imaginary residue"):
+        special.whittaker_w(kappa, 0.5, 1.0)
+
+
 def test_whittaker_convergence_failure_is_reported():
     from detproc.errors import ConvergenceError
     # an index far outside the supported band oscillates too fast for the
@@ -673,7 +685,7 @@ def test_w_integral_array_form_matches_the_panel_loop():
         for zeta in zetas:
             # every base in one pass; the 24-point self-check passes at
             # every point of this grid
-            mine, _ = special._w_integral(kappas, mu, zeta)
+            mine = special._w_integral(kappas, mu, zeta)
             for kappa, value in zip(kappas, mine):
                 ref = _w_integral_panel_loop(kappa, mu, zeta, 32)
                 worst = max(worst, abs(value - ref) / abs(ref))
@@ -777,7 +789,7 @@ def _whittaker_w_per_base(orders, mu_im, zeta):
     def base(k):
         if k not in bases:
             if abs(cmath.phase(zeta)) > special._ARG_SPLIT:
-                bases[k] = special._w_kummer(k, mu_im, zeta)[0]
+                bases[k] = special._w_kummer(k, mu_im, zeta)
             else:
                 val = _w_integral_per_base(k, mu_im, zeta, 32)
                 ref = _w_integral_per_base(k, mu_im, zeta, 24)
