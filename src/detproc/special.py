@@ -32,13 +32,20 @@ contiguous recurrence in kappa, run upward from two base values below 1/2.
 W takes a sequence of orders too, and orders on one recurrence ladder share
 its base values.  Every base value of a call, with both quadrature rules
 of its self-check, comes from one array expression over base x panel x
-node.  Near the cut arg z ~ +-pi the integrand develops an unresolvable
-spike, so there the Kummer connection
+node.  Near the cut arg z ~ +-pi the integrand develops a spike at t = -z,
+so for |arg z| > 3pi/4 the Kummer connection
 
     W = Gamma(-2mu)/Gamma(1/2-mu-kappa) M_{kappa,mu}
       + Gamma(2mu)/Gamma(1/2+mu-kappa) M_{kappa,-mu}
 
-is used instead (well defined here because 2mu is never an integer).
+is used instead (well defined here because 2mu is never an integer), but
+only where its 1F1 sums, which cancel by ~e^(|z| + Re z), stay accurate:
+|z| + Re z < 12.9 (|z| < 44 at |arg z| = 3pi/4) and |z| < 100.  The
+integral is accurate elsewhere: the spike stays well off the real t axis
+unless z is close to the cut, and from |z| = 100 on e^-t makes it
+negligible even there.  At real z, where W is real, each base value's imaginary part is
+checked against the moduli it summed; the ladder's coefficients are real
+there, so the bases are the only place an imaginary residue can come from.
 """
 
 from __future__ import annotations
@@ -604,6 +611,8 @@ _W_NODES = 32
 _W_X, _W_WEIGHTS = (np.concatenate(pair) for pair in
                     zip(np.polynomial.legendre.leggauss(_W_NODES),
                         np.polynomial.legendre.leggauss(24)))
+# the largest real part that cmath.exp takes without an OverflowError
+_LOG_MAX = log(sys.float_info.max)
 
 
 def _w_integral(kappas: list, mu_im: float, zeta: complex) -> list:
@@ -659,8 +668,11 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex) -> list:
         for j, gj in enumerate(g):
             head += gj * cmath.exp((a + j + 1) * lh) / (a + j + 1)
         heads.append(head)
-        prefs.append(cmath.exp(-0.5 * zeta + kappa * cmath.log(zeta)
-                               - log_gamma(mu - kappa + 0.5)))
+        log_pref = -0.5 * zeta + kappa * cmath.log(zeta) - log_gamma(mu - kappa + 0.5)
+        if log_pref.real > _LOG_MAX:
+            raise DomainError(f"W at base order kappa = {kappa}, mu = {mu_im}i, "
+                              f"zeta = {zeta} is past the double range")
+        prefs.append(cmath.exp(log_pref))
         a_s.append(a)
         b_s.append(b)
     a = np.array(a_s)[:, None, None]
@@ -710,7 +722,20 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> complex:
     return cmath.exp(0.5 * zeta) * (c1 * m1 + c2 * m2)
 
 
+# Kummer replaces the integral, whose integrand spikes at t = -zeta, only
+# near the cut, |arg zeta| > 3pi/4, and only where it is accurate.  Its 1F1
+# sums cancel by ~e^(|zeta| + Re zeta); against 30-digit mpmath it is 2e-11
+# relative at |zeta| + Re zeta = 12.8 (|zeta| = 44, arg zeta = 0.751pi) and
+# 2.7e-5 at |zeta| = 100, arg zeta = 0.76pi.  The bound 12.9 keeps it at
+# every |zeta| < 44 (12.9 = 44 (1 - cos pi/4)), where the routes cross; at
+# |zeta| = 44 the integral is within 4e-14 for |arg zeta| <= 0.99pi but loses
+# digits closer to the cut (3e-9 at (1 - 1e-8)pi), as it does up to |zeta|
+# ~ 56, and up to ~ 100 at orders kappa <= -2.5 (ConvergenceError, or 1.5e-8
+# off).  From |zeta| = 100 on it is within 5.8e-14 at every arg, while
+# Kummer's sums outgrow `_hyp1f1`'s 700 terms from |zeta| ~ 500 on.
 _ARG_SPLIT = 0.75 * pi
+_KUMMER_LOSS = 12.9
+_KUMMER_MAX = 100.0
 # the highest order of W, a resource bound: its ladder keeps one level per
 # unit of kappa - 1/2, and from kappa ~ 172 on W(x = 1) is past the double range
 _KAPPA_MAX = 1e4
@@ -733,15 +758,17 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
             k -= 1.0
         ladders.append((levels, (levels[-1] - 2.0, levels[-1] - 1.0) if levels else (k,)))
     bases = list(dict.fromkeys(k for _, ends in ladders for k in ends))
-    if abs(cmath.phase(zeta)) > _ARG_SPLIT:
-        base = {k: _w_kummer(k, mu_im, zeta) for k in bases}
-    else:
-        base = dict(zip(bases, _w_integral(bases, mu_im, zeta)))
     values = []
-    # a level past the double range leaves every level above it inf or NaN,
-    # so only the top one is checked; at real zeta the coefficients are real,
-    # so the ladder adds no imaginary part to what its bases carry
+    # a base or a level past the double range leaves every level above it
+    # inf or NaN, so only the top one is checked; at real zeta the
+    # coefficients are real, so the ladder adds no imaginary part to what
+    # its bases carry
     with np.errstate(over="ignore", invalid="ignore"):
+        if (abs(cmath.phase(zeta)) > _ARG_SPLIT and abs(zeta) < _KUMMER_MAX
+                and abs(zeta) + zeta.real < _KUMMER_LOSS):
+            base = {k: _w_kummer(k, mu_im, zeta) for k in bases}
+        else:
+            base = dict(zip(bases, _w_integral(bases, mu_im, zeta)))
         for k, (levels, ends) in zip(ks, ladders):
             lo, hi = base[ends[0]], base[ends[-1]]
             for level in reversed(levels):
@@ -763,15 +790,26 @@ def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
     reach the same base values (such as kappa and kappa - 1) share them.
     A call first collects its distinct base orders, then evaluates them
     all in one integrand pass (`_w_integral`: both quadrature rules, one
-    base x panel x node array) or, for |arg zeta| > 3pi/4, one Kummer
-    connection each, and then runs the ladders.  A pair such as
-    (W_k, W_(k-1)) (two orders, two bases) costs ~105 µs on a 2-core AMD
-    EPYC, against ~170 µs for one pass per base and rule.
+    base x panel x node array) or one Kummer connection each, and then
+    runs the ladders.  Kummer serves |arg zeta| > 3pi/4 where |zeta| < 100
+    and |zeta| + Re zeta < 12.9 (|zeta| < 44 at |arg zeta| = 3pi/4), the
+    integral everything else.  A pair such as (W_k, W_(k-1)) (two orders,
+    two bases) costs ~105 µs on a 2-core AMD EPYC, against ~170 µs for one
+    pass per base and rule.
 
-    An order that is not finite, or above 1e4 (a resource bound: the
-    ladder keeps one level per unit of kappa - 1/2), raises DomainError
-    before any ladder is built, and so does a W past the double range
-    (from kappa ~ 172 on at zeta = 1), where it would be inf or NaN.
+    Near the cut, against 30-digit mpmath at |arg zeta| from 0.751pi to
+    (1 - 1e-8)pi, base orders in [-1.49, 0.49] and mu_im <= 2.5, the
+    relative error is at most 1.4e-11 for |zeta| < 44 (Kummer, growing
+    with |zeta| + Re zeta), 2e-11 for 44 <= |zeta| < 100 and 5.8e-14 for
+    100 <= |zeta| <= 400 (the integral).
+
+    The integral needs 1e-100 <= |zeta| < 80 * 2^20 (its panels) and
+    raises DomainError outside.  An order that is not finite, or above 1e4
+    (a resource bound: the ladder keeps one level per unit of kappa - 1/2),
+    raises DomainError before any ladder is built, and so does a W past
+    the double range, where it would be inf or NaN: from kappa ~ 172 on at
+    zeta = 1, and near the cut from |zeta| ~ 1420 on, where e^(-zeta/2)
+    outgrows it.
     """
     return _whittaker(kappa, mu_im, zeta)
 

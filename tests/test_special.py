@@ -604,6 +604,35 @@ def test_whittaker_near_the_cut_needs_a_nonzero_imaginary_index():
         special.whittaker_w_complex(0.3, 0.0, -1.0 + 0.1j)
 
 
+def test_whittaker_near_the_cut_across_the_route_split():
+    # Kummer's 1F1 sums cancel as |zeta| grows: at the parent, which took
+    # it for every |arg zeta| > 3pi/4, this grid read 2.7e-5 at |zeta| = 100
+    # and 2e30 at 400; the worst now is 7.6e-12 (Kummer, |zeta| = 45) and
+    # 2.7e-14 from |zeta| = 100 on (the integral)
+    for r in (30.0, 43.0, 45.0, 50.0, 70.0, 100.0, 400.0):
+        for i, frac in enumerate((0.76, 0.9, 0.999, 0.99999999)):
+            zeta = cmath.rect(r, (-1) ** i * frac * math.pi)
+            for mu in (0.3, 1.2):
+                mine = special.whittaker_w_complex([-0.7, 1.45], mu, zeta)
+                for kappa, value in zip((-0.7, 1.45), mine):
+                    ref = complex(mpmath.whitw(kappa, 1j * mu, zeta))
+                    tol = 1e-11 if r < special._KUMMER_MAX else 1e-13
+                    assert abs(value - ref) <= tol * abs(ref), (kappa, mu, zeta)
+
+
+def test_whittaker_past_the_double_range_near_the_cut_raises_a_domain_error():
+    # the integral's prefactor e^(-zeta/2) zeta^kappa / Gamma overflowed in
+    # cmath.exp: a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta in (cmath.rect(3000.0, 0.74 * math.pi), cmath.rect(1500.0, 0.9 * math.pi)):
+            with pytest.raises(DomainError, match="past the double range"):
+                special.whittaker_w_complex(0.3, 0.5, zeta)
+        # still inside it: |W| = 6.3e304
+        inside = special.whittaker_w_complex(0.3, 0.5, cmath.rect(1400.0, 0.99 * math.pi))
+        assert cmath.isfinite(inside) and abs(inside) > 1e304
+
+
 def test_whittaker_imaginary_residue_is_tiny():
     val = special.whittaker_w_complex(0.25, 0.6, 7.0 + 0j)
     assert abs(val.imag) <= 1e-10 * abs(val.real)
