@@ -144,6 +144,12 @@ def cmd_fredholm(args) -> tuple:
 
 def cmd_prob(args) -> tuple:
     diagram = YoungDiagram([] if not args.rows else _parse_list(args.rows, int, "--rows"))
+    # Fr(lambda) spans lambda_1 - 1/2 down to 1/2 - l(lambda): check that the
+    # window holds it before any work that grows with lambda
+    reach = max(diagram.rows[0], len(diagram.rows)) if diagram.rows else 0
+    if reach > args.window:
+        raise errors.WindowError(f"Fr(lambda) needs --window >= max(lambda_1, l(lambda)) = "
+                                 f"{reach}, got {args.window}")
     weight = plancherel_weight(diagram, args.theta)
     if weight == 0.0:
         raise errors.ParameterError(

@@ -12,10 +12,11 @@ exact integer 2x throughout, so configurations hash and compare exactly.
 The poissonized Plancherel measure puts mass
 
     e^{-theta} theta^{|lambda|} (dim lambda / |lambda|!)^2
+      = e^{-theta} theta^{|lambda|} / prod_boxes hook^2
 
-on lambda, with dim lambda counted by the hook formula in exact integer
-arithmetic; the (dim/n!)^2 ratio only becomes floating point at the very
-end.
+on lambda.  `dim_hook` counts dim lambda by the hook formula in exact
+integer arithmetic; the weight takes the second form, one float log per
+box, so it costs O(|lambda|) floats and never forms |lambda|!.
 """
 
 from __future__ import annotations
@@ -124,26 +125,31 @@ def fr_config(diagram: YoungDiagram) -> frozenset:
     return frozenset(pts)
 
 
+def _hooks(rows: tuple) -> list:
+    """Hook length of every box (i, j): arm r - j - 1, leg cols[j] - i - 1, plus the box."""
+    cols = _conjugate_rows(rows)
+    return [r + cols[j] - i - j - 1 for i, r in enumerate(rows) for j in range(r)]
+
+
 def dim_hook(diagram: YoungDiagram) -> int:
     """Number of standard Young tableaux of this shape (hook formula, exact)."""
-    n = diagram.size
-    rows = diagram.rows
-    cols = _conjugate_rows(rows)
-    # hook of box (i, j): arm r - j - 1, leg cols[j] - i - 1, plus the box
-    hook_prod = math.prod(r + cols[j] - i - j - 1
-                          for i, r in enumerate(rows) for j in range(r))
-    dim, rem = divmod(math.factorial(n), hook_prod)
+    dim, rem = divmod(math.factorial(diagram.size), math.prod(_hooks(diagram.rows)))
     assert rem == 0
     return dim
 
 
 def plancherel_weight(diagram: YoungDiagram, theta: float) -> float:
-    """Probability of lambda under the poissonized Plancherel measure."""
+    """Probability of lambda under the poissonized Plancherel measure,
+    e^-theta theta^n / prod hook^2.
+
+    The log hook lengths are summed by `math.fsum`, which rounds their sum
+    exactly, so lambda and its conjugate (the same multiset of hooks) get
+    the same weight bit for bit, at O(n) float operations.
+    """
     if not 0.0 < theta < math.inf:
         raise DomainError(f"plancherel_weight needs a finite theta > 0, got {theta}")
-    n = diagram.size
-    log_dim = math.log(dim_hook(diagram))
-    return math.exp(-theta + n * math.log(theta) + 2.0 * (log_dim - math.lgamma(n + 1)))
+    log_hooks = math.fsum(map(math.log, _hooks(diagram.rows)))
+    return math.exp(-theta + diagram.size * math.log(theta) - 2.0 * log_hooks)
 
 
 def enumerate_partitions(n: int) -> list:

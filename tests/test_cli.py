@@ -4,6 +4,7 @@ import csv
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,20 @@ def test_input_outside_a_route_range_exits_2_with_one_line(args, tmp_path, capsy
     out = tmp_path / "out.csv"
     assert run([*args, "-o", str(out)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["100000", "1000000000", ",".join(["1"] * 31)],
+                         ids=["row-1e5", "row-1e9", "31-rows"])
+def test_prob_outside_the_window_exits_2_before_any_work(rows, tmp_path, capsys):
+    # Fr(lambda) outside the default window of radius 30; the Plancherel
+    # weight of (10^5) formed 10^5! exactly and took 4.8 s before exit 2
+    out = tmp_path / "p.csv"
+    start = time.perf_counter()
+    assert run(["prob", "--theta", "1", "--rows", rows, "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs --window >=" in err
     assert not out.exists()
 
 
