@@ -16,9 +16,10 @@ from dJ/dnu, the Whittaker kernel from the contiguous relations of W, in
 closed form from the W pair its F already uses (and
 `drhp.bessel_kernel_from_m` by a Cauchy integral of m).
 
-`matrix` makes one `fg` call for distinct finite points and assembles the
-window as outer products; other points, or an entry that is not a finite
-double, raise DomainError.  Scalar `kernel(x, y)` wraps one `fg` call on
+`matrix` makes one `fg` call for distinct finite points, which serves the
+quotient and the diagonal (with one `df` call for a correlation kernel),
+and assembles the window as outer products; other points, or an entry
+that is not a finite double, raise DomainError.  Scalar `kernel(x, y)` wraps one `fg` call on
 its two points: it gives the matrix's entries bit for bit, and raises
 where `matrix` does on an entry that is not a finite double, but pays
 numpy's per-call overhead, so pass all points to `matrix` at once.  The
@@ -90,7 +91,7 @@ def _points(domain: str, points) -> np.ndarray:
 
 def _quotient_matrix(pts: np.ndarray, fg, diagonal) -> np.ndarray:
     """(f1(x)g1(y) + f2(x)g2(y)) / (x - y) on all pairs of points, with
-    diagonal(pts) on the diagonal.
+    diagonal(pts, g1, g2) on the diagonal, from the one `fg` call's G.
 
     A non-finite point (checked before `fg` runs), a repeated one, or an
     entry that is not a finite double raises DomainError.
@@ -110,7 +111,7 @@ def _quotient_matrix(pts: np.ndarray, fg, diagonal) -> np.ndarray:
             raise DomainError(
                 f"kernel matrix needs distinct points; {pts[np.nonzero(dx == 0.0)[0][0]]} repeats")
         out /= dx
-    np.fill_diagonal(out, diagonal(pts))
+    np.fill_diagonal(out, diagonal(pts, g1, g2))
     if not np.isfinite(out).all():
         i, j = np.argwhere(~np.isfinite(out))[0]
         raise DomainError(
@@ -157,7 +158,8 @@ class IntegrableKernel:
 
     def matrix(self, points) -> np.ndarray:
         """Dense kernel matrix on a point set, zero on the diagonal."""
-        return _quotient_matrix(np.asarray(points, dtype=float), self.fg, np.zeros_like)
+        return _quotient_matrix(np.asarray(points, dtype=float), self.fg,
+                                lambda pts, g1, g2: 0.0)
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,10 @@ class AssembledKernel:
         where it leaves the double range."""
         pts = np.asarray(points, dtype=float)
         _, _, g1, g2 = self.fg(pts)
+        return self._diagonal(pts, g1, g2)
+
+    def _diagonal(self, pts: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+        """The diagonal from G at the points and one `df` call."""
         df1, df2 = self.df(pts)
         with np.errstate(over="ignore", invalid="ignore"):
             return df1 * g1 + df2 * g2
@@ -205,8 +211,9 @@ class AssembledKernel:
         return _entry(value[0], x, y)
 
     def matrix(self, points) -> np.ndarray:
-        """Dense kernel matrix on a point set, diagonal by the kernel's rule."""
-        return _quotient_matrix(np.asarray(points, dtype=float), self.fg, self.diagonal)
+        """Dense kernel matrix on a point set, diagonal by the kernel's rule;
+        one `fg` call serves the quotient and the diagonal."""
+        return _quotient_matrix(np.asarray(points, dtype=float), self.fg, self._diagonal)
 
 
 # ----------------------------------------------------------------------

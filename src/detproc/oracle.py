@@ -3,7 +3,8 @@
 A kernel restricted to a finite window becomes an ordinary matrix; the
 resolvent identities K = L(1+L)^(-1) and K^ = L(L-1)^(-1), the Fredholm
 determinant det(1+L), ensemble probabilities and correlation minors are all
-evaluated by LU with partial pivoting.  Windows come in two kinds:
+evaluated by LU with partial pivoting, each solve and factorization of
+1 + L once per operator.  Windows come in two kinds:
 
 * lattice  -- the symmetric block {-M+1/2, ..., M-1/2} of Z'; truncation
   error is controlled by the factorial decay of the L entries.
@@ -12,8 +13,9 @@ evaluated by LU with partial pivoting.  Windows come in two kinds:
   algebra represents operator algebra (Nystrom).
 
 A window takes the kernels whose domain is its kind ('finite': any), by
-their array-valued `matrix` (one `fg` call for the whole window); K and
-K^ (K at -L) come from one solve.  On a real-line window
+their array-valued `matrix` (one `fg` call for the whole window).  K
+comes from one solve per operator; K^ (K at -L) is D K D, D = diag(sgn x),
+for a two-sided L, and a solve at -L otherwise.  On a real-line window
 `NystromResolvent` evaluates K off the nodes without a dense solve.  An
 `IntegrableKernel` vanishes for xy > 0 and is antisymmetric by type, so
 1 + L~ = [[I, B], [-B^T, I]] with B the negative-by-positive block; each
@@ -128,7 +130,16 @@ def quadrature_window(r: float = math.exp(4.5), eps: float = math.exp(-45.0),
 
 @dataclass(frozen=True)
 class WindowedOperator:
-    """Dense matrix of a kernel on a window; entries[i][j] ~ k(x_i, x_j)."""
+    """Dense matrix of a kernel on a window; entries[i][j] ~ k(x_i, x_j).
+
+    Taken as L, an operator solves (1 + L)K = L and factors 1 + L for
+    det(1 + L) at most once each, on first use: `k_from_l` hands every
+    caller the same K operator, `khat_from_l` of a two-sided L conjugates
+    that K by signs, and `fredholm_det` and every `prob_of_configuration`
+    share one det(1 + L).  So an operator is read-only: no caller writes to
+    its entries or to the shared K, whose entries (like those `materialize`
+    makes) are flagged read-only.
+    """
 
     window: Window
     entries: np.ndarray
@@ -136,6 +147,16 @@ class WindowedOperator:
     @property
     def size(self) -> int:
         return self.window.size
+
+    @cached_property
+    def _k(self) -> "WindowedOperator":
+        k = _resolvent(self.window, self.entries)
+        k.entries.flags.writeable = False
+        return k
+
+    @cached_property
+    def _det_one_plus(self) -> float:
+        return _det(np.eye(self.size) + self.entries)
 
     def value_at(self, x: float, y: float) -> float:
         """Kernel value at window points (undoing the sqrt-weight scaling)."""
@@ -160,6 +181,7 @@ def materialize(kernel, window: Window) -> WindowedOperator:
         s = np.sqrt(window.weights)
         mat *= s[:, None]
         mat *= s
+    mat.flags.writeable = False
     return WindowedOperator(window, mat)
 
 
@@ -188,12 +210,23 @@ def _resolvent(window: Window, ln: np.ndarray) -> WindowedOperator:
 
 
 def k_from_l(l_op: WindowedOperator) -> WindowedOperator:
-    """K = L(1+L)^(-1)."""
-    return _resolvent(l_op.window, l_op.entries)
+    """K = L(1+L)^(-1), solved once per operator and shared."""
+    return l_op._k
 
 
 def khat_from_l(l_op: WindowedOperator) -> WindowedOperator:
-    """K^ = L(L-1)^(-1), which is K = L(1+L)^(-1) taken at -L."""
+    """K^ = L(L-1)^(-1), which is K = L(1+L)^(-1) taken at -L.
+
+    Where L vanishes on same-sign pairs of a window without 0, as a
+    two-sided L-kernel does, -L = D L D for D = diag(sgn x), so K^ is
+    D K D, the shared K times sgn(x) sgn(y).  It is the solve at -L bit for
+    bit: partial pivoting picks the same pivots in 1 - L = D(1 + L)D, and
+    every rounding is the same up to sign.  Any other L is solved at -L.
+    """
+    d = np.sign(l_op.window.points)
+    sign = np.outer(d, d)
+    if d.all() and not l_op.entries[sign > 0.0].any():
+        return WindowedOperator(l_op.window, sign * l_op._k.entries)
     return _resolvent(l_op.window, -l_op.entries)
 
 
@@ -206,8 +239,9 @@ def _det(a: np.ndarray) -> float:
 
 
 def fredholm_det(l_op: WindowedOperator) -> float:
-    """det(1 + L) on the window (the L-ensemble normalizing constant)."""
-    return _det(np.eye(l_op.size) + l_op.entries)
+    """det(1 + L) on the window (the L-ensemble normalizing constant),
+    factored once per operator and shared."""
+    return l_op._det_one_plus
 
 
 def _minor(op: WindowedOperator, points) -> np.ndarray:

@@ -208,6 +208,8 @@ def _drgamma(s: float) -> float:
 # ----------------------------------------------------------------------
 
 _DORDER_MAX_U = 20.0        # range of the differentiated series
+# (k, log k!, (-1)^k) for the at most 250 terms of `bessel_j_dorder`'s series
+_DORDER_STEPS = tuple((k, lgamma(k + 1), (-1.0) ** (k % 2)) for k in range(250))
 _MILLER_MIN_U = 1e-40       # below it one step of Miller's run can overflow
 # resource bounds, not accuracy claims: the largest u of `bessel_j` (its
 # Miller run keeps ~u + 12 sqrt(u) floats, 11 220 at the cap, and no run
@@ -347,15 +349,15 @@ def bessel_j_dorder(nu, u: float):
     finite.
 
     `nu` may be an array of orders (a scalar is a one-element call).  Each
-    order sums its own series with its own stop, reading lgamma(k + 1) by
-    k, and ln(u/2)/Gamma(s) + d(1/Gamma)/ds by s = nu + k + 1, from tables
-    the call fills on first use: orders 0..40 at u = 20 share 66 s values.
+    order sums its own series with its own stop, reading log k! and (-1)^k
+    from a module table, and ln(u/2)/Gamma(s) + d(1/Gamma)/ds by
+    s = nu + k + 1 from a table the call fills on first use: orders 0..40
+    at u = 20 share 66 s values.
     """
     u = float(u)
     if not 0.0 < u <= _DORDER_MAX_U:
         raise DomainError(f"bessel_j_dorder needs 0 < u <= {_DORDER_MAX_U:g}, got u={u}")
     lhalf = log(0.5 * u)
-    steps: list[tuple[float, float]] = []
     factor: dict[float, float] = {}
     orders = np.asarray(nu, dtype=float)
     if not np.isfinite(orders).all():
@@ -363,12 +365,11 @@ def bessel_j_dorder(nu, u: float):
     sums = []
     for nu in orders.ravel().tolist():
         terms = []
-        biggest = 0.0
+        push = terms.append
+        # the largest |term| so far, floored at 1e-300 for the stop test
+        biggest = 1e-300
         k_min = max(0.0, -nu) + 6
-        for k in range(250):
-            if k == len(steps):
-                steps.append((lgamma(k + 1), (-1.0) ** (k % 2)))
-            lg, sign = steps[k]
+        for k, lg, sign in _DORDER_STEPS:
             lt = (nu + 2 * k) * lhalf - lg
             if lt > 690.0:
                 raise BesselOverflowError(f"dJ/dnu term overflow at nu={nu}, u={u}")
@@ -377,11 +378,11 @@ def bessel_j_dorder(nu, u: float):
             if g is None:
                 g = factor[s] = lhalf * _rgamma(s) + _drgamma(s)
             t = sign * exp(lt) * g
-            terms.append(t)
+            push(t)
             a = abs(t)
             if a > biggest:
                 biggest = a
-            if k > k_min and a < 1e-18 * max(biggest, 1e-300):
+            if k > k_min and a < 1e-18 * biggest:
                 break
         sums.append(fsum(terms))
     return np.reshape(sums, orders.shape)[()]
