@@ -40,7 +40,8 @@ so for |arg z| > 3pi/4 the Kummer connection
 
 is used instead (well defined here because 2mu is never an integer), but
 only where its 1F1 sums, which cancel by ~e^(|z| + Re z), stay accurate:
-|z| + Re z < 12.9 (|z| < 44 at |arg z| = 3pi/4) and |z| < 100.  The
+|z| + Re z < 12.9 (|z| < 44 at |arg z| = 3pi/4) and |z| < 100, and only
+for a base whose two terms do not cancel by more than 1e3.  The
 integral is accurate elsewhere: the spike stays well off the real t axis
 unless z is close to the cut, and from |z| = 100 on e^-t makes it
 negligible even there.  At real z, where W is real, each base value's imaginary part is
@@ -709,8 +710,13 @@ def _hyp1f1(a: complex, b: complex, w: complex) -> complex:
     raise ConvergenceError(f"1F1({a},{b},{w}) did not converge")
 
 
-def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> complex:
-    """W by the Kummer connection, used near the cut; needs mu_im != 0."""
+def _w_kummer(kappa: float, mu_im: float, zeta: complex):
+    """W by the Kummer connection, used near the cut; needs mu_im != 0.
+
+    None where the connection's two terms cancel, (|c1 M1| + |c2 M2|) >
+    `_KUMMER_CANCEL` |c1 M1 + c2 M2|: that loss grows with |Gamma(1/2 +- mu
+    - kappa)|, so only strongly negative kappa away from the cut meets it.
+    """
     if mu_im == 0.0:
         raise ParameterError("Kummer route to W needs a nonzero imaginary index")
     mu = 1j * mu_im
@@ -720,7 +726,10 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> complex:
     # M(a,b,zeta) = e^zeta M(b-a,b,-zeta) keeps the 1F1 sums cancellation-free
     m1 = _hyp1f1(0.5 + mu + kappa, 1.0 + 2.0 * mu, -zeta)
     m2 = _hyp1f1(0.5 - mu + kappa, 1.0 - 2.0 * mu, -zeta)
-    return cmath.exp(0.5 * zeta) * (c1 * m1 + c2 * m2)
+    p1, p2 = c1 * m1, c2 * m2
+    if abs(p1) + abs(p2) > _KUMMER_CANCEL * abs(p1 + p2):
+        return None
+    return cmath.exp(0.5 * zeta) * (p1 + p2)
 
 
 # Kummer replaces the integral, whose integrand spikes at t = -zeta, only
@@ -737,6 +746,18 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex) -> complex:
 _ARG_SPLIT = 0.75 * pi
 _KUMMER_LOSS = 12.9
 _KUMMER_MAX = 100.0
+# Kummer also hands a base to the integral where its two connection terms
+# cancel by more than this factor, which happens at strongly negative kappa
+# away from the cut: at |zeta| = 20, arg zeta = 0.76pi, mu_im = 0.5 the
+# ratio is 1.1e7 / 5.7e4 / 220 at kappa = -12 / -8 / -5, Kummer 2.5e-7 /
+# 2.2e-10 off 30-digit mpmath and the integral within 2e-14.  Within 0.99pi
+# of the cut the ratio is ~1 (and the integral fails there).  For Psi's
+# bases, kappa in (-1.5, 1/2), it stays below 25 from mu_im = 0.1 on, and
+# grows like 1/mu_im below (2.6e3 at 0.001, where the integral is 4e-15
+# off and Kummer 9e-13).  On a sweep of kappa in [-12, 1/2], mu_im in
+# [0.1, 2.5] over Kummer's box, 1e3 hands 964 of 15 300 points over; the
+# integral raises ConvergenceError at 5 and is within 3.5e-11 at the rest.
+_KUMMER_CANCEL = 1e3
 # the highest order of W, a resource bound: its ladder keeps one level per
 # unit of kappa - 1/2, and from kappa ~ 172 on W(x = 1) is past the double range
 _KAPPA_MAX = 1e4
@@ -769,7 +790,10 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
                 and abs(zeta) + zeta.real < _KUMMER_LOSS):
             base = {k: _w_kummer(k, mu_im, zeta) for k in bases}
         else:
-            base = dict(zip(bases, _w_integral(bases, mu_im, zeta)))
+            base = {}
+        rest = [k for k in bases if base.get(k) is None]
+        if rest:
+            base.update(zip(rest, _w_integral(rest, mu_im, zeta)))
         for k, (levels, ends) in zip(ks, ladders):
             lo, hi = base[ends[0]], base[ends[-1]]
             for level in reversed(levels):
@@ -793,7 +817,8 @@ def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
     all in one integrand pass (`_w_integral`: both quadrature rules, one
     base x panel x node array) or one Kummer connection each, and then
     runs the ladders.  Kummer serves |arg zeta| > 3pi/4 where |zeta| < 100
-    and |zeta| + Re zeta < 12.9 (|zeta| < 44 at |arg zeta| = 3pi/4), the
+    and |zeta| + Re zeta < 12.9 (|zeta| < 44 at |arg zeta| = 3pi/4), for
+    each base whose two connection terms cancel by at most 1e3, the
     integral everything else.  A pair such as (W_k, W_(k-1)) (two orders,
     two bases) costs ~105 µs on a 2-core AMD EPYC, against ~170 µs for one
     pass per base and rule.

@@ -409,6 +409,27 @@ def test_khat_is_k_conjugated_by_the_sign_matrix(theta, m):
     l_op = oracle.materialize(kernels.plancherel_l(theta), window)
     assert (oracle.khat_from_l(l_op).entries.tobytes()
             == (sign * oracle.k_from_l(l_op).entries).tobytes())
+    # khat_from_l takes D K D without a solve: the solve at -L is that, too
+    assert (oracle._resolvent(window, -l_op.entries).entries.tobytes()
+            == (sign * oracle.k_from_l(l_op).entries).tobytes())
+
+
+@pytest.mark.parametrize("build", [kernels.discrete_bessel_k, kernels.discrete_bessel_khat,
+                                   lambda theta: kernels.whittaker_kernel_k(0.25 + 0.6j)])
+def test_matrix_evaluates_f_and_g_once(build):
+    # the diagonal took a second fg call of its own; now the quotient's G
+    # and one df call serve it, and the matrix is the same bit for bit
+    kern = build(30.0)
+    pts = oracle.lattice_window(12).points
+    calls = []
+
+    def counted(name, data):
+        return lambda points: calls.append(name) or data(points)
+
+    counted_kern = kernels.AssembledKernel(kern.domain, counted("f", kern.f),
+                                           counted("df", kern.df), kern.name)
+    assert counted_kern.matrix(pts).tobytes() == kern.matrix(pts).tobytes()
+    assert sorted(calls) == ["df", "f"]
 
 
 @pytest.mark.parametrize("build", [kernels.discrete_bessel_k,

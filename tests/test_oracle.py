@@ -62,6 +62,43 @@ def test_k_from_l_two_point_closed_form():
     assert np.max(np.abs(khat.entries - kernels.TwoPointModel(-mu, -nu).k_matrix())) < 1e-15
 
 
+@pytest.mark.parametrize("points", [[0.0, 1.0], [1.0, 2.0], [-1.0, 1.0]])
+def test_khat_of_the_two_point_model_is_the_solve_at_minus_l(points):
+    # on a window with 0, or where L does not vanish on same-sign pairs,
+    # K^ is solved at -L; on {-1, 1} the model is two-sided and K^ = D K D
+    # is that solve bit for bit
+    op = _from_matrix(points, kernels.TwoPointModel(0.3, 0.5).l_matrix())
+    solve = oracle._resolvent(op.window, -op.entries)
+    assert oracle.khat_from_l(op).entries.tobytes() == solve.entries.tobytes()
+
+
+def test_one_lattice_operator_solves_and_factors_once(monkeypatch):
+    # k_from_l solved (1+L)K = L, khat_from_l solved again at -L, and
+    # fredholm_det and each prob_of_configuration factored 1 + L anew
+    solves, dets = [], []
+    resolvent, det = oracle._resolvent, oracle._det
+    monkeypatch.setattr(oracle, "_resolvent",
+                        lambda window, ln: solves.append(1) or resolvent(window, ln))
+    monkeypatch.setattr(oracle, "_det", lambda a: dets.append(1) or det(a))
+    window = oracle.lattice_window(20)
+    l_op = oracle.materialize(kernels.plancherel_l(4.0), window)
+    k = oracle.k_from_l(l_op)
+    khat = oracle.khat_from_l(l_op)
+    assert oracle.fredholm_det(l_op) == pytest.approx(math.exp(4.0), rel=1e-12)
+    for lam in ([1], [2, 1], [3, 1, 1]):
+        diagram = partitions.YoungDiagram(lam)
+        prob = oracle.prob_of_configuration(l_op, sorted(partitions.fr_config(diagram)))
+        assert prob == pytest.approx(partitions.plancherel_weight(diagram, 4.0), rel=1e-12)
+    assert oracle.k_from_l(l_op) is k
+    assert len(solves) == 1 and len(dets) == 1
+    d = np.sign(window.points)
+    assert khat.entries.tobytes() == (np.outer(d, d) * k.entries).tobytes()
+    # the shared K and the operator's entries are read-only
+    for entries in (k.entries, l_op.entries):
+        with pytest.raises(ValueError):
+            entries[0, 0] = 1.0
+
+
 def test_k_from_l_singularity():
     op = _from_matrix([0.0, 1.0], np.array([[0.0, 2.0], [0.5, 0.0]]))
     with pytest.raises(SingularOperatorError):

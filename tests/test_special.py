@@ -469,6 +469,65 @@ def test_bessel_dorder_array_is_bitwise_the_per_order_reference(orders, u):
         assert got.tobytes() == np.array(refs).tobytes()
 
 
+def _dorder_tables_reference(nu, u: float):
+    """`special.bessel_j_dorder` as it was when each call filled its own
+    table of (lgamma(k + 1), (-1)^k) and took max() on every term, copied
+    verbatim."""
+    from math import exp, fsum, lgamma, log
+
+    from detproc.special import _DORDER_MAX_U, _drgamma, _rgamma
+
+    u = float(u)
+    if not 0.0 < u <= _DORDER_MAX_U:
+        raise DomainError(f"bessel_j_dorder needs 0 < u <= {_DORDER_MAX_U:g}, got u={u}")
+    lhalf = log(0.5 * u)
+    steps: list[tuple[float, float]] = []
+    factor: dict[float, float] = {}
+    orders = np.asarray(nu, dtype=float)
+    if not np.isfinite(orders).all():
+        raise DomainError(f"bessel_j_dorder needs finite orders, got nu={nu}")
+    sums = []
+    for nu in orders.ravel().tolist():
+        terms = []
+        biggest = 0.0
+        k_min = max(0.0, -nu) + 6
+        for k in range(250):
+            if k == len(steps):
+                steps.append((lgamma(k + 1), (-1.0) ** (k % 2)))
+            lg, sign = steps[k]
+            lt = (nu + 2 * k) * lhalf - lg
+            if lt > 690.0:
+                raise BesselOverflowError(f"dJ/dnu term overflow at nu={nu}, u={u}")
+            s = nu + k + 1
+            g = factor.get(s)
+            if g is None:
+                g = factor[s] = lhalf * _rgamma(s) + _drgamma(s)
+            t = sign * exp(lt) * g
+            terms.append(t)
+            a = abs(t)
+            if a > biggest:
+                biggest = a
+            if k > k_min and a < 1e-18 * max(biggest, 1e-300):
+                break
+        sums.append(fsum(terms))
+    return np.reshape(sums, orders.shape)[()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(orders=_DORDER_CALLS, u=st.floats(0.0, 20.0, exclude_min=True))
+@example(orders=[-32.30618212197165], u=15.206858108227749)
+def test_bessel_dorder_is_bitwise_the_per_call_table_loop(orders, u):
+    # the module table of log k! and (-1)^k and the floored running maximum
+    # keep every term, every stop and every sum of the per-call loop
+    try:
+        ref = _dorder_tables_reference(np.array(orders), u)
+    except Exception as err:
+        with pytest.raises(type(err)):
+            special.bessel_j_dorder(np.array(orders), u)
+    else:
+        assert special.bessel_j_dorder(np.array(orders), u).tobytes() == ref.tobytes()
+
+
 def test_bessel_dorder_array_with_one_overflowing_order_raises():
     # at u = 1e-20 the first term of order -40.5 is e^1891; the others are fine
     u = 1e-20
@@ -618,6 +677,37 @@ def test_whittaker_near_the_cut_across_the_route_split():
                     ref = complex(mpmath.whitw(kappa, 1j * mu, zeta))
                     tol = 1e-11 if r < special._KUMMER_MAX else 1e-13
                     assert abs(value - ref) <= tol * abs(ref), (kappa, mu, zeta)
+
+
+def test_whittaker_at_strongly_negative_kappa_near_the_cut():
+    # Kummer's two connection terms cancel as |Gamma(1/2 +- mu - kappa)|
+    # grows: at the parent, kappa = -12 read 6.2e-7 off and kappa = -8
+    # 2.2e-10, with no error; a base whose terms cancel by more than
+    # _KUMMER_CANCEL now takes the integral, and within 0.99pi of the cut,
+    # where the integral fails, the terms do not cancel and Kummer stays
+    typed = (ConvergenceError, DomainError)
+    for kappa in (-12.0, -8.0, -5.0):
+        for r in (20.0, 25.0, 30.0):
+            for i, frac in enumerate((0.76, 0.78, 0.8, 0.999)):
+                zeta = cmath.rect(r, (-1) ** i * frac * math.pi)
+                ref = complex(mpmath.whitw(kappa, 0.5j, zeta))
+                try:
+                    value = special.whittaker_w_complex(kappa, 0.5, zeta)
+                except typed:
+                    continue
+                assert abs(value - ref) <= 1e-11 * abs(ref), (kappa, zeta)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.3, 1.2, 2.5])
+def test_psi_base_orders_keep_the_kummer_route(mu):
+    # Psi's W bases lie in (-3/2, 1/2); their connection terms cancel by
+    # less than 30 from mu = 0.1 on, so none of them changes route or bits
+    for kappa in (-1.49, -1.25, -0.7, 0.0, 0.49):
+        for r in (1.0, 3.6, 10.0, 30.0, 43.9):
+            for frac in (0.7501, 0.76, 0.9, 0.999):
+                zeta = cmath.rect(r, frac * math.pi)
+                if abs(zeta) + zeta.real < special._KUMMER_LOSS:
+                    assert special._w_kummer(kappa, mu, zeta) is not None, (kappa, mu, zeta)
 
 
 def test_whittaker_past_the_double_range_near_the_cut_raises_a_domain_error():
