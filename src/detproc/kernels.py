@@ -19,10 +19,11 @@ closed form from the W pair its F already uses (and
 `matrix` makes one `fg` call for distinct finite points, which serves the
 quotient and the diagonal (with one `df` call for a correlation kernel),
 and assembles the window as outer products; other points, or an entry
-that is not a finite double, raise DomainError.  Scalar `kernel(x, y)` wraps one `fg` call on
-its two points: it gives the matrix's entries bit for bit, and raises
-where `matrix` does on an entry that is not a finite double, but pays
-numpy's per-call overhead, so pass all points to `matrix` at once.  The
+that is not a finite double, raise DomainError.  Scalar `kernel(x, y)`
+wraps one `fg` call on its two points: it gives the matrix's entries bit
+for bit, and raises where `matrix` does on an entry that is not a finite
+double, but pays numpy's per-call overhead, so pass all points to
+`matrix` at once.  The
 Whittaker kernel keeps both W orders of a point (one `whittaker_w` call)
 and the discrete Bessel kernels keep J_n and dJ/dnu per order, each from
 one array call on the orders not yet known, for the kernel's lifetime.

@@ -750,8 +750,10 @@ _KUMMER_MAX = 100.0
 # cancel by more than this factor, which happens at strongly negative kappa
 # away from the cut: at |zeta| = 20, arg zeta = 0.76pi, mu_im = 0.5 the
 # ratio is 1.1e7 / 5.7e4 / 220 at kappa = -12 / -8 / -5, Kummer 2.5e-7 /
-# 2.2e-10 off 30-digit mpmath and the integral within 2e-14.  Within 0.99pi
-# of the cut the ratio is ~1 (and the integral fails there).  For Psi's
+# 2.2e-10 off 30-digit mpmath and the integral within 2e-14.  From arg
+# zeta = 0.99pi to the cut the ratio is ~1 (and the integral can fail
+# there: ConvergenceError at kappa = -12, 0.999pi, where Kummer is 5.9e-12
+# off).  For Psi's
 # bases, kappa in (-1.5, 1/2), it stays below 25 from mu_im = 0.1 on, and
 # grows like 1/mu_im below (2.6e3 at 0.001, where the integral is 4e-15
 # off and Kummer 9e-13).  On a sweep of kappa in [-12, 1/2], mu_im in
