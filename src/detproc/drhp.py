@@ -75,6 +75,7 @@ from .kernels import (
     AssembledKernel,
     ChristoffelDarbouxKernel,
     TwoPointModel,
+    _quotient,
     _require_theta,
     _whittaker_c,
     discrete_bessel_k,
@@ -748,7 +749,7 @@ def suite_contour() -> list[ResidualCheck]:
     """
     def l_kernel(x, y):
         fx, gy = _contour_f(x), _contour_g(y)
-        return (fx[..., 0] * gy[..., 0] + fx[..., 1] * gy[..., 1]) / (x - y)
+        return _quotient(fx[..., 0], fx[..., 1], gy[..., 0], gy[..., 1], x, y)
 
     # clockwise parametrization y = e^{-i theta}; nodes offset half a step
     # so they never coincide with the evaluation points x0, z0

@@ -120,6 +120,13 @@ def _quotient_matrix(pts: np.ndarray, fg, diagonal) -> np.ndarray:
     return out
 
 
+def _quotient(f1, f2, g1, g2, x, y):
+    """(f1 g1 + f2 g2) / (x - y) elementwise, f at x and g at y; inf or nan
+    where it leaves the double range and at x == y (each kernel's own rule)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (f1 * g1 + f2 * g2) / np.subtract(x, y)
+
+
 def _entry(value, x: float, y: float) -> float:
     """A scalar call's K(x, y) as a float; DomainError, as in `matrix`,
     unless it is a finite double."""
@@ -150,12 +157,8 @@ class IntegrableKernel:
         return plus, minus, minus, plus
 
     def __call__(self, x: float, y: float) -> float:
-        if x == y:
-            _points(self.domain, (x,))
-            return 0.0
         f1, f2, g1, g2 = self.fg((x, y))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _entry((f1[0] * g1[1] + f2[0] * g2[1]) / (x - y), x, y)
+        return 0.0 if x == y else _entry(_quotient(f1[0], f2[0], g1[1], g2[1], x, y), x, y)
 
     def matrix(self, points) -> np.ndarray:
         """Dense kernel matrix on a point set, zero on the diagonal."""
@@ -187,12 +190,9 @@ class AssembledKernel:
     def off_diagonal(self, x, y) -> np.ndarray:
         """K(x_i, y_i) at paired points x_i != y_i, from one fg call; an
         entry that leaves the double range reads inf or nan."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         f1, f2, g1, g2 = self.fg(np.concatenate((x, y)))
-        n = x.size
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (f1[:n] * g1[n:] + f2[:n] * g2[n:]) / (x - y)
+        return _quotient(f1[:x.size], f2[:x.size], g1[x.size:], g2[x.size:], x, y)
 
     def diagonal(self, points) -> np.ndarray:
         """K(x, x) = F1'(x)G1(x) + F2'(x)G2(x) at every point, inf or nan

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, SingularOperatorError, WindowError
-from .kernels import LATTICE, REAL_LINE, IntegrableKernel
+from .kernels import LATTICE, REAL_LINE, IntegrableKernel, _quotient
 from .partitions import half
 
 __all__ = [
@@ -261,11 +261,6 @@ def correlation_from_k(k_op: WindowedOperator, points) -> float:
     return float(np.linalg.det(_minor(k_op, points)))
 
 
-def _quotient(num: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """num / dx, with the integrable kernels' value 0 where dx == 0."""
-    return np.divide(num, dx, out=np.zeros_like(num), where=dx != 0.0)
-
-
 class NystromResolvent:
     """Resolvent K = L(1+L)^(-1) of a two-sided L-kernel, with off-node values.
 
@@ -311,11 +306,12 @@ class NystromResolvent:
         self._columns: dict = {}
 
     def column(self, y: float) -> np.ndarray:
-        """L(t_i, y) at every node t_i."""
+        """L(t_i, y) at every node t_i, 0 at a node equal to y."""
         f1, f2, _, _ = self._fg
         _, _, g1, g2 = self.kernel.fg((y,))
-        num = f1 * g1 + f2 * g2
-        return _quotient(num, self.window.points - y)
+        col = _quotient(f1, f2, g1, g2, self.window.points, y)
+        col[self.window.points == y] = 0.0
+        return col
 
     def _k_column(self, y: float) -> np.ndarray:
         # scaled node values sqrt(w_i) K(t_i, y), solved once per y

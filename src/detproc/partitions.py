@@ -46,18 +46,20 @@ def half(doubled: int) -> float:
     return doubled / 2.0
 
 
+@dataclass(frozen=True, slots=True)
 class YoungDiagram:
-    """A partition with nonincreasing positive rows; () is the empty diagram."""
+    """A partition with nonincreasing positive rows, kept as a tuple of ints;
+    () is the empty diagram."""
 
-    __slots__ = ("rows",)
+    rows: tuple = ()
 
-    def __init__(self, rows=()):
-        rows = tuple(int(r) for r in rows)
+    def __post_init__(self):
+        rows = tuple(int(r) for r in self.rows)
         if any(r <= 0 for r in rows):
             raise DomainError(f"rows must be positive, got {rows}")
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
             raise DomainError(f"rows must be nonincreasing, got {rows}")
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
@@ -65,15 +67,6 @@ class YoungDiagram:
 
     def conjugate(self) -> "YoungDiagram":
         return YoungDiagram(_conjugate_rows(self.rows))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, YoungDiagram) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"YoungDiagram{self.rows}"
 
 
 @dataclass(frozen=True)

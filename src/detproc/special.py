@@ -700,13 +700,17 @@ def _w_integral(kappas: list, mu_im: float, zeta: complex) -> list:
     return values
 
 
-def _hyp1f1(a: complex, b: complex, w: complex) -> complex:
+def _hyp1f1(a: complex, b: complex, w: complex) -> tuple:
+    """1F1(a; b; w) by its series, and the sum of its terms' moduli."""
     s = t = 1.0 + 0j
+    size = 1.0
     for k in range(700):
         t = t * (a + k) / (b + k) * w / (k + 1)
         s += t
-        if abs(t) < 1e-18 * max(abs(s), 1e-300):
-            return s
+        term = abs(t)
+        size += term
+        if term < 1e-18 * max(abs(s), 1e-300):
+            return s, size
     raise ConvergenceError(f"1F1({a},{b},{w}) did not converge")
 
 
@@ -716,6 +720,8 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex):
     None where the connection's two terms cancel, (|c1 M1| + |c2 M2|) >
     `_KUMMER_CANCEL` |c1 M1 + c2 M2|: that loss grows with |Gamma(1/2 +- mu
     - kappa)|, so only strongly negative kappa away from the cut meets it.
+    At kappa <= -2 also None where the terms t1, t2 of M1, M2 cancel with
+    them, (|c1| sum |t1| + |c2| sum |t2|) > `_KUMMER_TERMS` |c1 M1 + c2 M2|.
     """
     if mu_im == 0.0:
         raise ParameterError("Kummer route to W needs a nonzero imaginary index")
@@ -724,10 +730,12 @@ def _w_kummer(kappa: float, mu_im: float, zeta: complex):
     c1 = cmath.exp(log_gamma(-2.0 * mu) - log_gamma(0.5 - mu - kappa) + (0.5 + mu) * lz)
     c2 = cmath.exp(log_gamma(2.0 * mu) - log_gamma(0.5 + mu - kappa) + (0.5 - mu) * lz)
     # M(a,b,zeta) = e^zeta M(b-a,b,-zeta) keeps the 1F1 sums cancellation-free
-    m1 = _hyp1f1(0.5 + mu + kappa, 1.0 + 2.0 * mu, -zeta)
-    m2 = _hyp1f1(0.5 - mu + kappa, 1.0 - 2.0 * mu, -zeta)
+    m1, size1 = _hyp1f1(0.5 + mu + kappa, 1.0 + 2.0 * mu, -zeta)
+    m2, size2 = _hyp1f1(0.5 - mu + kappa, 1.0 - 2.0 * mu, -zeta)
     p1, p2 = c1 * m1, c2 * m2
-    if abs(p1) + abs(p2) > _KUMMER_CANCEL * abs(p1 + p2):
+    w = abs(p1 + p2)
+    if (abs(p1) + abs(p2) > _KUMMER_CANCEL * w
+            or kappa <= -2.0 and abs(c1) * size1 + abs(c2) * size2 > _KUMMER_TERMS * w):
         return None
     return cmath.exp(0.5 * zeta) * (p1 + p2)
 
@@ -753,20 +761,57 @@ _KUMMER_MAX = 100.0
 # 2.2e-10 off 30-digit mpmath and the integral within 2e-14.  From arg
 # zeta = 0.99pi to the cut the ratio is ~1 (and the integral can fail
 # there: ConvergenceError at kappa = -12, 0.999pi, where Kummer is 5.9e-12
-# off).  For Psi's
-# bases, kappa in (-1.5, 1/2), it stays below 25 from mu_im = 0.1 on, and
-# grows like 1/mu_im below (2.6e3 at 0.001, where the integral is 4e-15
-# off and Kummer 9e-13).  On a sweep of kappa in [-12, 1/2], mu_im in
-# [0.1, 2.5] over Kummer's box, 1e3 hands 964 of 15 300 points over; the
-# integral raises ConvergenceError at 5 and is within 3.5e-11 at the rest.
+# off).  For Psi's bases, kappa in (-1.5, 1/2), it stays below 25 from
+# mu_im = 0.1 on, and grows like 1/mu_im below (2.6e3 at 0.001, where the
+# integral is 4e-15 off and Kummer 9e-13).  On a sweep of kappa in [-12,
+# 1/2], mu_im in [0.1, 2.5] over Kummer's box, 1e3 hands 964 of 15 300
+# points over; the integral raises ConvergenceError at 5 and is within
+# 3.5e-11 at the rest.
 _KUMMER_CANCEL = 1e3
+# At kappa <= -2 (Psi's bases, kappa > -3/2, reach 1e6 and stay accurate),
+# also where the 1F1 sums cancel with the connection by more than this: on
+# kappa in {-2, -3, -5, -8, -9, -12}, mu_im in {0.1, 0.3, 1.2, 2.5}, |zeta|
+# 5-90, arg 0.751pi-0.999pi, W is then within 5.2e-12 of 30-digit mpmath or
+# raises ConvergenceError (17 of 768 points; Kummer alone: 5.1e-9, 1 raise).
+_KUMMER_TERMS = 1e5
 # the highest order of W, a resource bound: its ladder keeps one level per
 # unit of kappa - 1/2, and from kappa ~ 172 on W(x = 1) is past the double range
 _KAPPA_MAX = 1e4
 
 
-def _whittaker(kappa, mu_im: float, zeta: complex):
-    """W in kappa's shape, one order a one-element call; see `whittaker_w_complex`."""
+def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
+    """W_{kappa, i mu_im}(zeta) on the cut plane |arg zeta| < pi.
+
+    kappa >= 1/2 runs the contiguous recurrence in kappa upward from the
+    two base values below 1/2.  `kappa` may also be a sequence of orders:
+    the result is then an array, and orders of one call whose ladders
+    reach the same base values (such as kappa and kappa - 1) share them.
+    A call first collects its distinct base orders, then evaluates them
+    all in one integrand pass (`_w_integral`: both quadrature rules, one
+    base x panel x node array) or one Kummer connection each, and then
+    runs the ladders.  Kummer serves |arg zeta| > 3pi/4 where |zeta| < 100
+    and |zeta| + Re zeta < 12.9 (|zeta| < 44 at |arg zeta| = 3pi/4), for
+    each base whose two connection terms cancel by at most 1e3 (and at
+    kappa <= -2 whose 1F1 sums cancel with them by at most 1e5), the
+    integral everything else.  A pair such as (W_k, W_(k-1)) (two orders,
+    two bases) costs ~105 µs on a 2-core AMD EPYC, against ~170 µs for one
+    pass per base and rule.
+
+    Near the cut, against 30-digit mpmath at |arg zeta| from 0.751pi to
+    (1 - 1e-8)pi, base orders in [-1.49, 0.49] and 0.1 <= mu_im <= 2.5,
+    the relative error is at most 1e-10 where Kummer serves (8.6e-11 at
+    mu_im = 0.1, |zeta| + Re zeta = 12.9, 3.9e-11 from mu_im = 0.2 on; it
+    grows with |zeta| + Re zeta and as mu_im falls) and 7.1e-14 where the
+    integral serves, up to |zeta| = 400.
+
+    The integral needs 1e-100 <= |zeta| < 80 * 2^20 (its panels) and
+    raises DomainError outside.  An order that is not finite, or above 1e4
+    (a resource bound: the ladder keeps one level per unit of kappa - 1/2),
+    raises DomainError before any ladder is built, and so does a W past
+    the double range, where it would be inf or NaN: from kappa ~ 172 on at
+    zeta = 1, and near the cut from |zeta| ~ 1420 on, where e^(-zeta/2)
+    outgrows it.
+    """
     zeta = complex(zeta)
     if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
         raise DomainError(f"W is evaluated on the plane cut along (-inf,0], got {zeta}")
@@ -788,11 +833,9 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
     # coefficients are real, so the ladder adds no imaginary part to what
     # its bases carry
     with np.errstate(over="ignore", invalid="ignore"):
-        if (abs(cmath.phase(zeta)) > _ARG_SPLIT and abs(zeta) < _KUMMER_MAX
-                and abs(zeta) + zeta.real < _KUMMER_LOSS):
-            base = {k: _w_kummer(k, mu_im, zeta) for k in bases}
-        else:
-            base = {}
+        near_cut = (abs(cmath.phase(zeta)) > _ARG_SPLIT and abs(zeta) < _KUMMER_MAX
+                    and abs(zeta) + zeta.real < _KUMMER_LOSS)
+        base = {k: _w_kummer(k, mu_im, zeta) for k in bases} if near_cut else {}
         rest = [k for k in bases if base.get(k) is None]
         if rest:
             base.update(zip(rest, _w_integral(rest, mu_im, zeta)))
@@ -806,40 +849,6 @@ def _whittaker(kappa, mu_im: float, zeta: complex):
                                   f"is past the double range")
             values.append(hi)
     return np.array(values).reshape(orders.shape)[()]
-
-
-def whittaker_w_complex(kappa, mu_im: float, zeta: complex):
-    """W_{kappa, i mu_im}(zeta) on the cut plane |arg zeta| < pi.
-
-    kappa >= 1/2 runs the contiguous recurrence in kappa upward from the
-    two base values below 1/2.  `kappa` may also be a sequence of orders:
-    the result is then an array, and orders of one call whose ladders
-    reach the same base values (such as kappa and kappa - 1) share them.
-    A call first collects its distinct base orders, then evaluates them
-    all in one integrand pass (`_w_integral`: both quadrature rules, one
-    base x panel x node array) or one Kummer connection each, and then
-    runs the ladders.  Kummer serves |arg zeta| > 3pi/4 where |zeta| < 100
-    and |zeta| + Re zeta < 12.9 (|zeta| < 44 at |arg zeta| = 3pi/4), for
-    each base whose two connection terms cancel by at most 1e3, the
-    integral everything else.  A pair such as (W_k, W_(k-1)) (two orders,
-    two bases) costs ~105 µs on a 2-core AMD EPYC, against ~170 µs for one
-    pass per base and rule.
-
-    Near the cut, against 30-digit mpmath at |arg zeta| from 0.751pi to
-    (1 - 1e-8)pi, base orders in [-1.49, 0.49] and mu_im <= 2.5, the
-    relative error is at most 1.4e-11 for |zeta| < 44 (Kummer, growing
-    with |zeta| + Re zeta), 2e-11 for 44 <= |zeta| < 100 and 5.8e-14 for
-    100 <= |zeta| <= 400 (the integral).
-
-    The integral needs 1e-100 <= |zeta| < 80 * 2^20 (its panels) and
-    raises DomainError outside.  An order that is not finite, or above 1e4
-    (a resource bound: the ladder keeps one level per unit of kappa - 1/2),
-    raises DomainError before any ladder is built, and so does a W past
-    the double range, where it would be inf or NaN: from kappa ~ 172 on at
-    zeta = 1, and near the cut from |zeta| ~ 1420 on, where e^(-zeta/2)
-    outgrows it.
-    """
-    return _whittaker(kappa, mu_im, zeta)
 
 
 def whittaker_w(kappa, mu_im: float, x: float):
@@ -862,4 +871,4 @@ def whittaker_w(kappa, mu_im: float, x: float):
     """
     if not x > 0.0:
         raise DomainError(f"whittaker_w needs x > 0, got x={x}")
-    return np.real(_whittaker(kappa, float(mu_im), complex(x)))
+    return np.real(whittaker_w_complex(kappa, float(mu_im), x))

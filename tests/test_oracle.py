@@ -321,6 +321,20 @@ def test_nystrom_rows_and_columns_are_the_scalar_kernel():
     assert ny.column(pts[3])[3] == 0.0 and ny.column(pts[-7])[-7] == 0.0
 
 
+def test_nystrom_column_is_the_l_matrix_column():
+    # one quotient helper serves the column and the scalar kernel; at a
+    # node the column is the matrix's, bit for bit, and 0 on its diagonal
+    ny = _small_nystrom()
+    lk, pts = ny.kernel, ny.window.points
+    mat = lk.matrix(pts)
+    for j in (0, 3, pts.size // 2, pts.size - 7):
+        col = ny.column(pts[j])
+        assert col.tobytes() == mat[:, j].tobytes()
+        assert col[j] == 0.0
+    y = 1.25
+    assert ny.column(y).tobytes() == lk.matrix(np.append(pts, y))[:-1, -1].tobytes()
+
+
 def test_nystrom_k_at_nodes_is_the_full_resolvent():
     ny = oracle.NystromResolvent(kernels.scaled_whittaker_l(0.25 + 0.6j),
                                  oracle.quadrature_window())

@@ -158,6 +158,18 @@ def test_young_diagram_validation():
         pt.YoungDiagram([2, 0])
 
 
+def test_young_diagram_is_frozen_and_hashes_by_its_rows():
+    lam = pt.YoungDiagram([3, 1])
+    assert lam == pt.YoungDiagram((3, 1)) and lam.rows == (3, 1)
+    assert hash(lam) == hash(pt.YoungDiagram(iter([3, 1])))
+    assert len({lam, pt.YoungDiagram((3, 1)), pt.YoungDiagram([1, 1, 1, 1])}) == 2
+    assert lam != (3, 1)
+    # a diagram hashed into a set keeps its rows
+    with pytest.raises(AttributeError):
+        lam.rows = (2, 2)
+    assert lam.rows == (3, 1)
+
+
 def test_half_encoding():
     assert pt.half(1) == 0.5
     assert pt.half(-5) == -2.5

@@ -567,7 +567,7 @@ def test_whittaker_even_in_mu():
 
 def test_whittaker_self_convergence_at_origin_indices():
     # kappa = mu = 0: doubling the node count must not move the value
-    coarse = special._whittaker(0.0, 0.0, 2.0 + 0j)
+    coarse = special.whittaker_w_complex(0.0, 0.0, 2.0 + 0j)
     fine = _w_integral_panel_loop(0.0, 0.0, 2.0 + 0j, 64)
     assert abs(coarse - fine) < 1e-12 * abs(fine)
     # classical identity W_{0,0}(2x) = sqrt(2x/pi) K_0(x)
@@ -696,6 +696,38 @@ def test_whittaker_at_strongly_negative_kappa_near_the_cut():
                 except typed:
                     continue
                 assert abs(value - ref) <= 1e-11 * abs(ref), (kappa, zeta)
+
+
+@pytest.mark.parametrize("kappa", [-2.0, -3.0, -5.0, -8.0, -9.0, -12.0])
+def test_whittaker_at_kappa_le_minus_2_near_the_cut(kappa):
+    # where Kummer's connection terms do not cancel, its 1F1 sums still can
+    # at kappa <= -2: kept on Kummer, kappa = -12, mu_im = 2.5, |zeta| = 30,
+    # arg 0.751pi read 5.1e-9 off with no error
+    typed = (ConvergenceError, DomainError)
+    for mu in (0.1, 0.3, 1.2, 2.5):
+        for r in (5.0, 10.0, 20.0, 30.0, 43.9, 60.0, 75.0, 90.0):
+            for i, frac in enumerate((0.751, 0.8, 0.9, 0.999)):
+                zeta = cmath.rect(r, (-1) ** i * frac * math.pi)
+                ref = complex(mpmath.whitw(kappa, 1j * mu, zeta))
+                try:
+                    value = special.whittaker_w_complex(kappa, mu, zeta)
+                except typed:
+                    continue
+                assert abs(value - ref) <= 1e-10 * abs(ref), (mu, zeta)
+
+
+def test_whittaker_kummer_bound_at_small_imaginary_index():
+    # the docstring's bound where Kummer serves, 1e-10 for mu_im in [0.1,
+    # 2.5], at the points that set it, mu_im = 0.1 near |zeta| + Re zeta =
+    # 12.9: 2.8e-11 at |zeta| = 43.9, arg 0.751pi, and 8.6e-11 at |zeta| +
+    # Re zeta = 12.899, arg 0.76pi
+    edge = 12.899 / (1.0 + math.cos(0.76 * math.pi))
+    for kappa, r, frac in ((0.0, 43.9, 0.751), (-0.95, edge, 0.76)):
+        zeta = cmath.rect(r, frac * math.pi)
+        assert abs(zeta) + zeta.real < special._KUMMER_LOSS
+        ref = complex(mpmath.whitw(kappa, 0.1j, zeta))
+        value = special.whittaker_w_complex(kappa, 0.1, zeta)
+        assert abs(value - ref) <= 1e-10 * abs(ref), (kappa, zeta)
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.3, 1.2, 2.5])
